@@ -4,8 +4,8 @@ Output is line oriented, locale independent, and deterministic: words
 print as 1-based generator indices, subsets as sorted brace lists, and
 nothing varies with --threads. Exit codes: 0 for a successful or
 theorem-consistent computation, 1 for input errors (including unknown
-flags), 2 for inconclusive runs where a cap or search window was
-exhausted.
+flags), 2 for inconclusive runs where a cap, a search window or memory
+was exhausted.
 """
 
 from __future__ import annotations
@@ -99,14 +99,11 @@ def _word_arg(args, sys_) -> group.GroupElement:
 
 def _reflection_from_word(sys_, letters) -> refl.Reflection:
     w = group.from_word(sys_, letters)
-    length, canonical = group.length_and_reduced(w)
-    if length % 2 == 1:
-        for r in roots.inversion_set(w):
-            if roots.act(w, r).key == (-r).key:
-                cand = roots.reflection_of_root(sys_, r)
-                if cand.key == w.key:
-                    return refl.Reflection(cand, r)
-    raise UsageError(f"'{group.word_str(canonical)}' is not a reflection")
+    root = refl._flipped_root(w)
+    if root is None:
+        canonical = group.length_and_reduced(w)[1]
+        raise UsageError(f"'{group.word_str(canonical)}' is not a reflection")
+    return refl.Reflection(roots.reflection_of_root(sys_, root), root)
 
 
 # ---------------------------------------------------------------- commands
@@ -169,6 +166,8 @@ def _cmd_straight(args) -> int:
 
 def _cmd_outward(args) -> int:
     sys_ = _load_system(args)
+    if args.orbits < 1:
+        raise UsageError("--orbits must be at least 1")
     c = group.coxeter_element(sys_)
     reps = roots.outward_representatives(
         c, max_power=args.max, orbit_bound=args.orbits
@@ -181,6 +180,8 @@ def _cmd_outward(args) -> int:
 
 def _cmd_hurwitz(args) -> int:
     sys_ = _load_system(args)
+    if args.cap < 1:
+        raise UsageError("--cap must be at least 1")
     text = " ".join(args.factorization)
     parts = [p.strip() for p in text.split(";")]
     if not all(parts):
@@ -310,4 +311,7 @@ def main(argv=None) -> int:
         return 2
     except InvariantViolation as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("inconclusive: out of memory", file=sys.stderr)
         return 2

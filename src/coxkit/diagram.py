@@ -16,6 +16,11 @@ field Q(2*cos(pi/N)) where N is the least common multiple of every finite
 label of the system, the diagonal 1s and default 2s included. Labels 1
 and 2 only contribute rationals, but folding them into N keeps the field
 choice a function of the whole matrix.
+
+Cache rule: every value derived from a system and kept for reuse, in any
+module, goes through CoxeterSystem.memo, which builds it on first use
+and stores it in the system's single _cache dict under an explicit key.
+Nothing is evicted; the cache lives as long as the system does.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "classify",
     "components",
     "is_irreducible",
+    "is_spherical",
     "parse_system",
     "serialize_system",
     "subsystem",
@@ -104,6 +110,17 @@ class CoxeterSystem:
     def label(self, i: int, j: int) -> float:
         """Coxeter matrix entry for 1-based generators i, j."""
         return self.matrix[i - 1][j - 1]
+
+    def memo(self, key, build):
+        """The value cached under key, computed by build() on first use.
+
+        Membership is tested with `in`, so falsy values such as False
+        are cached like any other.
+        """
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoxeterSystem) and self.matrix == other.matrix
@@ -221,12 +238,7 @@ def classify(sys_: CoxeterSystem) -> str:
     nontrivial kernel and an irreducible diagram. Everything else,
     including reducible semidefinite systems, lands in "indefinite".
     """
-    cached = sys_._cache.get("classify")
-    if cached is not None:
-        return cached
-    result = _classify(sys_)
-    sys_._cache["classify"] = result
-    return result
+    return sys_.memo("classify", lambda: _classify(sys_))
 
 
 def _classify(sys_: CoxeterSystem) -> str:
@@ -268,6 +280,22 @@ def components(sys_: CoxeterSystem) -> list[tuple[int, ...]]:
 
 def is_irreducible(sys_: CoxeterSystem) -> bool:
     return len(components(sys_)) == 1
+
+
+def _norm_subset(sys_: CoxeterSystem, gens: Iterable[int]) -> tuple[int, ...]:
+    out = tuple(sorted(set(gens)))
+    for s in out:
+        if not (1 <= s <= sys_.rank):
+            raise ValueError(f"generator index {s} out of range 1..{sys_.rank}")
+    return out
+
+
+def is_spherical(sys_: CoxeterSystem, gens: Iterable[int]) -> bool:
+    """Whether the standard parabolic on gens is finite."""
+    idx = _norm_subset(sys_, gens)
+    if not idx:
+        return True
+    return sys_.memo(("spherical", idx), lambda: classify(subsystem(sys_, idx)) == "finite")
 
 
 def subsystem(sys_: CoxeterSystem, gens: Iterable[int]) -> CoxeterSystem:

@@ -12,12 +12,21 @@ Lengths come from the greedy descent walk: s is a right descent of w
 exactly when w maps e_s to a negative root, and stripping descents
 lowers the length by one each time, so the walk both measures the
 length and emits a canonical reduced word (least descent first).
+
+Every breadth-first search in the package runs through closure(): balls
+and whole-group enumerations here, and the reflection-length table,
+Hurwitz orbits, subgroup closures, root orbits and the conjugacy-graph
+spanning tree elsewhere. It dedups by key, checks the cap before each
+insert and records one parent link per member, so callers derive
+distances and tree paths from the links instead of running their own
+loop. Derived values are cached per system through CoxeterSystem.memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .diagram import CoxeterSystem
 from .errors import InvariantViolation, ResourceLimitError
@@ -29,6 +38,7 @@ __all__ = [
     "apply",
     "ball",
     "canonical",
+    "closure",
     "coxeter_element",
     "enumerate_group",
     "from_word",
@@ -41,6 +51,7 @@ __all__ = [
     "order_upto",
     "parse_word",
     "power",
+    "power_window",
     "word_str",
 ]
 
@@ -105,39 +116,31 @@ def parse_word(text: str, rank: int) -> tuple[int, ...]:
 # ------------------------------------------------------------- constructions
 
 def identity(sys_: CoxeterSystem) -> GroupElement:
-    cached = sys_._cache.get("identity")
-    if cached is None:
-        f = sys_.field
-        n = sys_.rank
-        cols = tuple(
-            tuple(f.one if i == j else f.zero for i in range(n)) for j in range(n)
-        )
-        cached = GroupElement(sys_, cols, ())
-        sys_._cache["identity"] = cached
-    return cached
+    return sys_.memo("identity", lambda: _identity(sys_))
+
+
+def _identity(sys_: CoxeterSystem) -> GroupElement:
+    f = sys_.field
+    n = sys_.rank
+    cols = tuple(tuple(f.one if i == j else f.zero for i in range(n)) for j in range(n))
+    return GroupElement(sys_, cols, ())
 
 
 def _two_b(sys_: CoxeterSystem) -> list[list[tuple[int, FieldElement]]]:
     """Sparse rows of 2*B: for each s, the pairs (j, 2*B(e_s,e_j)) with j != s nonzero."""
-    cached = sys_._cache.get("two_b")
-    if cached is None:
-        n = sys_.rank
-        cached = [
-            [(j, sys_.gram[s][j] * 2) for j in range(n) if j != s and not sys_.gram[s][j].is_zero()]
-            for s in range(n)
-        ]
-        sys_._cache["two_b"] = cached
-    return cached
+    return sys_.memo("two_b", lambda: [
+        [(j, b * 2) for j, b in enumerate(row) if j != s and not b.is_zero()]
+        for s, row in enumerate(sys_.gram)
+    ])
 
 
 def generator(sys_: CoxeterSystem, s: int) -> GroupElement:
     """The simple reflection sigma_s, 1-based."""
     if not (1 <= s <= sys_.rank):
         raise ValueError(f"generator index {s} out of range 1..{sys_.rank}")
-    gens = sys_._cache.get("generators")
-    if gens is None:
-        gens = [_right_mul_gen(identity(sys_), t) for t in range(1, sys_.rank + 1)]
-        sys_._cache["generators"] = gens
+    gens = sys_.memo("generators", lambda: [
+        _right_mul_gen(identity(sys_), t) for t in range(1, sys_.rank + 1)
+    ])
     return gens[s - 1]
 
 
@@ -257,6 +260,54 @@ def canonical(w: GroupElement) -> GroupElement:
     return GroupElement(w.system, w.cols, word)
 
 
+# ---------------------------------------------------------- the closure engine
+
+def closure(
+    seeds: Iterable,
+    step: Callable[[object], Iterable[tuple[object, object]]],
+    cap: int,
+    radius: int | None = None,
+    key: Callable[[object], Hashable] = attrgetter("key"),
+    overflow: str = "closure exceeded the cap of {cap}",
+) -> tuple[dict, dict, bool]:
+    """Breadth-first closure of seeds under step, layer by layer.
+
+    step(x) yields (label, y) pairs; y joins unless its key(y) is already
+    a member. Returns (members, parent, complete): members maps each key
+    to its item in insertion order (seeds first, then BFS layers);
+    parent maps each key to (parent key, label), None at a seed;
+    complete is True when the last expanded layer added nothing, so the
+    members are closed under step. radius None expands until then.
+    Inserting past cap members raises ResourceLimitError with overflow
+    formatted by cap.
+    """
+    members: dict = {}
+    parent: dict = {}
+    for x in seeds:
+        k = key(x)
+        if k not in members:
+            members[k] = x
+            parent[k] = None
+    frontier = list(members.values())
+    depth = 0
+    while frontier and (radius is None or depth < radius):
+        depth += 1
+        nxt = []
+        for x in frontier:
+            xk = key(x)
+            for label, y in step(x):
+                k = key(y)
+                if k in members:
+                    continue
+                if len(members) >= cap:
+                    raise ResourceLimitError(overflow.format(cap=cap))
+                members[k] = y
+                parent[k] = (xk, label)
+                nxt.append(y)
+        frontier = nxt
+    return members, parent, not frontier
+
+
 # ------------------------------------------------------------------- the ball
 
 @dataclass
@@ -292,35 +343,14 @@ def _bfs(
     radius: int | None,
     cap: int,
 ) -> Ball:
-    e = identity(sys_)
-    members: dict = {e.key: e}
-    parent: dict = {e.key: None}
-    frontier = [e]
-    depth = 0
-    while frontier and (radius is None or depth < radius):
-        depth += 1
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                child = _right_mul_gen(w, s)
-                if child.key in members:
-                    continue
-                if len(members) >= cap:
-                    raise ResourceLimitError(
-                        f"ball enumeration exceeded the cap of {cap} elements"
-                    )
-                members[child.key] = child
-                parent[child.key] = (w.key, s)
-                nxt.append(child)
-        frontier = nxt
-    return Ball(
-        system=sys_,
+    members, parent, complete = closure(
+        [identity(sys_)],
+        lambda w: ((s, _right_mul_gen(w, s)) for s in gens),
+        cap,
         radius=radius,
-        gens=gens,
-        members=members,
-        parent=parent,
-        complete=not frontier,
+        overflow="ball enumeration exceeded the cap of {cap} elements",
     )
+    return Ball(sys_, radius, gens, members, parent, complete)
 
 
 def _norm_gens(sys_: CoxeterSystem, gens: Iterable[int] | None) -> tuple[int, ...]:
@@ -333,6 +363,13 @@ def _norm_gens(sys_: CoxeterSystem, gens: Iterable[int] | None) -> tuple[int, ..
     return out
 
 
+def _cached_ball(sys_: CoxeterSystem, gens: Iterable[int] | None, radius: int | None, cap: int) -> Ball:
+    """The memoized BFS ball; radius None is the whole group, keyed as "enum"."""
+    gens_t = _norm_gens(sys_, gens)
+    key = ("enum", gens_t, cap) if radius is None else ("ball", gens_t, radius, cap)
+    return sys_.memo(key, lambda: _bfs(sys_, gens_t, radius, cap))
+
+
 def ball(
     sys_: CoxeterSystem,
     radius: int,
@@ -342,13 +379,7 @@ def ball(
     """Ball of the given radius in the Cayley graph on the chosen generators."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    gens_t = _norm_gens(sys_, gens)
-    cache_key = ("ball", gens_t, radius, cap)
-    cached = sys_._cache.get(cache_key)
-    if cached is None:
-        cached = _bfs(sys_, gens_t, radius, cap)
-        sys_._cache[cache_key] = cached
-    return cached
+    return _cached_ball(sys_, gens, radius, cap)
 
 
 def enumerate_group(
@@ -361,13 +392,7 @@ def enumerate_group(
     Runs the ball BFS with no radius bound; an infinite group hits the
     cap and raises ResourceLimitError.
     """
-    gens_t = _norm_gens(sys_, gens)
-    cache_key = ("enum", gens_t, cap)
-    cached = sys_._cache.get(cache_key)
-    if cached is None:
-        cached = _bfs(sys_, gens_t, None, cap)
-        sys_._cache[cache_key] = cached
-    return cached
+    return _cached_ball(sys_, gens, None, cap)
 
 
 # ------------------------------------------------------------- power probes
@@ -382,6 +407,25 @@ def is_straight_upto(w: GroupElement, max_power: int) -> bool:
         if length_and_reduced(p)[0] != m * l1:
             return False
     return True
+
+
+def power_window(w: GroupElement, bound: int, signed: bool = True) -> dict:
+    """The powers w^k with |k| <= bound, keyed by matrix.
+
+    Exponents are taken in the order 0, 1, -1, 2, -2, ..., or 0, 1, 2,
+    ... without signed; each key maps to (k, w^k) for the first k that
+    reaches it, and the dict keeps that order.
+    """
+    fwd = bwd = identity(w.system)
+    table = {fwd.key: (0, fwd)}
+    winv = inverse(w) if signed else None
+    for k in range(1, bound + 1):
+        fwd = multiply(fwd, w)
+        table.setdefault(fwd.key, (k, fwd))
+        if signed:
+            bwd = multiply(bwd, winv)
+            table.setdefault(bwd.key, (-k, bwd))
+    return table
 
 
 def order_upto(w: GroupElement, max_power: int) -> int | None:

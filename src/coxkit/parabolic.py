@@ -24,7 +24,7 @@ from . import diagram as diagram_mod
 from . import group as group_mod
 from . import refl as refl_mod
 from . import roots as roots_mod
-from .diagram import CoxeterSystem
+from .diagram import CoxeterSystem, _norm_subset, is_spherical
 from .errors import InvariantViolation, ResourceLimitError
 from .group import GroupElement
 
@@ -73,27 +73,6 @@ def parse_subset(text: str, rank: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _norm_subset(sys_: CoxeterSystem, gens: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(gens)))
-    for s in out:
-        if not (1 <= s <= sys_.rank):
-            raise ValueError(f"generator index {s} out of range 1..{sys_.rank}")
-    return out
-
-
-def is_spherical(sys_: CoxeterSystem, gens: Iterable[int]) -> bool:
-    """Whether the standard parabolic on gens is finite."""
-    idx = _norm_subset(sys_, gens)
-    if not idx:
-        return True
-    cache_key = ("spherical", idx)
-    cached = sys_._cache.get(cache_key)
-    if cached is None:
-        cached = diagram_mod.classify(diagram_mod.subsystem(sys_, idx)) == "finite"
-        sys_._cache[cache_key] = cached
-    return cached
-
-
 # ------------------------------------------------------------ longest element
 
 def longest_element(sys_: CoxeterSystem, gens: Iterable[int]) -> GroupElement:
@@ -104,10 +83,10 @@ def longest_element(sys_: CoxeterSystem, gens: Iterable[int]) -> GroupElement:
     as the parabolic has positive roots; anything else is a logic fault.
     """
     idx = _norm_subset(sys_, gens)
-    cache_key = ("w0", idx)
-    cached = sys_._cache.get(cache_key)
-    if cached is not None:
-        return cached
+    return sys_.memo(("w0", idx), lambda: _ascend(sys_, idx))
+
+
+def _ascend(sys_: CoxeterSystem, idx: tuple[int, ...]) -> GroupElement:
     if not is_spherical(sys_, idx):
         raise ValueError(f"parabolic {subset_str(idx)} is not spherical")
     bound = len(roots_mod.positive_roots(sys_, idx)) if idx else 0
@@ -128,7 +107,6 @@ def longest_element(sys_: CoxeterSystem, gens: Iterable[int]) -> GroupElement:
             raise InvariantViolation("longest-element ascent exceeded the root count")
     if steps != bound:
         raise InvariantViolation("longest-element ascent stopped early")
-    sys_._cache[cache_key] = w
     return w
 
 
@@ -233,9 +211,10 @@ def conjugacy_graph(sys_: CoxeterSystem) -> ConjGraph:
         raise ResourceLimitError(
             f"conjugacy graph over 2^{sys_.rank} subsets exceeds the rank guardrail {MAX_GRAPH_RANK}"
         )
-    cached = sys_._cache.get("conjgraph")
-    if cached is not None:
-        return cached
+    return sys_.memo("conjgraph", lambda: _build_graph(sys_))
+
+
+def _build_graph(sys_: CoxeterSystem) -> ConjGraph:
     n = sys_.rank
     vertices = []
     for mask in range(1 << n):
@@ -269,9 +248,7 @@ def conjugacy_graph(sys_: CoxeterSystem) -> ConjGraph:
         if r not in rep_order:
             rep_order[r] = len(rep_order)
         component_of[v] = rep_order[r]
-    graph = ConjGraph(sys_, tuple(vertices), tuple(edges), component_of)
-    sys_._cache["conjgraph"] = graph
-    return graph
+    return ConjGraph(sys_, tuple(vertices), tuple(edges), component_of)
 
 
 # ----------------------------------------------------- conjugating parabolics
@@ -286,21 +263,26 @@ def _tree_and_witnesses(graph: ConjGraph, start: frozenset[int]):
         adjacency.setdefault(e.target, []).append((e.letter, _subset_sort_key(e.source), "bwd", e))
     for v in adjacency:
         adjacency[v].sort(key=lambda item: (item[0], item[1], item[2]))
-    mu = {start: group_mod.identity(sys_)}
-    order = [start]
+    _, parent, _ = group_mod.closure(
+        [start],
+        lambda v: (
+            ((direction, e), e.target if direction == "fwd" else e.source)
+            for _, _, direction, e in adjacency.get(v, ())
+        ),
+        group_mod.DEFAULT_BALL_CAP,
+        key=lambda v: v,
+        overflow="conjugacy graph component exceeded the cap of {cap}",
+    )
+    mu = {}
     tree_edges = set()
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for _, _, direction, e in adjacency.get(v, ()):
-            other = e.target if direction == "fwd" else e.source
-            if other in mu:
-                continue
-            step = e.witness if direction == "fwd" else group_mod.inverse(e.witness)
-            mu[other] = group_mod.multiply(mu[v], step)
-            tree_edges.add(id(e))
-            order.append(other)
+    for v, link in parent.items():
+        if link is None:
+            mu[v] = group_mod.identity(sys_)
+            continue
+        u, (direction, e) = link
+        step = e.witness if direction == "fwd" else group_mod.inverse(e.witness)
+        mu[v] = group_mod.multiply(mu[u], step)
+        tree_edges.add(id(e))
     non_tree = [e for e in graph.edges if id(e) not in tree_edges and e.source in mu]
     return mu, non_tree
 
@@ -423,7 +405,7 @@ def parabolic_closure_finite(
     conjugate g W_J g^{-1} of a standard parabolic of the scope.
     """
     gens_t = group_mod._norm_gens(sys_, gens)
-    if not refl_mod._scope_is_finite(sys_, gens_t):
+    if not is_spherical(sys_, gens_t):
         raise ValueError("parabolic closure here requires a finite scope")
     gen_set = set(gens_t)
     for w in elements:
@@ -436,12 +418,14 @@ def parabolic_closure_finite(
             moved = [
                 c - one if i == j else c for i, c in enumerate(w.cols[j])
             ]
-            if any(not c.is_zero() for c in moved):
-                _span_insert(basis, moved)
+            rest = _reduce(basis, moved)
+            pivot = next((i for i, c in enumerate(rest) if not c.is_zero()), None)
+            if pivot is not None:
+                basis.append((pivot, rest))
     chosen = [
         t
         for t in refl_mod.reflections_of(sys_, gens_t)
-        if _in_span(basis, t.root.coords)
+        if all(c.is_zero() for c in _reduce(basis, t.root.coords))
     ]
     members = (
         refl_mod.generated_group([t.element for t in chosen], sys_=sys_)
@@ -477,25 +461,15 @@ def _match_standard(sys_, gens_t, members) -> tuple[GroupElement, frozenset[int]
     raise InvariantViolation("closure is not conjugate to any standard parabolic")
 
 
-def _span_insert(basis: list, coords) -> None:
+def _reduce(basis: list, coords) -> list:
+    """coords minus its components along the (pivot, vector) echelon basis;
+    zero exactly when coords lies in the span."""
     vec = list(coords)
     for pivot_idx, pivot_vec in basis:
         if not vec[pivot_idx].is_zero():
             factor = vec[pivot_idx] / pivot_vec[pivot_idx]
             vec = [a - factor * b for a, b in zip(vec, pivot_vec)]
-    for i, c in enumerate(vec):
-        if not c.is_zero():
-            basis.append((i, vec))
-            return
-
-
-def _in_span(basis: list, coords) -> bool:
-    vec = list(coords)
-    for pivot_idx, pivot_vec in basis:
-        if not vec[pivot_idx].is_zero():
-            factor = vec[pivot_idx] / pivot_vec[pivot_idx]
-            vec = [a - factor * b for a, b in zip(vec, pivot_vec)]
-    return all(c.is_zero() for c in vec)
+    return vec
 
 
 # --------------------------------------------------------------- essentiality

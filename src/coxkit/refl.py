@@ -70,16 +70,6 @@ class Reflection:
         return f"<reflection {group_mod.word_str(self.element.word)}>"
 
 
-def _scope_gens(sys_: CoxeterSystem, gens: Iterable[int] | None) -> tuple[int, ...]:
-    return group_mod._norm_gens(sys_, gens)
-
-
-def _scope_is_finite(sys_: CoxeterSystem, gens_t: tuple[int, ...]) -> bool:
-    if not gens_t:
-        return True
-    return diagram_mod.classify(diagram_mod.subsystem(sys_, gens_t)) == "finite"
-
-
 def reflections_of(
     sys_: CoxeterSystem,
     gens: Iterable[int] | None = None,
@@ -92,33 +82,37 @@ def reflections_of(
     depth, the list is truncated to reflections of length <= depth found
     in the ball, which is the only honest option for infinite scopes.
     """
-    gens_t = _scope_gens(sys_, gens)
+    gens_t = group_mod._norm_gens(sys_, gens)
     if depth is None:
-        if not _scope_is_finite(sys_, gens_t):
+        if not diagram_mod.is_spherical(sys_, gens_t):
             raise ValueError(
                 "scope generates an infinite group; pass an explicit depth "
                 "for a ball-truncated reflection list"
             )
-        cache_key = ("reflections", gens_t)
-        cached = sys_._cache.get(cache_key)
-        if cached is None:
-            cached = tuple(
-                Reflection(roots_mod.reflection_of_root(sys_, alpha), alpha)
-                for alpha in roots_mod.positive_roots(sys_, gens_t)
-            )
-            sys_._cache[cache_key] = cached
-        return list(cached)
+        return list(sys_.memo(("reflections", gens_t), lambda: tuple(
+            Reflection(roots_mod.reflection_of_root(sys_, alpha), alpha)
+            for alpha in roots_mod.positive_roots(sys_, gens_t)
+        )))
     found: list[Reflection] = []
     for w in group_mod.ball(sys_, depth, gens=gens_t).elements():
-        if len(w.word) % 2 == 0 or not group_mod.multiply(w, w).is_identity():
-            continue
-        flipped = [r for r in roots_mod.inversion_set(w) if roots_mod.act(w, r) == -r]
-        match = next(
-            (r for r in flipped if roots_mod.reflection_of_root(sys_, r) == w), None
-        )
-        if match is not None:
-            found.append(Reflection(w, match))
+        root = _flipped_root(w)
+        if root is not None:
+            found.append(Reflection(w, root))
     return found
+
+
+def _flipped_root(w: GroupElement) -> Root | None:
+    """The positive root alpha with s_alpha = w, or None when w is no reflection.
+
+    A reflection is an involution of odd length, and the parity of any
+    witness word is the parity of the length, so both filters are cheap.
+    """
+    if len(w.word) % 2 == 0 or not group_mod.multiply(w, w).is_identity():
+        return None
+    for r in roots_mod.inversion_set(w):
+        if roots_mod.act(w, r) == -r and roots_mod.reflection_of_root(w.system, r) == w:
+            return r
+    return None
 
 
 def _element_in_scope(sys_: CoxeterSystem, w: GroupElement, gens_t: tuple[int, ...]) -> bool:
@@ -127,25 +121,21 @@ def _element_in_scope(sys_: CoxeterSystem, w: GroupElement, gens_t: tuple[int, .
 
 
 def _length_table(sys_: CoxeterSystem, gens_t: tuple[int, ...]) -> dict:
-    """Reflection-length table over a finite parabolic, BFS layering."""
-    cache_key = ("ltable", gens_t)
-    cached = sys_._cache.get(cache_key)
-    if cached is not None:
-        return cached
+    """Reflection-length table over a finite parabolic: matrix key -> l_T."""
+    return sys_.memo(("ltable", gens_t), lambda: _distances(sys_, gens_t))
+
+
+def _distances(sys_: CoxeterSystem, gens_t: tuple[int, ...]) -> dict:
     refs = [t.element for t in reflections_of(sys_, gens_t)]
-    e = group_mod.identity(sys_)
-    dist = {e.key: 0}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for t in refs:
-                u = group_mod.multiply(w, t)
-                if u.key not in dist:
-                    dist[u.key] = dist[w.key] + 1
-                    nxt.append(u)
-        frontier = nxt
-    sys_._cache[cache_key] = dist
+    _, parent, _ = group_mod.closure(
+        [group_mod.identity(sys_)],
+        lambda w: ((None, group_mod.multiply(w, t)) for t in refs),
+        group_mod.DEFAULT_BALL_CAP,
+        overflow="reflection length table exceeded the cap of {cap}",
+    )
+    dist: dict = {}
+    for k, link in parent.items():
+        dist[k] = 0 if link is None else dist[link[0]] + 1
     return dist
 
 
@@ -155,8 +145,8 @@ def reflection_length(
     gens: Iterable[int] | None = None,
 ) -> int:
     """Least number of reflections of the (finite) scope multiplying to w."""
-    gens_t = _scope_gens(sys_, gens)
-    if not _scope_is_finite(sys_, gens_t):
+    gens_t = group_mod._norm_gens(sys_, gens)
+    if not diagram_mod.is_spherical(sys_, gens_t):
         raise ValueError("reflection length requires a finite scope")
     table = _length_table(sys_, gens_t)
     if w.key not in table:
@@ -203,8 +193,8 @@ def reduced_factorizations(
     Guarded to reflection length <= 6; the search tree over the
     reflection alphabet grows too fast beyond that.
     """
-    gens_t = _scope_gens(sys_, gens)
-    if not _scope_is_finite(sys_, gens_t):
+    gens_t = group_mod._norm_gens(sys_, gens)
+    if not diagram_mod.is_spherical(sys_, gens_t):
         raise ValueError("reduced factorizations require a finite scope")
     table = _length_table(sys_, gens_t)
     if w.key not in table:
@@ -271,23 +261,17 @@ def hurwitz_orbit(
     cap: int = DEFAULT_ORBIT_CAP,
 ) -> list[ReflectionFactorization]:
     """The full orbit of the factorization under Hurwitz moves, BFS order."""
-    seen = {fact.key: fact}
-    queue = [fact]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        for slot in range(1, len(cur.factors)):
-            for direction in ("forward", "backward"):
-                nxt = hurwitz_move(cur, slot, direction)
-                if nxt.key not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimitError(
-                            f"Hurwitz orbit exceeded the cap of {cap}"
-                        )
-                    seen[nxt.key] = nxt
-                    queue.append(nxt)
-    return queue
+    members, _, _ = group_mod.closure(
+        [fact],
+        lambda cur: (
+            ((slot, direction), hurwitz_move(cur, slot, direction))
+            for slot in range(1, len(cur.factors))
+            for direction in ("forward", "backward")
+        ),
+        cap,
+        overflow="Hurwitz orbit exceeded the cap of {cap}",
+    )
+    return list(members.values())
 
 
 def generated_group(
@@ -310,22 +294,12 @@ def generated_group(
             if not gens:
                 raise ValueError("empty generator list needs an explicit system")
             sys_ = gens[0].system
-    e = group_mod.identity(sys_)
-    members = {e.key: e}
-    queue = [e]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        for g in gens:
-            nxt = group_mod.multiply(cur, g)
-            if nxt.key not in members:
-                if len(members) >= cap:
-                    raise ResourceLimitError(
-                        f"subgroup closure exceeded the cap of {cap}"
-                    )
-                members[nxt.key] = nxt
-                queue.append(nxt)
+    members, _, _ = group_mod.closure(
+        [group_mod.identity(sys_)],
+        lambda cur: ((i, group_mod.multiply(cur, g)) for i, g in enumerate(gens)),
+        cap,
+        overflow="subgroup closure exceeded the cap of {cap}",
+    )
     return members
 
 
@@ -343,8 +317,8 @@ def parabolic_coxeter_check(
     standard parabolic of the scope. The identity passes via the empty
     parabolic.
     """
-    gens_t = _scope_gens(sys_, gens)
-    if not _scope_is_finite(sys_, gens_t):
+    gens_t = group_mod._norm_gens(sys_, gens)
+    if not diagram_mod.is_spherical(sys_, gens_t):
         raise ValueError("the parabolic Coxeter check requires a finite scope")
     if not _element_in_scope(sys_, w, gens_t):
         raise ValueError("element does not lie in the chosen parabolic")
@@ -359,15 +333,9 @@ def parabolic_coxeter_check(
 
 
 def _standard_coxeter_keys(sys_: CoxeterSystem, gens_t: tuple[int, ...]) -> frozenset:
-    cache_key = ("coxkeys", gens_t)
-    cached = sys_._cache.get(cache_key)
-    if cached is None:
-        keys = set()
-        subset_pool = list(gens_t)
-        for r in range(len(subset_pool) + 1):
-            for combo in itertools.combinations(subset_pool, r):
-                for perm in itertools.permutations(combo):
-                    keys.add(group_mod.from_word(sys_, perm).key)
-        cached = frozenset(keys)
-        sys_._cache[cache_key] = cached
-    return cached
+    return sys_.memo(("coxkeys", gens_t), lambda: frozenset(
+        group_mod.from_word(sys_, perm).key
+        for r in range(len(gens_t) + 1)
+        for combo in itertools.combinations(gens_t, r)
+        for perm in itertools.permutations(combo)
+    ))

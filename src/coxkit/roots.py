@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import group as group_mod
 from .diagram import CoxeterSystem
-from .errors import InvariantViolation, ResourceLimitError
+from .errors import InvariantViolation
 from .field import FieldElement
 from .group import GroupElement
 
@@ -132,32 +132,17 @@ def positive_roots(
     generators; infinite scopes hit the cap and raise.
     """
     gens_t = group_mod._norm_gens(sys_, gens)
-    cache_key = ("posroots", gens_t)
-    cached = sys_._cache.get(cache_key)
-    if cached is not None:
-        return list(cached)
-    seen: dict[tuple, Root] = {}
-    queue: list[Root] = []
-    for s in gens_t:
-        r = simple_root(sys_, s)
-        if r.key not in seen:
-            seen[r.key] = r
-            queue.append(r)
-    head = 0
-    while head < len(queue):
-        r = queue[head]
-        head += 1
-        for s in gens_t:
-            img = make_root(sys_, _reflect(sys_, s, r.coords))
-            if img.key not in seen:
-                if len(seen) >= cap:
-                    raise ResourceLimitError(f"root orbit exceeded the cap of {cap}")
-                seen[img.key] = img
-                queue.append(img)
-    out = [r for r in queue if r.positive]
-    out.sort(key=lambda r: r.key)
-    sys_._cache[cache_key] = tuple(out)
-    return out
+    return list(sys_.memo(("posroots", gens_t), lambda: _root_orbit(sys_, gens_t, cap)))
+
+
+def _root_orbit(sys_: CoxeterSystem, gens_t: tuple[int, ...], cap: int) -> tuple[Root, ...]:
+    members, _, _ = group_mod.closure(
+        [simple_root(sys_, s) for s in gens_t],
+        lambda r: ((s, make_root(sys_, _reflect(sys_, s, r.coords))) for s in gens_t),
+        cap,
+        overflow="root orbit exceeded the cap of {cap}",
+    )
+    return tuple(sorted((r for r in members.values() if r.positive), key=lambda r: r.key))
 
 
 # ------------------------------------------------------------- inversion sets
@@ -257,9 +242,10 @@ class DualPoint:
         """The all-ones functional, positive on every positive root."""
         return cls(system, tuple(system.field.one for _ in range(system.rank)))
 
-    def pair(self, root: Root) -> FieldElement:
+    def pair(self, coords: Sequence[FieldElement]) -> FieldElement:
+        """The value of the functional at a coordinate vector."""
         acc = self.system.field.zero
-        for x, a in zip(self.values, root.coords):
+        for x, a in zip(self.values, coords):
             if not a.is_zero():
                 acc = acc + x * a
         return acc
@@ -294,9 +280,7 @@ def is_outward_upto(
         vminus = group_mod.apply(winv, vminus)
         if p < min_power:
             continue
-        plus_pair = point.pair(Root(w.system, vplus, True))
-        minus_pair = point.pair(Root(w.system, vminus, True))
-        if plus_pair.sign() <= 0 or minus_pair.sign() >= 0:
+        if point.pair(vplus).sign() <= 0 or point.pair(vminus).sign() >= 0:
             return False
     return True
 

@@ -142,20 +142,7 @@ def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> Cen
     order = group_mod.order_upto(c, len(members))
     if order is None:
         raise InvariantViolation("coxeter element order exceeds the group size")
-    powers: dict[tuple, int] = {}
-    p = group_mod.identity(sys_)
-    for k in range(order):
-        powers.setdefault(p.key, k)
-        p = group_mod.multiply(p, c)
-    entries = []
-    for g in members:
-        if not commutes(g, c):
-            continue
-        k = powers.get(g.key)
-        if k is None:
-            entries.append(CentralizerEntry(_canonical_word(g), 0, "not-power", g))
-        else:
-            entries.append(CentralizerEntry(_canonical_word(g), k, "ok", g))
+    entries = _centralizer_entries(members, c, group_mod.power_window(c, order - 1, signed=False))
     consistent = (
         all(e.status == "ok" for e in entries) and len(entries) == order
     )
@@ -197,26 +184,9 @@ def verify_ball(
     bound = ceil(radius / clen) + 1
     if power_bound is not None:
         bound = max(power_bound, bound)
-    powers: dict[tuple, int] = {}
-    fwd = group_mod.identity(sys_)
-    bwd = group_mod.identity(sys_)
-    cinv = group_mod.inverse(c)
-    powers[fwd.key] = 0
-    for k in range(1, bound + 1):
-        fwd = group_mod.multiply(fwd, c)
-        bwd = group_mod.multiply(bwd, cinv)
-        powers.setdefault(fwd.key, k)
-        powers.setdefault(bwd.key, -k)
+    powers = group_mod.power_window(c, bound)
     sphere = group_mod.ball(sys_, radius)
-    entries = []
-    for g in sphere.elements():
-        if not commutes(g, c):
-            continue
-        k = powers.get(g.key)
-        if k is None:
-            entries.append(CentralizerEntry(_canonical_word(g), 0, "not-power", g))
-        else:
-            entries.append(CentralizerEntry(_canonical_word(g), k, "ok", g))
+    entries = _centralizer_entries(sphere.elements(), c, powers)
     consistent = all(e.status == "ok" for e in entries)
     return CentralizerReport(
         mode="ball",
@@ -228,6 +198,20 @@ def verify_ball(
         ball_size=len(sphere),
         elapsed=time.perf_counter() - t0,
     )
+
+
+def _centralizer_entries(elements, c: GroupElement, powers: dict) -> list[CentralizerEntry]:
+    """One entry per element commuting with c, matched against a power window."""
+    entries = []
+    for g in elements:
+        if not commutes(g, c):
+            continue
+        hit = powers.get(g.key)
+        if hit is None:
+            entries.append(CentralizerEntry(_canonical_word(g), 0, "not-power", g))
+        else:
+            entries.append(CentralizerEntry(_canonical_word(g), hit[0], "ok", g))
+    return entries
 
 
 # ---------------------------------------------------------------- beta trace
@@ -256,13 +240,6 @@ class BetaTrace:
         if self.constant_m is not None:
             out.append(f"constant-m: {self.constant_m}")
         return out
-
-
-def _window_order(window: int):
-    yield 0
-    for m in range(1, window + 1):
-        yield m
-        yield -m
 
 
 def beta_trace(
@@ -295,21 +272,12 @@ def beta_trace(
             raise InvariantViolation(
                 f"reflection identity failed at position {i} of the coxeter word"
             )
-    power_cache: dict[int, GroupElement] = {0: group_mod.identity(sys_)}
-
-    def cpow(m: int) -> GroupElement:
-        if m not in power_cache:
-            step = c if m > 0 else group_mod.inverse(c)
-            prev = cpow(m - 1 if m > 0 else m + 1)
-            power_cache[m] = group_mod.multiply(prev, step)
-        return power_cache[m]
-
+    powers = group_mod.power_window(c, window).values()
     entries = []
     for i, beta in enumerate(reps, start=1):
         target = roots_mod.act(g, beta)
         hit: tuple[int, int] | None = None
-        for m in _window_order(window):
-            wm = cpow(m)
+        for m, wm in powers:
             for j, rep in enumerate(reps, start=1):
                 if roots_mod.act(wm, rep).key == target.key:
                     hit = (m, j)
@@ -401,11 +369,7 @@ def verify_example_d4tilde() -> ExampleReport:
     v_order = group_mod.order_upto(v, order_wp)
     if v_order is None:
         raise InvariantViolation("order of v not found inside W'")
-    vpowers = set()
-    p = group_mod.identity(sys_)
-    for _ in range(v_order):
-        vpowers.add(p.key)
-        p = group_mod.multiply(p, v)
+    vpowers = group_mod.power_window(v, v_order - 1, signed=False)
     _push_clause(
         clauses,
         "c",
@@ -414,13 +378,7 @@ def verify_example_d4tilde() -> ExampleReport:
     )
 
     w = group_mod.multiply(v, group_mod.generator(sys_, 1))
-    in_cyclic_w = False
-    for sign_base in (w, group_mod.inverse(w)):
-        q = group_mod.identity(sys_)
-        for _ in range(25):
-            if q.key == u.key:
-                in_cyclic_w = True
-            q = group_mod.multiply(q, sign_base)
+    in_cyclic_w = u.key in group_mod.power_window(w, 24)
     _push_clause(
         clauses,
         "d",
@@ -456,8 +414,6 @@ def verify_speyer(
     _require_irreducible(sys_)
     c = group_mod.coxeter_element(sys_, perm)
     n = group_mod.length_and_reduced(c)[0]
-    if not group_mod.is_straight_upto(c, max_power):
-        return False
     p = group_mod.identity(sys_)
     for m in range(1, max_power + 1):
         p = group_mod.multiply(p, c)

@@ -8,9 +8,11 @@ change.
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from coxkit import cli
 from coxkit.cli import main
 
 
@@ -213,6 +215,26 @@ def test_exit_input_errors(capsys, tmp_path):
     assert run(capsys, "coxeter-verify", "--diagram", str(reducible))[0] == 1
 
 
+def test_exit_vacuous_windows_and_caps_rejected(capsys):
+    for orbits in ("-1", "0"):
+        code, out, err = run(capsys, "outward", "--orbits", orbits, "--diagram", dpath("a2t"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+    for factors in ("1", "1; 2"):
+        code, out, err = run(capsys, "hurwitz", factors, "--cap", "0", "--diagram", dpath("a2"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
+
+def test_exit_inconclusive_on_out_of_memory(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._DISPATCH, "classify", exhausted)
+    code, out, err = run(capsys, "classify", "--diagram", dpath("a2"))
+    assert (code, out, err) == (2, "", "inconclusive: out of memory\n")
+
+
 def test_exit_inconclusive_on_cap(capsys):
     code, out, err = run(
         capsys, "hurwitz", "1; 2", "--cap", "1", "--diagram", dpath("a2")
@@ -239,3 +261,17 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "finite\n"
+
+
+@pytest.mark.parametrize(
+    "demo", ["02_centralizers", "03_hurwitz", "04_parabolic", "05_affine_d4"]
+)
+def test_demo_runs(demo):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / f"{demo}.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

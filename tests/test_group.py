@@ -213,6 +213,14 @@ def test_ball_parent_links():
             assert b.members[pkey].word == w.word[:-1]
 
 
+@pytest.mark.parametrize("name,radius", [("d4t", 6), ("tri334", 8), ("g2t", 9), ("h3", None)])
+def test_ball_order_is_shortlex(name, radius):
+    sys_ = corpus.load(name)
+    b = enumerate_group(sys_) if radius is None else ball(sys_, radius)
+    words = [w.word for w in b.elements()]
+    assert words == sorted(words, key=lambda word: (len(word), word))
+
+
 # ----------------------------------------------------------- straightness
 
 def test_straightness_probes():

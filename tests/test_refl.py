@@ -82,6 +82,25 @@ def test_reflection_length_coxeter_element_is_rank():
         assert reflection_length(sys_, c) == sys_.rank, name
 
 
+@pytest.mark.parametrize("name", ["a3", "a4"])
+def test_reflection_length_type_a_matches_cycle_count(name):
+    # s_i swaps the points i and i+1 of 1..n+1; l_T is n+1 minus the cycle count
+    sys_ = corpus.load(name)
+    points = sys_.rank + 1
+    for w in enumerate_group(sys_).elements():
+        perm = list(range(points))
+        for s in length_and_reduced(w)[1]:
+            perm[s - 1], perm[s] = perm[s], perm[s - 1]
+        cycles, seen = 0, set()
+        for start in range(points):
+            if start not in seen:
+                cycles += 1
+                while start not in seen:
+                    seen.add(start)
+                    start = perm[start]
+        assert reflection_length(sys_, w) == points - cycles, w.word
+
+
 def test_reflection_length_conjugation_invariant():
     a3 = corpus.load("a3")
     rng = random.Random(2)

@@ -162,8 +162,8 @@ def test_dual_interior_positive_on_positive_roots():
     a3 = corpus.load("a3")
     x = DualPoint.interior(a3)
     for r in positive_roots(a3):
-        assert x.pair(r).sign() == 1
-        assert x.pair(-r).sign() == -1
+        assert x.pair(r.coords).sign() == 1
+        assert x.pair((-r).coords).sign() == -1
 
 
 def test_outward_infinite_dihedral():
