@@ -257,25 +257,35 @@ def _classify(sys_: CoxeterSystem) -> str:
     return "affine" if is_irreducible(sys_) else "indefinite"
 
 
-def components(sys_: CoxeterSystem) -> list[tuple[int, ...]]:
-    """Connected components of the diagram as sorted 1-based index tuples."""
-    n = sys_.rank
-    parent = list(range(n))
+def _classes(items: Iterable, pairs: Iterable[tuple]) -> list[list]:
+    """Classes of the equivalence on items generated by pairs (union-find).
 
-    def find(x: int) -> int:
+    Each class lists its members in the order of items, and the classes
+    come in the order of their first members.
+    """
+    items = list(items)
+    parent = {x: x for x in items}
+
+    def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sys_.matrix[i][j] != 2:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i + 1)
-    return sorted((tuple(g) for g in groups.values()), key=lambda t: t[0])
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    groups: dict = {}
+    for x in items:
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
+def components(sys_: CoxeterSystem, gens: Iterable[int] | None = None) -> list[tuple[int, ...]]:
+    """Connected components of the diagram, or of its restriction to gens,
+    as sorted 1-based index tuples in order of their least member."""
+    idx = range(1, sys_.rank + 1) if gens is None else _norm_subset(sys_, gens)
+    edges = ((i, j) for i in idx for j in idx if i < j and sys_.label(i, j) != 2)
+    return [tuple(c) for c in _classes(idx, edges)]
 
 
 def is_irreducible(sys_: CoxeterSystem) -> bool:

@@ -8,6 +8,12 @@ coordinate vector of the image of e_{j+1}. Every element carries a
 witness word evaluating to its matrix; words from balls and from
 length_and_reduced are reduced, words of products are concatenations.
 
+A root is a column: cols[j] is the root w(e_{j+1}), so the root layer
+reads roots off these matrices and unit vectors off identity(), instead
+of building either by hand. A root's coordinates are all >= 0 or all
+<= 0, so its sign is the sign of its first nonzero coordinate
+(_root_sign; Humphreys, Reflection Groups and Coxeter Groups, 5.4).
+
 Lengths come from the greedy descent walk: s is a right descent of w
 exactly when w maps e_s to a negative root, and stripping descents
 lowers the length by one each time, so the walk both measures the
@@ -166,20 +172,10 @@ def from_word(sys_: CoxeterSystem, word: Iterable[int]) -> GroupElement:
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
+    """The product a*b: column j is a applied to column j of b."""
     if a.system != b.system:
         raise ValueError("elements of different systems cannot be multiplied")
-    acols = a.cols
-    zero = a.system.field.zero
-    out = []
-    for bcol in b.cols:
-        acc = None
-        for i, coeff in enumerate(bcol):
-            if coeff.is_zero():
-                continue
-            term = tuple(coeff * x for x in acols[i])
-            acc = term if acc is None else tuple(p + q for p, q in zip(acc, term))
-        out.append(acc if acc is not None else tuple(zero for _ in acols))
-    return GroupElement(a.system, tuple(out), a.word + b.word)
+    return GroupElement(a.system, tuple(apply(a, bcol) for bcol in b.cols), a.word + b.word)
 
 
 def inverse(w: GroupElement) -> GroupElement:
@@ -201,13 +197,12 @@ def power(w: GroupElement, k: int) -> GroupElement:
 def apply(w: GroupElement, coords: Sequence[FieldElement]) -> Vector:
     """Image of a coordinate vector under the matrix of w."""
     acc = None
-    zero = w.system.field.zero
-    for j, coeff in enumerate(coords):
+    for coeff, col in zip(coords, w.cols):
         if coeff.is_zero():
             continue
-        term = tuple(coeff * x for x in w.cols[j])
+        term = tuple(coeff * x for x in col)
         acc = term if acc is None else tuple(p + q for p, q in zip(acc, term))
-    return acc if acc is not None else tuple(zero for _ in coords)
+    return acc if acc is not None else tuple(w.system.field.zero for _ in coords)
 
 
 def coxeter_element(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> GroupElement:
@@ -221,14 +216,25 @@ def coxeter_element(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> G
 
 # ------------------------------------------------------------ length, descent
 
+def _root_sign(col: Sequence[FieldElement]) -> int:
+    """Sign of a root: the sign of its first nonzero coordinate.
+
+    A root has all coordinates >= 0 or all <= 0, so the first nonzero one
+    decides; callers that must reject non-roots use roots.make_root.
+    """
+    for e in col:
+        if not e.is_zero():
+            return e.sign()
+    return 0
+
+
 def _descent(w: GroupElement) -> int | None:
     """Least right descent of w, or None for the identity.
 
-    s is a right descent exactly when column s is a negative root, and a
-    root is negative exactly when all its coordinates are <= 0.
+    s is a right descent exactly when column s, the root w(e_s), is negative.
     """
     for s0, col in enumerate(w.cols):
-        if all(e.sign() <= 0 for e in col):
+        if _root_sign(col) < 0:
             return s0 + 1
     return None
 

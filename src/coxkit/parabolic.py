@@ -93,15 +93,10 @@ def _ascend(sys_: CoxeterSystem, idx: tuple[int, ...]) -> GroupElement:
     w = group_mod.identity(sys_)
     steps = 0
     while True:
-        ascent = None
-        for s in idx:
-            col = w.cols[s - 1]
-            if all(e.sign() >= 0 for e in col):
-                ascent = s
-                break
+        ascent = next((s for s in idx if group_mod._root_sign(w.cols[s - 1]) > 0), None)
         if ascent is None:
             break
-        w = group_mod.multiply(w, group_mod.generator(sys_, ascent))
+        w = group_mod._right_mul_gen(w, ascent)
         steps += 1
         if steps > bound:
             raise InvariantViolation("longest-element ascent exceeded the root count")
@@ -125,13 +120,7 @@ def nu(sys_: CoxeterSystem, gens: Iterable[int], s: int) -> tuple[GroupElement, 
         raise ValueError(f"generator index {s} out of range 1..{sys_.rank}")
     if s in idx:
         raise ValueError(f"generator {s} already lies in {subset_str(idx)}")
-    union = tuple(sorted(idx + (s,)))
-    sub = diagram_mod.subsystem(sys_, union)
-    k_set = next(
-        tuple(sorted(union[i - 1] for i in comp))
-        for comp in diagram_mod.components(sub)
-        if s in (union[i - 1] for i in comp)
-    )
+    k_set = next(comp for comp in diagram_mod.components(sys_, idx + (s,)) if s in comp)
     if not is_spherical(sys_, k_set):
         return None
     k_minus = tuple(t for t in k_set if t != s)
@@ -139,8 +128,7 @@ def nu(sys_: CoxeterSystem, gens: Iterable[int], s: int) -> tuple[GroupElement, 
     v_inv = group_mod.inverse(v)
     target = []
     for i in idx:
-        img = roots_mod.act(v_inv, roots_mod.simple_root(sys_, i))
-        j = _as_simple_index(img)
+        j = _as_simple_index(sys_, v_inv.cols[i - 1])
         if j is None:
             raise InvariantViolation(
                 f"nu({subset_str(idx)},{s}) does not permute the simple roots"
@@ -151,16 +139,9 @@ def nu(sys_: CoxeterSystem, gens: Iterable[int], s: int) -> tuple[GroupElement, 
     return group_mod.canonical(v), frozenset(target)
 
 
-def _as_simple_index(root: roots_mod.Root) -> int | None:
-    """1-based index j when the root is exactly e_j, else None."""
-    hit = None
-    for i, c in enumerate(root.coords):
-        if c.is_zero():
-            continue
-        if hit is not None or c != root.system.field.one:
-            return None
-        hit = i + 1
-    return hit
+def _as_simple_index(sys_: CoxeterSystem, col) -> int | None:
+    """1-based index j when the matrix column col is exactly e_j, else None."""
+    return next((j for j, e in enumerate(group_mod.identity(sys_).cols, 1) if e == col), None)
 
 
 @dataclass(frozen=True)
@@ -231,23 +212,8 @@ def _build_graph(sys_: CoxeterSystem) -> ConjGraph:
             witness, target = res
             edges.append(GraphEdge(src, s, target, witness))
     edges.sort(key=lambda e: (_subset_sort_key(e.source), e.letter))
-    parent: dict = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in edges:
-        parent[find(e.source)] = find(e.target)
-    component_of = {}
-    rep_order = {}
-    for v in vertices:
-        r = find(v)
-        if r not in rep_order:
-            rep_order[r] = len(rep_order)
-        component_of[v] = rep_order[r]
+    comps = diagram_mod._classes(vertices, ((e.source, e.target) for e in edges))
+    component_of = {v: cid for cid, comp in enumerate(comps) for v in comp}
     return ConjGraph(sys_, tuple(vertices), tuple(edges), component_of)
 
 
@@ -315,8 +281,7 @@ def _check_conjugates_simples(sys_, g, src, tgt) -> None:
     ginv = group_mod.inverse(g)
     seen = set()
     for i in sorted(src):
-        img = roots_mod.act(g, roots_mod.simple_root(sys_, i))
-        j = _as_simple_index(img)
+        j = _as_simple_index(sys_, g.cols[i - 1])
         if j is None or j not in tgt or j in seen:
             raise InvariantViolation("witness does not map simples onto simples")
         seen.add(j)
@@ -363,8 +328,7 @@ def normalizer_generators(
 def _check_stabilizes_simples(sys_, lam, idx) -> None:
     imgs = set()
     for i in sorted(idx):
-        img = roots_mod.act(lam, roots_mod.simple_root(sys_, i))
-        j = _as_simple_index(img)
+        j = _as_simple_index(sys_, lam.cols[i - 1])
         if j is None or j not in idx:
             raise InvariantViolation("loop element does not stabilize the simple roots")
         imgs.add(j)
@@ -411,14 +375,10 @@ def parabolic_closure_finite(
     for w in elements:
         if not set(group_mod.length_and_reduced(w)[1]) <= gen_set:
             raise ValueError("an input element lies outside the chosen scope")
-    one = sys_.field.one
     basis: list[tuple] = []
     for w in elements:
-        for j in range(sys_.rank):
-            moved = [
-                c - one if i == j else c for i, c in enumerate(w.cols[j])
-            ]
-            rest = _reduce(basis, moved)
+        for col, unit in zip(w.cols, group_mod.identity(sys_).cols):
+            rest = _reduce(basis, [c - u for c, u in zip(col, unit)])
             pivot = next((i for i, c in enumerate(rest) if not c.is_zero()), None)
             if pivot is not None:
                 basis.append((pivot, rest))

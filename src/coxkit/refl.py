@@ -110,7 +110,7 @@ def _flipped_root(w: GroupElement) -> Root | None:
     if len(w.word) % 2 == 0 or not group_mod.multiply(w, w).is_identity():
         return None
     for r in roots_mod.inversion_set(w):
-        if roots_mod.act(w, r) == -r and roots_mod.reflection_of_root(w.system, r) == w:
+        if roots_mod.act(w, r) == -r and roots_mod._reflection_matrix(w.system, r) == w:
             return r
     return None
 

@@ -1,8 +1,11 @@
 """Roots, inversion sets, beta sequences, and outward-orbit representatives.
 
-A root is an image w(e_s) of a simple root; its coordinate vector in the
-simple basis has either all coordinates >= 0 or all <= 0, and the
-constructor decides which exactly, refusing anything else. The dual
+A root is a column: the image w(e_s) of a simple root is column s of
+the matrix of w, so simple roots, beta sequences and inversion sets are
+read off the group layer's matrices (_prefix_roots). A root's coordinates
+are all >= 0 or all <= 0, so its sign is that of its first nonzero
+coordinate; make_root still checks every coordinate and refuses mixed
+vectors, which only a logic fault can produce. The dual
 pairing against the all-ones functional (the default interior point of
 the fundamental chamber in the dual cone) gives the sign tests used for
 the outwardness certificates: alpha is outward for w when, for all large
@@ -12,6 +15,7 @@ checked over a finite window here.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import group as group_mod
@@ -45,7 +49,7 @@ class Root:
         self.system = system
         self.coords = coords
         self.positive = positive
-        self.key = tuple((e.num, e.den) for e in coords)
+        self.key = _key(coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Root):
@@ -60,6 +64,11 @@ class Root:
 
     def __repr__(self) -> str:
         return f"<root {root_str(self)}>"
+
+
+def _key(coords: Sequence[FieldElement]) -> tuple:
+    """Exact hashable key of a coordinate vector."""
+    return tuple((e.num, e.den) for e in coords)
 
 
 def make_root(sys_: CoxeterSystem, coords: Sequence[FieldElement]) -> Root:
@@ -80,9 +89,7 @@ def make_root(sys_: CoxeterSystem, coords: Sequence[FieldElement]) -> Root:
 def simple_root(sys_: CoxeterSystem, s: int) -> Root:
     if not (1 <= s <= sys_.rank):
         raise ValueError(f"generator index {s} out of range 1..{sys_.rank}")
-    f = sys_.field
-    coords = tuple(f.one if i == s - 1 else f.zero for i in range(sys_.rank))
-    return Root(sys_, coords, True)
+    return Root(sys_, group_mod.identity(sys_).cols[s - 1], True)
 
 
 def root_str(root: Root) -> str:
@@ -91,20 +98,6 @@ def root_str(root: Root) -> str:
 
 def act(w: GroupElement, root: Root) -> Root:
     return make_root(w.system, group_mod.apply(w, root.coords))
-
-
-def _gram_pairing(sys_: CoxeterSystem, v: Sequence[FieldElement], u: Sequence[FieldElement]) -> FieldElement:
-    acc = sys_.field.zero
-    for s in range(sys_.rank):
-        if v[s].is_zero():
-            continue
-        row = sys_.gram[s]
-        inner = sys_.field.zero
-        for t in range(sys_.rank):
-            if not u[t].is_zero() and not row[t].is_zero():
-                inner = inner + row[t] * u[t]
-        acc = acc + v[s] * inner
-    return acc
 
 
 def _reflect(sys_: CoxeterSystem, s: int, v: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
@@ -145,27 +138,30 @@ def _root_orbit(sys_: CoxeterSystem, gens_t: tuple[int, ...], cap: int) -> tuple
     return tuple(sorted((r for r in members.values() if r.positive), key=lambda r: r.key))
 
 
-# ------------------------------------------------------------- inversion sets
+# ---------------------------------------------- prefix roots and reflections
+
+def _prefix_roots(sys_: CoxeterSystem, word: Sequence[int]) -> list[Root]:
+    """Entry i is column word[i] of the prefix matrix s_{word[0]} ... s_{word[i-1]},
+    that is, the root s_{word[0]} ... s_{word[i-1]} (e_{word[i]})."""
+    out: list[Root] = []
+    prefix = group_mod.identity(sys_)
+    for s in word:
+        out.append(make_root(sys_, prefix.cols[s - 1]))
+        prefix = group_mod._right_mul_gen(prefix, s)
+    return out
+
 
 def inversion_set(w: GroupElement) -> list[Root]:
     """The positive roots sent negative by w, one per letter of the
     canonical reduced word, in suffix order.
 
     For a reduced word s_{j_1} ... s_{j_k} the i-th entry is
-    s_{j_k} ... s_{j_{i+1}} (e_{j_i}). Distinctness and the sign flip
-    under w are re-checked; a failure is a logic fault.
+    s_{j_k} ... s_{j_{i+1}} (e_{j_i}), the prefix roots of the reversed
+    word taken in reverse. Distinctness and the sign flip under w are
+    re-checked; a failure is a logic fault.
     """
-    sys_ = w.system
     k, word = group_mod.length_and_reduced(w)
-    roots: list[Root] = []
-    for i in range(k):
-        f = sys_.field
-        v: tuple[FieldElement, ...] = tuple(
-            f.one if t == word[i] - 1 else f.zero for t in range(sys_.rank)
-        )
-        for j in range(i + 1, k):
-            v = _reflect(sys_, word[j], v)
-        roots.append(make_root(sys_, v))
+    roots = _prefix_roots(w.system, word[::-1])[::-1]
     if len({r.key for r in roots}) != k:
         raise InvariantViolation("inversion roots are not distinct")
     for r in roots:
@@ -180,17 +176,9 @@ def beta_sequence(w: GroupElement) -> list[Root]:
     Taken along the canonical reduced word of w; as a set this is the
     inversion set of w^{-1}.
     """
-    sys_ = w.system
     _, word = group_mod.length_and_reduced(w)
-    out: list[Root] = []
-    prefix = group_mod.identity(sys_)
-    for s in word:
-        out.append(act(prefix, simple_root(sys_, s)))
-        prefix = group_mod.multiply(prefix, group_mod.generator(sys_, s))
-    return out
+    return _prefix_roots(w.system, word)
 
-
-# ----------------------------------------------------------------- reflections
 
 def reflection_of_root(sys_: CoxeterSystem, root: Root) -> GroupElement:
     """The reflection v -> v - 2 B(alpha, v) alpha through a unit root.
@@ -199,29 +187,29 @@ def reflection_of_root(sys_: CoxeterSystem, root: Root) -> GroupElement:
     orbit of the simple basis and reflecting through them would leave
     the group.
     """
-    norm = _gram_pairing(sys_, root.coords, root.coords)
+    return group_mod.canonical(_reflection_matrix(sys_, root))
+
+
+def _reflection_matrix(sys_: CoxeterSystem, root: Root) -> GroupElement:
+    """The matrix of the reflection through root, with an empty word.
+
+    One pass over the sparse rows of 2B gives c_j = 2 B(alpha, e_j);
+    column j is e_j - c_j alpha, and B(alpha, alpha) = sum alpha_j c_j / 2.
+    """
+    alpha = root.coords
+    two_b = [a + a for a in alpha]  # the diagonal: 2 B(e_j, e_j) alpha_j
+    for s, a in enumerate(alpha):
+        if not a.is_zero():
+            for j, b in group_mod._two_b(sys_)[s]:
+                two_b[j] = two_b[j] + a * b
+    norm = sum((a * c for a, c in zip(alpha, two_b)), sys_.field.zero) * Fraction(1, 2)
     if norm != sys_.field.one:
         raise ValueError(f"B(alpha, alpha) = {norm} != 1; not a unit root")
-    f = sys_.field
-    n = sys_.rank
-    bv = [
-        _gram_pairing(
-            sys_,
-            tuple(f.one if t == j else f.zero for t in range(n)),
-            root.coords,
-        )
-        for j in range(n)
-    ]
-    cols = []
-    for j in range(n):
-        two_c = bv[j] + bv[j]
-        col = list(f.one if i == j else f.zero for i in range(n))
-        if not two_c.is_zero():
-            for i in range(n):
-                col[i] = col[i] - two_c * root.coords[i]
-        cols.append(tuple(col))
-    raw = GroupElement(sys_, tuple(cols), ())
-    return group_mod.canonical(raw)
+    cols = tuple(
+        e if c.is_zero() else tuple(x - c * a for x, a in zip(e, alpha))
+        for e, c in zip(group_mod.identity(sys_).cols, two_b)
+    )
+    return GroupElement(sys_, cols, ())
 
 
 # -------------------------------------------------------------- the dual side
@@ -317,7 +305,7 @@ def outward_representatives(
         bwd = beta.coords
         for k in range(orbit_bound + 1):
             for coords in ((fwd,) if k == 0 else (fwd, bwd)):
-                key = tuple((e.num, e.den) for e in coords)
+                key = _key(coords)
                 if owner.setdefault(key, i) != i:
                     raise InvariantViolation(
                         f"orbits of beta_{owner[key] + 1} and beta_{i + 1} collide"

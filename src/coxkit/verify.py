@@ -179,6 +179,8 @@ def verify_ball(
         radius = default_radius(sys_.rank)
     if radius < 1:
         raise ValueError("radius must be at least 1")
+    if power_bound is not None and power_bound < 1:
+        raise ValueError("power bound must be at least 1")
     c = group_mod.coxeter_element(sys_, perm)
     clen = group_mod.length_and_reduced(c)[0]
     bound = ceil(radius / clen) + 1

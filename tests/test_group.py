@@ -153,7 +153,9 @@ def test_ball_sizes_infinite_dihedral():
 
 
 def test_ball_words_are_reduced_and_faithful():
-    for name in ("a2", "b2", "d4t"):
+    # h3, tri334 and i2_5 have irrational root coordinates, so the
+    # first-nonzero-coordinate sign rule of the descent walk meets them
+    for name in ("a2", "b2", "d4t", "h3", "tri334", "i2_5"):
         sys_ = corpus.load(name)
         b = ball(sys_, 3)
         words_seen = set()

@@ -13,6 +13,7 @@ from coxkit import corpus
 from coxkit.errors import InvariantViolation, ResourceLimitError
 from coxkit.group import (
     coxeter_element,
+    enumerate_group,
     from_word,
     generator,
     inverse,
@@ -95,6 +96,21 @@ def test_inversion_sets_a2():
     assert len(inversion_set(c)) == 2
 
 
+@pytest.mark.parametrize("name", ["b3", "h3"])
+def test_inversion_set_oracles_whole_group(name):
+    # as a set: the positive roots w sends negative; entry i: the suffix
+    # product s_{j_k} ... s_{j_{i+1}} applied to e_{j_i}
+    sys_ = corpus.load(name)
+    pos = positive_roots(sys_)
+    for w in enumerate_group(sys_).elements():
+        inv = inversion_set(w)
+        assert {r.key for r in inv} == {a.key for a in pos if not act(w, a).positive}
+        _, word = length_and_reduced(w)
+        for i, r in enumerate(inv):
+            suffix = from_word(sys_, tuple(reversed(word[i + 1 :])))
+            assert r == act(suffix, simple_root(sys_, word[i]))
+
+
 def test_inversion_count_equals_length():
     rng = random.Random(3)
     for name in ("a3", "b3", "c2t"):
@@ -140,6 +156,22 @@ def test_reflections_from_positive_roots():
         assert img == -alpha
         refs.add(t.key)
     assert len(refs) == 6
+
+
+@pytest.mark.parametrize("name", ["h3", "f4", "b4"])
+def test_reflection_columns_match_dense_gram(name):
+    # column j of s_alpha is e_j - 2 B(alpha, e_j) alpha, B from the dense gram
+    sys_ = corpus.load(name)
+    f = sys_.field
+    n = sys_.rank
+    for alpha in positive_roots(sys_):
+        t = reflection_of_root(sys_, alpha)
+        for j in range(n):
+            two_b = sum((alpha.coords[i] * sys_.gram[i][j] for i in range(n)), f.zero) * 2
+            expected = tuple(
+                (f.one if i == j else f.zero) - two_b * alpha.coords[i] for i in range(n)
+            )
+            assert t.cols[j] == expected
 
 
 def test_reflection_rejects_non_unit():

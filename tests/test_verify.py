@@ -100,6 +100,9 @@ def test_verify_ball_rejects_wrong_inputs():
         verify.verify_ball(corpus.load("a2"))
     with pytest.raises(ValueError):
         verify.verify_ball(corpus.load("a1t"), radius=0)
+    for bound in (0, -5):
+        with pytest.raises(ValueError, match="power bound"):
+            verify.verify_ball(corpus.load("a2t"), radius=4, power_bound=bound)
 
 
 def test_default_radii():
