@@ -144,6 +144,10 @@ def _cmd_coxeter_verify(args) -> int:
     sys_ = _load_system(args)
     perm = tuple(args.perm) if args.perm else None
     if diagram.classify(sys_) == "finite":
+        # verify_ball rejects these itself; the exhaustive sweep ignores them
+        for value, name in ((args.radius, "radius"), (args.powers, "power bound")):
+            if value is not None and value < 1:
+                raise UsageError(f"{name} must be at least 1")
         rep = verify.verify_finite(sys_, perm=perm)
     else:
         rep = verify.verify_ball(

@@ -17,6 +17,13 @@ label of the system, the diagonal 1s and default 2s included. Labels 1
 and 2 only contribute rationals, but folding them into N keeps the field
 choice a function of the whole matrix.
 
+Finiteness is decided in one place, _definiteness: W_I is finite exactly
+when B restricted to I is positive definite, and affine when it is
+positive semidefinite and singular with I connected. One division-free
+symmetric elimination on the system's own Gram matrix decides this, for
+the whole system (classify) and for every parabolic (is_spherical),
+without building a subsystem or a field.
+
 Cache rule: every value derived from a system and kept for reuse, in any
 module, goes through CoxeterSystem.memo, which builds it on first use
 and stores it in the system's single _cache dict under an explicit key.
@@ -31,7 +38,6 @@ from typing import Iterable, Sequence
 
 from . import field as field_mod
 from .errors import DiagramParseError
-from .field import Field, FieldElement
 
 __all__ = [
     "INFINITY",
@@ -199,62 +205,47 @@ def serialize_system(sys_: CoxeterSystem) -> str:
 
 # -------------------------------------------------------------- classification
 
-def _det(rows: list[list[FieldElement]]) -> FieldElement:
-    """Determinant by fraction-free-ish Gaussian elimination, exact."""
-    n = len(rows)
-    if n == 0:
-        return field_mod.create(1).one
-    f = rows[0][0].field
-    det = f.one
-    rows = [list(r) for r in rows]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            return f.zero
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        p = rows[col][col]
-        det = det * p
-        inv = p.inverse()
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor.is_zero():
-                continue
-            for c in range(col + 1, n):
-                rows[r][c] = rows[r][c] - factor * rows[col][c]
-    return det
-
-
-def _principal_minor(sys_: CoxeterSystem, idx: Sequence[int]) -> FieldElement:
-    return _det([[sys_.gram[i][j] for j in idx] for i in idx])
-
-
 def classify(sys_: CoxeterSystem) -> str:
     """One of "finite", "affine", "indefinite" for the whole system.
 
-    Finite means the bilinear form is positive definite (all leading
-    principal minors positive). Affine means positive semidefinite with a
-    nontrivial kernel and an irreducible diagram. Everything else,
-    including reducible semidefinite systems, lands in "indefinite".
+    Finite means the bilinear form is positive definite. Affine means
+    positive semidefinite with a nontrivial kernel and an irreducible
+    diagram. Everything else, including reducible semidefinite systems,
+    lands in "indefinite".
     """
     return sys_.memo("classify", lambda: _classify(sys_))
 
 
 def _classify(sys_: CoxeterSystem) -> str:
-    n = sys_.rank
-    if n == 0:
+    kind = _definiteness(sys_, range(sys_.rank))
+    if kind > 0:
         return "finite"
-    if all(_principal_minor(sys_, list(range(k + 1))).sign() > 0 for k in range(n)):
-        return "finite"
-    # positive semidefinite iff every principal minor is >= 0
-    subsets: list[list[int]] = [[]]
-    for i in range(n):
-        subsets += [s + [i] for s in subsets]
-    for s in sorted((s for s in subsets if s), key=len):
-        if _principal_minor(sys_, s).sign() < 0:
-            return "indefinite"
-    return "affine" if is_irreducible(sys_) else "indefinite"
+    return "affine" if kind == 0 and is_irreducible(sys_) else "indefinite"
+
+
+def _definiteness(sys_: CoxeterSystem, idx: Sequence[int]) -> int:
+    """1 when the Gram matrix on the 0-based indices idx is positive
+    definite, 0 when it is positive semidefinite and singular, else -1.
+
+    One symmetric elimination in index order, without division. With
+    the remaining block [[p, b^T], [b, A]]: p < 0 is indefinite; p = 0
+    forces b = 0 (else a 2x2 minor is negative) and drops the row as a
+    kernel direction; p > 0 continues on p*A - b b^T, p times the Schur
+    complement, so the signature is unchanged.
+    """
+    rows = [[sys_.gram[i][j] for j in idx] for i in idx]
+    kind = 1
+    while rows:
+        (p, *b), *rest = rows
+        sign = p.sign()
+        if sign > 0:
+            rows = [[p * x - bi * bj for x, bj in zip(r[1:], b)] for r, bi in zip(rest, b)]
+        elif sign == 0 and all(x.is_zero() for x in b):
+            kind = 0
+            rows = [r[1:] for r in rest]
+        else:
+            return -1
+    return kind
 
 
 def _classes(items: Iterable, pairs: Iterable[tuple]) -> list[list]:
@@ -301,11 +292,10 @@ def _norm_subset(sys_: CoxeterSystem, gens: Iterable[int]) -> tuple[int, ...]:
 
 
 def is_spherical(sys_: CoxeterSystem, gens: Iterable[int]) -> bool:
-    """Whether the standard parabolic on gens is finite."""
+    """Whether the standard parabolic on gens is finite, read off the
+    parent's own Gram matrix restricted to gens."""
     idx = _norm_subset(sys_, gens)
-    if not idx:
-        return True
-    return sys_.memo(("spherical", idx), lambda: classify(subsystem(sys_, idx)) == "finite")
+    return sys_.memo(("spherical", idx), lambda: _definiteness(sys_, [s - 1 for s in idx]) > 0)
 
 
 def subsystem(sys_: CoxeterSystem, gens: Iterable[int]) -> CoxeterSystem:
@@ -316,9 +306,6 @@ def subsystem(sys_: CoxeterSystem, gens: Iterable[int]) -> CoxeterSystem:
     field is recomputed from the restricted labels, so its elements are
     not interchangeable with the parent's.
     """
-    idx = sorted(set(gens))
-    for i in idx:
-        if not (1 <= i <= sys_.rank):
-            raise ValueError(f"generator {i} out of range 1..{sys_.rank}")
+    idx = _norm_subset(sys_, gens)
     sub = [[sys_.matrix[a - 1][b - 1] for b in idx] for a in idx]
-    return CoxeterSystem(sub, parent=sys_, parent_indices=tuple(idx))
+    return CoxeterSystem(sub, parent=sys_, parent_indices=idx)

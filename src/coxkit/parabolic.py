@@ -125,23 +125,22 @@ def nu(sys_: CoxeterSystem, gens: Iterable[int], s: int) -> tuple[GroupElement, 
         return None
     k_minus = tuple(t for t in k_set if t != s)
     v = group_mod.multiply(longest_element(sys_, k_minus), longest_element(sys_, k_set))
-    v_inv = group_mod.inverse(v)
-    target = []
-    for i in idx:
-        j = _as_simple_index(sys_, v_inv.cols[i - 1])
-        if j is None:
-            raise InvariantViolation(
-                f"nu({subset_str(idx)},{s}) does not permute the simple roots"
-            )
-        target.append(j)
+    target = _simple_images(sys_, group_mod.inverse(v), idx)
+    if target is None:
+        raise InvariantViolation(
+            f"nu({subset_str(idx)},{s}) does not permute the simple roots"
+        )
     if len(set(target)) != len(idx):
         raise InvariantViolation("nu image indices collide")
     return group_mod.canonical(v), frozenset(target)
 
 
-def _as_simple_index(sys_: CoxeterSystem, col) -> int | None:
-    """1-based index j when the matrix column col is exactly e_j, else None."""
-    return next((j for j, e in enumerate(group_mod.identity(sys_).cols, 1) if e == col), None)
+def _simple_images(sys_: CoxeterSystem, g: GroupElement, idx: Iterable[int]) -> list[int] | None:
+    """For each i in sorted idx, the j with g(e_i) = e_j, read off column i
+    of g's matrix; None when some such column is not a simple root."""
+    units = {e: j for j, e in enumerate(group_mod.identity(sys_).cols, 1)}
+    images = [units.get(g.cols[i - 1]) for i in sorted(idx)]
+    return None if None in images else images
 
 
 @dataclass(frozen=True)
@@ -278,18 +277,16 @@ def standard_conjugate(
 
 
 def _check_conjugates_simples(sys_, g, src, tgt) -> None:
+    images = _simple_images(sys_, g, src)
+    if images is None or len(set(images)) != len(src) or not set(images) <= tgt:
+        raise InvariantViolation("witness does not map simples onto simples")
+    if set(images) != tgt:
+        raise InvariantViolation("witness misses part of the target subset")
     ginv = group_mod.inverse(g)
-    seen = set()
-    for i in sorted(src):
-        j = _as_simple_index(sys_, g.cols[i - 1])
-        if j is None or j not in tgt or j in seen:
-            raise InvariantViolation("witness does not map simples onto simples")
-        seen.add(j)
+    for i, j in zip(sorted(src), images):
         lhs = group_mod.multiply(group_mod.multiply(g, group_mod.generator(sys_, i)), ginv)
         if lhs.key != group_mod.generator(sys_, j).key:
             raise InvariantViolation("witness conjugation mismatch on a generator")
-    if seen != set(tgt):
-        raise InvariantViolation("witness misses part of the target subset")
 
 
 def normalizer_generators(
@@ -326,13 +323,10 @@ def normalizer_generators(
 
 
 def _check_stabilizes_simples(sys_, lam, idx) -> None:
-    imgs = set()
-    for i in sorted(idx):
-        j = _as_simple_index(sys_, lam.cols[i - 1])
-        if j is None or j not in idx:
-            raise InvariantViolation("loop element does not stabilize the simple roots")
-        imgs.add(j)
-    if imgs != set(idx):
+    images = _simple_images(sys_, lam, idx)
+    if images is None or not set(images) <= idx:
+        raise InvariantViolation("loop element does not stabilize the simple roots")
+    if set(images) != idx:
         raise InvariantViolation("loop element permutes the simples incompletely")
 
 

@@ -124,7 +124,11 @@ class CentralizerReport:
         return head + [e.machine_line() for e in self.entries] + [self.summary_line()]
 
 
-def _require_irreducible(sys_: CoxeterSystem) -> None:
+def _require(sys_: CoxeterSystem, finite: bool, message: str) -> None:
+    """Entry gate: sys_ is irreducible and finite exactly when finite is
+    True; message is the error for the wrong kind."""
+    if (diagram_mod.classify(sys_) == "finite") != finite:
+        raise ValueError(message)
     if not diagram_mod.is_irreducible(sys_):
         raise ValueError("the statement concerns irreducible systems")
 
@@ -134,9 +138,7 @@ def _require_irreducible(sys_: CoxeterSystem) -> None:
 def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> CentralizerReport:
     """Exhaustive centralizer check in a finite irreducible group."""
     t0 = time.perf_counter()
-    if diagram_mod.classify(sys_) != "finite":
-        raise ValueError("exhaustive verification needs a finite system")
-    _require_irreducible(sys_)
+    _require(sys_, True, "exhaustive verification needs a finite system")
     c = group_mod.coxeter_element(sys_, perm)
     members = group_mod.enumerate_group(sys_).elements()
     order = group_mod.order_upto(c, len(members))
@@ -172,9 +174,7 @@ def verify_ball(
     straight c can never produce a spurious out-of-window power.
     """
     t0 = time.perf_counter()
-    if diagram_mod.classify(sys_) == "finite":
-        raise ValueError("ball verification targets infinite systems")
-    _require_irreducible(sys_)
+    _require(sys_, False, "ball verification targets infinite systems")
     if radius is None:
         radius = default_radius(sys_.rank)
     if radius < 1:
@@ -411,9 +411,7 @@ def verify_speyer(
     through the canonical reduced word and through the cardinality of
     the inversion set.
     """
-    if diagram_mod.classify(sys_) == "finite":
-        raise ValueError("straightness certification targets infinite systems")
-    _require_irreducible(sys_)
+    _require(sys_, False, "straightness certification targets infinite systems")
     c = group_mod.coxeter_element(sys_, perm)
     n = group_mod.length_and_reduced(c)[0]
     p = group_mod.identity(sys_)
@@ -433,9 +431,7 @@ def verify_outward(
     orbit_bound: int = 10,
 ) -> bool:
     """Certified outward orbit representatives for a Coxeter element."""
-    if diagram_mod.classify(sys_) == "finite":
-        raise ValueError("outwardness certification targets infinite systems")
-    _require_irreducible(sys_)
+    _require(sys_, False, "outwardness certification targets infinite systems")
     c = group_mod.coxeter_element(sys_, perm)
     reps = roots_mod.outward_representatives(
         c, max_power=max_power, orbit_bound=orbit_bound

@@ -21,13 +21,14 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install()
-from coxkit import corpus, group, parabolic, roots
+from coxkit import corpus, group, parabolic, roots, verify
 
 h3 = corpus.load("h3")
 w = group.from_word(h3, (1, 2, 3, 1, 2, 3, 2))
 roots.inversion_set(w)
 roots.beta_sequence(w)
 parabolic.conjugacy_graph(h3)
+verify.verify_ball(corpus.load("a2t"), radius=4)
 print(json.dumps(tracer.snapshot()["counts"]))
 """
 
@@ -49,5 +50,7 @@ def test_tracer_hooks_are_called():
         "group.step.calls",
         "roots.make_root.calls",
         "parabolic.nu.calls",
+        "diagram.classify.calls",
+        "verify.commutes.calls",
     ):
         assert counts.get(key, 0) > 0, key

@@ -228,6 +228,10 @@ def test_exit_vacuous_windows_and_caps_rejected(capsys):
         code, out, err = run(capsys, "coxeter-verify", "--powers", powers, "--diagram", dpath("a2t"))
         assert (code, out) == (1, "")
         assert err.startswith("error:")
+    for flag, value in (("--powers", "0"), ("--radius", "-3")):
+        code, out, err = run(capsys, "coxeter-verify", flag, value, "--diagram", dpath("a2"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
 
 def test_exit_inconclusive_on_out_of_memory(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,13 @@ from coxkit.diagram import (
     classify,
     components,
     is_irreducible,
+    is_spherical,
     parse_system,
     serialize_system,
     subsystem,
 )
-from coxkit.errors import DiagramParseError
+from coxkit.errors import DiagramParseError, ResourceLimitError
+from coxkit.group import enumerate_group
 
 A2 = "rank 2\nm 1 2 3\n"
 
@@ -113,6 +116,43 @@ def test_affine_minus_any_node_is_finite():
         for i in range(1, sys_.rank + 1):
             rest = [j for j in range(1, sys_.rank + 1) if j != i]
             assert classify(subsystem(sys_, rest)) == "finite", (name, i)
+
+
+def _triangle_rule(labels) -> str:
+    """Classification of rank <= 3 from its labels alone. Rank <= 2 is
+    finite unless its label is inf (affine); rank 3 compares
+    1/p + 1/q + 1/r with 1, where 1/inf = 0."""
+    if len(labels) < 3:
+        return "finite" if INFINITY not in labels else "affine"
+    total = sum(Fraction(0) if m == INFINITY else Fraction(1, m) for m in labels)
+    if total > 1:
+        return "finite"
+    return "affine" if total == 1 and labels.count(2) <= 1 else "indefinite"
+
+
+def test_classification_matches_triangle_rule():
+    for n in range(4):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for labels in itertools.product((2, 3, 4, 5, 6, INFINITY), repeat=len(pairs)):
+            matrix = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+            for (i, j), m in zip(pairs, labels):
+                matrix[i][j] = matrix[j][i] = m
+            assert classify(CoxeterSystem(matrix)) == _triangle_rule(labels), labels
+
+
+def test_is_spherical_matches_enumeration():
+    """A parabolic is spherical exactly when enumerating it closes."""
+    for name in corpus.AFFINE + corpus.INDEFINITE:
+        sys_ = parse_system(corpus.read_text(name))
+        gens = range(1, sys_.rank + 1)
+        for k in gens:
+            for sub in itertools.combinations(gens, k):
+                try:
+                    enumerate_group(sys_, gens=sub, cap=400)
+                    closes = True
+                except ResourceLimitError:
+                    closes = False
+                assert is_spherical(sys_, sub) == closes, (name, sub)
 
 
 def test_joint_field_choice():

@@ -184,6 +184,18 @@ def test_maximal_subsets_isolated_affine_and_indefinite():
             assert g.is_isolated(full - {s}), (name, s)
 
 
+def test_conjugacy_graph_builds_no_subsystem(monkeypatch):
+    # sphericity of every parabolic is read off the parent's own form
+    expected = parabolic.conjugacy_graph(corpus.load("d4t")).export_lines()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subsystem was built")
+
+    monkeypatch.setattr(diagram, "subsystem", refuse)
+    d4t = diagram.parse_system(corpus.read_text("d4t"))
+    assert parabolic.conjugacy_graph(d4t).export_lines() == expected
+
+
 # ---------------------------------------------------------- standard conjugacy
 
 def test_standard_conjugate_a3_pairs():
