@@ -405,6 +405,8 @@ def enumerate_group(
 
 def is_straight_upto(w: GroupElement, max_power: int) -> bool:
     """Whether l(w^m) = m * l(w) holds for m = 1..max_power."""
+    if max_power < 1:
+        raise ValueError("power bound must be at least 1")
     l1 = length_and_reduced(w)[0]
     p = w
     for m in range(1, max_power + 1):

@@ -15,14 +15,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SCRIPT = """
+PRELUDE = """
 import json
 from tracer import Tracer
 
 tracer = Tracer()
 tracer.install()
 from coxkit import corpus, group, parabolic, roots, verify
+"""
 
+SCRIPT = PRELUDE + """
 h3 = corpus.load("h3")
 w = group.from_word(h3, (1, 2, 3, 1, 2, 3, 2))
 roots.inversion_set(w)
@@ -32,19 +34,30 @@ verify.verify_ball(corpus.load("a2t"), radius=4)
 print(json.dumps(tracer.snapshot()["counts"]))
 """
 
+SWEEP_SCRIPT = PRELUDE + """
+report = verify.verify_ball(corpus.load("a2t"), radius=4)
+counts = tracer.snapshot()["counts"]
+counts["ball_size"] = report.ball_size
+print(json.dumps(counts))
+"""
 
-def test_tracer_hooks_are_called():
+
+def _traced_counts(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_tracer_hooks_are_called():
+    counts = _traced_counts(SCRIPT)
     for key in (
         "group.descent.calls",
         "group.step.calls",
@@ -54,3 +67,12 @@ def test_tracer_hooks_are_called():
         "verify.commutes.calls",
     ):
         assert counts.get(key, 0) > 0, key
+
+
+def test_ball_sweep_forms_no_product_per_element():
+    # one commutation test per ball element, each comparing columns
+    # instead of multiplying: the only products left are the power window's
+    counts = _traced_counts(SWEEP_SCRIPT)
+    size = counts["ball_size"]
+    assert counts["verify.commutes.calls"] == size
+    assert counts.get("group.multiply.calls", 0) < size

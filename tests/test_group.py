@@ -234,6 +234,9 @@ def test_straightness_probes():
         assert length_and_reduced(power(c, k))[0] == 2 * k
     a2 = corpus.load("a2")
     assert not is_straight_upto(coxeter_element(a2), 3)  # finite order kills it
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="power bound"):
+            is_straight_upto(c, bound)
 
 
 def test_coxeter_element_permutations():

@@ -67,6 +67,45 @@ def test_verify_finite_rejects_wrong_inputs():
         verify.verify_finite(reducible)
 
 
+# --------------------------------------------------------------- commutation
+
+def _commute_pairs(name):
+    """Every ordered pair for a3 and b3; every (g, c) for the others, with
+    c in the default and in the reversed ordering."""
+    sys_ = corpus.load(name)
+    if name in ("a3", "b3"):
+        els = group.enumerate_group(sys_).elements()
+        return [(a, b) for a in els for b in els]
+    radius = {"d4t": 6, "tri334": 10}.get(name)
+    els = (group.enumerate_group(sys_) if radius is None else group.ball(sys_, radius)).elements()
+    pairs = []
+    for perm in (None, tuple(range(sys_.rank, 0, -1))):
+        c = group.coxeter_element(sys_, perm)
+        pairs += [(g, c) for g in els]
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "h3", "f4", "d4t", "tri334"])
+def test_commutes_matches_product_definition(name):
+    # the reference is the definition: ab and ba as whole matrices. f4,
+    # d4t and tri334 have non-commuting pairs whose first columns agree
+    # (a3, b3 and h3 have none); requiring them catches a test that
+    # stops after column 0 or after any matching column
+    first_column_ties = 0
+    for a, b in _commute_pairs(name):
+        expected = group.multiply(a, b).key == group.multiply(b, a).key
+        assert verify.commutes(a, b) == expected, (a, b)
+        if not expected and group.apply(a, b.cols[0]) == group.apply(b, a.cols[0]):
+            first_column_ties += 1
+    if name in ("f4", "d4t", "tri334"):
+        assert first_column_ties > 0
+
+
+def test_commutes_rejects_mixed_systems():
+    with pytest.raises(ValueError):
+        verify.commutes(group.identity(corpus.load("a2")), group.identity(corpus.load("a2t")))
+
+
 # --------------------------------------------------------------- ball sweeps
 
 def test_verify_ball_infinite_dihedral_exact_set():
@@ -215,6 +254,12 @@ def test_verify_speyer_rejects_finite():
         verify.verify_speyer(corpus.load("b2"))
 
 
+def test_verify_speyer_rejects_empty_window():
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="power bound"):
+            verify.verify_speyer(corpus.load("a2t"), max_power=bound)
+
+
 @pytest.mark.parametrize("name", ["a1t", "a2t", "tri334"])
 def test_verify_outward_small(name):
     assert verify.verify_outward(corpus.load(name), max_power=6, orbit_bound=6)
@@ -223,3 +268,9 @@ def test_verify_outward_small(name):
 def test_verify_outward_rejects_finite():
     with pytest.raises(ValueError):
         verify.verify_outward(corpus.load("a2"))
+
+
+def test_verify_outward_rejects_empty_orbit_window():
+    for bound in (0, -2):
+        with pytest.raises(ValueError, match="orbit bound"):
+            verify.verify_outward(corpus.load("a2t"), orbit_bound=bound)
