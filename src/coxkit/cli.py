@@ -15,12 +15,7 @@ import sys
 from pathlib import Path
 
 from . import diagram, group, parabolic, refl, roots, verify
-from .errors import (
-    DiagramParseError,
-    FieldMismatchError,
-    InvariantViolation,
-    ResourceLimitError,
-)
+from .errors import InvariantViolation, ResourceLimitError
 
 __all__ = ["main"]
 
@@ -298,22 +293,11 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise UsageError("--threads must be at least 1")
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # DiagramParseError and FieldMismatchError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DiagramParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FieldMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ResourceLimitError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 2
-    except InvariantViolation as exc:
+    except (ResourceLimitError, InvariantViolation) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

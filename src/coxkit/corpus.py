@@ -1,7 +1,7 @@
 """Bundled diagram files used by the test suite and the demos.
 
 Systems load once per process and are shared, so per-system caches
-(classification, balls, reflection tables) accumulate across callers.
+(classification, balls, reflection lists) accumulate across callers.
 """
 
 from __future__ import annotations

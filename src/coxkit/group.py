@@ -20,12 +20,13 @@ lowers the length by one each time, so the walk both measures the
 length and emits a canonical reduced word (least descent first).
 
 Every breadth-first search in the package runs through closure(): balls
-and whole-group enumerations here, and the reflection-length table,
-Hurwitz orbits, subgroup closures, root orbits and the conjugacy-graph
-spanning tree elsewhere. It dedups by key, checks the cap before each
-insert and records one parent link per member, so callers derive
-distances and tree paths from the links instead of running their own
-loop. Derived values are cached per system through CoxeterSystem.memo.
+and whole-group enumerations here, and Hurwitz orbits, subgroup
+closures, root orbits and the conjugacy-graph spanning tree elsewhere.
+It dedups by key, checks the cap before each insert and records one
+parent link per member, so callers derive distances and tree paths from
+the links instead of running their own loop. Reflection length needs no
+search: it is the rank of w - 1 (Carter), which refl reads off the
+matrix. Derived values are cached per system through CoxeterSystem.memo.
 """
 
 from __future__ import annotations

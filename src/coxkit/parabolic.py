@@ -365,21 +365,13 @@ def parabolic_closure_finite(
     gens_t = group_mod._norm_gens(sys_, gens)
     if not is_spherical(sys_, gens_t):
         raise ValueError("parabolic closure here requires a finite scope")
-    gen_set = set(gens_t)
-    for w in elements:
-        if not set(group_mod.length_and_reduced(w)[1]) <= gen_set:
-            raise ValueError("an input element lies outside the chosen scope")
-    basis: list[tuple] = []
-    for w in elements:
-        for col, unit in zip(w.cols, group_mod.identity(sys_).cols):
-            rest = _reduce(basis, [c - u for c, u in zip(col, unit)])
-            pivot = next((i for i, c in enumerate(rest) if not c.is_zero()), None)
-            if pivot is not None:
-                basis.append((pivot, rest))
+    if not all(refl_mod._element_in_scope(sys_, w, gens_t) for w in elements):
+        raise ValueError("an input element lies outside the chosen scope")
+    basis = refl_mod._moved_basis(elements)
     chosen = [
         t
         for t in refl_mod.reflections_of(sys_, gens_t)
-        if all(c.is_zero() for c in _reduce(basis, t.root.coords))
+        if all(c.is_zero() for c in refl_mod._reduce(basis, t.root.coords))
     ]
     members = (
         refl_mod.generated_group([t.element for t in chosen], sys_=sys_)
@@ -413,17 +405,6 @@ def _match_standard(sys_, gens_t, members) -> tuple[GroupElement, frozenset[int]
             ):
                 return group_mod.canonical(g), frozenset(sub)
     raise InvariantViolation("closure is not conjugate to any standard parabolic")
-
-
-def _reduce(basis: list, coords) -> list:
-    """coords minus its components along the (pivot, vector) echelon basis;
-    zero exactly when coords lies in the span."""
-    vec = list(coords)
-    for pivot_idx, pivot_vec in basis:
-        if not vec[pivot_idx].is_zero():
-            factor = vec[pivot_idx] / pivot_vec[pivot_idx]
-            vec = [a - factor * b for a, b in zip(vec, pivot_vec)]
-    return vec
 
 
 # --------------------------------------------------------------- essentiality

@@ -3,8 +3,10 @@
 The reflections of a finite standard parabolic are enumerated through
 its positive roots; infinite scopes only ever yield a ball-truncated
 approximation, and every function here keeps that distinction explicit.
-Reduced reflection factorizations are searched with a distance table
-over the parabolic, and the Hurwitz action rewires a factorization by
+Reflection length in a finite group is rank(w - 1) (Carter 1972, Lemma
+2), read off one division-free elimination of the moved space; reduced
+factorizations are searched depth-first with that rank as the step
+test, and the Hurwitz action rewires a factorization by
 
     (..., t_i, t_{i+1}, ...)  ->  (..., t_i t_{i+1} t_i, t_i, ...)
 
@@ -120,8 +122,38 @@ def _element_in_scope(sys_: CoxeterSystem, w: GroupElement, gens_t: tuple[int, .
     return set(word) <= set(gens_t)
 
 
+def _reduce(basis: list, v) -> list:
+    """v with its entries at the pivots of the (pivot, vector) echelon
+    basis cleared, without division: each step replaces v by
+    p*v - v[pivot]*b with p = b[pivot] != 0. Zero exactly when v lies in
+    the span of the basis."""
+    vec = list(v)
+    for pivot, b in basis:
+        c = vec[pivot]
+        if not c.is_zero():
+            p = b[pivot]
+            vec = [p * x - c * y for x, y in zip(vec, b)]
+    return vec
+
+
+def _moved_basis(elements: Iterable[GroupElement]) -> list:
+    """An echelon basis, as (pivot, vector) pairs, of the joint moved
+    space: the sum of the column spans of w - 1 over the elements."""
+    basis: list = []
+    for w in elements:
+        for col, unit in zip(w.cols, group_mod.identity(w.system).cols):
+            rest = _reduce(basis, [c - u for c, u in zip(col, unit)])
+            pivot = next((i for i, c in enumerate(rest) if not c.is_zero()), None)
+            if pivot is not None:
+                basis.append((pivot, rest))
+    return basis
+
+
 def _length_table(sys_: CoxeterSystem, gens_t: tuple[int, ...]) -> dict:
-    """Reflection-length table over a finite parabolic: matrix key -> l_T."""
+    """Reflection-length table over a finite parabolic: matrix key -> l_T.
+
+    Unused by the package: a breadth-first search by reflections kept as
+    the differential tests' reference. The benchmark tracer wraps it."""
     return sys_.memo(("ltable", gens_t), lambda: _distances(sys_, gens_t))
 
 
@@ -144,14 +176,15 @@ def reflection_length(
     w: GroupElement,
     gens: Iterable[int] | None = None,
 ) -> int:
-    """Least number of reflections of the (finite) scope multiplying to w."""
+    """Least number of reflections of the (finite) scope multiplying to w:
+    rank(w - 1). In a larger system this equals the rank on the scope's
+    own span, where the form is nondegenerate."""
     gens_t = group_mod._norm_gens(sys_, gens)
     if not diagram_mod.is_spherical(sys_, gens_t):
         raise ValueError("reflection length requires a finite scope")
-    table = _length_table(sys_, gens_t)
-    if w.key not in table:
+    if not _element_in_scope(sys_, w, gens_t):
         raise ValueError("element does not lie in the chosen parabolic")
-    return table[w.key]
+    return len(_moved_basis([w]))
 
 
 # ------------------------------------------------------------- factorizations
@@ -190,38 +223,37 @@ def reduced_factorizations(
 ) -> list[ReflectionFactorization]:
     """All shortest reflection factorizations of w within a finite scope.
 
-    Guarded to reflection length <= 6; the search tree over the
-    reflection alphabet grows too fast beyond that.
+    Depth-first in reflections_of order: t can start one exactly when
+    rank(t w - 1) = rank(w - 1) - 1. Guarded to reflection length <= 6;
+    the search tree over the reflection alphabet grows too fast beyond
+    that.
     """
     gens_t = group_mod._norm_gens(sys_, gens)
     if not diagram_mod.is_spherical(sys_, gens_t):
         raise ValueError("reduced factorizations require a finite scope")
-    table = _length_table(sys_, gens_t)
-    if w.key not in table:
-        raise ValueError("element does not lie in the chosen parabolic")
-    k = table[w.key]
+    k = reflection_length(sys_, w, gens_t)
     if k > MAX_REFLECTION_LENGTH_SEARCH:
         raise ResourceLimitError(
             f"reflection length {k} exceeds the search guardrail "
             f"{MAX_REFLECTION_LENGTH_SEARCH}"
         )
     refs = reflections_of(sys_, gens_t)
-    out: list[ReflectionFactorization] = []
-    prefix: list[Reflection] = []
+    tails_of: dict = {}
 
-    def descend(remaining: GroupElement, depth: int) -> None:
+    def tails(remaining: GroupElement, depth: int) -> list[tuple[Reflection, ...]]:
+        # built once per element: many prefixes reach the same one
         if depth == 0:
-            out.append(ReflectionFactorization(tuple(prefix), w))
-            return
-        for t in refs:
-            rest = group_mod.multiply(t.element, remaining)
-            if table[rest.key] == depth - 1:
-                prefix.append(t)
-                descend(rest, depth - 1)
-                prefix.pop()
+            return [()]
+        if remaining.key not in tails_of:
+            found = []
+            for t in refs:
+                rest = group_mod.multiply(t.element, remaining)
+                if len(_moved_basis([rest])) == depth - 1:
+                    found += [(t,) + tail for tail in tails(rest, depth - 1)]
+            tails_of[remaining.key] = found
+        return tails_of[remaining.key]
 
-    descend(w, k)
-    return out
+    return [ReflectionFactorization(factors, w) for factors in tails(w, k)]
 
 
 # ------------------------------------------------------------- Hurwitz moves
@@ -310,18 +342,18 @@ def parabolic_coxeter_check(
     w: GroupElement,
     gens: Iterable[int] | None = None,
 ) -> bool:
-    """Whether w is a Coxeter element of some parabolic of the finite scope.
+    """Whether l_T(w) = l(w) and w is conjugate within the finite scope
+    to a standard Coxeter element of a standard parabolic of the scope.
 
-    Checked as: reflection length equals ordinary length, and w is
-    conjugate within the scope to a standard Coxeter element of a
-    standard parabolic of the scope. The identity passes via the empty
-    parabolic.
+    The conjugacy alone makes w a Coxeter element of some parabolic; the
+    length condition also asks w to be as short as its reflection
+    length. So s3 (s1 s2) s3 in A3, a Coxeter element of a conjugate of
+    W_{1,2} with l = 4 and l_T = 2, gives False. The identity passes via
+    the empty parabolic.
     """
     gens_t = group_mod._norm_gens(sys_, gens)
     if not diagram_mod.is_spherical(sys_, gens_t):
         raise ValueError("the parabolic Coxeter check requires a finite scope")
-    if not _element_in_scope(sys_, w, gens_t):
-        raise ValueError("element does not lie in the chosen parabolic")
     if reflection_length(sys_, w, gens_t) != group_mod.length_and_reduced(w)[0]:
         return False
     coxset = _standard_coxeter_keys(sys_, gens_t)

@@ -7,8 +7,10 @@ against the closed form l((s1 s2)^k) = 2k.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,32 @@ def test_ball_order_is_shortlex(name, radius):
     b = enumerate_group(sys_) if radius is None else ball(sys_, radius)
     words = [w.word for w in b.elements()]
     assert words == sorted(words, key=lambda word: (len(word), word))
+
+
+def _load_oracle():
+    # perfbench's closed forms read the Coxeter matrix with their own parser
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name,radius",
+    [("a1t", 8), ("a2t", 8), ("c2t", 8), ("g2t", 8), ("tri334", 8), ("d4t", 6)],
+)
+def test_ball_layers_match_growth_series(name, radius):
+    oracle = _load_oracle()
+    series = oracle.growth_series(oracle.parse_cox(corpus.read_text(name)), radius)
+    b = ball(corpus.load(name), radius)
+    depth: dict = {}
+    for key, link in b.parent.items():
+        depth[key] = 0 if link is None else depth[link[0]] + 1
+    layers = [0] * (radius + 1)
+    for d in depth.values():
+        layers[d] += 1
+    assert layers == series
 
 
 # ----------------------------------------------------------- straightness

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from importlib import resources
 
 import pytest
 
-from coxkit import corpus
+from coxkit import cli, corpus, refl, verify
 from coxkit.errors import ResourceLimitError
 from coxkit.group import (
     from_word,
@@ -111,6 +113,22 @@ def test_reflection_length_conjugation_invariant():
         assert reflection_length(a3, conj) == reflection_length(a3, w)
 
 
+@pytest.mark.parametrize(
+    "name, gens",
+    [("a3", None), ("a4", None), ("b3", None), ("b4", None), ("d4", None),
+     ("h3", None), ("i2_8", None), ("d4t", (2, 3, 4, 5))],
+)
+def test_reflection_length_matches_length_table(name, gens):
+    # the breadth-first table by reflections shares nothing with the rank
+    sys_ = corpus.load(name)
+    scope = gens or tuple(range(1, sys_.rank + 1))
+    table = refl._length_table(sys_, scope)
+    elements = enumerate_group(sys_, gens=scope).elements()
+    assert len(table) == len(elements)
+    for w in elements:
+        assert reflection_length(sys_, w, scope) == table[w.key], w.word
+
+
 def test_reflection_length_requires_scope_membership():
     a3 = corpus.load("a3")
     with pytest.raises(ValueError):
@@ -131,6 +149,75 @@ def brute_force_count(sys_, w, k):
         if acc.key == w.key:
             count += 1
     return count
+
+
+def table_search(sys_, w):
+    """Factor keys of every minimal factorization of w, found by the
+    table-driven depth-first search over reflections_of order."""
+    table = refl._length_table(sys_, tuple(range(1, sys_.rank + 1)))
+    refs = reflections_of(sys_)
+    out, prefix = [], []
+
+    def descend(remaining, depth):
+        if depth == 0:
+            out.append(tuple(t.key for t in prefix))
+            return
+        for t in refs:
+            rest = multiply(t.element, remaining)
+            if table[rest.key] == depth - 1:
+                prefix.append(t)
+                descend(rest, depth - 1)
+                prefix.pop()
+
+    descend(w, table[w.key])
+    return out
+
+
+@pytest.mark.parametrize("name", ["a3", "b3"])
+def test_reduced_factorizations_match_table_search_whole_group(name):
+    sys_ = corpus.load(name)
+    for w in enumerate_group(sys_).elements():
+        facts = reduced_factorizations(sys_, w)
+        assert [f.key for f in facts] == table_search(sys_, w), w.word
+
+
+@pytest.mark.parametrize("name", ["a4", "b4", "d4", "h3"])
+def test_reduced_factorizations_match_table_search_coxeter(name):
+    sys_ = corpus.load(name)
+    c = from_word(sys_, tuple(range(1, sys_.rank + 1)))
+    assert [f.key for f in reduced_factorizations(sys_, c)] == table_search(sys_, c)
+
+
+def test_reduced_factorizations_h4_and_f4():
+    h4 = corpus.load("h4")
+    w = from_word(h4, (1, 2))
+    assert reflection_length(h4, w) == 2
+    assert len(reduced_factorizations(h4, w)) == 5
+    # Deligne's count n! h^n / |W| from the classical degrees of F4
+    degrees = (2, 6, 8, 12)
+    n = len(degrees)
+    expected = math.factorial(n) * max(degrees) ** n // math.prod(degrees)
+    assert expected == 432
+    f4 = corpus.load("f4")
+    c = from_word(f4, (1, 2, 3, 4))
+    assert reflection_length(f4, c) == 4
+    assert len(reduced_factorizations(f4, c)) == expected
+
+
+def test_no_length_table_is_built(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("reflection-length table built")
+
+    monkeypatch.setattr(refl, "_length_table", refuse)
+    b3 = corpus.load("b3")
+    c = from_word(b3, (1, 2, 3))
+    assert reflection_length(b3, c) == 3
+    assert len(reduced_factorizations(b3, c)) == 27
+    assert parabolic_coxeter_check(b3, c)
+    a3 = str(resources.files("coxkit.data") / "a3.cox")
+    assert cli.main(["redt", "1", "2", "3", "--diagram", a3]) == 0
+    assert capsys.readouterr().out.endswith("count: 16\n")
+    assert verify.verify_example_d4tilde().passed
 
 
 def test_reduced_factorizations_a2():
@@ -239,6 +326,8 @@ def test_parabolic_coxeter_check():
     assert not parabolic_coxeter_check(b2, from_word(b2, (1, 2, 1, 2)))
     a3 = corpus.load("a3")
     assert parabolic_coxeter_check(a3, from_word(a3, (1, 3)))
+    # a Coxeter element of s3 W_{1,2} s3, but l = 4 exceeds l_T = 2
+    assert not parabolic_coxeter_check(a3, from_word(a3, (3, 1, 2, 3)))
     # conjugates of standard Coxeter elements pass
     g = from_word(a3, (2, 1))
     conj = multiply(multiply(g, from_word(a3, (1, 2, 3))), inverse(g))
