@@ -250,6 +250,18 @@ class Field:
             den = den * c.denominator // gcd(den, c.denominator)
         return FieldElement._make(self, [c.numerator * (den // c.denominator) for c in fr], den)
 
+    def mul_matrix(self, coeffs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """Rows of the integer matrix of multiplication by the algebraic
+        integer with these power-basis coefficients: entry (k, l) is
+        coefficient k of that element times theta^l."""
+        cols = [tuple(coeffs)]
+        base = self._reduction[0]
+        for _ in range(self.degree - 1):
+            prev = cols[-1]
+            top = prev[-1]
+            cols.append(tuple(s + top * b for s, b in zip((0,) + prev[:-1], base)))
+        return tuple(zip(*cols))
+
     def two_cos(self, m: int) -> FieldElement:
         """The element 2*cos(pi/m), for any m dividing N."""
         if not isinstance(m, int) or m < 1 or self.N % m:

@@ -3,10 +3,25 @@
 The generator s acts on the root-space basis by
     sigma_s(v) = v - 2 B(e_s, v) e_s,
 and the representation is faithful, so equality of matrices is equality
-of group elements. Matrices are stored column-major: cols[j] is the
-coordinate vector of the image of e_{j+1}. Every element carries a
-witness word evaluating to its matrix; words from balls and from
-length_and_reduced are reduced, words of products are concatenations.
+of group elements. Every element carries a witness word evaluating to
+its matrix; words from balls and from length_and_reduced are reduced,
+words of products are concatenations.
+
+Integer representation. Every matrix entry lies in Z[theta], the
+integer combinations of the power basis 1, theta, ..., theta^(d-1),
+which is a ring because theta's minimal polynomial is monic: each
+generator matrix has entries 0, +-1 and -2B(e_s, e_t) = D_{N/m}(theta)
+(or 2 for m = inf), an integer polynomial in theta, so no entry of any
+product has a denominator. An element is stored as one flat tuple of
+ints, its key: column-major (cols[j] is the image of e_{j+1}), each
+entry the d power-basis coefficients of that entry, n*n*d ints in all.
+Generator steps are integer column operations precomputed per system
+(_steps); a product turns each entry of its right factor into one such
+operation (_entry_ops); a commutation test with a fixed right operand,
+c in a sweep, caches those and the theta-multiples of its columns on
+it (_operators). None of them creates a FieldElement. The cols
+attribute is a FieldElement view of the key, built on first use and
+cached on the element, for the layers that compute in the field.
 
 A root is a column: cols[j] is the root w(e_{j+1}), so the root layer
 reads roots off these matrices and unit vectors off identity(), instead
@@ -32,7 +47,7 @@ matrix. Derived values are cached per system through CoxeterSystem.memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from operator import attrgetter
+from operator import add, attrgetter, mul
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .diagram import CoxeterSystem
@@ -69,15 +84,29 @@ Vector = tuple[FieldElement, ...]
 
 
 class GroupElement:
-    """An exact matrix plus a witness word that evaluates to it."""
+    """An exact matrix, stored as its integer key, plus a witness word
+    that evaluates to it."""
 
-    __slots__ = ("system", "cols", "word", "key")
+    __slots__ = ("system", "key", "word", "_cols", "_ops")
 
-    def __init__(self, system: CoxeterSystem, cols: tuple[Vector, ...], word: tuple[int, ...]) -> None:
+    def __init__(self, system: CoxeterSystem, key: Key, word: tuple[int, ...]) -> None:
         self.system = system
-        self.cols = cols
+        self.key = key
         self.word = word
-        self.key = tuple((e.num, e.den) for col in cols for e in col)
+        self._cols: tuple[Vector, ...] | None = None
+        self._ops: tuple | None = None
+
+    @property
+    def cols(self) -> tuple[Vector, ...]:
+        """The matrix as FieldElement columns, built from the key on first use."""
+        if self._cols is None:
+            f = self.system.field
+            d = f.degree
+            n = self.system.rank
+            key = self.key
+            entries = [FieldElement(f, key[a:a + d], 1) for a in range(0, len(key), d)]
+            self._cols = tuple(tuple(entries[j * n:(j + 1) * n]) for j in range(n))
+        return self._cols
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
@@ -127,10 +156,11 @@ def identity(sys_: CoxeterSystem) -> GroupElement:
 
 
 def _identity(sys_: CoxeterSystem) -> GroupElement:
-    f = sys_.field
-    n = sys_.rank
-    cols = tuple(tuple(f.one if i == j else f.zero for i in range(n)) for j in range(n))
-    return GroupElement(sys_, cols, ())
+    n, d = sys_.rank, sys_.field.degree
+    key = [0] * (n * n * d)
+    for j in range(n):
+        key[(j * n + j) * d] = 1
+    return GroupElement(sys_, tuple(key), ())
 
 
 def _two_b(sys_: CoxeterSystem) -> list[list[tuple[int, FieldElement]]]:
@@ -138,6 +168,47 @@ def _two_b(sys_: CoxeterSystem) -> list[list[tuple[int, FieldElement]]]:
     return sys_.memo("two_b", lambda: [
         [(j, b * 2) for j, b in enumerate(row) if j != s and not b.is_zero()]
         for s, row in enumerate(sys_.gram)
+    ])
+
+
+def _flatten(sys_: CoxeterSystem, cols: Sequence[Vector]) -> Key:
+    """The key of a matrix given by FieldElement columns.
+
+    Raises ValueError when an entry is not in Z[theta]: no group element
+    has such an entry.
+    """
+    out: list[int] = []
+    for col in cols:
+        for e in col:
+            if e.den != 1:
+                raise ValueError(f"matrix entry {e} does not lie in Z[theta]")
+            out += e.num
+    return tuple(out)
+
+
+def _op(sys_: CoxeterSystem, x: Sequence[int]):
+    """Multiplication by the element of Z[theta] with coefficients x: a
+    plain int when x is rational, else the rows of its d x d matrix."""
+    return x[0] if not any(x[1:]) else sys_.field.mul_matrix(x)
+
+
+def _scaled(op, vec: Sequence[int], d: int) -> list[int]:
+    """op (as built by _op) applied to each d-block of a flat vector."""
+    if op.__class__ is int:
+        return [op * y for y in vec]
+    out: list[int] = []
+    for a in range(0, len(vec), d):
+        block = vec[a:a + d]
+        out += [sum(map(mul, row, block)) for row in op] if any(block) else block
+    return out
+
+
+def _steps(sys_: CoxeterSystem) -> list[list[tuple[int, object]]]:
+    """For each generator s, the pairs (j, op) with op multiplication by
+    -2B(e_s, e_j) = D_{N/m}(theta), for j != s with m(s, j) != 2."""
+    return sys_.memo("steps", lambda: [
+        [(j, _op(sys_, _flatten(sys_, [[-b]]))) for j, b in row]
+        for row in _two_b(sys_)
     ])
 
 
@@ -152,15 +223,20 @@ def generator(sys_: CoxeterSystem, s: int) -> GroupElement:
 
 
 def _right_mul_gen(w: GroupElement, s: int) -> GroupElement:
-    """w * sigma_s via column operations, O(rank^2) field multiplications."""
+    """w * sigma_s: column j gains -2B(e_s, e_j) times column s, then
+    column s changes sign; integer column operations only."""
     sys_ = w.system
-    s0 = s - 1
-    cols = list(w.cols)
-    col_s = cols[s0]
-    for j, coeff in _two_b(sys_)[s0]:
-        cols[j] = tuple(a - coeff * b for a, b in zip(cols[j], col_s))
-    cols[s0] = tuple(-a for a in col_s)
-    return GroupElement(sys_, tuple(cols), w.word + (s,))
+    d = sys_.field.degree
+    nd = sys_.rank * d
+    key = w.key
+    lo = (s - 1) * nd
+    col_s = key[lo:lo + nd]
+    out = list(key)
+    for j, op in _steps(sys_)[s - 1]:
+        a = j * nd
+        out[a:a + nd] = map(add, key[a:a + nd], _scaled(op, col_s, d))
+    out[lo:lo + nd] = [-y for y in col_s]
+    return GroupElement(sys_, tuple(out), w.word + (s,))
 
 
 def from_word(sys_: CoxeterSystem, word: Iterable[int]) -> GroupElement:
@@ -172,11 +248,68 @@ def from_word(sys_: CoxeterSystem, word: Iterable[int]) -> GroupElement:
     return w
 
 
+def _entry_ops(w: GroupElement) -> list[list[tuple[int, object]]]:
+    """Per column j of w, the pairs (i, op) over its nonzero entries w_ij."""
+    n, d = w.system.rank, w.system.field.degree
+    key = w.key
+    return [
+        [(i, _op(w.system, key[a:a + d])) for i, a in enumerate(range(j * n * d, (j + 1) * n * d, d))
+         if any(key[a:a + d])]
+        for j in range(n)
+    ]
+
+
+def _operators(w: GroupElement) -> tuple:
+    """The operators of w as the fixed factor of many products, built on
+    first use and cached on w: its _entry_ops, and per flat index
+    i*d + k the flat column theta^k w(e_i)."""
+    if w._ops is None:
+        sys_ = w.system
+        d = sys_.field.degree
+        nd = sys_.rank * d
+        theta = _op(sys_, (0, 1) + (0,) * (d - 2)) if d > 1 else None
+        thetas: list = []
+        for j in range(sys_.rank):
+            col = w.key[j * nd:(j + 1) * nd]
+            thetas.append(col)
+            for _ in range(d - 1):
+                col = _scaled(theta, col, d)
+                thetas.append(col)
+        w._ops = (_entry_ops(w), thetas)
+    return w._ops
+
+
+def _product_column(a: GroupElement, entries: list[tuple[int, object]]) -> list[int]:
+    """a applied to a column given by its entry operators: the sum of
+    each entry times the matching column of a."""
+    d = a.system.field.degree
+    nd = a.system.rank * d
+    key = a.key
+    acc: list[int] = []
+    for i, op in entries:
+        term = _scaled(op, key[i * nd:(i + 1) * nd], d)
+        acc = list(map(add, acc, term)) if acc else term
+    return acc
+
+
+def _image(w: GroupElement, vec: Sequence[int]) -> list[int]:
+    """w applied to a flat integer vector: the sum over its coefficients
+    x at flat index i*d + k of x times theta^k w(e_i)."""
+    acc: list[int] = []
+    for x, col in zip(vec, _operators(w)[1]):
+        if x:
+            acc = [p + x * y for p, y in zip(acc, col)] if acc else [x * y for y in col]
+    return acc
+
+
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """The product a*b: column j is a applied to column j of b."""
     if a.system != b.system:
         raise ValueError("elements of different systems cannot be multiplied")
-    return GroupElement(a.system, tuple(apply(a, bcol) for bcol in b.cols), a.word + b.word)
+    key: list[int] = []
+    for entries in _entry_ops(b):
+        key += _product_column(a, entries)
+    return GroupElement(a.system, tuple(key), a.word + b.word)
 
 
 def inverse(w: GroupElement) -> GroupElement:
@@ -232,11 +365,20 @@ def _root_sign(col: Sequence[FieldElement]) -> int:
 def _descent(w: GroupElement) -> int | None:
     """Least right descent of w, or None for the identity.
 
-    s is a right descent exactly when column s, the root w(e_s), is negative.
+    s is a right descent exactly when column s, the root w(e_s), is
+    negative: when its first nonzero entry is.
     """
-    for s0, col in enumerate(w.cols):
-        if _root_sign(col) < 0:
-            return s0 + 1
+    f = w.system.field
+    d = f.degree
+    nd = w.system.rank * d
+    key = w.key
+    for s0 in range(w.system.rank):
+        for a in range(s0 * nd, (s0 + 1) * nd, d):
+            block = key[a:a + d]
+            if any(block):
+                if FieldElement(f, block, 1).sign() < 0:
+                    return s0 + 1
+                break
     return None
 
 
@@ -264,7 +406,7 @@ def length_and_reduced(w: GroupElement) -> tuple[int, tuple[int, ...]]:
 def canonical(w: GroupElement) -> GroupElement:
     """The same element carrying its canonical reduced word."""
     _, word = length_and_reduced(w)
-    return GroupElement(w.system, w.cols, word)
+    return GroupElement(w.system, w.key, word)
 
 
 # ---------------------------------------------------------- the closure engine

@@ -224,9 +224,11 @@ def reduced_factorizations(
     """All shortest reflection factorizations of w within a finite scope.
 
     Depth-first in reflections_of order: t can start one exactly when
-    rank(t w - 1) = rank(w - 1) - 1. Guarded to reflection length <= 6;
-    the search tree over the reflection alphabet grows too fast beyond
-    that.
+    rank(t w - 1) = rank(w - 1) - 1, that is, when the root of t lies in
+    the moved space of w (Carter 1972). So each step reduces the root
+    against w's moved basis, once per element, and multiplies only the
+    steps that pass. Guarded to reflection length <= 6; the search tree
+    over the reflection alphabet grows too fast beyond that.
     """
     gens_t = group_mod._norm_gens(sys_, gens)
     if not diagram_mod.is_spherical(sys_, gens_t):
@@ -245,10 +247,11 @@ def reduced_factorizations(
         if depth == 0:
             return [()]
         if remaining.key not in tails_of:
+            basis = _moved_basis([remaining])
             found = []
             for t in refs:
-                rest = group_mod.multiply(t.element, remaining)
-                if len(_moved_basis([rest])) == depth - 1:
+                if all(c.is_zero() for c in _reduce(basis, t.root.coords)):
+                    rest = group_mod.multiply(t.element, remaining)
                     found += [(t,) + tail for tail in tails(rest, depth - 1)]
             tails_of[remaining.key] = found
         return tails_of[remaining.key]

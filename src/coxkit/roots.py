@@ -183,8 +183,9 @@ def beta_sequence(w: GroupElement) -> list[Root]:
 def reflection_of_root(sys_: CoxeterSystem, root: Root) -> GroupElement:
     """The reflection v -> v - 2 B(alpha, v) alpha through a unit root.
 
-    Rejects vectors with B(alpha, alpha) != 1: those are not in the root
-    orbit of the simple basis and reflecting through them would leave
+    Rejects vectors with B(alpha, alpha) != 1, and unit vectors whose
+    reflection has an entry outside Z[theta]: neither is in the root
+    orbit of the simple basis, and reflecting through them would leave
     the group.
     """
     return group_mod.canonical(_reflection_matrix(sys_, root))
@@ -209,7 +210,7 @@ def _reflection_matrix(sys_: CoxeterSystem, root: Root) -> GroupElement:
         e if c.is_zero() else tuple(x - c * a for x, a in zip(e, alpha))
         for e, c in zip(group_mod.identity(sys_).cols, two_b)
     )
-    return GroupElement(sys_, cols, ())
+    return GroupElement(sys_, group_mod._flatten(sys_, cols), ())
 
 
 # -------------------------------------------------------------- the dual side

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 PRELUDE = """
@@ -35,7 +37,7 @@ print(json.dumps(tracer.snapshot()["counts"]))
 """
 
 SWEEP_SCRIPT = PRELUDE + """
-report = verify.verify_ball(corpus.load("a2t"), radius=4)
+report = verify.verify_ball(corpus.load("{name}"), radius={radius})
 counts = tracer.snapshot()["counts"]
 counts["ball_size"] = report.ball_size
 print(json.dumps(counts))
@@ -72,7 +74,17 @@ def test_tracer_hooks_are_called():
 def test_ball_sweep_forms_no_product_per_element():
     # one commutation test per ball element, each comparing columns
     # instead of multiplying: the only products left are the power window's
-    counts = _traced_counts(SWEEP_SCRIPT)
+    counts = _traced_counts(SWEEP_SCRIPT.format(name="a2t", radius=4))
     size = counts["ball_size"]
     assert counts["verify.commutes.calls"] == size
     assert counts.get("group.multiply.calls", 0) < size
+
+
+@pytest.mark.parametrize("name,radius", [("a2t", 4), ("tri334", 6)])
+def test_ball_sweep_does_no_field_arithmetic_per_element(name, radius):
+    # generator steps and commutation tests run on integer keys; the
+    # field multiplications left are set-up (the Gram matrix, the
+    # definiteness test), far fewer than the ball's elements
+    counts = _traced_counts(SWEEP_SCRIPT.format(name=name, radius=radius))
+    assert counts["verify.commutes.calls"] == counts["ball_size"]
+    assert counts.get("field.mul.calls", 0) < counts["ball_size"]

@@ -272,7 +272,7 @@ def test_module_entry_point_subprocess():
 
 
 @pytest.mark.parametrize(
-    "demo", ["02_centralizers", "03_hurwitz", "04_parabolic", "05_affine_d4"]
+    "demo", ["01_classify", "02_centralizers", "03_hurwitz", "04_parabolic", "05_affine_d4"]
 )
 def test_demo_runs(demo):
     root = Path(__file__).resolve().parent.parent

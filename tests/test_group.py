@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from coxkit import corpus
 from coxkit.errors import ResourceLimitError
 from coxkit.group import (
+    _descent,
     apply,
     ball,
     canonical,
@@ -36,6 +37,7 @@ from coxkit.group import (
     power,
     word_str,
 )
+from coxkit.verify import commutes
 
 # ------------------------------------------------------------ S3 oracle
 
@@ -341,3 +343,72 @@ def test_random_word_inverse_roundtrip():
         w = from_word(h3, word)
         assert multiply(w, inverse(w)).is_identity()
         assert multiply(inverse(w), w).is_identity()
+
+
+# ------------------------------------------- integer kernel against the field
+
+def _ref_step(sys_, cols, s):
+    """w * sigma_s on FieldElement columns: column j becomes
+    cols[j] - 2B(e_s, e_j) cols[s], and column s changes sign."""
+    s0 = s - 1
+    col_s = cols[s0]
+    out = []
+    for j, col in enumerate(cols):
+        if j == s0:
+            out.append(tuple(-x for x in col_s))
+        else:
+            two_b = sys_.gram[s0][j] * 2
+            out.append(tuple(x - two_b * y for x, y in zip(col, col_s)))
+    return tuple(out)
+
+
+def _ref_cols(sys_, word):
+    f, n = sys_.field, sys_.rank
+    cols = tuple(tuple(f.one if i == j else f.zero for i in range(n)) for j in range(n))
+    for s in word:
+        cols = _ref_step(sys_, cols, s)
+    return cols
+
+
+def _ref_key(cols):
+    return tuple((x.num, x.den) for col in cols for x in col)
+
+
+def _ref_descent(cols):
+    for s0, col in enumerate(cols):
+        first = next((x for x in col if not x.is_zero()), None)
+        if first is not None and first.sign() < 0:
+            return s0 + 1
+    return None
+
+
+def _ref_length(sys_, cols):
+    ident = _ref_cols(sys_, ())
+    letters = []
+    while cols != ident:
+        s = _ref_descent(cols)
+        letters.append(s)
+        cols = _ref_step(sys_, cols, s)
+    return len(letters), tuple(reversed(letters))
+
+
+@pytest.mark.parametrize("name", corpus.names())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_integer_kernel_matches_field_reference(name, data):
+    sys_ = corpus.load(name)
+    words = st.lists(st.integers(min_value=1, max_value=sys_.rank), max_size=10)
+    u, v = data.draw(words), data.draw(words)
+    a, b = from_word(sys_, u), from_word(sys_, v)
+    ra, rb = _ref_cols(sys_, u), _ref_cols(sys_, v)
+    assert a.cols == ra and b.cols == rb
+    assert multiply(a, b).cols == _ref_cols(sys_, u + v)
+    assert inverse(a).cols == _ref_cols(sys_, u[::-1])
+    assert (a.key == b.key) == (_ref_key(ra) == _ref_key(rb))
+    assert commutes(a, b) == (_ref_cols(sys_, u + v) == _ref_cols(sys_, v + u))
+    assert _descent(a) == _ref_descent(ra)
+    length, red = _ref_length(sys_, ra)
+    assert length_and_reduced(a) == (length, red)
+    # the reduced word reaches the same matrix, so both keys must agree
+    assert from_word(sys_, red).key == a.key
+    assert _ref_key(_ref_cols(sys_, red)) == _ref_key(ra)

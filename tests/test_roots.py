@@ -182,6 +182,16 @@ def test_reflection_rejects_non_unit():
         reflection_of_root(a2, doubled)
 
 
+def test_reflection_rejects_unit_vector_off_the_lattice():
+    # B(alpha, alpha) = (64 + 9 - 24) / 49 = 1, but alpha is no root:
+    # its reflection has entries outside Z[theta], so it is no group element
+    a2 = corpus.load("a2")
+    f = a2.field
+    alpha = make_root(a2, (f.from_rational(Fraction(8, 7)), f.from_rational(Fraction(3, 7))))
+    with pytest.raises(ValueError, match="Z\\[theta\\]"):
+        reflection_of_root(a2, alpha)
+
+
 def test_simple_reflections_match_generators():
     b2 = corpus.load("b2")
     for s in (1, 2):
