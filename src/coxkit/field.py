@@ -167,13 +167,13 @@ class Field:
     """The real field Q(theta), theta = 2*cos(pi/N), in a canonical basis.
 
     Instances are cheap views over N: the minimal polynomial, the integer
-    reduction table for high powers of theta, and a mutable rational
-    enclosure of theta used for sign decisions. Obtain shared instances
-    through create(), which caches per N so enclosure refinements
-    accumulate.
+    reduction table for high powers of theta, a mutable rational
+    enclosure of theta used for sign decisions, and the signs decided so
+    far. Obtain shared instances through create(), which caches per N so
+    enclosure refinements and decided signs accumulate.
     """
 
-    __slots__ = ("N", "minpoly", "degree", "_reduction", "_enc", "_zero", "_one", "_theta")
+    __slots__ = ("N", "minpoly", "degree", "_reduction", "_enc", "_signs", "_zero", "_one", "_theta")
 
     def __init__(self, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -198,6 +198,8 @@ class Field:
             self._enc = [r, r]
         else:
             self._enc = self._isolate_largest_root()
+        # decided signs by numerator; a denominator is positive, so it never matters
+        self._signs: dict[tuple[int, ...], int] = {}
         self._zero = FieldElement(self, (0,) * d, 1)
         self._one = FieldElement(self, (1,) + (0,) * (d - 1), 1)
         self._theta = (
@@ -489,11 +491,13 @@ class FieldElement:
 
     def sign(self) -> int:
         """Exact sign: -1, 0, or 1."""
-        if self._sign is not None:
-            return self._sign
-        s = self._compute_sign()
-        self._sign = s
-        return s
+        if self._sign is None:
+            signs = self.field._signs
+            s = signs.get(self.num)
+            if s is None:
+                s = signs[self.num] = self._compute_sign()
+            self._sign = s
+        return self._sign
 
     def _compute_sign(self) -> int:
         if self.is_zero():

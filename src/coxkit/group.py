@@ -7,21 +7,32 @@ of group elements. Every element carries a witness word evaluating to
 its matrix; words from balls and from length_and_reduced are reduced,
 words of products are concatenations.
 
-Integer representation. Every matrix entry lies in Z[theta], the
-integer combinations of the power basis 1, theta, ..., theta^(d-1),
-which is a ring because theta's minimal polynomial is monic: each
-generator matrix has entries 0, +-1 and -2B(e_s, e_t) = D_{N/m}(theta)
-(or 2 for m = inf), an integer polynomial in theta, so no entry of any
-product has a denominator. An element is stored as one flat tuple of
+Integer representation. Each generator matrix has entries 0, +-1 and
+-2B(e_s, e_t) = 2cos(pi/m) (or 2 for m = inf). For m = 2 and m = 3 that
+is 0 and 1, so every entry is an integer polynomial in
+theta' = 2cos(pi/N'), N' the lcm of the labels >= 4 (1 when there is
+none), and so is every entry of every product: all entries lie in the
+working ring Z[theta'], the integer combinations of 1, theta', ...,
+theta'^(d'-1), a ring because the minimal polynomial of theta' is
+monic. Its degree d' is at most the degree d of the system's field
+Q(theta), theta = 2cos(pi/N), and often smaller: 2 instead of 8 for
+h4, 1 instead of 2 for d4t. An element is stored as one flat tuple of
 ints, its key: column-major (cols[j] is the image of e_{j+1}), each
-entry the d power-basis coefficients of that entry, n*n*d ints in all.
-Generator steps are integer column operations precomputed per system
-(_steps); a product turns each entry of its right factor into one such
-operation (_entry_ops); a commutation test with a fixed right operand,
-c in a sweep, caches those and the theta-multiples of its columns on
-it (_operators). None of them creates a FieldElement. The cols
-attribute is a FieldElement view of the key, built on first use and
-cached on the element, for the layers that compute in the field.
+entry the d' coefficients of that entry over Z[theta'], n*n*d' ints in
+all. Generator steps are integer column operations precomputed per
+system (_steps); a product turns each entry of its right factor into
+one such operation (_entry_ops); a commutation test with a fixed right
+operand, c in a sweep, caches those and the theta'-multiples of its
+columns on it (_operators). None of them creates a FieldElement.
+
+The ring (_ring) is built once per system, on first use. Keys and
+field columns meet in two places only: the cols attribute, a
+FieldElement view of the key built on first use and cached on the
+element, embeds each entry into Q(theta) for the layers that compute
+in the field, and _flatten projects field columns back to a key,
+rejecting an entry outside Z[theta']. _descent embeds the one entry
+whose sign it needs and decides it in Q(theta), so it shares the
+field's sign cache with those layers.
 
 A root is a column: cols[j] is the root w(e_{j+1}), so the root layer
 reads roots off these matrices and unit vectors off identity(), instead
@@ -47,10 +58,13 @@ matrix. Derived values are cached per system through CoxeterSystem.memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from fractions import Fraction
+from math import lcm
 from operator import add, attrgetter, mul
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .diagram import CoxeterSystem
+from . import field as field_mod
+from .diagram import INFINITY, CoxeterSystem
 from .errors import InvariantViolation, ResourceLimitError
 from .field import FieldElement
 
@@ -101,10 +115,11 @@ class GroupElement:
         """The matrix as FieldElement columns, built from the key on first use."""
         if self._cols is None:
             f = self.system.field
-            d = f.degree
+            ring = _ring(self.system)
+            d = ring.degree
             n = self.system.rank
             key = self.key
-            entries = [FieldElement(f, key[a:a + d], 1) for a in range(0, len(key), d)]
+            entries = [FieldElement(f, ring.embed(key[a:a + d]), 1) for a in range(0, len(key), d)]
             self._cols = tuple(tuple(entries[j * n:(j + 1) * n]) for j in range(n))
         return self._cols
 
@@ -156,7 +171,7 @@ def identity(sys_: CoxeterSystem) -> GroupElement:
 
 
 def _identity(sys_: CoxeterSystem) -> GroupElement:
-    n, d = sys_.rank, sys_.field.degree
+    n, d = sys_.rank, _ring(sys_).degree
     key = [0] * (n * n * d)
     for j in range(n):
         key[(j * n + j) * d] = 1
@@ -171,25 +186,91 @@ def _two_b(sys_: CoxeterSystem) -> list[list[tuple[int, FieldElement]]]:
     ])
 
 
+class _Ring:
+    """The working ring Z[theta'] of the keys, theta' = 2cos(pi/N') with N'
+    the lcm of the labels >= 4 (1 when there is none).
+
+    Labels 2, 3 and inf give -2B(e_s, e_t) = 0, 1 and 2, integers, so every
+    entry of every group element lies in Z[theta'], a subring of Z[theta]
+    of degree d' = field.degree. basis holds the rows of the d x d'
+    integer embedding E, whose column k is theta'^k over the power basis
+    of sys_.field; _inv / _den is an exact left inverse of E.
+    """
+
+    __slots__ = ("field", "degree", "basis", "_inv", "_den")
+
+    def __init__(self, sys_: CoxeterSystem) -> None:
+        n_ring = 1
+        for row in sys_.matrix:
+            for m in row:
+                if m != INFINITY and m >= 4:
+                    n_ring = lcm(n_ring, m)
+        self.field = field_mod.create(n_ring)
+        self.degree = self.field.degree
+        big = sys_.field
+        theta = big.two_cos(n_ring)
+        powers = [big.one]
+        for _ in range(self.degree - 1):
+            powers.append(powers[-1] * theta)
+        self.basis = tuple(zip(*(p.num for p in powers)))
+        # Gauss-Jordan on [E | I]: once E is reduced to [I; 0], the first
+        # d' rows of the right half are a left inverse of E
+        d, d_ring = big.degree, self.degree
+        rows = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(d)]
+                for i, row in enumerate(self.basis)]
+        for c in range(d_ring):
+            # the smallest pivot: a unit one, where there is, keeps _den at 1
+            p = min((r for r in range(c, d) if rows[r][c]), key=lambda r: abs(rows[r][c]))
+            rows[c], rows[p] = rows[p], rows[c]
+            rows[c] = [x / rows[c][c] for x in rows[c]]
+            for r in range(d):
+                if r != c and rows[r][c]:
+                    rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+        inv = [row[d_ring:] for row in rows[:d_ring]]
+        self._den = lcm(*(x.denominator for row in inv for x in row))
+        self._inv = tuple(tuple(int(x * self._den) for x in row) for row in inv)
+
+    def embed(self, block: Sequence[int]) -> tuple[int, ...]:
+        """The coefficients over sys_.field of an element of Z[theta']."""
+        return tuple(sum(map(mul, row, block)) for row in self.basis)
+
+    def project(self, num: Sequence[int]) -> list[int] | None:
+        """The coefficients over Z[theta'] of an element of Z[theta], or
+        None when it does not lie in Z[theta']."""
+        x = [sum(map(mul, row, num)) for row in self._inv]
+        if any(v % self._den for v in x):
+            return None
+        x = [v // self._den for v in x]
+        return x if self.embed(x) == tuple(num) else None
+
+
+def _ring(sys_: CoxeterSystem) -> _Ring:
+    return sys_.memo("ring", lambda: _Ring(sys_))
+
+
 def _flatten(sys_: CoxeterSystem, cols: Sequence[Vector]) -> Key:
     """The key of a matrix given by FieldElement columns.
 
-    Raises ValueError when an entry is not in Z[theta]: no group element
-    has such an entry.
+    Raises ValueError when an entry is not in Z[theta']: no group
+    element has such an entry.
     """
+    ring = _ring(sys_)
     out: list[int] = []
     for col in cols:
         for e in col:
-            if e.den != 1:
-                raise ValueError(f"matrix entry {e} does not lie in Z[theta]")
-            out += e.num
+            x = ring.project(e.num) if e.den == 1 else None
+            if x is None:
+                raise ValueError(
+                    f"matrix entry {e} does not lie in Z[theta] for theta = 2cos(pi/{ring.field.N})"
+                )
+            out += x
     return tuple(out)
 
 
 def _op(sys_: CoxeterSystem, x: Sequence[int]):
-    """Multiplication by the element of Z[theta] with coefficients x: a
-    plain int when x is rational, else the rows of its d x d matrix."""
-    return x[0] if not any(x[1:]) else sys_.field.mul_matrix(x)
+    """Multiplication by the element of Z[theta'] with coefficients x: a
+    plain int when x is rational, else the rows of its d' x d' matrix."""
+    return x[0] if not any(x[1:]) else _ring(sys_).field.mul_matrix(x)
 
 
 def _scaled(op, vec: Sequence[int], d: int) -> list[int]:
@@ -226,7 +307,7 @@ def _right_mul_gen(w: GroupElement, s: int) -> GroupElement:
     """w * sigma_s: column j gains -2B(e_s, e_j) times column s, then
     column s changes sign; integer column operations only."""
     sys_ = w.system
-    d = sys_.field.degree
+    d = _ring(sys_).degree
     nd = sys_.rank * d
     key = w.key
     lo = (s - 1) * nd
@@ -250,7 +331,7 @@ def from_word(sys_: CoxeterSystem, word: Iterable[int]) -> GroupElement:
 
 def _entry_ops(w: GroupElement) -> list[list[tuple[int, object]]]:
     """Per column j of w, the pairs (i, op) over its nonzero entries w_ij."""
-    n, d = w.system.rank, w.system.field.degree
+    n, d = w.system.rank, _ring(w.system).degree
     key = w.key
     return [
         [(i, _op(w.system, key[a:a + d])) for i, a in enumerate(range(j * n * d, (j + 1) * n * d, d))
@@ -265,7 +346,7 @@ def _operators(w: GroupElement) -> tuple:
     i*d + k the flat column theta^k w(e_i)."""
     if w._ops is None:
         sys_ = w.system
-        d = sys_.field.degree
+        d = _ring(sys_).degree
         nd = sys_.rank * d
         theta = _op(sys_, (0, 1) + (0,) * (d - 2)) if d > 1 else None
         thetas: list = []
@@ -282,7 +363,7 @@ def _operators(w: GroupElement) -> tuple:
 def _product_column(a: GroupElement, entries: list[tuple[int, object]]) -> list[int]:
     """a applied to a column given by its entry operators: the sum of
     each entry times the matching column of a."""
-    d = a.system.field.degree
+    d = _ring(a.system).degree
     nd = a.system.rank * d
     key = a.key
     acc: list[int] = []
@@ -369,14 +450,15 @@ def _descent(w: GroupElement) -> int | None:
     negative: when its first nonzero entry is.
     """
     f = w.system.field
-    d = f.degree
+    ring = _ring(w.system)
+    d = ring.degree
     nd = w.system.rank * d
     key = w.key
     for s0 in range(w.system.rank):
         for a in range(s0 * nd, (s0 + 1) * nd, d):
             block = key[a:a + d]
             if any(block):
-                if FieldElement(f, block, 1).sign() < 0:
+                if FieldElement(f, ring.embed(block), 1).sign() < 0:
                     return s0 + 1
                 break
     return None

@@ -262,11 +262,15 @@ def reduced_factorizations(
 # ------------------------------------------------------------- Hurwitz moves
 
 def _conjugate_reflection(sys_: CoxeterSystem, a: Reflection, b: Reflection) -> Reflection:
-    """The reflection a b a, rebuilt from its root a(root_b)."""
+    """The reflection a b a: the one of its positive root a(root_b), built
+    once per root and system."""
     img = roots_mod.act(a.element, b.root)
     if not img.positive:
         img = -img
-    return Reflection(roots_mod.reflection_of_root(sys_, img), img)
+    return sys_.memo(
+        ("reflection", img.key),
+        lambda: Reflection(roots_mod.reflection_of_root(sys_, img), img),
+    )
 
 
 def hurwitz_move(

@@ -78,7 +78,7 @@ def commutes(a: GroupElement, b: GroupElement) -> bool:
     """
     if a.system != b.system:
         raise ValueError("elements of different systems cannot be compared")
-    nd = a.system.rank * a.system.field.degree
+    nd = a.system.rank * group_mod._ring(a.system).degree
     key = a.key
     return all(
         group_mod._product_column(a, entries) == group_mod._image(b, key[j * nd:(j + 1) * nd])

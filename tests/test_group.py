@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxkit import corpus
+from coxkit import corpus, diagram
 from coxkit.errors import ResourceLimitError
 from coxkit.group import (
     _descent,
+    _flatten,
+    _ring,
     apply,
     ball,
     canonical,
@@ -412,3 +414,52 @@ def test_integer_kernel_matches_field_reference(name, data):
     # the reduced word reaches the same matrix, so both keys must agree
     assert from_word(sys_, red).key == a.key
     assert _ref_key(_ref_cols(sys_, red)) == _ref_key(ra)
+
+
+# ------------------------------------------------------- the working ring
+
+# d' = deg 2cos(pi/N'), N' the lcm of the labels >= 4
+RING_DEGREE = {
+    "a1": 1, "a2": 1, "a3": 1, "a4": 1, "b2": 2, "b3": 2, "b4": 2, "d4": 1,
+    "f4": 2, "h3": 2, "h4": 2, "i2_5": 2, "i2_6": 2, "i2_7": 3, "i2_8": 4,
+    "a1t": 1, "a2t": 1, "c2t": 2, "g2t": 2, "d4t": 1, "tri334": 2,
+}
+
+
+@pytest.mark.parametrize("name", corpus.names())
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_keys_live_in_the_working_ring(name, data):
+    sys_ = corpus.load(name)
+    d = _ring(sys_).degree
+    assert d == RING_DEGREE[name]
+    w = from_word(sys_, data.draw(st.lists(st.integers(min_value=1, max_value=sys_.rank), max_size=10)))
+    assert len(w.key) == sys_.rank ** 2 * d
+    assert _flatten(sys_, w.cols) == w.key
+
+
+def test_flatten_rejects_entries_outside_the_working_ring():
+    # theta = 2cos(pi/30) lies in Z[theta] but not in Z[2cos(pi/5)]
+    h4 = corpus.load("h4")
+    with pytest.raises(ValueError, match="Z\\[theta\\]"):
+        _flatten(h4, [[h4.field.theta]])
+
+
+def test_working_ring_with_a_fractional_left_inverse():
+    # labels 10 and 3: N' = 10 inside N = 30, where the elimination's left
+    # inverse of the embedding has a denominator 2
+    sys_ = diagram.parse_system("rank 3\nm 1 2 10\nm 2 3 3\n")
+    assert _ring(sys_).field.N == 10
+    rng = random.Random(5)
+    for _ in range(20):
+        w = from_word(sys_, [rng.randint(1, 3) for _ in range(rng.randint(0, 12))])
+        assert _flatten(sys_, w.cols) == w.key
+    with pytest.raises(ValueError, match="Z\\[theta\\]"):
+        _flatten(sys_, [[sys_.field.theta]])
+
+
+def test_working_ring_is_built_on_first_kernel_use():
+    sys_ = diagram.parse_system(corpus.read_text("h4"))
+    assert "ring" not in sys_._cache
+    identity(sys_)
+    assert "ring" in sys_._cache

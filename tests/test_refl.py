@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from coxkit import cli, corpus, refl, verify
+from coxkit import cli, corpus, diagram, refl, roots, verify
 from coxkit.errors import ResourceLimitError
 from coxkit.group import (
     from_word,
@@ -284,6 +284,18 @@ def test_hurwitz_orbit_is_all_reduced_factorizations():
         orbit = hurwitz_orbit(facts[0])
         assert len(orbit) == count
         assert {f.key for f in orbit} == {f.key for f in facts}
+
+
+def test_hurwitz_orbit_builds_each_reflection_once(monkeypatch):
+    b3 = diagram.parse_system(corpus.read_text("b3"))
+    c = from_word(b3, (1, 2, 3))
+    facts = reduced_factorizations(b3, c)
+    built = []
+    of_root = roots.reflection_of_root
+    monkeypatch.setattr(roots, "reflection_of_root", lambda sys_, r: built.append(r) or of_root(sys_, r))
+    orbit = hurwitz_orbit(facts[0])
+    assert {f.key for f in orbit} == {f.key for f in facts}
+    assert len(built) == len(set(built)) <= len(reflections_of(b3))
 
 
 def test_hurwitz_orbit_cap():
