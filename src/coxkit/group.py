@@ -50,7 +50,17 @@ and whole-group enumerations here, and Hurwitz orbits, subgroup
 closures, root orbits and the conjugacy-graph spanning tree elsewhere.
 It dedups by key, checks the cap before each insert and records one
 parent link per member, so callers derive distances and tree paths from
-the links instead of running their own loop. Reflection length needs no
+the links instead of running their own loop. Balls step only ascents.
+A step x*s = y from layer L lands in layer L+1, so s is a right descent
+of y; the ball's step function records that bit when it takes the step
+and skips the recorded descents when it expands y. The identity has
+none, and every descent s of y is recorded while layer L is expanded,
+because y*s lies there with s as an ascent; so each skipped step would
+only have reached an existing member, and the members, their order and
+their parent links are those of stepping every generator, from half the
+steps in a finite group (w -> w*w0 swaps ascents and descents). Each
+record is dropped when its element is expanded, so the records span at
+most two layers. Reflection length needs no
 search: it is the rank of w - 1 (Carter), which refl reads off the
 matrix. Derived values are cached per system through CoxeterSystem.memo.
 """
@@ -284,13 +294,14 @@ def _scaled(op, vec: Sequence[int], d: int) -> list[int]:
     return out
 
 
-def _steps(sys_: CoxeterSystem) -> list[list[tuple[int, object]]]:
-    """For each generator s, the pairs (j, op) with op multiplication by
-    -2B(e_s, e_j) = D_{N/m}(theta), for j != s with m(s, j) != 2."""
-    return sys_.memo("steps", lambda: [
+def _steps(sys_: CoxeterSystem) -> tuple[int, list[list[tuple[int, object]]]]:
+    """The ring degree d' and, for each generator s, the pairs (j, op)
+    with op multiplication by -2B(e_s, e_j) = D_{N/m}(theta), for j != s
+    with m(s, j) != 2: all a generator step reads, in one lookup."""
+    return sys_.memo("steps", lambda: (_ring(sys_).degree, [
         [(j, _op(sys_, _flatten(sys_, [[-b]]))) for j, b in row]
         for row in _two_b(sys_)
-    ])
+    ]))
 
 
 def generator(sys_: CoxeterSystem, s: int) -> GroupElement:
@@ -307,13 +318,13 @@ def _right_mul_gen(w: GroupElement, s: int) -> GroupElement:
     """w * sigma_s: column j gains -2B(e_s, e_j) times column s, then
     column s changes sign; integer column operations only."""
     sys_ = w.system
-    d = _ring(sys_).degree
+    d, steps = _steps(sys_)
     nd = sys_.rank * d
     key = w.key
     lo = (s - 1) * nd
     col_s = key[lo:lo + nd]
     out = list(key)
-    for j, op in _steps(sys_)[s - 1]:
+    for j, op in steps[s - 1]:
         a = j * nd
         out[a:a + nd] = map(add, key[a:a + nd], _scaled(op, col_s, d))
     out[lo:lo + nd] = [-y for y in col_s]
@@ -342,22 +353,42 @@ def _entry_ops(w: GroupElement) -> list[list[tuple[int, object]]]:
 
 def _operators(w: GroupElement) -> tuple:
     """The operators of w as the fixed factor of many products, built on
-    first use and cached on w: its _entry_ops, and per flat index
-    i*d + k the flat column theta^k w(e_i)."""
+    first use and cached on w: its _entry_ops, per flat index i*d + k
+    the flat column theta^k w(e_i), and the pairs (k, op) over the
+    nonzero entries w_0k of its row 0."""
     if w._ops is None:
         sys_ = w.system
         d = _ring(sys_).degree
         nd = sys_.rank * d
+        key = w.key
         theta = _op(sys_, (0, 1) + (0,) * (d - 2)) if d > 1 else None
         thetas: list = []
         for j in range(sys_.rank):
-            col = w.key[j * nd:(j + 1) * nd]
+            col = key[j * nd:(j + 1) * nd]
             thetas.append(col)
             for _ in range(d - 1):
                 col = _scaled(theta, col, d)
                 thetas.append(col)
-        w._ops = (_entry_ops(w), thetas)
+        row0 = [(k, _op(sys_, key[a:a + d])) for k, a in enumerate(range(0, len(key), nd))
+                if any(key[a:a + d])]
+        w._ops = (_entry_ops(w), thetas, row0)
     return w._ops
+
+
+def _dot(pairs: list[tuple[int, object]], key: Key, stride: int, d: int):
+    """The sum over the pairs (i, op) of op times the entry of key at
+    flat index i*stride: one entry of a product, given the operators of
+    one factor along a row or column (nonempty, as in any invertible
+    matrix) and the stride of the other's matching column (d) or row
+    (n*d). Its coefficient list, or the entry itself when d = 1."""
+    if d == 1:
+        return sum([op * key[i * stride] for i, op in pairs])
+    acc = None
+    for i, op in pairs:
+        block = key[i * stride:i * stride + d]
+        term = [op * y for y in block] if op.__class__ is int else [sum(map(mul, row, block)) for row in op]
+        acc = term if acc is None else list(map(add, acc, term))
+    return acc
 
 
 def _product_column(a: GroupElement, entries: list[tuple[int, object]]) -> list[int]:
@@ -574,9 +605,22 @@ def _bfs(
     radius: int | None,
     cap: int,
 ) -> Ball:
+    # known[k]: bit s set once some x*s = k has been stepped, so s is a
+    # right descent of k and k*s an existing member; entries are popped
+    # on expansion, so only the layer being expanded and the next remain
+    known: dict = {}
+
+    def ascents(w: GroupElement):
+        descents = known.pop(w.key, 0)
+        for s in gens:
+            if not descents >> s & 1:
+                y = _right_mul_gen(w, s)
+                known[y.key] = known.get(y.key, 0) | 1 << s
+                yield s, y
+
     members, parent, complete = closure(
         [identity(sys_)],
-        lambda w: ((s, _right_mul_gen(w, s)) for s in gens),
+        ascents,
         cap,
         radius=radius,
         overflow="ball enumeration exceeded the cap of {cap} elements",

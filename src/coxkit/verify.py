@@ -13,8 +13,13 @@ column that already exists, and the test stops at the first column
 that differs. It forms no product and no key, and most elements of a
 sweep fail on the first column, so the commute stage costs about two
 matrix-vector products per element instead of two matrix products.
-Both products are integer operations on the keys, through operators of
-b that are built once and cached on it; a sweep passes c as b.
+Before the columns, a prefilter compares the single entry (0,0) of ab
+and ba, row 0 of a against column 0 of b and row 0 of b against
+column 0 of a: 2n ring operations instead of about 2n^2. Most elements
+of a sweep already differ there (12,540 of h4's 14,400 against c);
+when the entries agree the column test decides, so the answer stays
+exact. Both tests are integer operations on the keys, through operators
+of b that are built once and cached on it; a sweep passes c as b.
 
 Report text is deterministic: timings live on the dataclasses but are
 never printed. Machine lines use the format
@@ -72,17 +77,24 @@ def commutes(a: GroupElement, b: GroupElement) -> bool:
 
     Column j of ab is a(b e_j) and column j of ba is b(a e_j), so the two
     products are equal exactly when every pair of columns is; the test
-    returns False at the first pair that differs. Both sides use
-    operators of b cached on b, so a caller testing many elements
-    against one passes that one as b.
+    returns False at the first pair that differs. A prefilter first
+    compares entry (0,0), sum_k a_0k b_k0 against sum_k b_0k a_k0, and
+    returns False when they differ; when they agree the columns decide.
+    Both sides use operators of b cached on b, so a caller testing many
+    elements against one passes that one as b.
     """
     if a.system != b.system:
         raise ValueError("elements of different systems cannot be compared")
-    nd = a.system.rank * group_mod._ring(a.system).degree
+    d = group_mod._ring(a.system).degree
+    nd = a.system.rank * d
     key = a.key
+    columns, _, row0 = group_mod._operators(b)
+    # entry (0,0): sum_k a_0k b_k0 against sum_k b_0k a_k0
+    if group_mod._dot(columns[0], key, nd, d) != group_mod._dot(row0, key, d, d):
+        return False
     return all(
         group_mod._product_column(a, entries) == group_mod._image(b, key[j * nd:(j + 1) * nd])
-        for j, entries in enumerate(group_mod._operators(b)[0])
+        for j, entries in enumerate(columns)
     )
 
 

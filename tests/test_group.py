@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit import corpus, diagram
+from coxkit import group as group_mod
 from coxkit.errors import ResourceLimitError
 from coxkit.group import (
     _descent,
     _flatten,
+    _right_mul_gen,
     _ring,
     apply,
     ball,
@@ -253,6 +255,122 @@ def test_ball_layers_match_growth_series(name, radius):
     for d in depth.values():
         layers[d] += 1
     assert layers == series
+
+
+# ------------------------------------------ ascent-only BFS against a full one
+
+def _full_bfs(sys_, gens, radius, cap):
+    """Reference BFS: every generator from every element, layer by layer.
+
+    Also counts the ascent steps, those landing one layer further out
+    (on a new member or on one found earlier in the same layer), and
+    returns each member's layer.
+    """
+    e = identity(sys_)
+    members, parent, depth = {e.key: e}, {e.key: None}, {e.key: 0}
+    frontier, ascents, layer = [e], 0, 0
+    while frontier and (radius is None or layer < radius):
+        layer += 1
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = _right_mul_gen(x, s)
+                if y.key in members:
+                    ascents += depth[y.key] == layer
+                    continue
+                if len(members) >= cap:
+                    raise ResourceLimitError(f"ball enumeration exceeded the cap of {cap} elements")
+                members[y.key], parent[y.key], depth[y.key] = y, (x.key, s), layer
+                ascents += 1
+                nxt.append(y)
+        frontier = nxt
+    return members, parent, not frontier, ascents, depth
+
+
+def _fresh(name):
+    # a system with an empty memo, so the ball under test is really built
+    return diagram.parse_system(corpus.read_text(name))
+
+
+def _check_against_full_bfs(sys_, radius, gens, monkeypatch):
+    gens_t = gens or tuple(range(1, sys_.rank + 1))
+    members, parent, complete, ascents, depth = _full_bfs(sys_, gens_t, radius, 10**6)
+    steps = []
+
+    def counted(w, s):
+        steps.append(s)
+        return _right_mul_gen(w, s)
+
+    # the descent bits of _bfs live in the dict its step function closes
+    # over as known; read its size before each expansion and at the end
+    sizes = []
+    real_closure = group_mod.closure
+
+    def watched_closure(seeds, step, *args, **kwargs):
+        known = dict(zip(step.__code__.co_freevars, step.__closure__))["known"].cell_contents
+
+        def watched(x):
+            sizes.append(len(known))
+            return step(x)
+
+        out = real_closure(seeds, watched, *args, **kwargs)
+        sizes.append(len(known))
+        return out
+
+    monkeypatch.setattr(group_mod, "_right_mul_gen", counted)
+    monkeypatch.setattr(group_mod, "closure", watched_closure)
+    b = enumerate_group(sys_, gens=gens) if radius is None else ball(sys_, radius, gens=gens)
+    assert list(b.members) == list(members)
+    assert [w.word for w in b.elements()] == [w.word for w in members.values()]
+    assert list(b.parent.items()) == list(parent.items())
+    assert b.complete == complete
+    assert len(steps) == ascents
+    # known spans at most the layer being expanded and the next, and at
+    # the end holds exactly the unexpanded outer layer
+    layers = [0] * (max(depth.values()) + 2)
+    for k in depth.values():
+        layers[k] += 1
+    assert max(sizes) <= max(map(sum, zip(layers, layers[1:])))
+    assert sizes[-1] == (0 if complete else layers[radius])
+    return b, len(steps)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_ascent_only_bfs_matches_full_bfs(name, monkeypatch):
+    sys_ = _fresh(name)
+    finite = diagram.is_spherical(sys_, range(1, sys_.rank + 1))
+    b, steps = _check_against_full_bfs(sys_, None if finite else 6, None, monkeypatch)
+    if finite:
+        # w -> w*w0 swaps ascents and descents, so W has n*|W|/2 ascents
+        assert b.complete and 2 * steps == sys_.rank * len(b)
+
+
+@pytest.mark.parametrize(
+    "name,radius,gens",
+    [
+        ("a2", 3, None),  # radius l(w0): w0 is reached but not expanded
+        ("a2", 4, None),  # radius l(w0) + 1: w0 is expanded and adds nothing
+        ("a3", 6, (1, 3)),
+        ("h4", 6, (1, 3)),
+        ("h4", 6, (4, 2, 3)),
+        ("a2t", 6, (1, 3)),
+        ("d4t", 6, (1, 3)),
+        ("d4t", 5, (5, 4, 3, 2, 1)),
+        ("tri334", 6, (1, 3)),
+    ],
+)
+def test_ascent_only_ball_matches_full_bfs(name, radius, gens, monkeypatch):
+    _check_against_full_bfs(_fresh(name), radius, gens, monkeypatch)
+
+
+@pytest.mark.parametrize("name,radius,cap", [("a1t", 50, 20), ("h3", None, 50), ("d4t", 8, 300)])
+def test_ascent_only_bfs_overflows_like_full_bfs(name, radius, cap):
+    sys_ = _fresh(name)
+    with pytest.raises(ResourceLimitError) as ref:
+        _full_bfs(sys_, tuple(range(1, sys_.rank + 1)), radius, cap)
+    with pytest.raises(ResourceLimitError) as got:
+        enumerate_group(sys_, cap=cap) if radius is None else ball(sys_, radius, cap=cap)
+    assert str(got.value) == str(ref.value)
 
 
 # ----------------------------------------------------------- straightness

@@ -90,15 +90,22 @@ def test_commutes_matches_product_definition(name):
     # the reference is the definition: ab and ba as whole matrices. f4,
     # d4t and tri334 have non-commuting pairs whose first columns agree
     # (a3, b3 and h3 have none); requiring them catches a test that
-    # stops after column 0 or after any matching column
-    first_column_ties = 0
+    # stops after column 0 or after any matching column. Every system
+    # has non-commuting pairs whose (0,0) entries agree (6 for a3 against
+    # the default c, 312 for f4); requiring them catches a prefilter on
+    # that entry that returns early when it matches
+    first_column_ties = corner_ties = 0
     for a, b in _commute_pairs(name):
-        expected = group.multiply(a, b).key == group.multiply(b, a).key
+        ab, ba = group.multiply(a, b), group.multiply(b, a)
+        expected = ab.key == ba.key
         assert verify.commutes(a, b) == expected, (a, b)
         if not expected and group.apply(a, b.cols[0]) == group.apply(b, a.cols[0]):
             first_column_ties += 1
+        if not expected and ab.cols[0][0] == ba.cols[0][0]:
+            corner_ties += 1
     if name in ("f4", "d4t", "tri334"):
         assert first_column_ties > 0
+    assert corner_ties > 0
 
 
 def test_commutes_rejects_mixed_systems():
