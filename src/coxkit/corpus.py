@@ -6,8 +6,6 @@ Systems load once per process and are shared, so per-system caches
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .diagram import CoxeterSystem, parse_system
 
 __all__ = [
@@ -36,6 +34,10 @@ def names() -> tuple[str, ...]:
 def read_text(name: str) -> str:
     if name not in names():
         raise KeyError(f"unknown corpus system {name!r}; known: {', '.join(names())}")
+    # imported on first use: importlib.resources is a large share of the
+    # package's import time, and the CLI reads diagrams by path
+    from importlib import resources
+
     return resources.files("coxkit.data").joinpath(f"{name}.cox").read_text()
 
 

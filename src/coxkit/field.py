@@ -8,13 +8,17 @@ when their coefficient vectors are equal. Signs of nonzero elements are
 decided by interval evaluation over a shrinking rational enclosure of
 theta. No floating point enters any computation.
 
-The minimal polynomial of theta is obtained by factoring the relation
-D_N(x) + 2 over the integers, where D_N is the degree-N polynomial with
-D_N(2*cos t) = 2*cos(N*t): taking the squarefree part and sieving out,
-for every proper divisor d of N, the factor belonging to 2*cos(pi/d)
-leaves exactly the factor vanishing at 2*cos(pi/N). The enclosure is
-initialised by a Sturm-chain bisection that isolates the largest real
-root, which is theta.
+The minimal polynomial of theta comes from the cyclotomic polynomial
+Phi_2N, the minimal polynomial of z = exp(i*pi/N), in integers only
+(Watkins and Zeitlin, Amer. Math. Monthly 100, 1993): z^2N - 1 divided
+by Phi_d for every proper divisor d of 2N leaves Phi_2N, each division
+exact because Phi_d is monic. Phi_2N is palindromic of degree 2k, so
+Phi_2N(z)/z^k is a polynomial in z^j + z^-j = D_j(theta), where D_j is
+the degree-j polynomial with D_j(2*cos t) = 2*cos(j*t). The enclosure
+is initialised by a Sturm-chain bisection that isolates the largest
+real root, which is theta; the chain is kept in integers by positive
+scaling and evaluated at the dyadic bisection points with integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ def _dickson(n: int) -> list[int]:
 
 # ------------------------------------------------- rational polynomial helpers
 
-def _trim(p: _FrPoly) -> _FrPoly:
+def _trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
@@ -82,17 +86,6 @@ def _poly_divmod(a: _FrPoly, b: _FrPoly) -> tuple[_FrPoly, _FrPoly]:
     return q, _trim(a)
 
 
-def _poly_gcd(a: _FrPoly, b: _FrPoly) -> _FrPoly:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return [c / a[-1] for c in a] if a else a
-
-
-def _poly_deriv(a: Sequence[Fraction]) -> _FrPoly:
-    return [i * c for i, c in enumerate(a)][1:]
-
-
 def _poly_eval(a: Sequence, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(a):
@@ -100,65 +93,104 @@ def _poly_eval(a: Sequence, x: Fraction) -> Fraction:
     return acc
 
 
-def _to_int_poly(a: Sequence[Fraction]) -> tuple[int, ...]:
-    out = []
-    for c in a:
-        if c.denominator != 1:
-            raise InvariantViolation("expected integer polynomial, got %r" % (a,))
-        out.append(c.numerator)
-    return tuple(out)
+# -------------------------------------------------- integer polynomial helpers
+
+def _poly_deriv(a: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _divide_monic(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The quotient of a by the monic integer polynomial b, which must
+    divide it exactly; both low degree first."""
+    rem = list(a)
+    db = len(b) - 1
+    q = [0] * (len(rem) - db)
+    for i in reversed(range(len(q))):
+        c = q[i] = rem[i + db]
+        if c:
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    if any(rem):
+        raise InvariantViolation("inexact division by a monic polynomial")
+    return q
+
+
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a by b, trimmed."""
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    while len(rem) - 1 >= db:
+        # |lead| * rem minus sign * top * x^off * b cancels the top term
+        c = sign * rem.pop()
+        off = len(rem) - db
+        rem = [scale * x for x in rem]
+        for j in range(db):
+            rem[off + j] -= c * b[j]
+        _trim(rem)
+    return rem
+
+
+def _scaled_value(p: Sequence[int], num: int, k: int) -> int:
+    """2^(k deg p) * p(num / 2^k): an integer with the sign of p there."""
+    acc, scale = p[-1], 1
+    for c in reversed(p[:-1]):
+        scale <<= k
+        acc = acc * num + c * scale
+    return acc
 
 
 # ----------------------------------------------------------------- Sturm chain
 
-def _sturm_chain(p: _FrPoly) -> list[_FrPoly]:
+def _sturm_chain(p: Sequence[int]) -> list[list[int]]:
+    """A Sturm chain of the squarefree integer polynomial p: p, p', then
+    the negated remainder of the two members before. Each remainder is
+    taken as a positive multiple with its content divided out, so the
+    members stay integer polynomials and every sign along the chain is
+    that of the rational chain."""
     chain = [list(p), _poly_deriv(p)]
-    while chain[-1]:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
+    while True:
+        rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
+            return chain
+        g = gcd(*rem)
+        chain.append([-c // g for c in rem])
 
 
-def _variations(chain: list[_FrPoly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _roots_in(chain: list[_FrPoly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (a, b]."""
-    return _variations(chain, a) - _variations(chain, b)
+def _sign_changes(chain: list[list[int]], num: int, k: int) -> int:
+    """Sign changes along the chain at the dyadic point num / 2^k."""
+    signs = [v > 0 for v in (_scaled_value(p, num, k) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 # --------------------------------------------------------- minimal polynomial
 
 @lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    """Phi_m, low degree first: z^m - 1 divided by Phi_d for every proper
+    divisor d of m."""
+    p = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            p = _divide_monic(p, _cyclotomic(d))
+    return tuple(p)
+
+
+@lru_cache(maxsize=None)
 def _theta_min_poly(n: int) -> tuple[int, ...]:
     if n == 1:
         return (2, 1)
-    if n == 2:
-        return (0, 1)
-    rel = _dickson(n)
-    rel[0] += 2
-    p = [Fraction(c) for c in rel]
-    sf = _poly_divmod(p, _poly_gcd(p, _poly_deriv(p)))[0]
-    sf = [c / sf[-1] for c in sf]
-    for d in range(1, n):
-        if n % d:
-            continue
-        cand = [Fraction(c) for c in _theta_min_poly(d)]
-        q, r = _poly_divmod(sf, cand)
-        if not r:
-            sf = q
-    result = _to_int_poly(sf)
-    if len(result) - 1 != _totient(2 * n) // 2:
+    # z = exp(i*pi/N): Phi_2N(z)/z^k = phi_k + sum_j phi_(k+j) (z^j + z^-j)
+    # by the palindrome, and z^j + z^-j = D_j(z + 1/z) = D_j(theta)
+    phi = _cyclotomic(2 * n)
+    k = (len(phi) - 1) // 2
+    out = [phi[k]] + [0] * k
+    for j in range(1, k + 1):
+        for i, c in enumerate(_dickson(j)):
+            out[i] += phi[k + j] * c
+    if k != _totient(2 * n) // 2:
         raise InvariantViolation(f"minimal polynomial for N={n} has wrong degree")
-    return result
+    return tuple(out)
 
 
 # ------------------------------------------------------------------- the field
@@ -298,18 +330,23 @@ class Field:
             self._enc[0] = mid
 
     def _isolate_largest_root(self) -> list[Fraction]:
-        chain = _sturm_chain([Fraction(c) for c in self.minpoly])
-        lo, hi = Fraction(-2), Fraction(2)
-        while _roots_in(chain, lo, hi) > 1:
-            mid = (lo + hi) / 2
-            if _roots_in(chain, mid, hi) >= 1:
-                lo = mid
+        # bisection of [-2, 2] with both ends kept as lo / 2^k, hi / 2^k
+        chain = _sturm_chain(self.minpoly)
+        lo, hi, k = -2, 2, 0
+        vlo, vhi = _sign_changes(chain, lo, k), _sign_changes(chain, hi, k)
+        # vlo - vhi roots lie in (lo, hi]; bisect until only theta is left
+        while vlo - vhi > 1:
+            lo, hi, k = 2 * lo, 2 * hi, k + 1
+            mid = (lo + hi) // 2
+            vmid = _sign_changes(chain, mid, k)
+            if vmid - vhi >= 1:
+                lo, vlo = mid, vmid
             else:
-                hi = mid
+                hi, vhi = mid, vmid
         # exactly one root above lo, so the minimal polynomial changes sign here
-        if not _poly_eval(self.minpoly, lo) < 0 < _poly_eval(self.minpoly, hi):
+        if not _scaled_value(self.minpoly, lo, k) < 0 < _scaled_value(self.minpoly, hi, k):
             raise InvariantViolation("largest-root isolation lost its sign bracket")
-        return [lo, hi]
+        return [Fraction(lo, 1 << k), Fraction(hi, 1 << k)]
 
     # -- misc ---------------------------------------------------------------
 

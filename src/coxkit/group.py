@@ -67,7 +67,6 @@ matrix. Derived values are cached per system through CoxeterSystem.memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from math import lcm
 from operator import add, attrgetter, mul
@@ -77,6 +76,7 @@ from . import field as field_mod
 from .diagram import INFINITY, CoxeterSystem
 from .errors import InvariantViolation, ResourceLimitError
 from .field import FieldElement
+from .record import Record
 
 __all__ = [
     "Ball",
@@ -354,8 +354,8 @@ def _entry_ops(w: GroupElement) -> list[list[tuple[int, object]]]:
 def _operators(w: GroupElement) -> tuple:
     """The operators of w as the fixed factor of many products, built on
     first use and cached on w: its _entry_ops, per flat index i*d + k
-    the flat column theta^k w(e_i), and the pairs (k, op) over the
-    nonzero entries w_0k of its row 0."""
+    the flat column theta^k w(e_i), the pairs (k, op) over the nonzero
+    entries w_0k of its row 0, and the ring degree d."""
     if w._ops is None:
         sys_ = w.system
         d = _ring(sys_).degree
@@ -371,7 +371,7 @@ def _operators(w: GroupElement) -> tuple:
                 thetas.append(col)
         row0 = [(k, _op(sys_, key[a:a + d])) for k, a in enumerate(range(0, len(key), nd))
                 if any(key[a:a + d])]
-        w._ops = (_entry_ops(w), thetas, row0)
+        w._ops = (_entry_ops(w), thetas, row0, d)
     return w._ops
 
 
@@ -572,8 +572,7 @@ def closure(
 
 # ------------------------------------------------------------------- the ball
 
-@dataclass
-class Ball:
+class Ball(Record):
     """All elements of length <= radius, BFS order, reduced witness words.
 
     members maps the matrix key to the element; parent maps each key to
@@ -585,9 +584,16 @@ class Ball:
     system: CoxeterSystem
     radius: int | None
     gens: tuple[int, ...]
-    members: dict = dfield(repr=False)
-    parent: dict = dfield(repr=False)
+    members: dict
+    parent: dict
     complete: bool = False
+
+    def __repr__(self) -> str:
+        # members and parent can hold the whole group
+        return (
+            f"Ball(system={self.system!r}, radius={self.radius!r},"
+            f" gens={self.gens!r}, complete={self.complete!r})"
+        )
 
     def elements(self) -> list[GroupElement]:
         return list(self.members.values())

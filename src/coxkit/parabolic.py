@@ -17,7 +17,6 @@ by the loops of the component read through a spanning tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import diagram as diagram_mod
@@ -27,6 +26,7 @@ from . import roots as roots_mod
 from .diagram import CoxeterSystem, _norm_subset, is_spherical
 from .errors import InvariantViolation, ResourceLimitError
 from .group import GroupElement
+from .record import Record
 
 __all__ = [
     "ConjGraph",
@@ -143,8 +143,7 @@ def _simple_images(sys_: CoxeterSystem, g: GroupElement, idx: Iterable[int]) -> 
     return None if None in images else images
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(Record, frozen=True):
     source: frozenset[int]
     letter: int
     target: frozenset[int]
@@ -161,8 +160,7 @@ def _subset_sort_key(fs: frozenset[int]):
     return (len(fs), tuple(sorted(fs)))
 
 
-@dataclass
-class ConjGraph:
+class ConjGraph(Record):
     """Krammer-style conjugation graph on all subsets of the generators."""
 
     system: CoxeterSystem
@@ -332,8 +330,7 @@ def _check_stabilizes_simples(sys_, lam, idx) -> None:
 
 # ------------------------------------------------------------ parabolic closure
 
-@dataclass
-class ParabolicClosure:
+class ParabolicClosure(Record):
     """The smallest parabolic containing the inputs, within a finite scope."""
 
     members: dict
@@ -409,8 +406,7 @@ def _match_standard(sys_, gens_t, members) -> tuple[GroupElement, frozenset[int]
 
 # --------------------------------------------------------------- essentiality
 
-@dataclass
-class EssentialityProbe:
+class EssentialityProbe(Record):
     """Result of a bounded search for a proper-parabolic conjugate.
 
     refuted True means a conjugate x^{-1} w x was found whose canonical

@@ -17,7 +17,6 @@ both the product and the multiset of conjugacy classes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import diagram as diagram_mod
@@ -26,6 +25,7 @@ from . import roots as roots_mod
 from .diagram import CoxeterSystem
 from .errors import InvariantViolation, ResourceLimitError
 from .group import GroupElement
+from .record import Record
 from .roots import Root
 
 __all__ = [
@@ -189,19 +189,29 @@ def reflection_length(
 
 # ------------------------------------------------------------- factorizations
 
-@dataclass(frozen=True)
-class ReflectionFactorization:
+_PRODUCT_MISMATCH = "factors do not multiply to the stated product"
+
+
+class ReflectionFactorization(Record, frozen=True):
     """A tuple of reflections with their verified product."""
 
     factors: tuple[Reflection, ...]
     product: GroupElement
 
-    def __post_init__(self):
-        acc = group_mod.identity(self.product.system)
-        for t in self.factors:
+    def __init__(self, factors: tuple[Reflection, ...], product: GroupElement) -> None:
+        super().__init__(factors, product)
+        acc = group_mod.identity(product.system)
+        for t in factors:
             acc = group_mod.multiply(acc, t.element)
-        if acc.key != self.product.key:
-            raise InvariantViolation("factors do not multiply to the stated product")
+        if acc.key != product.key:
+            raise InvariantViolation(_PRODUCT_MISMATCH)
+
+    @classmethod
+    def _proved(cls, factors: tuple[Reflection, ...], product: GroupElement) -> ReflectionFactorization:
+        """A factorization whose product the caller has already checked."""
+        fact = cls.__new__(cls)
+        Record.__init__(fact, factors, product)
+        return fact
 
     @property
     def key(self):
@@ -278,7 +288,11 @@ def hurwitz_move(
     slot: int,
     direction: str = "forward",
 ) -> ReflectionFactorization:
-    """One Hurwitz move at 1-based slot i (acting on factors i, i+1)."""
+    """One Hurwitz move at 1-based slot i (acting on factors i, i+1).
+
+    The other factors are kept and fact's product was checked when it
+    was built, so the move checks only that the new pair multiplies to
+    the old one: t u = (t u t) t forward, u (u t u) backward."""
     k = len(fact.factors)
     if not (1 <= slot <= k - 1):
         raise ValueError(f"slot must be in 1..{k - 1}")
@@ -291,8 +305,11 @@ def hurwitz_move(
         new_pair = (_conjugate_reflection(sys_, t, u), t)
     else:
         new_pair = (u, _conjugate_reflection(sys_, u, t))
+    a, b = new_pair
+    if group_mod.multiply(a.element, b.element).key != group_mod.multiply(t.element, u.element).key:
+        raise InvariantViolation(_PRODUCT_MISMATCH)
     factors = fact.factors[:i] + new_pair + fact.factors[i + 2 :]
-    return ReflectionFactorization(factors, fact.product)
+    return ReflectionFactorization._proved(factors, fact.product)
 
 
 def hurwitz_orbit(

@@ -21,8 +21,8 @@ when the entries agree the column test decides, so the answer stays
 exact. Both tests are integer operations on the keys, through operators
 of b that are built once and cached on it; a sweep passes c as b.
 
-Report text is deterministic: timings live on the dataclasses but are
-never printed. Machine lines use the format
+Report text is deterministic: timings live on the report records but
+are never printed. Machine lines use the format
 
     g=<word> k=<int> status=<ok|not-power>
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from math import ceil
 from typing import Sequence
 
@@ -47,6 +46,7 @@ from . import roots as roots_mod
 from .diagram import CoxeterSystem
 from .errors import InvariantViolation
 from .group import GroupElement
+from .record import Record
 
 __all__ = [
     "BetaTrace",
@@ -85,10 +85,9 @@ def commutes(a: GroupElement, b: GroupElement) -> bool:
     """
     if a.system != b.system:
         raise ValueError("elements of different systems cannot be compared")
-    d = group_mod._ring(a.system).degree
+    columns, _, row0, d = group_mod._operators(b)
     nd = a.system.rank * d
     key = a.key
-    columns, _, row0 = group_mod._operators(b)
     # entry (0,0): sum_k a_0k b_k0 against sum_k b_0k a_k0
     if group_mod._dot(columns[0], key, nd, d) != group_mod._dot(row0, key, d, d):
         return False
@@ -104,8 +103,7 @@ def _canonical_word(g: GroupElement) -> str:
 
 # ------------------------------------------------------------------- reports
 
-@dataclass(frozen=True)
-class CentralizerEntry:
+class CentralizerEntry(Record, frozen=True):
     word: str
     k: int
     status: str
@@ -115,8 +113,7 @@ class CentralizerEntry:
         return f"g={self.word} k={self.k} status={self.status}"
 
 
-@dataclass
-class CentralizerReport:
+class CentralizerReport(Record):
     mode: str
     coxeter_word: str
     entries: tuple[CentralizerEntry, ...]
@@ -254,8 +251,7 @@ def _centralizer_entries(elements, c: GroupElement, powers: dict) -> list[Centra
 
 # ---------------------------------------------------------------- beta trace
 
-@dataclass(frozen=True)
-class BetaTraceEntry:
+class BetaTraceEntry(Record, frozen=True):
     index: int
     m: int | None
     j: int | None
@@ -266,8 +262,7 @@ class BetaTraceEntry:
         return f"beta_{self.index}: m={self.m} j={self.j}"
 
 
-@dataclass
-class BetaTrace:
+class BetaTrace(Record):
     entries: tuple[BetaTraceEntry, ...]
     window: int
     complete: bool
@@ -333,8 +328,7 @@ def beta_trace(
 
 # ------------------------------------------------------------ worked example
 
-@dataclass(frozen=True)
-class ExampleClause:
+class ExampleClause(Record, frozen=True):
     name: str
     ok: bool
     detail: str
@@ -344,8 +338,7 @@ class ExampleClause:
         return f"clause ({self.name}): {self.detail} {tail}"
 
 
-@dataclass
-class ExampleReport:
+class ExampleReport(Record):
     clauses: tuple[ExampleClause, ...]
 
     @property

@@ -5,6 +5,7 @@ formatting, or enumeration order is a regression, not a cosmetic
 change.
 """
 
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -269,6 +270,23 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "finite\n"
+
+
+def test_cli_import_leaves_out_slow_modules():
+    # start-up cost of every query: dataclasses pulls in inspect and runs
+    # exec per class, and importlib.resources is needed only by the corpus
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, coxkit.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "coxkit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "importlib.resources"}
 
 
 @pytest.mark.parametrize(

@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit.errors import FieldMismatchError
-from coxkit.field import Field, FieldElement, create
+from coxkit.field import Field, FieldElement, _theta_min_poly, create
 
 
 # ---------------------------------------------------------------- oracles
@@ -129,6 +130,81 @@ def test_theta_is_root():
     for n in list(range(1, 13)) + [30]:
         f = create(n)
         assert f.from_int_coeffs(f.minpoly).is_zero()
+
+
+# ------------------------------------------- reference: the rational route
+# The minimal polynomial as a factor of D_N(x) + 2 (squarefree part by a
+# rational gcd, then the factors of the proper divisors of N divided
+# out) and the Sturm bisection in Fractions: the field's set-up before
+# it moved to cyclotomic division and integer Sturm evaluation.
+
+def ref_divmod(a, b):
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        q[len(a) - len(b)] = c
+        for i, y in enumerate(b):
+            a[len(a) - len(b) + i] -= c * y
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def ref_deriv(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+@lru_cache(maxsize=None)
+def ref_min_poly(n):
+    if n <= 2:
+        return (2, 1) if n == 1 else (0, 1)
+    p = oracle_dickson(n)
+    p[0] += 2
+    g, h = p, ref_deriv(p)
+    while h:
+        g, h = h, ref_divmod(g, h)[1]
+    sf = ref_divmod(p, g)[0]
+    sf = [c / sf[-1] for c in sf]
+    for d in range(1, n):
+        if n % d == 0:
+            q, r = ref_divmod(sf, ref_min_poly(d))
+            if not r:
+                sf = q
+    assert all(c.denominator == 1 for c in sf)
+    return tuple(int(c) for c in sf)
+
+
+def ref_enclosure(minpoly):
+    if len(minpoly) == 2:
+        r = Fraction(-minpoly[0])
+        return r, r
+    chain = [[Fraction(c) for c in minpoly], ref_deriv(minpoly)]
+    while True:
+        rem = ref_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def variations(x):
+        signs = [v > 0 for v in (oracle_eval(p, x) for p in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    lo, hi = Fraction(-2), Fraction(2)
+    while variations(lo) - variations(hi) > 1:
+        mid = (lo + hi) / 2
+        if variations(mid) - variations(hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def test_min_poly_and_enclosure_match_rational_reference():
+    for n in range(1, 91):
+        assert _theta_min_poly(n) == ref_min_poly(n), n
+        assert Field(n).enclosure() == ref_enclosure(ref_min_poly(n)), n
 
 
 # ----------------------------------------------------------------- enclosure

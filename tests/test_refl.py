@@ -10,7 +10,7 @@ from importlib import resources
 import pytest
 
 from coxkit import cli, corpus, diagram, refl, roots, verify
-from coxkit.errors import ResourceLimitError
+from coxkit.errors import InvariantViolation, ResourceLimitError
 from coxkit.group import (
     from_word,
     generator,
@@ -251,7 +251,6 @@ def test_factorization_guardrail_and_validation():
     # scope mismatch must fail loudly
     with pytest.raises(ValueError):
         reduced_factorizations(b4, w0, gens=(1, 2))
-    from coxkit.errors import InvariantViolation
     a2 = corpus.load("a2")
     refs = reflections_of(a2)
     with pytest.raises(InvariantViolation):
@@ -274,6 +273,23 @@ def test_hurwitz_move_roundtrip():
         hurwitz_move(f, 0)
     with pytest.raises(ValueError):
         hurwitz_move(f, 1, "sideways")
+
+
+def test_hurwitz_move_checks_the_new_pair(monkeypatch):
+    # a move builds its result without multiplying out all factors; a
+    # wrong conjugate must still be caught by the check on the pair
+    b4 = diagram.parse_system(corpus.read_text("b4"))
+    c = from_word(b4, (1, 2, 3, 4))
+    f = reduced_factorizations(b4, c)[0]
+    for slot in (1, 2, 3):
+        for direction in ("forward", "backward"):
+            g = hurwitz_move(f, slot, direction)
+            assert g == ReflectionFactorization(g.factors, g.product)
+    monkeypatch.setattr(refl, "_conjugate_reflection", lambda sys_, a, b: a)
+    for slot in (1, 2, 3):
+        for direction in ("forward", "backward"):
+            with pytest.raises(InvariantViolation, match="do not multiply to the stated product"):
+                hurwitz_move(f, slot, direction)
 
 
 def test_hurwitz_orbit_is_all_reduced_factorizations():
