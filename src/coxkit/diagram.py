@@ -33,8 +33,8 @@ Nothing is evicted; the cache lives as long as the system does.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from . import field as field_mod
 from .errors import DiagramParseError

@@ -23,10 +23,10 @@ arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError, InvariantViolation
 
@@ -317,6 +317,25 @@ class Field:
             while self._enc[1] - self._enc[0] >= width:
                 self._bisect_once()
         return self.enclosure()
+
+    def dyadic_enclosure(self, k: int) -> tuple[int, int]:
+        """Integers lo, hi with lo / 2^k <= theta <= hi / 2^k and hi - lo <= 2,
+        bisected in integers from the current enclosure."""
+        lo, hi = self._enc
+        # the enclosure is dyadic: exact at the finer of 2^k and its own scale
+        big = max(k, lo.denominator.bit_length() - 1, hi.denominator.bit_length() - 1)
+        num_lo = lo.numerator << big >> (lo.denominator.bit_length() - 1)
+        num_hi = hi.numerator << big >> (hi.denominator.bit_length() - 1)
+        if self.degree > 1:
+            # the minimal polynomial is < 0 at num_lo and > 0 at num_hi
+            while num_hi - num_lo > 1:
+                mid = (num_lo + num_hi) // 2
+                if _scaled_value(self.minpoly, mid, big) > 0:
+                    num_hi = mid
+                else:
+                    num_lo = mid
+        shift = big - k
+        return num_lo >> shift, -(-num_hi >> shift)
 
     def _bisect_once(self) -> None:
         lo, hi = self._enc

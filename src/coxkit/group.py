@@ -22,55 +22,74 @@ entry the d' coefficients of that entry over Z[theta'], n*n*d' ints in
 all. Generator steps are integer column operations precomputed per
 system (_steps); a product turns each entry of its right factor into
 one such operation (_entry_ops); a commutation test with a fixed right
-operand, c in a sweep, caches those and the theta'-multiples of its
-columns on it (_operators). None of them creates a FieldElement.
+operand, c in a sweep, caches those, the theta'-multiples of its
+columns and its commutator weights on it (_operators). None of them
+creates a FieldElement.
 
 The ring (_ring) is built once per system, on first use. Keys and
 field columns meet in two places only: the cols attribute, a
 FieldElement view of the key built on first use and cached on the
 element, embeds each entry into Q(theta) for the layers that compute
 in the field, and _flatten projects field columns back to a key,
-rejecting an entry outside Z[theta']. _descent embeds the one entry
-whose sign it needs and decides it in Q(theta), so it shares the
-field's sign cache with those layers.
+rejecting an entry outside Z[theta']. Signs of entries stay in the
+ring: _Ring.sign bounds sum_k b_k theta'^k between two integers, from
+a 64-bit fixed-point enclosure of the powers theta'^k built on the
+first sign asked for, and asks the exact FieldElement.sign of Q(theta')
+only when that interval contains 0. _descent and the walk decide every
+sign this way.
 
 A root is a column: cols[j] is the root w(e_{j+1}), so the root layer
 reads roots off these matrices and unit vectors off identity(), instead
 of building either by hand. A root's coordinates are all >= 0 or all
 <= 0, so its sign is the sign of its first nonzero coordinate
-(_root_sign; Humphreys, Reflection Groups and Coxeter Groups, 5.4).
+(_Ring.root_sign; Humphreys, Reflection Groups and Coxeter Groups, 5.4).
 
 Lengths come from the greedy descent walk: s is a right descent of w
 exactly when w maps e_s to a negative root, and stripping descents
 lowers the length by one each time, so the walk both measures the
 length and emits a canonical reduced word (least descent first).
 
+The centralizer sweeps hold no ball: walk() visits each element of a
+ball, or of the whole group, once, depth-first over the canonical-word
+tree. The parent of y is y*s for s its least right descent, so x*s is
+a child of x when s is an ascent of x and no t < s is a right descent
+of x*s, and the path from the identity spells the canonical reduced
+word. The walk keeps a stack of at most n keys per level with their
+descent masks, O(n R) keys in all. A step x -> x*s negates column s,
+leaves every column not adjacent to s in the diagram as it was, and
+adds a positive multiple of the positive column s to the adjacent
+ones; a positive column stays positive, so only adjacent columns that
+were negative have their signs decided again.
+
 Every breadth-first search in the package runs through closure(): balls
-and whole-group enumerations here, and Hurwitz orbits, subgroup
-closures, root orbits and the conjugacy-graph spanning tree elsewhere.
-It dedups by key, checks the cap before each insert and records one
-parent link per member, so callers derive distances and tree paths from
-the links instead of running their own loop. Balls step only ascents.
-A step x*s = y from layer L lands in layer L+1, so s is a right descent
-of y; the ball's step function records that bit when it takes the step
-and skips the recorded descents when it expands y. The identity has
-none, and every descent s of y is recorded while layer L is expanded,
-because y*s lies there with s as an ascent; so each skipped step would
-only have reached an existing member, and the members, their order and
+and whole-group enumerations here, kept for the callers that need a
+ball as a set (essentiality probes, ball-truncated reflection lists,
+parabolic matching), and Hurwitz orbits, subgroup closures, root orbits
+and the conjugacy-graph spanning tree elsewhere. It dedups by key,
+checks the cap before each insert and records one parent link per
+member, so callers derive distances and tree paths from the links
+instead of running their own loop. Balls step only ascents. A step
+x*s = y from layer L lands in layer L+1, so s is a right descent of y;
+the ball's step function records that bit when it takes the step and
+skips the recorded descents when it expands y. The identity has none,
+and every descent s of y is recorded while layer L is expanded, because
+y*s lies there with s as an ascent; so each skipped step would only
+have reached an existing member, and the members, their order and
 their parent links are those of stepping every generator, from half the
 steps in a finite group (w -> w*w0 swaps ascents and descents). Each
 record is dropped when its element is expanded, so the records span at
-most two layers. Reflection length needs no
+most two layers. The BFS order is shortlex: by length, then by the
+lexicographically least reduced word. Reflection length needs no
 search: it is the rank of w - 1 (Carter), which refl reads off the
 matrix. Derived values are cached per system through CoxeterSystem.memo.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import add, attrgetter, mul
-from typing import Callable, Hashable, Iterable, Sequence
 
 from . import field as field_mod
 from .diagram import INFINITY, CoxeterSystem
@@ -98,10 +117,14 @@ __all__ = [
     "parse_word",
     "power",
     "power_window",
+    "walk",
     "word_str",
 ]
 
 DEFAULT_BALL_CAP = 5_000_000
+
+# fixed-point precision of _Ring.sign
+_BITS = 64
 
 Key = tuple
 Vector = tuple[FieldElement, ...]
@@ -204,10 +227,12 @@ class _Ring:
     entry of every group element lies in Z[theta'], a subring of Z[theta]
     of degree d' = field.degree. basis holds the rows of the d x d'
     integer embedding E, whose column k is theta'^k over the power basis
-    of sys_.field; _inv / _den is an exact left inverse of E.
+    of sys_.field; _inv / _den is an exact left inverse of E. Signs are
+    decided in integers against _lo[k] / 2^_BITS <= theta'^k <= _hi[k] / 2^_BITS,
+    built on the first sign asked for.
     """
 
-    __slots__ = ("field", "degree", "basis", "_inv", "_den")
+    __slots__ = ("field", "degree", "basis", "_inv", "_den", "_lo", "_hi")
 
     def __init__(self, sys_: CoxeterSystem) -> None:
         n_ring = 1
@@ -239,6 +264,7 @@ class _Ring:
         inv = [row[d_ring:] for row in rows[:d_ring]]
         self._den = lcm(*(x.denominator for row in inv for x in row))
         self._inv = tuple(tuple(int(x * self._den) for x in row) for row in inv)
+        self._lo = self._hi = None
 
     def embed(self, block: Sequence[int]) -> tuple[int, ...]:
         """The coefficients over sys_.field of an element of Z[theta']."""
@@ -252,6 +278,49 @@ class _Ring:
             return None
         x = [v // self._den for v in x]
         return x if self.embed(x) == tuple(num) else None
+
+    def sign(self, block: Sequence[int]) -> int:
+        """The exact sign of the element of Z[theta'] with coefficients block.
+
+        The fixed-point enclosure of the powers theta'^k bounds the value
+        by two integers; only when their interval contains 0 does
+        FieldElement.sign decide.
+        """
+        if self._lo is None:
+            self._enclose()
+        lo = hi = 0
+        for x, a, b in zip(block, self._lo, self._hi):
+            if x > 0:
+                lo += x * a
+                hi += x * b
+            elif x:
+                lo += x * b
+                hi += x * a
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        return FieldElement(self.field, tuple(block), 1).sign()
+
+    def root_sign(self, col: Sequence[int]) -> int:
+        """The sign of a root given as a flat column: that of its first
+        nonzero entry, as a root has all entries >= 0 or all <= 0;
+        callers that must reject non-roots use roots.make_root."""
+        d = self.degree
+        for a in range(0, len(col), d):
+            block = col[a:a + d]
+            if any(block):
+                return self.sign(block)
+        return 0
+
+    def _enclose(self) -> None:
+        # theta' >= 2cos(pi/4) > 0 when d' > 1, so the powers of the ends
+        # of an enclosure of theta' enclose its powers; 16 guard bits
+        # absorb the growth of the enclosure's width with k
+        k = _BITS + 16
+        lo, hi = self.field.dyadic_enclosure(k)
+        self._lo = tuple(lo ** e << _BITS >> k * e for e in range(self.degree))
+        self._hi = tuple(-(-(hi ** e) << _BITS >> k * e) for e in range(self.degree))
 
 
 def _ring(sys_: CoxeterSystem) -> _Ring:
@@ -354,8 +423,14 @@ def _entry_ops(w: GroupElement) -> list[list[tuple[int, object]]]:
 def _operators(w: GroupElement) -> tuple:
     """The operators of w as the fixed factor of many products, built on
     first use and cached on w: its _entry_ops, per flat index i*d + k
-    the flat column theta^k w(e_i), the pairs (k, op) over the nonzero
-    entries w_0k of its row 0, and the ring degree d."""
+    the flat column theta^k w(e_i), the commutator weights of w, and
+    the ring degree d.
+
+    g -> key(gw - wg) is linear over Z in key(g), say M key(g); the
+    weights are M^T r for a fixed integer vector r, so the dot product
+    of the weights with key(g) is r . key(gw - wg), 0 whenever g
+    commutes with w.
+    """
     if w._ops is None:
         sys_ = w.system
         d = _ring(sys_).degree
@@ -369,26 +444,31 @@ def _operators(w: GroupElement) -> tuple:
             for _ in range(d - 1):
                 col = _scaled(theta, col, d)
                 thetas.append(col)
-        row0 = [(k, _op(sys_, key[a:a + d])) for k, a in enumerate(range(0, len(key), nd))
-                if any(key[a:a + d])]
-        w._ops = (_entry_ops(w), thetas, row0, d)
+        entries = _entry_ops(w)
+        # r from a fixed-seed LCG; any r is exact, a generic one rarely
+        # lies orthogonal to a nonzero key(gw - wg)
+        r, x = [], 1
+        for _ in range(len(key)):
+            x = (x * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+            r.append((x >> 32) - (1 << 31))
+        # g = the unit key at column j, row i, power k: key(gw) has
+        # w_jq theta^k in row i of each column q, key(wg) has the flat
+        # column theta^k w(e_i) as its column j
+        weights = []
+        for j in range(sys_.rank):
+            r_j = r[j * nd:(j + 1) * nd]
+            ops = [(q, op) for q, col in enumerate(entries) for p, op in col if p == j]
+            for i in range(sys_.rank):
+                for k in range(d):
+                    unit = [0] * d
+                    unit[k] = 1
+                    v = -sum(map(mul, r_j, thetas[i * d + k]))
+                    for q, op in ops:
+                        a = q * nd + i * d
+                        v += sum(map(mul, r[a:a + d], _scaled(op, unit, d)))
+                    weights.append(v)
+        w._ops = (entries, thetas, tuple(weights), d)
     return w._ops
-
-
-def _dot(pairs: list[tuple[int, object]], key: Key, stride: int, d: int):
-    """The sum over the pairs (i, op) of op times the entry of key at
-    flat index i*stride: one entry of a product, given the operators of
-    one factor along a row or column (nonempty, as in any invertible
-    matrix) and the stride of the other's matching column (d) or row
-    (n*d). Its coefficient list, or the entry itself when d = 1."""
-    if d == 1:
-        return sum([op * key[i * stride] for i, op in pairs])
-    acc = None
-    for i, op in pairs:
-        block = key[i * stride:i * stride + d]
-        term = [op * y for y in block] if op.__class__ is int else [sum(map(mul, row, block)) for row in op]
-        acc = term if acc is None else list(map(add, acc, term))
-    return acc
 
 
 def _product_column(a: GroupElement, entries: list[tuple[int, object]]) -> list[int]:
@@ -462,36 +542,18 @@ def coxeter_element(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> G
 
 # ------------------------------------------------------------ length, descent
 
-def _root_sign(col: Sequence[FieldElement]) -> int:
-    """Sign of a root: the sign of its first nonzero coordinate.
-
-    A root has all coordinates >= 0 or all <= 0, so the first nonzero one
-    decides; callers that must reject non-roots use roots.make_root.
-    """
-    for e in col:
-        if not e.is_zero():
-            return e.sign()
-    return 0
-
-
 def _descent(w: GroupElement) -> int | None:
     """Least right descent of w, or None for the identity.
 
     s is a right descent exactly when column s, the root w(e_s), is
     negative: when its first nonzero entry is.
     """
-    f = w.system.field
     ring = _ring(w.system)
-    d = ring.degree
-    nd = w.system.rank * d
+    nd = w.system.rank * ring.degree
     key = w.key
     for s0 in range(w.system.rank):
-        for a in range(s0 * nd, (s0 + 1) * nd, d):
-            block = key[a:a + d]
-            if any(block):
-                if FieldElement(f, ring.embed(block), 1).sign() < 0:
-                    return s0 + 1
-                break
+        if ring.root_sign(key[s0 * nd:(s0 + 1) * nd]) < 0:
+            return s0 + 1
     return None
 
 
@@ -674,6 +736,91 @@ def enumerate_group(
     cap and raises ResourceLimitError.
     """
     return _cached_ball(sys_, gens, None, cap)
+
+
+# ------------------------------------------------------------------- the walk
+
+def _is_child(descents: int, s0: int) -> bool:
+    """Whether generator s0 (0-based), a right descent of y, is its least
+    one: no bit below s0 is set in the descent mask of y."""
+    return not descents & ((1 << s0) - 1)
+
+
+def _still_negative(ring: _Ring, col: Sequence[int]) -> bool:
+    """Whether a column that was negative before a step adjacent to it
+    still is; the step changed it, so its sign is decided again."""
+    return ring.root_sign(col) < 0
+
+
+def walk(
+    sys_: CoxeterSystem,
+    radius: int | None = None,
+    cap: int | None = None,
+) -> Iterator[GroupElement]:
+    """Every element of length <= radius, or of the whole group when
+    radius is None, once each, carrying its canonical reduced word.
+
+    The walk runs depth-first over the canonical-word tree, in which
+    the parent of y is y*s for s the least right descent of y; the path
+    from the identity spells the word length_and_reduced returns. The
+    order is the walk's own, not the ball's. Visiting more than cap
+    elements (DEFAULT_BALL_CAP when None) raises ResourceLimitError
+    naming the depth and the count reached.
+    """
+    if radius is not None and radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if cap is None:
+        cap = DEFAULT_BALL_CAP
+    ring = _ring(sys_)
+    d, steps = _steps(sys_)
+    n = sys_.rank
+    nd = n * d
+    # per generator: the mask of columns a step leaves alone, whose signs
+    # it inherits, and its column operations
+    rules = []
+    for s0, row in enumerate(steps):
+        touched = 1 << s0
+        for j, _ in row:
+            touched |= 1 << j
+        rules.append((s0, 1 << s0, ~touched, row))
+    stack = [(identity(sys_).key, 0, ())]
+    count = deepest = 0
+    while stack:
+        key, descents, word = stack.pop()
+        if count >= cap:
+            raise ResourceLimitError(
+                f"ball enumeration exceeded the cap of {cap} elements"
+                f" (reached depth {deepest} after {count} elements)"
+            )
+        count += 1
+        depth = len(word)
+        if depth > deepest:
+            deepest = depth
+        yield GroupElement(sys_, key, word)
+        if depth == radius:
+            continue
+        for s0, bit, keep, row in rules:
+            # x*s is a child of x when s is an ascent of x and no t < s
+            # is a descent of x*s; columns away from s keep their signs
+            if descents & bit or not _is_child(descents & keep, s0):
+                continue
+            lo = s0 * nd
+            col_s = key[lo:lo + nd]
+            out = list(key)
+            mask = descents & keep | bit
+            for j, op in row:
+                a = j * nd
+                col = list(map(add, key[a:a + nd], col_s if op == 1 else _scaled(op, col_s, d)))
+                out[a:a + nd] = col
+                # a positive column plus a positive multiple of the
+                # positive column s stays positive
+                if descents >> j & 1 and _still_negative(ring, col):
+                    mask |= 1 << j
+                    if not _is_child(mask, s0):
+                        break
+            else:
+                out[lo:lo + nd] = [-y for y in col_s]
+                stack.append((tuple(out), mask, word + (s0 + 1,)))
 
 
 # ------------------------------------------------------------- power probes

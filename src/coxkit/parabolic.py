@@ -17,7 +17,7 @@ by the loops of the component read through a spanning tree.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import diagram as diagram_mod
 from . import group as group_mod
@@ -90,10 +90,12 @@ def _ascend(sys_: CoxeterSystem, idx: tuple[int, ...]) -> GroupElement:
     if not is_spherical(sys_, idx):
         raise ValueError(f"parabolic {subset_str(idx)} is not spherical")
     bound = len(roots_mod.positive_roots(sys_, idx)) if idx else 0
+    ring = group_mod._ring(sys_)
+    nd = sys_.rank * ring.degree
     w = group_mod.identity(sys_)
     steps = 0
     while True:
-        ascent = next((s for s in idx if group_mod._root_sign(w.cols[s - 1]) > 0), None)
+        ascent = next((s for s in idx if ring.root_sign(w.key[(s - 1) * nd:s * nd]) > 0), None)
         if ascent is None:
             break
         w = group_mod._right_mul_gen(w, ascent)
@@ -378,12 +380,29 @@ def parabolic_closure_finite(
     for w in elements:
         if w.key not in members:
             raise InvariantViolation("closure does not contain an input element")
-    conjugator, standard = _match_standard(sys_, gens_t, members)
+    conjugator, standard = _match_standard(sys_, gens_t, members, chosen)
     return ParabolicClosure(members, conjugator, standard)
 
 
-def _match_standard(sys_, gens_t, members) -> tuple[GroupElement, frozenset[int]]:
+def _match_standard(sys_, gens_t, members, chosen) -> tuple[GroupElement, frozenset[int]]:
+    """The first scope element g, in enumeration order, and the first
+    subset J, by size then lexicographically, with g W_J g^{-1} equal to
+    the closure W' = members.
+
+    g s_j g^{-1} is the reflection in the root g(e_j), column j of g,
+    and the reflections of W', which fixes its common fixed space
+    pointwise, are exactly the chosen ones, whose roots lie in its moved
+    space. So g s_j g^{-1} lies in W' exactly when +-(column j of g) is
+    a chosen root; once it holds for all j in J, |W_J| = |W'| makes the
+    inclusion an equality.
+    """
     size = len(members)
+    nd = len(group_mod.identity(sys_).key) // sys_.rank
+    roots = set()
+    for t in chosen:
+        col = group_mod._flatten(sys_, [t.root.coords])
+        roots.add(col)
+        roots.add(tuple(-x for x in col))
     subsets: list[tuple[int, ...]] = [()]
     for s in gens_t:
         subsets += [sub + (s,) for sub in subsets]
@@ -394,12 +413,8 @@ def _match_standard(sys_, gens_t, members) -> tuple[GroupElement, frozenset[int]
     scope_elements = group_mod.enumerate_group(sys_, gens=gens_t).elements()
     for sub in candidates:
         for g in scope_elements:
-            ginv = group_mod.inverse(g)
-            if all(
-                group_mod.multiply(group_mod.multiply(g, group_mod.generator(sys_, j)), ginv).key
-                in members
-                for j in sub
-            ):
+            key = g.key
+            if all(key[(j - 1) * nd:j * nd] in roots for j in sub):
                 return group_mod.canonical(g), frozenset(sub)
     raise InvariantViolation("closure is not conjugate to any standard parabolic")
 

@@ -17,7 +17,7 @@ both the product and the multiset of conjugacy classes.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import diagram as diagram_mod
 from . import group as group_mod

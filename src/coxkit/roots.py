@@ -15,8 +15,8 @@ checked over a finite window here.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from . import group as group_mod
 from .diagram import CoxeterSystem

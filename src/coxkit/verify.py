@@ -6,20 +6,24 @@ by exhaustive enumeration. Infinite ones get a bounded certificate: a
 sweep of a Cayley ball that either confirms every centralizing element
 in range is a power of c, or surfaces the offender. Bounded sweeps are
 inconclusive beyond their radius by design and the reports say so.
+Both sweeps stream group.walk, which holds O(n R) keys at depth R
+instead of the ball, and test each element once through the module's commutes;
+the few commuting ones are sorted into the ball's order, by length
+and then by lexicographically least reduced word, and print their
+canonical reduced words, which the walk carries.
 
 Commutation is tested one column at a time: column j of ab is a(b e_j)
 and column j of ba is b(a e_j), both one matrix-vector product on a
 column that already exists, and the test stops at the first column
-that differs. It forms no product and no key, and most elements of a
-sweep fail on the first column, so the commute stage costs about two
-matrix-vector products per element instead of two matrix products.
-Before the columns, a prefilter compares the single entry (0,0) of ab
-and ba, row 0 of a against column 0 of b and row 0 of b against
-column 0 of a: 2n ring operations instead of about 2n^2. Most elements
-of a sweep already differ there (12,540 of h4's 14,400 against c);
-when the entries agree the column test decides, so the answer stays
-exact. Both tests are integer operations on the keys, through operators
-of b that are built once and cached on it; a sweep passes c as b.
+that differs. It forms no product and no key. Before the columns, a
+linear filter: g -> key(gb - bg) is linear over Z, so for a fixed
+integer vector r the map g -> r . key(gb - bg) is one dot product of
+key(g) with a weight vector of b, n^2 d' integer products. It is 0 for
+every g that commutes with b, so a nonzero value rejects g exactly; a
+zero leaves the column test to decide. In the corpus sweeps every
+element that passes the filter commutes. Both tests are integer
+operations on the keys, through operators of b that are built once and
+cached on it; a sweep passes c as b.
 
 Report text is deterministic: timings live on the report records but
 are never printed. Machine lines use the format
@@ -34,8 +38,9 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Sequence
 from math import ceil
-from typing import Sequence
+from operator import mul
 
 from . import corpus as corpus_mod
 from . import diagram as diagram_mod
@@ -77,28 +82,24 @@ def commutes(a: GroupElement, b: GroupElement) -> bool:
 
     Column j of ab is a(b e_j) and column j of ba is b(a e_j), so the two
     products are equal exactly when every pair of columns is; the test
-    returns False at the first pair that differs. A prefilter first
-    compares entry (0,0), sum_k a_0k b_k0 against sum_k b_0k a_k0, and
-    returns False when they differ; when they agree the columns decide.
-    Both sides use operators of b cached on b, so a caller testing many
+    returns False at the first pair that differs. A linear filter comes
+    first: the dot product of key(a) with the commutator weights of b
+    is r . key(ab - ba) for a fixed integer vector r, so a nonzero one
+    returns False, and a zero one leaves the columns to decide. Both
+    tests use operators of b cached on b, so a caller testing many
     elements against one passes that one as b.
     """
     if a.system != b.system:
         raise ValueError("elements of different systems cannot be compared")
-    columns, _, row0, d = group_mod._operators(b)
-    nd = a.system.rank * d
+    columns, _, weights, d = group_mod._operators(b)
     key = a.key
-    # entry (0,0): sum_k a_0k b_k0 against sum_k b_0k a_k0
-    if group_mod._dot(columns[0], key, nd, d) != group_mod._dot(row0, key, d, d):
+    if sum(map(mul, weights, key)):
         return False
+    nd = a.system.rank * d
     return all(
         group_mod._product_column(a, entries) == group_mod._image(b, key[j * nd:(j + 1) * nd])
         for j, entries in enumerate(columns)
     )
-
-
-def _canonical_word(g: GroupElement) -> str:
-    return group_mod.word_str(group_mod.length_and_reduced(g)[1])
 
 
 # ------------------------------------------------------------------- reports
@@ -173,11 +174,11 @@ def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> Cen
     t0 = time.perf_counter()
     _require(sys_, True, "exhaustive verification needs a finite system")
     c = group_mod.coxeter_element(sys_, perm)
-    members = group_mod.enumerate_group(sys_).elements()
-    order = group_mod.order_upto(c, len(members))
+    size, found = _sweep(sys_, c, None)
+    order = group_mod.order_upto(c, size)
     if order is None:
         raise InvariantViolation("coxeter element order exceeds the group size")
-    entries = _centralizer_entries(members, c, group_mod.power_window(c, order - 1, signed=False))
+    entries = _centralizer_entries(found, group_mod.power_window(c, order - 1, signed=False))
     consistent = (
         all(e.status == "ok" for e in entries) and len(entries) == order
     )
@@ -186,7 +187,7 @@ def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> Cen
         coxeter_word=group_mod.word_str(c.word),
         entries=tuple(entries),
         theorem_consistent=consistent,
-        group_size=len(members),
+        group_size=size,
         coxeter_order=order,
         elapsed=time.perf_counter() - t0,
     )
@@ -220,8 +221,8 @@ def verify_ball(
     if power_bound is not None:
         bound = max(power_bound, bound)
     powers = group_mod.power_window(c, bound)
-    sphere = group_mod.ball(sys_, radius)
-    entries = _centralizer_entries(sphere.elements(), c, powers)
+    size, found = _sweep(sys_, c, radius)
+    entries = _centralizer_entries(found, powers)
     consistent = all(e.status == "ok" for e in entries)
     return CentralizerReport(
         mode="ball",
@@ -230,22 +231,44 @@ def verify_ball(
         theorem_consistent=consistent,
         radius=radius,
         power_bound=bound,
-        ball_size=len(sphere),
+        ball_size=size,
         elapsed=time.perf_counter() - t0,
     )
 
 
-def _centralizer_entries(elements, c: GroupElement, powers: dict) -> list[CentralizerEntry]:
-    """One entry per element commuting with c, matched against a power window."""
+def _sweep(sys_: CoxeterSystem, c: GroupElement, radius: int | None) -> tuple[int, list[GroupElement]]:
+    """Walk the ball of the radius (the whole group when None), testing
+    each element against c once; the number of elements visited and the
+    commuting ones, in the ball's order."""
+    size = 0
+    found = []
+    for g in group_mod.walk(sys_, radius):
+        size += 1
+        if commutes(g, c):
+            found.append(g)
+    found.sort(key=_ball_order)
+    return size, found
+
+
+def _ball_order(g: GroupElement) -> tuple[int, tuple[int, ...]]:
+    """(length, lexicographically least reduced word), the order of the
+    BFS ball. That word strips the least left descent first: it is the
+    canonical word of g^-1, reversed."""
+    word = group_mod.length_and_reduced(group_mod.inverse(g))[1]
+    return len(word), word[::-1]
+
+
+def _centralizer_entries(found: list[GroupElement], powers: dict) -> list[CentralizerEntry]:
+    """One entry per commuting element, matched against a power window;
+    each walked element carries its canonical reduced word."""
     entries = []
-    for g in elements:
-        if not commutes(g, c):
-            continue
+    for g in found:
         hit = powers.get(g.key)
+        word = group_mod.word_str(g.word)
         if hit is None:
-            entries.append(CentralizerEntry(_canonical_word(g), 0, "not-power", g))
+            entries.append(CentralizerEntry(word, 0, "not-power", g))
         else:
-            entries.append(CentralizerEntry(_canonical_word(g), hit[0], "ok", g))
+            entries.append(CentralizerEntry(word, hit[0], "ok", g))
     return entries
 
 

@@ -289,6 +289,20 @@ def test_cli_import_leaves_out_slow_modules():
     assert not loaded & {"dataclasses", "inspect", "importlib.resources"}
 
 
+def test_cli_import_leaves_out_typing():
+    # annotations are never evaluated, so collections.abc, already loaded
+    # on the import path, supplies the names
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import coxkit.cli, sys; assert 'typing' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize(
     "demo", ["01_classify", "02_centralizers", "03_hurwitz", "04_parabolic", "05_affine_d4"]
 )

@@ -377,6 +377,65 @@ def test_closure_equals_closure_of_reflection_factors(name):
             assert set(via.members) == base
 
 
+def _first_conjugator_by_products(sys_, gens, members):
+    """The match as a scan of products: the first subset J, then the first
+    scope element g, with g s_j g^-1 in the closure for every j in J."""
+    subsets = [()]
+    for s in gens:
+        subsets += [sub + (s,) for sub in subsets]
+    subsets.sort(key=lambda t: (len(t), t))
+    scope = group.enumerate_group(sys_, gens=gens).elements()
+    for sub in subsets:
+        if len(group.enumerate_group(sys_, gens=sub)) != len(members):
+            continue
+        for g in scope:
+            gi = group.inverse(g)
+            if all(
+                group.multiply(group.multiply(g, group.generator(sys_, j)), gi).key in members
+                for j in sub
+            ):
+                return group.canonical(g).word, frozenset(sub)
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "h3", "i2_5"])
+def test_closure_match_by_roots_picks_the_first_conjugator(name):
+    sys_ = corpus.load(name)
+    gens = tuple(range(1, sys_.rank + 1))
+    for w in group.enumerate_group(sys_).elements()[::7]:
+        cl = parabolic.parabolic_closure_finite(sys_, [w])
+        expected = _first_conjugator_by_products(sys_, gens, cl.members)
+        assert (cl.conjugator.word, cl.standard) == expected, w
+
+
+def test_closure_match_forms_no_inverse_and_no_product(monkeypatch):
+    # f4, closure of s3: the scan over the subsets {1} and {2} used to
+    # invert every one of the 1,152 scope elements
+    f4 = corpus.load("f4")
+    inside, calls = [], []
+    match = parabolic._match_standard
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return match(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(parabolic, "_match_standard", flagged)
+    for name in ("inverse", "multiply"):
+        fn = getattr(group, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            if inside:
+                calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(group, name, counted)
+    cl = parabolic.parabolic_closure_finite(f4, [group.generator(f4, 3)])
+    assert cl.standard == frozenset({3}) and len(cl) == 2
+    assert calls == []
+
+
 def test_normalizer_in_rank_two_free_product():
     flat = diagram.CoxeterSystem([[1, 2], [2, 1]])
     lams = parabolic.normalizer_generators(flat, (1,))

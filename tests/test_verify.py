@@ -5,6 +5,9 @@ expected coxeter orders 3/4/6/10 and the infinite-dihedral centralizer
 {c^k} are frozen from independent hand computation.
 """
 
+from math import ceil
+from operator import mul
+
 import pytest
 
 from coxkit import corpus, diagram, group, roots, verify
@@ -106,6 +109,109 @@ def test_commutes_matches_product_definition(name):
     if name in ("f4", "d4t", "tri334"):
         assert first_column_ties > 0
     assert corner_ties > 0
+
+
+@pytest.mark.parametrize("name", ["f4", "d4t", "tri334"])
+def test_column_test_decides_when_the_filter_passes(name, monkeypatch):
+    # no sweep element passes the linear filter without commuting, so the
+    # column test behind it is checked here with every weight zeroed
+    operators = group._operators
+
+    def unfiltered(w):
+        columns, thetas, weights, d = operators(w)
+        return columns, thetas, (0,) * len(weights), d
+
+    monkeypatch.setattr(group, "_operators", unfiltered)
+    for a, b in _commute_pairs(name):
+        assert verify.commutes(a, b) == (group.multiply(a, b).key == group.multiply(b, a).key)
+
+
+@pytest.mark.parametrize("name", ["h3", "b4", "f4"])
+def test_linear_filter_never_rejects_a_commuting_element(name):
+    sys_ = corpus.load(name)
+    for b in (group.coxeter_element(sys_), group.generator(sys_, 1)):
+        weights = group._operators(b)[2]
+        commuting = rejected = 0
+        for g in group.walk(sys_):
+            exact = group.multiply(g, b).key == group.multiply(b, g).key
+            passes = not sum(map(mul, weights, g.key))
+            assert passes or not exact, g
+            assert verify.commutes(g, b) == exact
+            commuting += exact
+            rejected += not passes
+        # not vacuous: the filter does reject, and something commutes
+        assert commuting > 1 and rejected > 0
+
+
+def test_centralizer_count_exceeds_the_cyclic_group_for_non_coxeter_elements():
+    # negative control: s1 and c^2 have centralizers larger than the
+    # cyclic groups they generate, and the sweep's test must see that
+    h3 = corpus.load("h3")
+    c = group.coxeter_element(h3)
+    for b, expected in ((group.generator(h3, 1), 8), (group.multiply(c, c), 10)):
+        order = group.order_upto(b, 120)
+        found = [g for g in group.walk(h3) if verify.commutes(g, b)]
+        assert len(found) == expected > order
+        assert all(group.multiply(g, b).key == group.multiply(b, g).key for g in found)
+
+
+def _columns_commute(a, b):
+    """The column test of commutes alone, with no filter in front."""
+    columns, _, _, d = group._operators(b)
+    nd = a.system.rank * d
+    return all(
+        group._product_column(a, entries) == group._image(b, a.key[j * nd:(j + 1) * nd])
+        for j, entries in enumerate(columns)
+    )
+
+
+def _bfs_report(sys_, perm, radius):
+    """The sweep as it was before the walk, kept as the reference: the
+    memoized BFS ball or group in its order, each element tested by the
+    column test alone (checked against the product definition above),
+    words from the descent walk."""
+    c = group.coxeter_element(sys_, perm)
+    if radius is None:
+        elements = group.enumerate_group(sys_).elements()
+        order = group.order_upto(c, len(elements))
+        powers = group.power_window(c, order - 1, signed=False)
+    else:
+        bound = ceil(radius / group.length_and_reduced(c)[0]) + 1
+        powers = group.power_window(c, bound)
+        elements = group.ball(sys_, radius).elements()
+    entries = []
+    for g in elements:
+        if _columns_commute(g, c):
+            hit = powers.get(g.key)
+            word = group.word_str(group.length_and_reduced(g)[1])
+            entries.append(verify.CentralizerEntry(
+                word, hit[0] if hit else 0, "ok" if hit else "not-power", g
+            ))
+    consistent = all(e.status == "ok" for e in entries)
+    if radius is None:
+        return verify.CentralizerReport(
+            "finite-exhaustive", group.word_str(c.word), tuple(entries),
+            consistent and len(entries) == order, group_size=len(elements), coxeter_order=order,
+        )
+    return verify.CentralizerReport(
+        "ball", group.word_str(c.word), tuple(entries), consistent,
+        radius=radius, power_bound=bound, ball_size=len(elements),
+    )
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_streamed_sweep_matches_the_bfs_sweep(name):
+    sys_ = corpus.load(name)
+    finite = diagram.classify(sys_) == "finite"
+    for perm in (None, tuple(range(sys_.rank, 0, -1))):
+        if finite:
+            got = verify.verify_finite(sys_, perm=perm)
+            assert got.text_lines() == _bfs_report(sys_, perm, None).text_lines()
+            continue
+        base = verify.default_radius(sys_.rank)
+        for radius in (base, base + (2 if sys_.rank == 5 else 4)):
+            got = verify.verify_ball(sys_, radius=radius, perm=perm)
+            assert got.text_lines() == _bfs_report(sys_, perm, radius).text_lines()
 
 
 def test_commutes_rejects_mixed_systems():

@@ -1,0 +1,203 @@
+"""The depth-first walk of the canonical-word tree and its integer sign filter.
+
+Oracles: the growth series of perfbench/oracle.py (Steinberg's formula
+over the classical degrees, read from the diagram files by its own
+parser), the descent walk of length_and_reduced for the words, and the
+exact FieldElement.sign of the system's field for the signs.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from coxkit import corpus, field
+from coxkit import group as group_mod
+from coxkit.errors import ResourceLimitError
+from coxkit.field import FieldElement
+
+from test_group import _load_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# ------------------------------------------------------------ the sign filter
+
+def _field_sign(sys_, block):
+    ring = group_mod._ring(sys_)
+    return FieldElement(sys_.field, ring.embed(block), 1).sign()
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_ring_sign_matches_field_sign_on_random_blocks(name):
+    sys_ = corpus.load(name)
+    ring = group_mod._ring(sys_)
+    rng = random.Random(name)
+    for size in (3, 10**6, 10**30):
+        for _ in range(60):
+            block = [rng.randint(-size, size) for _ in range(ring.degree)]
+            assert ring.sign(block) == _field_sign(sys_, block), block
+    assert ring.sign([0] * ring.degree) == 0
+
+
+def _fibonacci_blocks(count):
+    # phi^-n over (1, phi): phi^-1 = phi - 1, and (a + b phi)(phi - 1) = (b - a) + a phi
+    a, b = 1, 0
+    for _ in range(count):
+        a, b = b - a, a
+        yield [a, b]
+
+
+def _pell_blocks(count):
+    # (sqrt2 - 1)^n over (1, sqrt2): (a + b sqrt2)(sqrt2 - 1) = (2b - a) + (a - b) sqrt2
+    a, b = 1, 0
+    for _ in range(count):
+        a, b = 2 * b - a, a - b
+        yield [a, b]
+
+
+@pytest.mark.parametrize(
+    "name,blocks",
+    [("h4", _fibonacci_blocks), ("b4", _pell_blocks), ("f4", _pell_blocks)],
+)
+def test_ring_sign_falls_back_to_the_exact_sign_near_zero(name, blocks, monkeypatch):
+    sys_ = corpus.load(name)
+    ring = group_mod._ring(sys_)
+    assert ring.degree == 2
+    exact = FieldElement.sign
+    fallbacks = []
+
+    def counted(self):
+        fallbacks.append(self)
+        return exact(self)
+
+    cases = [b for blk in blocks(120) for b in (blk, [-x for x in blk])]
+    monkeypatch.setattr(FieldElement, "sign", counted)
+    got = [ring.sign(b) for b in cases]
+    monkeypatch.setattr(FieldElement, "sign", exact)
+    # the values shrink like 1.6^-n or 2.4^-n while the coefficients grow,
+    # so the 64-bit enclosure decides the first few and not the rest
+    assert 0 < len(fallbacks) < len(cases)
+    assert got == [_field_sign(sys_, b) for b in cases]
+    assert got[:2] == [1, -1]
+
+
+def test_dyadic_enclosure_brackets_theta():
+    for n in range(1, 61):
+        f = field.create(n)
+        theta = 2 * math.cos(math.pi / n)
+        for k in (0, 3):
+            lo, hi = f.dyadic_enclosure(k)
+            assert hi - lo <= 2
+            if f.degree > 1:
+                assert lo / 2**k <= theta <= hi / 2**k
+        for k in (40, 80):
+            # fine enough to isolate theta, the largest root
+            lo, hi = f.dyadic_enclosure(k)
+            assert hi - lo <= 2
+            if f.degree > 1:
+                assert field._scaled_value(f.minpoly, lo, k) < 0 < field._scaled_value(f.minpoly, hi, k)
+            else:
+                assert lo == hi == -f.minpoly[0] << k
+
+
+# --------------------------------------------------------------------- the walk
+
+def _layers(sys_, radius, cap=None):
+    """Per-depth counts of the walk, and whether each word of length
+    <= 6 is the canonical reduced word of its element."""
+    counts: dict = {}
+    canonical = True
+    for g in group_mod.walk(sys_, radius, cap=cap):
+        counts[len(g.word)] = counts.get(len(g.word), 0) + 1
+        if len(g.word) <= 6:
+            canonical &= group_mod.length_and_reduced(g) == (len(g.word), g.word)
+    return [counts.get(k, 0) for k in range(max(counts) + 1)], canonical
+
+
+def _series(name, radius):
+    oracle = _load_oracle()
+    m = oracle.parse_cox(corpus.read_text(name))
+    if radius is None:
+        radius = sum(d - 1 for d in oracle.degrees(m))
+    return oracle.growth_series(m, radius)
+
+
+LAYER_CASES = [
+    ("a3", None), ("b4", None), ("d4", None), ("f4", None), ("h3", None), ("i2_7", None),
+    ("a1t", 12), ("a2t", 10), ("c2t", 10), ("g2t", 10), ("tri334", 12), ("d4t", 7),
+]
+
+
+@pytest.mark.parametrize("name,radius", LAYER_CASES)
+def test_walk_layers_match_growth_series(name, radius):
+    layers, canonical = _layers(corpus.load(name), radius)
+    assert layers == _series(name, radius)
+    assert canonical
+
+
+def test_walk_visits_each_element_once_with_its_canonical_word():
+    sys_ = corpus.load("b3")
+    seen = {}
+    for g in group_mod.walk(sys_):
+        assert g.key not in seen
+        seen[g.key] = g.word
+        assert group_mod.length_and_reduced(g) == (len(g.word), g.word)
+        assert group_mod.from_word(sys_, g.word).key == g.key
+    assert set(seen) == set(group_mod.enumerate_group(sys_).members)
+
+
+@pytest.mark.parametrize("mutant", ["drop-least-descent-clause", "inherit-every-sign"])
+def test_walk_mutants_are_caught(mutant, monkeypatch):
+    if mutant == "drop-least-descent-clause":
+        monkeypatch.setattr(group_mod, "_is_child", lambda descents, s0: True)
+    else:
+        monkeypatch.setattr(group_mod, "_still_negative", lambda ring, col: True)
+    for name, radius in (("a3", None), ("h3", None), ("tri334", 6), ("d4t", 4)):
+        expected = _series(name, radius)
+        try:
+            layers, _ = _layers(corpus.load(name), radius, cap=sum(expected))
+        except ResourceLimitError:
+            continue
+        assert layers != expected, name
+
+
+def test_walk_cap_names_depth_and_count():
+    with pytest.raises(ResourceLimitError) as err:
+        for _ in group_mod.walk(corpus.load("tri334"), 8, cap=10):
+            pass
+    assert str(err.value).startswith("ball enumeration exceeded the cap of 10 elements")
+    assert "after 10 elements" in str(err.value)
+    assert "reached depth " in str(err.value)
+    with pytest.raises(ValueError):
+        next(group_mod.walk(corpus.load("a2t"), -1))
+    assert [g.word for g in group_mod.walk(corpus.load("a2t"), 0)] == [()]
+
+
+def test_walk_cap_exits_inconclusive_through_the_cli():
+    script = (
+        "import sys\n"
+        "from coxkit import cli, group\n"
+        "group.DEFAULT_BALL_CAP = 10\n"
+        "sys.exit(cli.main(['coxeter-verify', '--diagram', sys.argv[1]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "src" / "coxkit" / "data" / "h3.cox")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "inconclusive: ball enumeration exceeded the cap of 10 elements (reached depth "
+    )
+    assert "after 10 elements)" in proc.stderr
+    assert "Traceback" not in proc.stderr
