@@ -98,7 +98,8 @@ def _reflection_from_word(sys_, letters) -> refl.Reflection:
     if root is None:
         canonical = group.length_and_reduced(w)[1]
         raise UsageError(f"'{group.word_str(canonical)}' is not a reflection")
-    return refl.Reflection(roots.reflection_of_root(sys_, root), root)
+    # _flipped_root checked that w is the reflection through root
+    return refl.Reflection(group.canonical(w), root)
 
 
 # ---------------------------------------------------------------- commands

@@ -26,23 +26,22 @@ operand, c in a sweep, caches those, the theta'-multiples of its
 columns and its commutator weights on it (_operators). None of them
 creates a FieldElement.
 
-The ring (_ring) is built once per system, on first use. Keys and
-field columns meet in two places only: the cols attribute, a
-FieldElement view of the key built on first use and cached on the
-element, embeds each entry into Q(theta) for the layers that compute
-in the field, and _flatten projects field columns back to a key,
-rejecting an entry outside Z[theta']. Signs of entries stay in the
-ring: _Ring.sign bounds sum_k b_k theta'^k between two integers, from
-a 64-bit fixed-point enclosure of the powers theta'^k built on the
-first sign asked for, and asks the exact FieldElement.sign of Q(theta')
-only when that interval contains 0. _descent and the walk decide every
-sign this way.
-
-A root is a column: cols[j] is the root w(e_{j+1}), so the root layer
-reads roots off these matrices and unit vectors off identity(), instead
-of building either by hand. A root's coordinates are all >= 0 or all
-<= 0, so its sign is the sign of its first nonzero coordinate
-(_Ring.root_sign; Humphreys, Reflection Groups and Coxeter Groups, 5.4).
+The ring (_ring) is built once per system, on first use. A root is a
+column: column j of a key is the root w(e_{j+1}), so the root,
+reflection and parabolic layers read roots off keys, store each as such
+a column of n*d' ints, and apply elements to them with _image. A root's
+coordinates are all >= 0 or all <= 0, so its sign is the sign of its
+first nonzero coordinate (_Ring.root_sign; Humphreys, Reflection Groups
+and Coxeter Groups, 5.4). Keys and field columns meet in two places
+only: _view embeds a flat vector into Q(theta), for the cols of an
+element and the coords of a root, views built on first use for printing
+and the public FieldElement interfaces; _flatten projects field columns
+back to a key, rejecting an entry outside Z[theta']. Signs of entries
+stay in the ring: _Ring.sign bounds sum_k b_k theta'^k between two
+integers, from a 64-bit fixed-point enclosure of the powers theta'^k
+built on the first sign asked for, and asks the exact FieldElement.sign
+of Q(theta') only when that interval contains 0. _descent and the walk
+decide every sign this way.
 
 Lengths come from the greedy descent walk: s is a right descent of w
 exactly when w maps e_s to a negative root, and stripping descents
@@ -147,13 +146,9 @@ class GroupElement:
     def cols(self) -> tuple[Vector, ...]:
         """The matrix as FieldElement columns, built from the key on first use."""
         if self._cols is None:
-            f = self.system.field
-            ring = _ring(self.system)
-            d = ring.degree
             n = self.system.rank
-            key = self.key
-            entries = [FieldElement(f, ring.embed(key[a:a + d]), 1) for a in range(0, len(key), d)]
-            self._cols = tuple(tuple(entries[j * n:(j + 1) * n]) for j in range(n))
+            entries = _view(self.system, self.key)
+            self._cols = tuple(entries[j * n:(j + 1) * n] for j in range(n))
         return self._cols
 
     def __eq__(self, other) -> bool:
@@ -209,14 +204,6 @@ def _identity(sys_: CoxeterSystem) -> GroupElement:
     for j in range(n):
         key[(j * n + j) * d] = 1
     return GroupElement(sys_, tuple(key), ())
-
-
-def _two_b(sys_: CoxeterSystem) -> list[list[tuple[int, FieldElement]]]:
-    """Sparse rows of 2*B: for each s, the pairs (j, 2*B(e_s,e_j)) with j != s nonzero."""
-    return sys_.memo("two_b", lambda: [
-        [(j, b * 2) for j, b in enumerate(row) if j != s and not b.is_zero()]
-        for s, row in enumerate(sys_.gram)
-    ])
 
 
 class _Ring:
@@ -327,6 +314,14 @@ def _ring(sys_: CoxeterSystem) -> _Ring:
     return sys_.memo("ring", lambda: _Ring(sys_))
 
 
+def _view(sys_: CoxeterSystem, vec: Sequence[int]) -> Vector:
+    """A flat vector over Z[theta'] as FieldElement entries of Q(theta)."""
+    f = sys_.field
+    ring = _ring(sys_)
+    d = ring.degree
+    return tuple(FieldElement(f, ring.embed(vec[a:a + d]), 1) for a in range(0, len(vec), d))
+
+
 def _flatten(sys_: CoxeterSystem, cols: Sequence[Vector]) -> Key:
     """The key of a matrix given by FieldElement columns.
 
@@ -340,7 +335,7 @@ def _flatten(sys_: CoxeterSystem, cols: Sequence[Vector]) -> Key:
             x = ring.project(e.num) if e.den == 1 else None
             if x is None:
                 raise ValueError(
-                    f"matrix entry {e} does not lie in Z[theta] for theta = 2cos(pi/{ring.field.N})"
+                    f"entry {e} does not lie in Z[theta] for theta = 2cos(pi/{ring.field.N})"
                 )
             out += x
     return tuple(out)
@@ -368,8 +363,8 @@ def _steps(sys_: CoxeterSystem) -> tuple[int, list[list[tuple[int, object]]]]:
     with op multiplication by -2B(e_s, e_j) = D_{N/m}(theta), for j != s
     with m(s, j) != 2: all a generator step reads, in one lookup."""
     return sys_.memo("steps", lambda: (_ring(sys_).degree, [
-        [(j, _op(sys_, _flatten(sys_, [[-b]]))) for j, b in row]
-        for row in _two_b(sys_)
+        [(j, _op(sys_, _flatten(sys_, [[b * -2]]))) for j, b in enumerate(row) if j != s and not b.is_zero()]
+        for s, row in enumerate(sys_.gram)
     ]))
 
 
@@ -484,6 +479,12 @@ def _product_column(a: GroupElement, entries: list[tuple[int, object]]) -> list[
     return acc
 
 
+def _column(w: GroupElement, s: int) -> Key:
+    """Column s (1-based) of the key of w: the root w(e_s)."""
+    nd = len(w.key) // w.system.rank
+    return w.key[(s - 1) * nd:s * nd]
+
+
 def _image(w: GroupElement, vec: Sequence[int]) -> list[int]:
     """w applied to a flat integer vector: the sum over its coefficients
     x at flat index i*d + k of x times theta^k w(e_i)."""
@@ -549,11 +550,9 @@ def _descent(w: GroupElement) -> int | None:
     negative: when its first nonzero entry is.
     """
     ring = _ring(w.system)
-    nd = w.system.rank * ring.degree
-    key = w.key
-    for s0 in range(w.system.rank):
-        if ring.root_sign(key[s0 * nd:(s0 + 1) * nd]) < 0:
-            return s0 + 1
+    for s in range(1, w.system.rank + 1):
+        if ring.root_sign(_column(w, s)) < 0:
+            return s
     return None
 
 

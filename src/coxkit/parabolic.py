@@ -12,7 +12,8 @@ subset J bijectively onto those of I under its inverse action, giving
 a directed edge I -s-> J. Two standard parabolics W_I and W_J are
 conjugate exactly when I and J lie in the same component of this graph,
 and the normalizer of W_I splits as W_I semidirect the group generated
-by the loops of the component read through a spanning tree.
+by the loops of the component read through a spanning tree. Images of
+simple roots and the roots of closures are key columns (group, roots).
 """
 
 from __future__ import annotations
@@ -91,11 +92,10 @@ def _ascend(sys_: CoxeterSystem, idx: tuple[int, ...]) -> GroupElement:
         raise ValueError(f"parabolic {subset_str(idx)} is not spherical")
     bound = len(roots_mod.positive_roots(sys_, idx)) if idx else 0
     ring = group_mod._ring(sys_)
-    nd = sys_.rank * ring.degree
     w = group_mod.identity(sys_)
     steps = 0
     while True:
-        ascent = next((s for s in idx if ring.root_sign(w.key[(s - 1) * nd:s * nd]) > 0), None)
+        ascent = next((s for s in idx if ring.root_sign(group_mod._column(w, s)) > 0), None)
         if ascent is None:
             break
         w = group_mod._right_mul_gen(w, ascent)
@@ -139,9 +139,10 @@ def nu(sys_: CoxeterSystem, gens: Iterable[int], s: int) -> tuple[GroupElement, 
 
 def _simple_images(sys_: CoxeterSystem, g: GroupElement, idx: Iterable[int]) -> list[int] | None:
     """For each i in sorted idx, the j with g(e_i) = e_j, read off column i
-    of g's matrix; None when some such column is not a simple root."""
-    units = {e: j for j, e in enumerate(group_mod.identity(sys_).cols, 1)}
-    images = [units.get(g.cols[i - 1]) for i in sorted(idx)]
+    of g's key; None when some such column is not a simple root."""
+    unit = group_mod.identity(sys_)
+    units = {group_mod._column(unit, j): j for j in range(1, sys_.rank + 1)}
+    images = [units.get(group_mod._column(g, i)) for i in sorted(idx)]
     return None if None in images else images
 
 
@@ -370,7 +371,7 @@ def parabolic_closure_finite(
     chosen = [
         t
         for t in refl_mod.reflections_of(sys_, gens_t)
-        if all(c.is_zero() for c in refl_mod._reduce(basis, t.root.coords))
+        if not any(refl_mod._reduce(sys_, basis, t.root.key))
     ]
     members = (
         refl_mod.generated_group([t.element for t in chosen], sys_=sys_)
@@ -380,41 +381,39 @@ def parabolic_closure_finite(
     for w in elements:
         if w.key not in members:
             raise InvariantViolation("closure does not contain an input element")
-    conjugator, standard = _match_standard(sys_, gens_t, members, chosen)
+    conjugator, standard = _match_standard(sys_, gens_t, chosen)
     return ParabolicClosure(members, conjugator, standard)
 
 
-def _match_standard(sys_, gens_t, members, chosen) -> tuple[GroupElement, frozenset[int]]:
+def _match_standard(sys_, gens_t, chosen) -> tuple[GroupElement, frozenset[int]]:
     """The first scope element g, in enumeration order, and the first
     subset J, by size then lexicographically, with g W_J g^{-1} equal to
-    the closure W' = members.
+    the closure W' generated by the chosen reflections.
 
     g s_j g^{-1} is the reflection in the root g(e_j), column j of g,
     and the reflections of W', which fixes its common fixed space
     pointwise, are exactly the chosen ones, whose roots lie in its moved
     space. So g s_j g^{-1} lies in W' exactly when +-(column j of g) is
-    a chosen root; once it holds for all j in J, |W_J| = |W'| makes the
-    inclusion an equality.
+    a chosen root. Once that holds for all j in J, g maps the reflections
+    of W_J into the chosen ones; when W_J has as many positive roots as
+    there are chosen reflections, the two reflection sets are equal, and
+    so are the groups they generate. Only such J are candidates.
     """
-    size = len(members)
-    nd = len(group_mod.identity(sys_).key) // sys_.rank
     roots = set()
     for t in chosen:
-        col = group_mod._flatten(sys_, [t.root.coords])
-        roots.add(col)
-        roots.add(tuple(-x for x in col))
+        roots.add(t.root.key)
+        roots.add((-t.root).key)
     subsets: list[tuple[int, ...]] = [()]
     for s in gens_t:
         subsets += [sub + (s,) for sub in subsets]
     subsets.sort(key=lambda t: (len(t), t))
     candidates = [
-        sub for sub in subsets if len(group_mod.enumerate_group(sys_, gens=sub)) == size
+        sub for sub in subsets if len(roots_mod.positive_roots(sys_, sub)) == len(chosen)
     ]
     scope_elements = group_mod.enumerate_group(sys_, gens=gens_t).elements()
     for sub in candidates:
         for g in scope_elements:
-            key = g.key
-            if all(key[(j - 1) * nd:j * nd] in roots for j in sub):
+            if all(group_mod._column(g, j) in roots for j in sub):
                 return group_mod.canonical(g), frozenset(sub)
     raise InvariantViolation("closure is not conjugate to any standard parabolic")
 

@@ -4,9 +4,10 @@ The reflections of a finite standard parabolic are enumerated through
 its positive roots; infinite scopes only ever yield a ball-truncated
 approximation, and every function here keeps that distinction explicit.
 Reflection length in a finite group is rank(w - 1) (Carter 1972, Lemma
-2), read off one division-free elimination of the moved space; reduced
-factorizations are searched depth-first with that rank as the step
-test, and the Hurwitz action rewires a factorization by
+2), read off one division-free elimination of the moved space on key
+columns over Z[theta'], where roots live too; reduced factorizations
+are searched depth-first with that rank as the step test, and the
+Hurwitz action rewires a factorization by
 
     (..., t_i, t_{i+1}, ...)  ->  (..., t_i t_{i+1} t_i, t_i, ...)
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
+from operator import sub
 
 from . import diagram as diagram_mod
 from . import group as group_mod
@@ -122,28 +124,33 @@ def _element_in_scope(sys_: CoxeterSystem, w: GroupElement, gens_t: tuple[int, .
     return set(word) <= set(gens_t)
 
 
-def _reduce(basis: list, v) -> list:
-    """v with its entries at the pivots of the (pivot, vector) echelon
-    basis cleared, without division: each step replaces v by
-    p*v - v[pivot]*b with p = b[pivot] != 0. Zero exactly when v lies in
-    the span of the basis."""
+def _reduce(sys_: CoxeterSystem, basis: list, v) -> list[int]:
+    """The flat vector v with its blocks at the pivots of the (pivot,
+    vector) echelon basis cleared, without division: each step replaces
+    v by p*v - c*b, p != 0 and c the blocks of b and v at the pivot. Z[theta']
+    has no zero divisors, so v lies in the span exactly when this is zero."""
+    d = group_mod._ring(sys_).degree
     vec = list(v)
     for pivot, b in basis:
-        c = vec[pivot]
-        if not c.is_zero():
-            p = b[pivot]
-            vec = [p * x - c * y for x, y in zip(vec, b)]
+        c = vec[pivot:pivot + d]
+        if any(c):
+            p, c = group_mod._op(sys_, b[pivot:pivot + d]), group_mod._op(sys_, c)
+            vec = list(map(sub, group_mod._scaled(p, vec, d), group_mod._scaled(c, b, d)))
     return vec
 
 
 def _moved_basis(elements: Iterable[GroupElement]) -> list:
-    """An echelon basis, as (pivot, vector) pairs, of the joint moved
-    space: the sum of the column spans of w - 1 over the elements."""
+    """An echelon basis of the joint moved space, the sum of the column
+    spans of w - 1 over the elements: flat vectors over Z[theta'], each
+    paired with the offset of its first nonzero block, its pivot."""
     basis: list = []
     for w in elements:
-        for col, unit in zip(w.cols, group_mod.identity(w.system).cols):
-            rest = _reduce(basis, [c - u for c, u in zip(col, unit)])
-            pivot = next((i for i, c in enumerate(rest) if not c.is_zero()), None)
+        d = group_mod._ring(w.system).degree
+        for j in range(1, w.system.rank + 1):
+            col = list(group_mod._column(w, j))
+            col[(j - 1) * d] -= 1
+            rest = _reduce(w.system, basis, col)
+            pivot = next((a for a in range(0, len(rest), d) if any(rest[a:a + d])), None)
             if pivot is not None:
                 basis.append((pivot, rest))
     return basis
@@ -260,7 +267,7 @@ def reduced_factorizations(
             basis = _moved_basis([remaining])
             found = []
             for t in refs:
-                if all(c.is_zero() for c in _reduce(basis, t.root.coords)):
+                if not any(_reduce(sys_, basis, t.root.key)):
                     rest = group_mod.multiply(t.element, remaining)
                     found += [(t,) + tail for tail in tails(rest, depth - 1)]
             tails_of[remaining.key] = found

@@ -1,22 +1,26 @@
 """Roots, inversion sets, beta sequences, and outward-orbit representatives.
 
 A root is a column: the image w(e_s) of a simple root is column s of
-the matrix of w, so simple roots, beta sequences and inversion sets are
-read off the group layer's matrices (_prefix_roots). A root's coordinates
-are all >= 0 or all <= 0, so its sign is that of its first nonzero
-coordinate; make_root still checks every coordinate and refuses mixed
-vectors, which only a logic fault can produce. The dual
-pairing against the all-ones functional (the default interior point of
-the fundamental chamber in the dual cone) gives the sign tests used for
-the outwardness certificates: alpha is outward for w when, for all large
-powers, w^{-m} alpha pairs negative and w^{m} alpha pairs positive, each
-checked over a finite window here.
+w's key, so simple roots, beta sequences and inversion sets are read
+off the group layer's keys (_prefix_roots), and a root is stored as
+that column, n*d' ints over Z[theta']. act and the root orbit apply
+elements with group._image and reflection matrices come from the
+generator steps' operators, with no FieldElement arithmetic; coords, a
+Q(theta) view built on first use, serves printing and the coordinate
+order of positive_roots. A root's coordinates are all >= 0 or all
+<= 0; make_root checks every one and refuses mixed vectors, which only
+a logic fault can produce. The all-ones functional is positive on
+every positive root, and its sign gives the outwardness certificates:
+alpha is outward for w when, for all large powers, w^{-m} alpha pairs
+negative and w^{m} alpha pairs positive, each checked over a finite
+window here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from operator import sub
 
 from . import group as group_mod
 from .diagram import CoxeterSystem
@@ -25,7 +29,6 @@ from .field import FieldElement
 from .group import GroupElement
 
 __all__ = [
-    "DualPoint",
     "Root",
     "act",
     "beta_sequence",
@@ -41,15 +44,32 @@ __all__ = [
 
 
 class Root:
-    """A root vector with its decided sign."""
+    """A root with its decided sign, stored as its key column over
+    Z[theta'] or as coordinates in Q(theta); each is built from the
+    other on first use. Coordinates off Z[theta'] are no root of the
+    system: reading their key, as act and reflection_of_root do, raises
+    ValueError."""
 
-    __slots__ = ("system", "coords", "positive", "key")
+    __slots__ = ("system", "positive", "_key", "_coords")
 
-    def __init__(self, system: CoxeterSystem, coords: tuple[FieldElement, ...], positive: bool) -> None:
+    def __init__(self, system: CoxeterSystem, key: tuple[int, ...] | None, positive: bool,
+                 coords: tuple[FieldElement, ...] | None = None) -> None:
         self.system = system
-        self.coords = coords
         self.positive = positive
-        self.key = _key(coords)
+        self._key = key
+        self._coords = coords
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        if self._key is None:
+            self._key = group_mod._flatten(self.system, [self._coords])
+        return self._key
+
+    @property
+    def coords(self) -> tuple[FieldElement, ...]:
+        if self._coords is None:
+            self._coords = group_mod._view(self.system, self._key)
+        return self._coords
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Root):
@@ -60,36 +80,38 @@ class Root:
         return hash(self.key)
 
     def __neg__(self) -> "Root":
-        return Root(self.system, tuple(-c for c in self.coords), not self.positive)
+        return Root(self.system, tuple(-x for x in self.key), not self.positive)
 
     def __repr__(self) -> str:
         return f"<root {root_str(self)}>"
 
 
-def _key(coords: Sequence[FieldElement]) -> tuple:
-    """Exact hashable key of a coordinate vector."""
-    return tuple((e.num, e.den) for e in coords)
-
-
-def make_root(sys_: CoxeterSystem, coords: Sequence[FieldElement]) -> Root:
-    """Build a root from coordinates, deciding its sign exactly.
+def make_root(sys_: CoxeterSystem, coords: Sequence) -> Root:
+    """Build a root from its key column (ints) or from FieldElement
+    coordinates in Q(theta), deciding its sign exactly.
 
     Vectors with mixed signs, or the zero vector, are not roots; they
     signal a logic fault in whatever produced them.
     """
-    coords = tuple(coords)
-    signs = [c.sign() for c in coords]
-    if any(s > 0 for s in signs) and all(s >= 0 for s in signs):
-        return Root(sys_, coords, True)
-    if any(s < 0 for s in signs) and all(s <= 0 for s in signs):
-        return Root(sys_, coords, False)
-    raise InvariantViolation(f"vector {tuple(str(c) for c in coords)} is not a root")
+    vec = tuple(coords)
+    if vec and isinstance(vec[0], FieldElement):
+        key, view = None, vec
+        signs = {c.sign() for c in vec} - {0}
+    else:
+        ring = group_mod._ring(sys_)
+        d = ring.degree
+        key, view = vec, None
+        signs = {ring.sign(vec[a:a + d]) for a in range(0, len(vec), d) if any(vec[a:a + d])}
+    if signs == {1} or signs == {-1}:
+        return Root(sys_, key, signs == {1}, view)
+    shown = view or group_mod._view(sys_, vec)
+    raise InvariantViolation(f"vector {tuple(str(c) for c in shown)} is not a root")
 
 
 def simple_root(sys_: CoxeterSystem, s: int) -> Root:
     if not (1 <= s <= sys_.rank):
         raise ValueError(f"generator index {s} out of range 1..{sys_.rank}")
-    return Root(sys_, group_mod.identity(sys_).cols[s - 1], True)
+    return Root(sys_, group_mod._column(group_mod.identity(sys_), s), True)
 
 
 def root_str(root: Root) -> str:
@@ -97,21 +119,7 @@ def root_str(root: Root) -> str:
 
 
 def act(w: GroupElement, root: Root) -> Root:
-    return make_root(w.system, group_mod.apply(w, root.coords))
-
-
-def _reflect(sys_: CoxeterSystem, s: int, v: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """sigma_s(v) = v - 2 B(e_s, v) e_s, using the sparse gram row."""
-    s0 = s - 1
-    two_bv = v[s0] + v[s0]  # 2*B(e_s,e_s)*v_s = 2 v_s
-    for j, two_b in group_mod._two_b(sys_)[s0]:
-        if not v[j].is_zero():
-            two_bv = two_bv + two_b * v[j]
-    if two_bv.is_zero():
-        return tuple(v)
-    out = list(v)
-    out[s0] = out[s0] - two_bv
-    return tuple(out)
+    return make_root(w.system, group_mod._image(w, root.key))
 
 
 def positive_roots(
@@ -119,7 +127,8 @@ def positive_roots(
     gens: Iterable[int] | None = None,
     cap: int = 1_000_000,
 ) -> list[Root]:
-    """All positive roots of the standard parabolic on gens (finite scope).
+    """All positive roots of the standard parabolic on gens (finite scope),
+    in the order of their Q(theta) coordinates.
 
     Enumerates the orbit of the simple roots under the parabolic's
     generators; infinite scopes hit the cap and raise.
@@ -129,13 +138,17 @@ def positive_roots(
 
 
 def _root_orbit(sys_: CoxeterSystem, gens_t: tuple[int, ...], cap: int) -> tuple[Root, ...]:
+    gens = [(s, group_mod.generator(sys_, s)) for s in gens_t]
     members, _, _ = group_mod.closure(
         [simple_root(sys_, s) for s in gens_t],
-        lambda r: ((s, make_root(sys_, _reflect(sys_, s, r.coords))) for s in gens_t),
+        lambda r: ((s, make_root(sys_, group_mod._image(g, r.key))) for s, g in gens),
         cap,
         overflow="root orbit exceeded the cap of {cap}",
     )
-    return tuple(sorted((r for r in members.values() if r.positive), key=lambda r: r.key))
+    return tuple(sorted(
+        (r for r in members.values() if r.positive),
+        key=lambda r: tuple((e.num, e.den) for e in r.coords),
+    ))
 
 
 # ---------------------------------------------- prefix roots and reflections
@@ -146,7 +159,7 @@ def _prefix_roots(sys_: CoxeterSystem, word: Sequence[int]) -> list[Root]:
     out: list[Root] = []
     prefix = group_mod.identity(sys_)
     for s in word:
-        out.append(make_root(sys_, prefix.cols[s - 1]))
+        out.append(make_root(sys_, group_mod._column(prefix, s)))
         prefix = group_mod._right_mul_gen(prefix, s)
     return out
 
@@ -183,10 +196,9 @@ def beta_sequence(w: GroupElement) -> list[Root]:
 def reflection_of_root(sys_: CoxeterSystem, root: Root) -> GroupElement:
     """The reflection v -> v - 2 B(alpha, v) alpha through a unit root.
 
-    Rejects vectors with B(alpha, alpha) != 1, and unit vectors whose
-    reflection has an entry outside Z[theta]: neither is in the root
-    orbit of the simple basis, and reflecting through them would leave
-    the group.
+    Rejects vectors with B(alpha, alpha) != 1, and vectors off the
+    working ring Z[theta']: neither is in the root orbit of the simple
+    basis, and reflecting through them would leave the group.
     """
     return group_mod.canonical(_reflection_matrix(sys_, root))
 
@@ -194,89 +206,69 @@ def reflection_of_root(sys_: CoxeterSystem, root: Root) -> GroupElement:
 def _reflection_matrix(sys_: CoxeterSystem, root: Root) -> GroupElement:
     """The matrix of the reflection through root, with an empty word.
 
-    One pass over the sparse rows of 2B gives c_j = 2 B(alpha, e_j);
-    column j is e_j - c_j alpha, and B(alpha, alpha) = sum alpha_j c_j / 2.
+    One pass over the generator steps' operators, op_sj multiplication
+    by -2B(e_s, e_j), gives the blocks c_j = 2 B(alpha, e_j) =
+    2 alpha_j - sum_s op_sj(alpha_s); column j is e_j - c_j alpha, and
+    B(alpha, alpha) = sum_j alpha_j c_j / 2.
     """
-    alpha = root.coords
-    two_b = [a + a for a in alpha]  # the diagonal: 2 B(e_j, e_j) alpha_j
-    for s, a in enumerate(alpha):
-        if not a.is_zero():
-            for j, b in group_mod._two_b(sys_)[s]:
-                two_b[j] = two_b[j] + a * b
-    norm = sum((a * c for a, c in zip(alpha, two_b)), sys_.field.zero) * Fraction(1, 2)
-    if norm != sys_.field.one:
+    alpha = root.key
+    d, steps = group_mod._steps(sys_)
+    blocks = [alpha[a:a + d] for a in range(0, len(alpha), d)]
+    two_b = [[x + x for x in a] for a in blocks]
+    for a, row in zip(blocks, steps):
+        for j, op in row:
+            two_b[j] = list(map(sub, two_b[j], group_mod._scaled(op, a, d)))
+    ops = [group_mod._op(sys_, c) for c in two_b]
+    norm2 = [sum(x) for x in zip(*(group_mod._scaled(op, a, d) for a, op in zip(blocks, ops)))]
+    if norm2 != [2] + [0] * (d - 1):
+        norm = group_mod._view(sys_, norm2)[0] * Fraction(1, 2)
         raise ValueError(f"B(alpha, alpha) = {norm} != 1; not a unit root")
-    cols = tuple(
-        e if c.is_zero() else tuple(x - c * a for x, a in zip(e, alpha))
-        for e, c in zip(group_mod.identity(sys_).cols, two_b)
-    )
-    return GroupElement(sys_, group_mod._flatten(sys_, cols), ())
+    key: list[int] = []
+    for j, op in enumerate(ops, 1):
+        col = group_mod._column(group_mod.identity(sys_), j)
+        key += col if op == 0 else map(sub, col, group_mod._scaled(op, alpha, d))
+    return GroupElement(sys_, tuple(key), ())
 
 
 # -------------------------------------------------------------- the dual side
 
-class DualPoint:
-    """A linear functional on root space, given by its values on e_1..e_n."""
-
-    __slots__ = ("system", "values")
-
-    def __init__(self, system: CoxeterSystem, values: Sequence[FieldElement]) -> None:
-        if len(values) != system.rank:
-            raise ValueError("wrong number of values")
-        self.system = system
-        self.values = tuple(values)
-
-    @classmethod
-    def interior(cls, system: CoxeterSystem) -> "DualPoint":
-        """The all-ones functional, positive on every positive root."""
-        return cls(system, tuple(system.field.one for _ in range(system.rank)))
-
-    def pair(self, coords: Sequence[FieldElement]) -> FieldElement:
-        """The value of the functional at a coordinate vector."""
-        acc = self.system.field.zero
-        for x, a in zip(self.values, coords):
-            if not a.is_zero():
-                acc = acc + x * a
-        return acc
-
-    def __repr__(self) -> str:
-        return "DualPoint(" + ", ".join(str(v) for v in self.values) + ")"
+def _pairing_sign(sys_: CoxeterSystem, vec: Sequence[int]) -> int:
+    """The sign of the all-ones functional at a flat vector: of the sum
+    of its entries."""
+    ring = group_mod._ring(sys_)
+    d = ring.degree
+    return ring.sign([sum(vec[k::d]) for k in range(d)])
 
 
 def is_outward_upto(
     w: GroupElement,
     root: Root,
-    point: DualPoint | None = None,
     max_power: int = 10,
     min_power: int = 1,
 ) -> bool:
     """Bounded certificate that the orbit of root escapes outward.
 
     True when m * x(w^{-m} root) < 0 for every min_power <= |m| <= max_power,
-    which unfolds to: x(w^p root) > 0 and x(w^{-p} root) < 0 for p in the
-    window. A bounded check, so True is a certificate only up to the
-    window, never a proof for all m.
+    x the all-ones functional, which unfolds to: x(w^p root) > 0 and
+    x(w^{-p} root) < 0 for p in the window. A bounded check, so True is
+    a certificate only up to the window, never a proof for all m.
     """
-    if point is None:
-        point = DualPoint.interior(w.system)
     if not (1 <= min_power <= max_power):
         raise ValueError("need 1 <= min_power <= max_power")
     winv = group_mod.inverse(w)
-    vplus = root.coords
-    vminus = root.coords
+    vplus = vminus = root.key
     for p in range(1, max_power + 1):
-        vplus = group_mod.apply(w, vplus)
-        vminus = group_mod.apply(winv, vminus)
+        vplus = group_mod._image(w, vplus)
+        vminus = group_mod._image(winv, vminus)
         if p < min_power:
             continue
-        if point.pair(vplus).sign() <= 0 or point.pair(vminus).sign() >= 0:
+        if _pairing_sign(w.system, vplus) <= 0 or _pairing_sign(w.system, vminus) >= 0:
             return False
     return True
 
 
 def outward_representatives(
     w: GroupElement,
-    point: DualPoint | None = None,
     max_power: int = 10,
     orbit_bound: int = 10,
     straight_bound: int = 10,
@@ -295,22 +287,21 @@ def outward_representatives(
         )
     betas = beta_sequence(w)
     for beta in betas:
-        if not is_outward_upto(w, beta, point, max_power=max_power):
+        if not is_outward_upto(w, beta, max_power=max_power):
             raise InvariantViolation(
                 f"beta root {root_str(beta)} failed the outward window for a straight element"
             )
     winv = group_mod.inverse(w)
     owner: dict[tuple, int] = {}
     for i, beta in enumerate(betas):
-        fwd = beta.coords
-        bwd = beta.coords
+        fwd = bwd = beta.key
         for k in range(orbit_bound + 1):
-            for coords in ((fwd,) if k == 0 else (fwd, bwd)):
-                key = _key(coords)
+            for vec in ((fwd,) if k == 0 else (fwd, bwd)):
+                key = tuple(vec)
                 if owner.setdefault(key, i) != i:
                     raise InvariantViolation(
                         f"orbits of beta_{owner[key] + 1} and beta_{i + 1} collide"
                     )
-            fwd = group_mod.apply(w, fwd)
-            bwd = group_mod.apply(winv, bwd)
+            fwd = group_mod._image(w, fwd)
+            bwd = group_mod._image(winv, bwd)
     return betas

@@ -88,3 +88,40 @@ def test_ball_sweep_does_no_field_arithmetic_per_element(name, radius):
     counts = _traced_counts(SWEEP_SCRIPT.format(name=name, radius=radius))
     assert counts["verify.commutes.calls"] == counts["ball_size"]
     assert counts.get("field.mul.calls", 0) < counts["ball_size"]
+
+
+FIELD_FREE_SCRIPTS = {
+    "b4-hurwitz": """
+from coxkit import cli, refl
+b4 = corpus.load("b4")
+factors = tuple(cli._reflection_from_word(b4, (s,)) for s in (1, 2, 3, 4))
+product = group.from_word(b4, (1, 2, 3, 4))
+refl.hurwitz_orbit(refl.ReflectionFactorization(factors, product))
+""",
+    "f4-redt": """
+from coxkit import refl
+f4 = corpus.load("f4")
+refl.reduced_factorizations(f4, group.coxeter_element(f4))
+""",
+    "h4-conj-graph": """
+parabolic.conjugacy_graph(corpus.load("h4"))
+""",
+    "tri334-outward": """
+roots.outward_representatives(group.coxeter_element(corpus.load("tri334")))
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_FREE_SCRIPTS))
+def test_root_layers_do_no_field_arithmetic(name):
+    # roots are key columns: acting on them, reflecting through them,
+    # eliminating them and pairing them are integer operations, so the
+    # field arithmetic left is set-up (the Gram matrix, the step
+    # operators, a handful of views for sorting and printing). Computing
+    # on FieldElement coordinates took 919 to 32,213 multiplications here.
+    script = PRELUDE + FIELD_FREE_SCRIPTS[name] + """
+print(json.dumps(tracer.snapshot()["counts"]))
+"""
+    counts = _traced_counts(script)
+    assert counts.get("field.mul.calls", 0) < 200
+    assert counts.get("field.add.calls", 0) < 200

@@ -122,6 +122,69 @@ def test_redt_golden(capsys):
     )
 
 
+# The goldens above use a2 and a1t, where Q(theta) and the working ring
+# Z[theta'] coincide. These print roots and orders that pass through the
+# embedding of Z[theta'] into Q(theta): the redt order is the order of
+# the positive roots by Q(theta) coordinates.
+
+def test_redt_golden_b3(capsys):
+    code, out, _ = run(capsys, "redt", "1", "2", "3", "--diagram", dpath("b3"))
+    assert code == 0
+    assert out == (
+        "reflection-length: 3\n"
+        "1 2 3 2 1; 2; 1 2 1\n"
+        "1 2 3 2 1; 1; 2\n"
+        "1 2 3 2 1; 1 2 1; 1\n"
+        "2 3 2; 2; 3 1 2 3 1\n"
+        "2 3 2; 3 1 2 3 1; 2 3 1 2 3 1 2\n"
+        "2 3 2; 2 3 1 2 3 1 2; 2\n"
+        "3; 3 2 3; 3 1 2 3 1\n"
+        "3; 1; 3 2 3\n"
+        "3; 3 1 2 3 1; 1\n"
+        "3 2 3; 2 3 2; 3 1 2 3 1\n"
+        "3 2 3; 3 1 2 3 1; 2 3 2\n"
+        "2; 1 2 3 2 1; 1 2 1\n"
+        "2; 3; 3 1 2 3 1\n"
+        "2; 3 1 2 3 1; 1 2 3 2 1\n"
+        "2; 1 2 1; 3\n"
+        "1; 2 3 2; 2\n"
+        "1; 3; 3 2 3\n"
+        "1; 3 2 3; 2 3 2\n"
+        "1; 2; 3\n"
+        "3 1 2 3 1; 1 2 3 2 1; 1\n"
+        "3 1 2 3 1; 2 3 2; 2 3 1 2 3 1 2\n"
+        "3 1 2 3 1; 1; 2 3 2\n"
+        "3 1 2 3 1; 2 3 1 2 3 1 2; 1 2 3 2 1\n"
+        "1 2 1; 3; 1\n"
+        "1 2 1; 1; 3\n"
+        "2 3 1 2 3 1 2; 1 2 3 2 1; 2\n"
+        "2 3 1 2 3 1 2; 2; 1 2 3 2 1\n"
+        "count: 27\n"
+    )
+
+
+def test_inversions_golden_h3(capsys):
+    code, out, _ = run(capsys, "inversions", "1", "2", "3", "--diagram", dpath("h3"))
+    assert code == 0
+    assert out == (
+        "(1, [-2,0,9,0,-6,0,1,0], [-2,0,9,0,-6,0,1,0])\n"
+        "(0, 1, 1)\n"
+        "(0, 0, 1)\n"
+        "count: 3\n"
+    )
+
+
+def test_outward_golden_tri334(capsys):
+    code, out, _ = run(capsys, "outward", "--diagram", dpath("tri334"))
+    assert code == 0
+    assert out == (
+        "(1, 0, 0)\n"
+        "(1, 1, 0)\n"
+        "([1,-3,0,1], [0,-3,0,1], 1)\n"
+        "count: 3\n"
+    )
+
+
 def test_conj_graph_golden(capsys):
     code, out, _ = run(capsys, "conj-graph", "--diagram", dpath("a2"))
     assert code == 0

@@ -436,6 +436,34 @@ def test_closure_match_forms_no_inverse_and_no_product(monkeypatch):
     assert calls == []
 
 
+def test_closure_match_enumerates_only_the_scope(monkeypatch):
+    # candidate subsets are picked by their positive-root count, so the
+    # match enumerates no standard parabolic but the scope itself
+    b4 = diagram.parse_system(corpus.read_text("b4"))
+    inside, enumerated = [], []
+    match = parabolic._match_standard
+    enum = group.enumerate_group
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return match(*args)
+        finally:
+            inside.pop()
+
+    def recorded(sys_, gens=None, **kwargs):
+        if inside:
+            enumerated.append(tuple(gens))
+        return enum(sys_, gens=gens, **kwargs)
+
+    monkeypatch.setattr(parabolic, "_match_standard", flagged)
+    monkeypatch.setattr(group, "enumerate_group", recorded)
+    for scope, word in (((1, 2, 3, 4), (1, 2)), ((1, 2, 3), (2, 3, 2))):
+        cl = parabolic.parabolic_closure_finite(b4, [group.from_word(b4, word)], gens=scope)
+        assert len(cl) == len(group.enumerate_group(b4, gens=cl.standard))
+    assert enumerated == [(1, 2, 3, 4), (1, 2, 3)]
+
+
 def test_normalizer_in_rank_two_free_product():
     flat = diagram.CoxeterSystem([[1, 2], [2, 1]])
     lams = parabolic.normalizer_generators(flat, (1,))

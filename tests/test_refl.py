@@ -129,6 +129,48 @@ def test_reflection_length_matches_length_table(name, gens):
         assert reflection_length(sys_, w, scope) == table[w.key], w.word
 
 
+# The moved-space elimination runs on key columns over Z[theta']; the
+# reference is the same division-free elimination on FieldElement columns.
+
+def _ref_reduce(basis, v):
+    vec = list(v)
+    for pivot, b in basis:
+        c = vec[pivot]
+        if not c.is_zero():
+            p = b[pivot]
+            vec = [p * x - c * y for x, y in zip(vec, b)]
+    return vec
+
+
+def _ref_moved_basis(elements):
+    basis = []
+    for w in elements:
+        for col, unit in zip(w.cols, identity(w.system).cols):
+            rest = _ref_reduce(basis, [c - u for c, u in zip(col, unit)])
+            pivot = next((i for i, c in enumerate(rest) if not c.is_zero()), None)
+            if pivot is not None:
+                basis.append((pivot, rest))
+    return basis
+
+
+@pytest.mark.parametrize("name", ["b4", "f4", "h4"])
+def test_moved_space_matches_field_elimination(name):
+    sys_ = corpus.load(name)
+    rng = random.Random(13)
+    refs = reflections_of(sys_)
+    for _ in range(12):
+        elements = [
+            from_word(sys_, tuple(rng.randint(1, sys_.rank) for _ in range(rng.randint(0, 12))))
+            for _ in range(rng.randint(1, 2))
+        ]
+        basis = refl._moved_basis(elements)
+        ref = _ref_moved_basis(elements)
+        assert len(basis) == len(ref)
+        for t in refs:
+            in_span = not any(refl._reduce(sys_, basis, t.root.key))
+            assert in_span == all(c.is_zero() for c in _ref_reduce(ref, t.root.coords))
+
+
 def test_reflection_length_requires_scope_membership():
     a3 = corpus.load("a3")
     with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxkit import corpus
+from coxkit import corpus, diagram, group
+from coxkit import roots as roots_mod
 from coxkit.errors import InvariantViolation, ResourceLimitError
 from coxkit.group import (
     coxeter_element,
@@ -21,7 +22,6 @@ from coxkit.group import (
     multiply,
 )
 from coxkit.roots import (
-    DualPoint,
     act,
     beta_sequence,
     inversion_set,
@@ -74,6 +74,55 @@ def test_positive_roots_a2_exact():
 def test_positive_roots_infinite_scope_capped():
     with pytest.raises(ResourceLimitError):
         positive_roots(corpus.load("a1t"), cap=50)
+
+
+# The root layer computes on key columns over Z[theta']. The references
+# below are the Q(theta) paths it replaced: the root orbit through
+# sigma_s(v) = v - 2 B(e_s, v) e_s on FieldElement coordinates, and act
+# through group.apply on the coordinate view.
+
+def _ref_reflect(sys_, s, v):
+    two_bv = sum((b * x for b, x in zip(sys_.gram[s - 1], v)), sys_.field.zero) * 2
+    out = list(v)
+    out[s - 1] = out[s - 1] - two_bv
+    return tuple(out)
+
+
+def _ref_positive_roots(sys_):
+    f, n = sys_.field, sys_.rank
+    seen = {tuple(f.one if i == s else f.zero for i in range(n)) for s in range(n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s in range(1, n + 1):
+                u = _ref_reflect(sys_, s, v)
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    positive = [v for v in seen if next(c for c in v if not c.is_zero()).sign() > 0]
+    return sorted(positive, key=lambda v: tuple((e.num, e.den) for e in v))
+
+
+@pytest.mark.parametrize("name", corpus.FINITE)
+def test_positive_roots_match_field_orbit(name):
+    sys_ = diagram.parse_system(corpus.read_text(name))
+    assert [r.coords for r in positive_roots(sys_)] == _ref_positive_roots(sys_)
+
+
+@pytest.mark.parametrize("name", ["b4", "f4", "h4", "d4t", "tri334"])
+def test_act_matches_field_apply(name):
+    sys_ = corpus.load(name)
+    rng = random.Random(7)
+    for _ in range(25):
+        w = from_word(sys_, tuple(rng.randint(1, sys_.rank) for _ in range(rng.randint(0, 9))))
+        v = from_word(sys_, tuple(rng.randint(1, sys_.rank) for _ in range(rng.randint(0, 9))))
+        root = act(v, simple_root(sys_, rng.randint(1, sys_.rank)))
+        img = act(w, root)
+        coords = group.apply(w, root.coords)
+        assert img.coords == coords
+        assert img.positive == (next(c for c in coords if not c.is_zero()).sign() > 0)
 
 
 def test_act_matches_columns():
@@ -200,12 +249,12 @@ def test_simple_reflections_match_generators():
 
 # ------------------------------------------------------------------ outward
 
-def test_dual_interior_positive_on_positive_roots():
-    a3 = corpus.load("a3")
-    x = DualPoint.interior(a3)
-    for r in positive_roots(a3):
-        assert x.pair(r.coords).sign() == 1
-        assert x.pair((-r).coords).sign() == -1
+def test_all_ones_pairing_positive_on_positive_roots():
+    for name in ("a3", "h3"):
+        sys_ = corpus.load(name)
+        for r in positive_roots(sys_):
+            assert roots_mod._pairing_sign(sys_, r.key) == 1
+            assert roots_mod._pairing_sign(sys_, (-r).key) == -1
 
 
 def test_outward_infinite_dihedral():
