@@ -37,11 +37,14 @@ only: _view embeds a flat vector into Q(theta), for the cols of an
 element and the coords of a root, views built on first use for printing
 and the public FieldElement interfaces; _flatten projects field columns
 back to a key, rejecting an entry outside Z[theta']. Signs of entries
-stay in the ring: _Ring.sign bounds sum_k b_k theta'^k between two
-integers, from a 64-bit fixed-point enclosure of the powers theta'^k
-built on the first sign asked for, and asks the exact FieldElement.sign
-of Q(theta') only when that interval contains 0. _descent and the walk
-decide every sign this way.
+stay in the ring. theta' > 0, so every power theta'^k is positive: a
+block whose ints are all >= 0 (or all <= 0) has that sign, and so has a
+column whose ints all are, which _Ring.sign and _Ring.root_sign read off
+min and max. Only a mixed block goes on: _Ring.sign bounds
+sum_k b_k theta'^k between two integers, from a 64-bit fixed-point
+enclosure of the powers theta'^k built on the first mixed block, and
+asks the exact FieldElement.sign of Q(theta') only when that interval
+contains 0. _descent and the walk decide every sign this way.
 
 Lengths come from the greedy descent walk: s is a right descent of w
 exactly when w maps e_s to a negative root, and stripping descents
@@ -58,7 +61,10 @@ descent masks, O(n R) keys in all. A step x -> x*s negates column s,
 leaves every column not adjacent to s in the diagram as it was, and
 adds a positive multiple of the positive column s to the adjacent
 ones; a positive column stays positive, so only adjacent columns that
-were negative have their signs decided again.
+were negative have their signs decided again. Each walk builds its step
+rules once: the column operations as strided (k, l, c) terms (_terms),
+and per descent mask it meets, the generators that pass the part of
+the child test the mask alone decides.
 
 Every breadth-first search in the package runs through closure(): balls
 and whole-group enumerations here, kept for the callers that need a
@@ -88,7 +94,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import lcm
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, mul, neg
 
 from . import field as field_mod
 from .diagram import INFINITY, CoxeterSystem
@@ -133,13 +139,14 @@ class GroupElement:
     """An exact matrix, stored as its integer key, plus a witness word
     that evaluates to it."""
 
-    __slots__ = ("system", "key", "word", "_cols", "_ops")
+    __slots__ = ("system", "key", "word", "_cols", "_entries", "_ops")
 
     def __init__(self, system: CoxeterSystem, key: Key, word: tuple[int, ...]) -> None:
         self.system = system
         self.key = key
         self.word = word
         self._cols: tuple[Vector, ...] | None = None
+        self._entries: list | None = None
         self._ops: tuple | None = None
 
     @property
@@ -214,9 +221,10 @@ class _Ring:
     entry of every group element lies in Z[theta'], a subring of Z[theta]
     of degree d' = field.degree. basis holds the rows of the d x d'
     integer embedding E, whose column k is theta'^k over the power basis
-    of sys_.field; _inv / _den is an exact left inverse of E. Signs are
-    decided in integers against _lo[k] / 2^_BITS <= theta'^k <= _hi[k] / 2^_BITS,
-    built on the first sign asked for.
+    of sys_.field; _inv / _den is an exact left inverse of E. Signs of
+    mixed blocks are decided in integers against
+    _lo[k] / 2^_BITS <= theta'^k <= _hi[k] / 2^_BITS, built on the first
+    such block; _lo stays None while every block met has one sign.
     """
 
     __slots__ = ("field", "degree", "basis", "_inv", "_den", "_lo", "_hi")
@@ -269,10 +277,16 @@ class _Ring:
     def sign(self, block: Sequence[int]) -> int:
         """The exact sign of the element of Z[theta'] with coefficients block.
 
-        The fixed-point enclosure of the powers theta'^k bounds the value
-        by two integers; only when their interval contains 0 does
+        theta' > 0, so every power theta'^k is positive, and a block whose
+        ints are all >= 0 or all <= 0 has their sign. A mixed block is
+        bounded by two integers from the fixed-point enclosure of the
+        powers theta'^k; only when their interval contains 0 does
         FieldElement.sign decide.
         """
+        if min(block) >= 0:
+            return 1 if any(block) else 0
+        if max(block) <= 0:
+            return -1
         if self._lo is None:
             self._enclose()
         lo = hi = 0
@@ -291,14 +305,18 @@ class _Ring:
 
     def root_sign(self, col: Sequence[int]) -> int:
         """The sign of a root given as a flat column: that of its first
-        nonzero entry, as a root has all entries >= 0 or all <= 0;
-        callers that must reject non-roots use roots.make_root."""
+        nonzero block, as a root has all entries >= 0 or all <= 0;
+        callers that must reject non-roots use roots.make_root.
+
+        A column whose ints are all >= 0 or all <= 0 has that sign
+        without a look at its blocks: each nonzero block has it.
+        """
+        if min(col) >= 0:
+            return 1 if any(col) else 0
+        if max(col) <= 0:
+            return -1
         d = self.degree
-        for a in range(0, len(col), d):
-            block = col[a:a + d]
-            if any(block):
-                return self.sign(block)
-        return 0
+        return next(self.sign(col[a:a + d]) for a in range(0, len(col), d) if any(col[a:a + d]))
 
     def _enclose(self) -> None:
         # theta' >= 2cos(pi/4) > 0 when d' > 1, so the powers of the ends
@@ -358,6 +376,18 @@ def _scaled(op, vec: Sequence[int], d: int) -> list[int]:
     return out
 
 
+def _terms(op, d: int, a: int, lo: int, nd: int) -> list[tuple[slice, slice, int]]:
+    """The column operation "the column at flat offset a gains op times
+    the column at lo" as terms (dst, src, c): coefficient k of every
+    block of the one gains c times coefficient l of the matching block of
+    the other, the strided slices a+k::d and lo+l::d. A plain int op is
+    one term over the whole column."""
+    if op.__class__ is int:
+        return [(slice(a, a + nd), slice(lo, lo + nd), op)]
+    return [(slice(a + k, a + nd, d), slice(lo + l, lo + nd, d), c)
+            for k, row in enumerate(op) for l, c in enumerate(row) if c]
+
+
 def _steps(sys_: CoxeterSystem) -> tuple[int, list[list[tuple[int, object]]]]:
     """The ring degree d' and, for each generator s, the pairs (j, op)
     with op multiplication by -2B(e_s, e_j) = D_{N/m}(theta), for j != s
@@ -405,14 +435,18 @@ def from_word(sys_: CoxeterSystem, word: Iterable[int]) -> GroupElement:
 
 
 def _entry_ops(w: GroupElement) -> list[list[tuple[int, object]]]:
-    """Per column j of w, the pairs (i, op) over its nonzero entries w_ij."""
-    n, d = w.system.rank, _ring(w.system).degree
-    key = w.key
-    return [
-        [(i, _op(w.system, key[a:a + d])) for i, a in enumerate(range(j * n * d, (j + 1) * n * d, d))
-         if any(key[a:a + d])]
-        for j in range(n)
-    ]
+    """Per column j of w, the pairs (i, op) over its nonzero entries w_ij;
+    built on first use and cached on w, so an element that is the right
+    factor of many products, a memoized reflection say, builds them once."""
+    if w._entries is None:
+        n, d = w.system.rank, _ring(w.system).degree
+        key = w.key
+        w._entries = [
+            [(i, _op(w.system, key[a:a + d])) for i, a in enumerate(range(j * n * d, (j + 1) * n * d, d))
+             if any(key[a:a + d])]
+            for j in range(n)
+        ]
+    return w._entries
 
 
 def _operators(w: GroupElement) -> tuple:
@@ -765,6 +799,11 @@ def walk(
     order is the walk's own, not the ball's. Visiting more than cap
     elements (DEFAULT_BALL_CAP when None) raises ResourceLimitError
     naming the depth and the count reached.
+
+    The step rules are built once per walk: each column operation as
+    _terms, and, per descent mask the walk meets, the generators s that
+    are ascents of x and pass the child test on the descents x*s
+    inherits; only those are tried on x.
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -772,16 +811,22 @@ def walk(
         cap = DEFAULT_BALL_CAP
     ring = _ring(sys_)
     d, steps = _steps(sys_)
-    n = sys_.rank
-    nd = n * d
+    nd = sys_.rank * d
     # per generator: the mask of columns a step leaves alone, whose signs
-    # it inherits, and its column operations
+    # it inherits, the slice of column s, and per adjacent column j its
+    # operation as strided (k, l, c) terms
     rules = []
     for s0, row in enumerate(steps):
+        lo = s0 * nd
         touched = 1 << s0
-        for j, _ in row:
+        ops = []
+        for j, op in row:
             touched |= 1 << j
-        rules.append((s0, 1 << s0, ~touched, row))
+            ops.append((j * nd, 1 << j, _terms(op, d, j * nd, lo, nd)))
+        rules.append((s0, 1 << s0, ~touched, slice(lo, lo + nd), ops))
+    # descent mask -> the rules whose s passes the inherited part of the
+    # child test, built for the masks the walk meets
+    candidates: dict = {}
     stack = [(identity(sys_).key, 0, ())]
     count = deepest = 0
     while stack:
@@ -798,27 +843,29 @@ def walk(
         yield GroupElement(sys_, key, word)
         if depth == radius:
             continue
-        for s0, bit, keep, row in rules:
+        todo = candidates.get(descents)
+        if todo is None:
             # x*s is a child of x when s is an ascent of x and no t < s
             # is a descent of x*s; columns away from s keep their signs
-            if descents & bit or not _is_child(descents & keep, s0):
-                continue
-            lo = s0 * nd
-            col_s = key[lo:lo + nd]
+            todo = candidates[descents] = [
+                rule for rule in rules
+                if not descents & rule[1] and _is_child(descents & rule[2], rule[0])
+            ]
+        for s0, bit, keep, col_s, ops in todo:
             out = list(key)
             mask = descents & keep | bit
-            for j, op in row:
-                a = j * nd
-                col = list(map(add, key[a:a + nd], col_s if op == 1 else _scaled(op, col_s, d)))
-                out[a:a + nd] = col
+            for a, jbit, terms in ops:
+                for dst, src, c in terms:
+                    out[dst] = (map(add, out[dst], key[src]) if c == 1
+                                else [x + c * y for x, y in zip(out[dst], key[src])])
                 # a positive column plus a positive multiple of the
                 # positive column s stays positive
-                if descents >> j & 1 and _still_negative(ring, col):
-                    mask |= 1 << j
+                if descents & jbit and _still_negative(ring, out[a:a + nd]):
+                    mask |= jbit
                     if not _is_child(mask, s0):
                         break
             else:
-                out[lo:lo + nd] = [-y for y in col_s]
+                out[col_s] = map(neg, key[col_s])
                 stack.append((tuple(out), mask, word + (s0 + 1,)))
 
 

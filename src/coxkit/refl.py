@@ -50,13 +50,15 @@ MAX_REFLECTION_LENGTH_SEARCH = 6
 class Reflection:
     """A reflection together with the positive root it inverts."""
 
-    __slots__ = ("element", "root")
+    __slots__ = ("element", "root", "_products")
 
     def __init__(self, element: GroupElement, root: Root) -> None:
         if not root.positive:
             raise ValueError("a reflection is stored with its positive root")
         self.element = element
         self.root = root
+        # right factor key -> key of the product, filled by _pair_product
+        self._products: dict = {}
 
     @property
     def key(self):
@@ -244,8 +246,10 @@ def reduced_factorizations(
     rank(t w - 1) = rank(w - 1) - 1, that is, when the root of t lies in
     the moved space of w (Carter 1972). So each step reduces the root
     against w's moved basis, once per element, and multiplies only the
-    steps that pass. Guarded to reflection length <= 6; the search tree
-    over the reflection alphabet grows too fast beyond that.
+    steps that pass. Each leaf checks that its factors multiply to w, so
+    the results need no second multiplication. Guarded to reflection
+    length <= 6; the search tree over the reflection alphabet grows too
+    fast beyond that.
     """
     gens_t = group_mod._norm_gens(sys_, gens)
     if not diagram_mod.is_spherical(sys_, gens_t):
@@ -262,6 +266,10 @@ def reduced_factorizations(
     def tails(remaining: GroupElement, depth: int) -> list[tuple[Reflection, ...]]:
         # built once per element: many prefixes reach the same one
         if depth == 0:
+            # remaining is t_k ... t_1 w, so the factors multiply to w
+            # exactly when it is the identity
+            if not remaining.is_identity():
+                raise InvariantViolation(_PRODUCT_MISMATCH)
             return [()]
         if remaining.key not in tails_of:
             basis = _moved_basis([remaining])
@@ -273,7 +281,7 @@ def reduced_factorizations(
             tails_of[remaining.key] = found
         return tails_of[remaining.key]
 
-    return [ReflectionFactorization(factors, w) for factors in tails(w, k)]
+    return [ReflectionFactorization._proved(factors, w) for factors in tails(w, k)]
 
 
 # ------------------------------------------------------------- Hurwitz moves
@@ -290,6 +298,16 @@ def _conjugate_reflection(sys_: CoxeterSystem, a: Reflection, b: Reflection) -> 
     )
 
 
+def _pair_product(a: Reflection, b: Reflection):
+    """The key of a*b, multiplied once per ordered pair and cached on a:
+    an orbit meets the same adjacent pair in many factorizations, and
+    both moves at a slot check against it."""
+    key = a._products.get(b.key)
+    if key is None:
+        key = a._products[b.key] = group_mod.multiply(a.element, b.element).key
+    return key
+
+
 def hurwitz_move(
     fact: ReflectionFactorization,
     slot: int,
@@ -299,7 +317,8 @@ def hurwitz_move(
 
     The other factors are kept and fact's product was checked when it
     was built, so the move checks only that the new pair multiplies to
-    the old one: t u = (t u t) t forward, u (u t u) backward."""
+    the old one: t u = (t u t) t forward, u (u t u) backward. Each
+    ordered pair is multiplied once (_pair_product)."""
     k = len(fact.factors)
     if not (1 <= slot <= k - 1):
         raise ValueError(f"slot must be in 1..{k - 1}")
@@ -312,8 +331,7 @@ def hurwitz_move(
         new_pair = (_conjugate_reflection(sys_, t, u), t)
     else:
         new_pair = (u, _conjugate_reflection(sys_, u, t))
-    a, b = new_pair
-    if group_mod.multiply(a.element, b.element).key != group_mod.multiply(t.element, u.element).key:
+    if _pair_product(*new_pair) != _pair_product(t, u):
         raise InvariantViolation(_PRODUCT_MISMATCH)
     factors = fact.factors[:i] + new_pair + fact.factors[i + 2 :]
     return ReflectionFactorization._proved(factors, fact.product)

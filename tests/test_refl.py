@@ -299,6 +299,25 @@ def test_factorization_guardrail_and_validation():
         ReflectionFactorization((refs[0], refs[0]), from_word(a2, (1, 2)))
 
 
+def test_reduced_factorizations_check_each_tail(monkeypatch):
+    # the results are built without multiplying their factors again, so
+    # the search itself must catch a tail that does not multiply to w:
+    # here the last step of each branch, t * t, comes back as s1
+    b3 = diagram.parse_system(corpus.read_text("b3"))
+    c = from_word(b3, (1, 2, 3))
+    facts = reduced_factorizations(b3, c)
+    assert len(facts) == 27
+    assert all(f == ReflectionFactorization(f.factors, c) for f in facts)
+
+    def corrupted(a, b):
+        p = multiply(a, b)
+        return generator(b3, 1) if p.is_identity() else p
+
+    monkeypatch.setattr(refl.group_mod, "multiply", corrupted)
+    with pytest.raises(InvariantViolation, match="do not multiply to the stated product"):
+        reduced_factorizations(b3, c)
+
+
 # ---------------------------------------------------------------- Hurwitz
 
 def test_hurwitz_move_roundtrip():

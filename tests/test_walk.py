@@ -13,11 +13,12 @@ import os
 import random
 import subprocess
 import sys
+from operator import add
 from pathlib import Path
 
 import pytest
 
-from coxkit import corpus, field
+from coxkit import corpus, diagram, field, verify
 from coxkit import group as group_mod
 from coxkit.errors import ResourceLimitError
 from coxkit.field import FieldElement
@@ -44,6 +45,42 @@ def test_ring_sign_matches_field_sign_on_random_blocks(name):
             block = [rng.randint(-size, size) for _ in range(ring.degree)]
             assert ring.sign(block) == _field_sign(sys_, block), block
     assert ring.sign([0] * ring.degree) == 0
+
+
+def _first_block_sign(sys_, col):
+    """The first-nonzero-block rule, each block's sign decided exactly."""
+    d = group_mod._ring(sys_).degree
+    return next((_field_sign(sys_, col[a:a + d]) for a in range(0, len(col), d) if any(col[a:a + d])), 0)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_root_sign_matches_the_first_nonzero_block_on_mixed_columns(name):
+    sys_ = corpus.load(name)
+    ring = group_mod._ring(sys_)
+    nd = sys_.rank * ring.degree
+    rng = random.Random(name)
+    for _ in range(200):
+        col = [rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10**6, 10**6))) for _ in range(nd)]
+        if nd > 1:
+            # mixed, so past the same-sign rule; a1 has one-int columns
+            p, q = rng.sample(range(nd), 2)
+            col[p], col[q] = rng.randint(1, 9), -rng.randint(1, 9)
+        assert ring.root_sign(col) == _first_block_sign(sys_, col), col
+
+
+SWEEPS = [("h4", None), ("f4", None), ("b4", None), ("h3", None), ("d4t", 10), ("tri334", 16)]
+
+
+@pytest.mark.parametrize("name,radius", SWEEPS + [("i2_7", None)])
+def test_sweeps_decide_their_signs_without_the_enclosure(name, radius):
+    # every block these sweeps meet has ints of one sign; i2_7 (d' = 3)
+    # meets mixed ones, so its enclosure is built
+    sys_ = diagram.parse_system(corpus.read_text(name))
+    if radius is None:
+        assert verify.verify_finite(sys_).theorem_consistent
+    else:
+        assert verify.verify_ball(sys_, radius=radius).theorem_consistent
+    assert (group_mod._ring(sys_)._lo is None) == (name != "i2_7")
 
 
 def _fibonacci_blocks(count):
@@ -151,6 +188,67 @@ def test_walk_visits_each_element_once_with_its_canonical_word():
         assert group_mod.length_and_reduced(g) == (len(g.word), g.word)
         assert group_mod.from_word(sys_, g.word).key == g.key
     assert set(seen) == set(group_mod.enumerate_group(sys_).members)
+
+
+def _reference_walk(sys_, radius):
+    """The walk's step loop as it was before its step rules were built
+    once per walk, kept as the reference: every generator tried on every
+    element, each column operation applied block by block with
+    group._scaled, each sign that of the first nonzero block by the
+    exact FieldElement.sign of Q(theta'). Yields (key, word) pairs."""
+    ring = group_mod._ring(sys_)
+    d, steps = group_mod._steps(sys_)
+    nd = sys_.rank * d
+
+    def negative(col):
+        a = next(a for a in range(0, nd, d) if any(col[a:a + d]))
+        return FieldElement(ring.field, tuple(col[a:a + d]), 1).sign() < 0
+
+    rules = []
+    for s0, row in enumerate(steps):
+        touched = 1 << s0
+        for j, _ in row:
+            touched |= 1 << j
+        rules.append((s0, 1 << s0, ~touched, row))
+    stack = [(group_mod.identity(sys_).key, 0, ())]
+    while stack:
+        key, descents, word = stack.pop()
+        yield key, word
+        if len(word) == radius:
+            continue
+        for s0, bit, keep, row in rules:
+            below = (1 << s0) - 1
+            if descents & bit or descents & keep & below:
+                continue
+            lo = s0 * nd
+            col_s = key[lo:lo + nd]
+            out = list(key)
+            mask = descents & keep | bit
+            for j, op in row:
+                a = j * nd
+                col = list(map(add, key[a:a + nd], group_mod._scaled(op, col_s, d)))
+                out[a:a + nd] = col
+                if descents >> j & 1 and negative(col):
+                    mask |= 1 << j
+                    if mask & below:
+                        break
+            else:
+                out[lo:lo + nd] = [-y for y in col_s]
+                stack.append((tuple(out), mask, word + (s0 + 1,)))
+
+
+# radii of the infinite systems: balls of at most about 17,500 elements
+REFERENCE_RADII = {"a1t": 200, "a2t": 59, "c2t": 59, "g2t": 59, "d4t": 17, "tri334": 21}
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_walk_matches_the_reference_step_loop(name):
+    sys_ = corpus.load(name)
+    radius = REFERENCE_RADII.get(name)
+    if radius is None:
+        assert diagram.is_spherical(sys_, tuple(range(1, sys_.rank + 1))), name
+    got = [(g.key, g.word) for g in group_mod.walk(sys_, radius)]
+    assert got == list(_reference_walk(sys_, radius))
 
 
 @pytest.mark.parametrize("mutant", ["drop-least-descent-clause", "inherit-every-sign"])
