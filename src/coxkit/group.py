@@ -19,12 +19,14 @@ Q(theta), theta = 2cos(pi/N), and often smaller: 2 instead of 8 for
 h4, 1 instead of 2 for d4t. An element is stored as one flat tuple of
 ints, its key: column-major (cols[j] is the image of e_{j+1}), each
 entry the d' coefficients of that entry over Z[theta'], n*n*d' ints in
-all. Generator steps are integer column operations precomputed per
-system (_steps); a product turns each entry of its right factor into
-one such operation (_entry_ops); a commutation test with a fixed right
-operand, c in a sweep, caches those, the theta'-multiples of its
-columns and its commutator weights on it (_operators). None of them
-creates a FieldElement.
+all. Generator steps are integer operations precomputed per system
+(_steps, _rules): w*s a column operation, s*w a row operation that
+reads the same entries -2B(e_s, e_j), as B is symmetric; both apply
+strided (k, l, c) terms (_terms) to the flat key. A product turns each
+entry of its right factor into one such operation (_entry_ops); a
+commutation test with a fixed right operand, c in a sweep, caches
+those, the theta'-multiples of its columns and its commutator weights
+on it (_operators). None of them creates a FieldElement.
 
 The ring (_ring) is built once per system, on first use. A root is a
 column: column j of a key is the root w(e_{j+1}), so the root,
@@ -52,7 +54,8 @@ lowers the length by one each time, so the walk both measures the
 length and emits a canonical reduced word (least descent first).
 
 The centralizer sweeps hold no ball: walk() visits each element of a
-ball, or of the whole group, once, depth-first over the canonical-word
+ball, of the whole group, of a standard parabolic W_J or of the minimal
+coset representatives JW, once, depth-first over the canonical-word
 tree. The parent of y is y*s for s its least right descent, so x*s is
 a child of x when s is an ascent of x and no t < s is a right descent
 of x*s, and the path from the identity spells the canonical reduced
@@ -61,10 +64,10 @@ descent masks, O(n R) keys in all. A step x -> x*s negates column s,
 leaves every column not adjacent to s in the diagram as it was, and
 adds a positive multiple of the positive column s to the adjacent
 ones; a positive column stays positive, so only adjacent columns that
-were negative have their signs decided again. Each walk builds its step
-rules once: the column operations as strided (k, l, c) terms (_terms),
-and per descent mask it meets, the generators that pass the part of
-the child test the mask alone decides.
+were negative have their signs decided again. The step rules are built
+once per system, and each walk builds, per descent mask it meets, the
+generators that pass the part of the child test the mask alone decides.
+The walk of JW prunes the steps that leave it by Deodhar's test (walk).
 
 Every breadth-first search in the package runs through closure(): balls
 and whole-group enumerations here, kept for the callers that need a
@@ -161,7 +164,8 @@ class GroupElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.system == other.system and self.key == other.key
+        same = self.system is other.system or self.system == other.system
+        return same and self.key == other.key
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -376,16 +380,28 @@ def _scaled(op, vec: Sequence[int], d: int) -> list[int]:
     return out
 
 
-def _terms(op, d: int, a: int, lo: int, nd: int) -> list[tuple[slice, slice, int]]:
-    """The column operation "the column at flat offset a gains op times
-    the column at lo" as terms (dst, src, c): coefficient k of every
-    block of the one gains c times coefficient l of the matching block of
-    the other, the strided slices a+k::d and lo+l::d. A plain int op is
-    one term over the whole column."""
+def _terms(op, d: int, a: int, lo: int, span: int, stride: int) -> list[tuple[slice, slice, int]]:
+    """The operation "the vector at flat offset a gains op times the
+    vector at lo", each a run of blocks of d ints, one block every stride
+    ints up to span, as terms (dst, src, c): coefficient k of every block
+    of the one gains c times coefficient l of the matching block of the
+    other, the strided slices a+k::stride and lo+l::stride. Columns are
+    runs of adjacent blocks (stride d, span n d), rows take one block of
+    each column (stride n d, span n n d). A plain int op is one term per
+    coefficient, and one over the whole run for a column."""
     if op.__class__ is int:
-        return [(slice(a, a + nd), slice(lo, lo + nd), op)]
-    return [(slice(a + k, a + nd, d), slice(lo + l, lo + nd, d), c)
+        if stride == d:
+            return [(slice(a, a + span), slice(lo, lo + span), op)]
+        return [(slice(a + k, a + span, stride), slice(lo + k, lo + span, stride), op) for k in range(d)]
+    return [(slice(a + k, a + span, stride), slice(lo + l, lo + span, stride), c)
             for k, row in enumerate(op) for l, c in enumerate(row) if c]
+
+
+def _add_terms(out: list[int], key: Key, terms: list[tuple[slice, slice, int]]) -> None:
+    """Apply terms (as built by _terms) to out, reading the sources in key."""
+    for dst, src, c in terms:
+        out[dst] = (map(add, out[dst], key[src]) if c == 1
+                    else [x + c * y for x, y in zip(out[dst], key[src])])
 
 
 def _steps(sys_: CoxeterSystem) -> tuple[int, list[list[tuple[int, object]]]]:
@@ -396,6 +412,38 @@ def _steps(sys_: CoxeterSystem) -> tuple[int, list[list[tuple[int, object]]]]:
         [(j, _op(sys_, _flatten(sys_, [[b * -2]]))) for j, b in enumerate(row) if j != s and not b.is_zero()]
         for s, row in enumerate(sys_.gram)
     ]))
+
+
+def _rules(sys_: CoxeterSystem) -> tuple[int, list[tuple], list[tuple]]:
+    """The step rules of a system, built once on first use: nd = n d'
+    and, per generator s (0-based), the right and the left rule.
+
+    Right, w -> w*s, a column operation: (s, its bit, the mask of the
+    columns the step leaves alone, the slice of column s, and per
+    adjacent column j the tuple (offset of j, bit of j, its terms)).
+    Left, w -> s*w, a row operation: sigma_s differs from the identity
+    in row s only, (-2B(e_s, e_j))_j with -1 at s, so row s of s*w is
+    minus row s of w plus -2B(e_s, e_j) times row j, the right rule's
+    operations read across rows, as B is symmetric: (the slices of
+    row s, its terms).
+    """
+    def build():
+        d, steps = _steps(sys_)
+        n = sys_.rank
+        nd = n * d
+        right, left = [], []
+        for s0, row in enumerate(steps):
+            lo = s0 * nd
+            touched = 1 << s0
+            ops, row_terms = [], []
+            for j, op in row:
+                touched |= 1 << j
+                ops.append((j * nd, 1 << j, _terms(op, d, j * nd, lo, nd, d)))
+                row_terms += _terms(op, d, s0 * d, j * d, n * nd, nd)
+            right.append((s0, 1 << s0, ~touched, slice(lo, lo + nd), ops))
+            left.append(([slice(s0 * d + k, n * nd, nd) for k in range(d)], row_terms))
+        return nd, right, left
+    return sys_.memo("rules", build)
 
 
 def generator(sys_: CoxeterSystem, s: int) -> GroupElement:
@@ -412,17 +460,26 @@ def _right_mul_gen(w: GroupElement, s: int) -> GroupElement:
     """w * sigma_s: column j gains -2B(e_s, e_j) times column s, then
     column s changes sign; integer column operations only."""
     sys_ = w.system
-    d, steps = _steps(sys_)
-    nd = sys_.rank * d
+    _, _, _, col_s, ops = _rules(sys_)[1][s - 1]
     key = w.key
-    lo = (s - 1) * nd
-    col_s = key[lo:lo + nd]
     out = list(key)
-    for j, op in steps[s - 1]:
-        a = j * nd
-        out[a:a + nd] = map(add, key[a:a + nd], _scaled(op, col_s, d))
-    out[lo:lo + nd] = [-y for y in col_s]
+    for _, _, terms in ops:
+        _add_terms(out, key, terms)
+    out[col_s] = map(neg, key[col_s])
     return GroupElement(sys_, tuple(out), w.word + (s,))
+
+
+def _left_mul_gen(w: GroupElement, s: int) -> GroupElement:
+    """sigma_s * w: row s changes sign and gains -2B(e_s, e_j) times
+    row j; integer row operations only."""
+    sys_ = w.system
+    row_s, terms = _rules(sys_)[2][s - 1]
+    key = w.key
+    out = list(key)
+    for part in row_s:
+        out[part] = map(neg, key[part])
+    _add_terms(out, key, terms)
+    return GroupElement(sys_, tuple(out), (s,) + w.word)
 
 
 def from_word(sys_: CoxeterSystem, word: Iterable[int]) -> GroupElement:
@@ -531,7 +588,7 @@ def _image(w: GroupElement, vec: Sequence[int]) -> list[int]:
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """The product a*b: column j is a applied to column j of b."""
-    if a.system != b.system:
+    if a.system is not b.system and a.system != b.system:
         raise ValueError("elements of different systems cannot be multiplied")
     key: list[int] = []
     for entries in _entry_ops(b):
@@ -609,6 +666,23 @@ def length_and_reduced(w: GroupElement) -> tuple[int, tuple[int, ...]]:
         if len(letters) > max_iter:
             raise InvariantViolation("descent walk did not terminate within its bound")
     return len(letters), tuple(reversed(letters))
+
+
+def _ascend(sys_: CoxeterSystem, gens: Sequence[int], bound: int | None = None) -> GroupElement:
+    """The longest element of the finite standard parabolic on gens, by
+    greedy ascent: step the least generator of gens still sent to a
+    positive root until there is none. Each step adds one to the length,
+    so there are as many steps as the parabolic has reflections. More
+    than bound steps raise InvariantViolation."""
+    ring = _ring(sys_)
+    w = identity(sys_)
+    while True:
+        ascent = next((s for s in gens if ring.root_sign(_column(w, s)) > 0), None)
+        if ascent is None:
+            return w
+        if bound is not None and len(w.word) >= bound:
+            raise InvariantViolation("longest-element ascent exceeded the root count")
+        w = _right_mul_gen(w, ascent)
 
 
 def canonical(w: GroupElement) -> GroupElement:
@@ -785,10 +859,18 @@ def _still_negative(ring: _Ring, col: Sequence[int]) -> bool:
     return ring.root_sign(col) < 0
 
 
+def _coset_units(sys_: CoxeterSystem, coset: Iterable[int]) -> set[Key]:
+    """The unit columns e_s, s in coset, as flat columns: the prune of a
+    walk of minimal coset representatives."""
+    return {_column(identity(sys_), s) for s in coset}
+
+
 def walk(
     sys_: CoxeterSystem,
     radius: int | None = None,
     cap: int | None = None,
+    gens: Iterable[int] | None = None,
+    coset: Iterable[int] | None = None,
 ) -> Iterator[GroupElement]:
     """Every element of length <= radius, or of the whole group when
     radius is None, once each, carrying its canonical reduced word.
@@ -800,30 +882,31 @@ def walk(
     elements (DEFAULT_BALL_CAP when None) raises ResourceLimitError
     naming the depth and the count reached.
 
-    The step rules are built once per walk: each column operation as
-    _terms, and, per descent mask the walk meets, the generators s that
-    are ascents of x and pass the child test on the descents x*s
-    inherits; only those are tried on x.
+    gens restricts the steps to those generators, so the walk covers the
+    standard parabolic W_gens: its elements have their descents in gens.
+    coset = J keeps only the minimal representatives of the cosets
+    W_J x, the x with no left descent in J. They are closed under
+    prefixes, and by Deodhar's lemma an ascent t of such an x leads out
+    of them exactly when x t x^-1 lies in J, that is when column t of x,
+    the root x(e_t), is a unit column e_s with s in J (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 2.4); the walk prunes those steps,
+    and every element below them keeps that left descent.
+
+    The step rules are built once per system (_rules), and per walk,
+    per descent mask it meets, the generators s that are ascents of x
+    and pass the child test on the descents x*s inherits; only those
+    are tried on x.
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be nonnegative")
     if cap is None:
         cap = DEFAULT_BALL_CAP
     ring = _ring(sys_)
-    d, steps = _steps(sys_)
-    nd = sys_.rank * d
-    # per generator: the mask of columns a step leaves alone, whose signs
-    # it inherits, the slice of column s, and per adjacent column j its
-    # operation as strided (k, l, c) terms
-    rules = []
-    for s0, row in enumerate(steps):
-        lo = s0 * nd
-        touched = 1 << s0
-        ops = []
-        for j, op in row:
-            touched |= 1 << j
-            ops.append((j * nd, 1 << j, _terms(op, d, j * nd, lo, nd)))
-        rules.append((s0, 1 << s0, ~touched, slice(lo, lo + nd), ops))
+    nd, rules, _ = _rules(sys_)
+    if gens is not None:
+        keep_gens = set(_norm_gens(sys_, gens))
+        rules = [rule for rule in rules if rule[0] + 1 in keep_gens]
+    units = _coset_units(sys_, _norm_gens(sys_, coset)) if coset is not None else set()
     # descent mask -> the rules whose s passes the inherited part of the
     # child test, built for the masks the walk meets
     candidates: dict = {}
@@ -852,12 +935,12 @@ def walk(
                 if not descents & rule[1] and _is_child(descents & rule[2], rule[0])
             ]
         for s0, bit, keep, col_s, ops in todo:
+            if units and key[col_s] in units:
+                continue
             out = list(key)
             mask = descents & keep | bit
             for a, jbit, terms in ops:
-                for dst, src, c in terms:
-                    out[dst] = (map(add, out[dst], key[src]) if c == 1
-                                else [x + c * y for x, y in zip(out[dst], key[src])])
+                _add_terms(out, key, terms)
                 # a positive column plus a positive multiple of the
                 # positive column s stays positive
                 if descents & jbit and _still_negative(ring, out[a:a + nd]):
@@ -890,13 +973,19 @@ def power_window(w: GroupElement, bound: int, signed: bool = True) -> dict:
 
     Exponents are taken in the order 0, 1, -1, 2, -2, ..., or 0, 1, 2,
     ... without signed; each key maps to (k, w^k) for the first k that
-    reaches it, and the dict keeps that order.
+    reaches it, and the dict keeps that order. The window stops early
+    when w^k is the identity: every later power repeats an earlier one,
+    so the table is the same, and it holds one key per element of the
+    cyclic group <w>.
     """
     fwd = bwd = identity(w.system)
-    table = {fwd.key: (0, fwd)}
+    idkey = fwd.key
+    table = {idkey: (0, fwd)}
     winv = inverse(w) if signed else None
     for k in range(1, bound + 1):
         fwd = multiply(fwd, w)
+        if fwd.key == idkey:
+            break
         table.setdefault(fwd.key, (k, fwd))
         if signed:
             bwd = multiply(bwd, winv)

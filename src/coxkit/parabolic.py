@@ -91,18 +91,8 @@ def _ascend(sys_: CoxeterSystem, idx: tuple[int, ...]) -> GroupElement:
     if not is_spherical(sys_, idx):
         raise ValueError(f"parabolic {subset_str(idx)} is not spherical")
     bound = len(roots_mod.positive_roots(sys_, idx)) if idx else 0
-    ring = group_mod._ring(sys_)
-    w = group_mod.identity(sys_)
-    steps = 0
-    while True:
-        ascent = next((s for s in idx if ring.root_sign(group_mod._column(w, s)) > 0), None)
-        if ascent is None:
-            break
-        w = group_mod._right_mul_gen(w, ascent)
-        steps += 1
-        if steps > bound:
-            raise InvariantViolation("longest-element ascent exceeded the root count")
-    if steps != bound:
+    w = group_mod._ascend(sys_, idx, bound)
+    if len(w.word) != bound:
         raise InvariantViolation("longest-element ascent stopped early")
     return w
 

@@ -2,15 +2,25 @@
 
 Target statement: the centralizer of a standard Coxeter element c is
 the cyclic group generated by c. Finite irreducible groups are settled
-by exhaustive enumeration. Infinite ones get a bounded certificate: a
-sweep of a Cayley ball that either confirms every centralizing element
+exactly, over the whole group. Infinite ones get a bounded certificate:
+a sweep of a Cayley ball that either confirms every centralizing element
 in range is a power of c, or surfaces the offender. Bounded sweeps are
 inconclusive beyond their radius by design and the reports say so.
-Both sweeps stream group.walk, which holds O(n R) keys at depth R
-instead of the ball, and test each element once through the module's commutes;
-the few commuting ones are sorted into the ball's order, by length
-and then by lexicographically least reduced word, and print their
-canonical reduced words, which the walk carries.
+
+The finite certificate is a join. Take J = S minus the generator whose
+parabolic W_J has the most reflections. Every g is u d for exactly one u
+in W_J and one minimal coset representative d in JW (no left descent in
+J), and u d commutes with c exactly when u^-1 c u = d c d^-1. So
+group.walk, pruned by Deodhar's test, walks JW and hashes key(d c d^-1);
+a second walk, restricted to J, carries u^-1 c u one generator at a time
+and looks it up. That is |W_J| + |JW| elements (120 + 120 for H4) instead
+of |W| (14,400), and the group's order is |W_J| |JW|. Each match is
+confirmed by commutes. The ball sweep streams group.walk, which holds
+O(n R) keys at depth R instead of the ball, and tests each element once
+through the module's commutes. Both sweeps sort the few commuting
+elements into the ball's order, by length and then by lexicographically
+least reduced word, the canonical word of g^-1 reversed, and g^-1 is
+among them; they print canonical reduced words.
 
 Commutation is tested one column at a time: column j of ab is a(b e_j)
 and column j of ba is b(a e_j), both one matrix-vector product on a
@@ -89,7 +99,7 @@ def commutes(a: GroupElement, b: GroupElement) -> bool:
     tests use operators of b cached on b, so a caller testing many
     elements against one passes that one as b.
     """
-    if a.system != b.system:
+    if a.system is not b.system and a.system != b.system:
         raise ValueError("elements of different systems cannot be compared")
     columns, _, weights, d = group_mod._operators(b)
     key = a.key
@@ -170,15 +180,17 @@ def _require(sys_: CoxeterSystem, finite: bool, message: str) -> None:
 # ------------------------------------------------------------- finite sweep
 
 def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> CentralizerReport:
-    """Exhaustive centralizer check in a finite irreducible group."""
+    """Exact centralizer check in a finite irreducible group, over the
+    whole group, by the join of _join; mode finite-exhaustive."""
     t0 = time.perf_counter()
     _require(sys_, True, "exhaustive verification needs a finite system")
     c = group_mod.coxeter_element(sys_, perm)
-    size, found = _sweep(sys_, c, None)
-    order = group_mod.order_upto(c, size)
-    if order is None:
+    size, found = _join(sys_, c, _join_parabolic(sys_))
+    powers = group_mod.power_window(c, size, signed=False)
+    order = len(powers)
+    if order > size:
         raise InvariantViolation("coxeter element order exceeds the group size")
-    entries = _centralizer_entries(found, group_mod.power_window(c, order - 1, signed=False))
+    entries = _centralizer_entries(found, powers)
     consistent = (
         all(e.status == "ok" for e in entries) and len(entries) == order
     )
@@ -191,6 +203,70 @@ def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> Cen
         coxeter_order=order,
         elapsed=time.perf_counter() - t0,
     )
+
+
+def _join_parabolic(sys_: CoxeterSystem) -> tuple[int, ...]:
+    """The J of the finite join: S minus one generator, the one whose
+    parabolic W_J has the most reflections (the first on a tie)."""
+    gens = range(1, sys_.rank + 1)
+    return max(
+        (tuple(t for t in gens if t != s) for s in gens),
+        key=lambda j: len(group_mod._ascend(sys_, j).word),
+    )
+
+
+def _join(sys_: CoxeterSystem, c: GroupElement, j: tuple[int, ...]) -> tuple[int, list[GroupElement]]:
+    """The centralizer of c in the finite group by the join over
+    W = W_J . JW (Humphreys, Reflection Groups and Coxeter Groups,
+    1.10): the order of the group, |W_J| |JW|, and the commuting
+    elements, in the ball's order.
+
+    The walk of JW hashes key(d c d^-1) to d and d^-1, carrying
+    d^-1 = t d'^-1 from its parent d' = d t by a row operation. The
+    walk of W_J carries u^-1 c u = s (u'^-1 c u') s and u^-1 = s u'^-1
+    from its parent u' = u s, one key per depth, and looks each
+    conjugate up. Each walk is capped on its own.
+    """
+    # the stacks hold keys, and each product gets a new right factor
+    # with its witness word: multiply caches operators on that factor
+    cosets: dict = {}
+    coset_count = 0
+    inverses = [group_mod.identity(sys_).key]
+    for d in group_mod.walk(sys_, coset=j):
+        coset_count += 1
+        depth = len(d.word)
+        if depth:
+            parent = GroupElement(sys_, inverses[depth - 1], d.word[-2::-1])
+            inverses[depth:] = [group_mod._left_mul_gen(parent, d.word[-1]).key]
+        dinv = GroupElement(sys_, inverses[depth], d.word[::-1])
+        conj = group_mod.multiply(group_mod.multiply(d, c), dinv).key
+        cosets.setdefault(conj, []).append((d.key, d.word, dinv.key))
+    found = []
+    parabolic_count = 0
+    conjugates, inverses = [c.key], [group_mod.identity(sys_).key]
+    for u in group_mod.walk(sys_, gens=j):
+        parabolic_count += 1
+        depth = len(u.word)
+        if depth:
+            s, prev = u.word[-1], u.word[:-1]
+            half = group_mod._right_mul_gen(
+                GroupElement(sys_, conjugates[depth - 1], prev[::-1] + c.word + prev), s
+            )
+            conjugates[depth:] = [group_mod._left_mul_gen(half, s).key]
+            parent = GroupElement(sys_, inverses[depth - 1], prev[::-1])
+            inverses[depth:] = [group_mod._left_mul_gen(parent, s).key]
+        for dkey, dword, dinv in cosets.get(conjugates[depth], ()):
+            g = group_mod.multiply(u, GroupElement(sys_, dkey, dword))
+            if not commutes(g, c):
+                raise InvariantViolation(
+                    f"joined element {group_mod.word_str(g.word)} does not commute with c"
+                )
+            ginv = group_mod.multiply(
+                GroupElement(sys_, dinv, dword[::-1]),
+                GroupElement(sys_, inverses[depth], u.word[::-1]),
+            )
+            found.append((group_mod.canonical(g), ginv.key))
+    return parabolic_count * coset_count, _ball_sorted(found)
 
 
 # ---------------------------------------------------------------- ball sweep
@@ -236,26 +312,35 @@ def verify_ball(
     )
 
 
-def _sweep(sys_: CoxeterSystem, c: GroupElement, radius: int | None) -> tuple[int, list[GroupElement]]:
-    """Walk the ball of the radius (the whole group when None), testing
-    each element against c once; the number of elements visited and the
-    commuting ones, in the ball's order."""
+def _sweep(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[GroupElement]]:
+    """Walk the ball of the radius, testing each element against c once;
+    the number of elements visited and the commuting ones, in the
+    ball's order."""
     size = 0
     found = []
     for g in group_mod.walk(sys_, radius):
         size += 1
         if commutes(g, c):
-            found.append(g)
-    found.sort(key=_ball_order)
-    return size, found
+            found.append((g, group_mod.inverse(g).key))
+    return size, _ball_sorted(found)
 
 
-def _ball_order(g: GroupElement) -> tuple[int, tuple[int, ...]]:
-    """(length, lexicographically least reduced word), the order of the
-    BFS ball. That word strips the least left descent first: it is the
-    canonical word of g^-1, reversed."""
-    word = group_mod.length_and_reduced(group_mod.inverse(g))[1]
-    return len(word), word[::-1]
+def _ball_sorted(found: list[tuple[GroupElement, tuple]]) -> list[GroupElement]:
+    """Elements carrying their canonical words, each paired with the key
+    of its inverse, sorted into the order of the BFS ball: by length,
+    then by lexicographically least reduced word. That word strips the
+    least left descent first: it is the canonical word of g^-1,
+    reversed, and g^-1 is among the elements found, as the centralizer
+    and the ball are both closed under inverses."""
+    words = {g.key: g.word for g, _ in found}
+
+    def order(pair):
+        word = words.get(pair[1])
+        if word is None:
+            raise InvariantViolation("the centralizing elements are not closed under inverses")
+        return len(word), word[::-1]
+
+    return [g for g, _ in sorted(found, key=order)]
 
 
 def _centralizer_entries(found: list[GroupElement], powers: dict) -> list[CentralizerEntry]:
@@ -420,10 +505,10 @@ def verify_example_d4tilde() -> ExampleReport:
     )
 
     u = group_mod.from_word(sys_, (5, 4))
-    v_order = group_mod.order_upto(v, order_wp)
-    if v_order is None:
+    vpowers = group_mod.power_window(v, order_wp, signed=False)
+    v_order = len(vpowers)
+    if v_order > order_wp:
         raise InvariantViolation("order of v not found inside W'")
-    vpowers = group_mod.power_window(v, v_order - 1, signed=False)
     _push_clause(
         clauses,
         "c",

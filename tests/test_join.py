@@ -1,0 +1,172 @@
+"""The finite centralizer as a join over W = W_J . JW.
+
+Oracles: the BFS sweep of test_verify (the whole group enumerated, each
+element tested by the column test, words from the descent walk), the
+closed-form group orders of perfbench/oracle.py, the BFS enumeration
+with left descents read off products, and the product definition of
+left multiplication.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from coxkit import corpus, verify
+from coxkit import group as group_mod
+from coxkit.errors import InvariantViolation, ResourceLimitError
+
+from test_bench_hooks import PRELUDE, _traced_counts
+from test_group import _load_oracle
+from test_verify import _bfs_report
+
+
+def _subsets(sys_):
+    """Every J = S minus one generator, and the empty J."""
+    gens = range(1, sys_.rank + 1)
+    return [tuple(t for t in gens if t != s) for s in gens] + [()]
+
+
+def _perms(sys_):
+    return (None, tuple(range(sys_.rank, 0, -1)))
+
+
+@pytest.mark.parametrize("name", corpus.FINITE)
+def test_join_matches_the_bfs_sweep_for_every_parabolic(name, monkeypatch):
+    sys_ = corpus.load(name)
+    for perm in _perms(sys_):
+        expected = _bfs_report(sys_, perm, None).text_lines()
+        assert verify.verify_finite(sys_, perm=perm).text_lines() == expected
+        for j in _subsets(sys_):
+            monkeypatch.setattr(verify, "_join_parabolic", lambda _, j=j: j)
+            assert verify.verify_finite(sys_, perm=perm).text_lines() == expected, j
+
+
+@pytest.mark.parametrize("name", corpus.FINITE)
+def test_parabolic_times_coset_count_is_the_group_order(name):
+    sys_ = corpus.load(name)
+    oracle = _load_oracle()
+    order = oracle.order(oracle.parse_cox(corpus.read_text(name)))
+    for j in _subsets(sys_):
+        parabolic = sum(1 for _ in group_mod.walk(sys_, gens=j))
+        cosets = sum(1 for _ in group_mod.walk(sys_, coset=j))
+        assert parabolic * cosets == order, j
+
+
+def test_join_parabolic_is_the_one_with_the_most_reflections():
+    assert verify._join_parabolic(corpus.load("h4")) == (1, 2, 3)
+    assert verify._join_parabolic(corpus.load("f4")) in ((1, 2, 3), (2, 3, 4))
+    assert verify._join_parabolic(corpus.load("b4")) == (2, 3, 4)
+    assert verify._join_parabolic(corpus.load("a1")) == ()
+
+
+def _left_descents(sys_, g, depth):
+    """The generators s with l(s g) < l(g), read off the BFS depths."""
+    return {
+        s for s in range(1, sys_.rank + 1)
+        if depth[group_mod.multiply(group_mod.generator(sys_, s), g).key] < depth[g.key]
+    }
+
+
+@pytest.mark.parametrize("name", ["a3", "a4", "b3", "b4", "d4", "f4", "h3", "i2_7"])
+def test_pruned_walk_yields_the_minimal_coset_representatives(name):
+    sys_ = corpus.load(name)
+    ball = group_mod.enumerate_group(sys_)
+    depth: dict = {}
+    for key, link in ball.parent.items():
+        depth[key] = 0 if link is None else depth[link[0]] + 1
+    descents = {g.key: _left_descents(sys_, g, depth) for g in ball.elements()}
+    for j in _subsets(sys_):
+        walked = list(group_mod.walk(sys_, coset=j))
+        assert len({g.key for g in walked}) == len(walked)
+        assert {g.key for g in walked} == {k for k, ds in descents.items() if not ds & set(j)}, j
+        for g in walked:
+            assert group_mod.length_and_reduced(g) == (len(g.word), g.word)
+        inside = list(group_mod.walk(sys_, gens=j))
+        assert all(set(g.word) <= set(j) for g in inside)
+        assert {g.key for g in inside} == set(group_mod.enumerate_group(sys_, gens=j).members)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_left_step_is_the_product_with_a_generator(name):
+    sys_ = corpus.load(name)
+    rng = random.Random(name)
+    for _ in range(25):
+        word = tuple(rng.randint(1, sys_.rank) for _ in range(rng.randint(0, 12)))
+        x = group_mod.from_word(sys_, word)
+        for s in range(1, sys_.rank + 1):
+            y = group_mod._left_mul_gen(x, s)
+            assert y.key == group_mod.multiply(group_mod.generator(sys_, s), x).key
+            assert y.word == (s,) + word
+
+
+def _right_step_instead(w, s):
+    # the column operation where the row operation belongs
+    return group_mod.GroupElement(w.system, group_mod._right_mul_gen(w, s).key, (s,) + w.word)
+
+
+def _rules_without_row_sign(real):
+    def mutant(sys_):
+        nd, right, left = real(sys_)
+        return nd, right, [([], terms) for _, terms in left]
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", ["drop-deodhar-prune", "right-step-for-left", "drop-row-sign"])
+def test_join_mutants_are_caught(mutant, monkeypatch):
+    systems = ("a3", "b3", "h3", "f4")
+    expected = {name: _bfs_report(corpus.load(name), None, None).text_lines() for name in systems}
+    if mutant == "drop-deodhar-prune":
+        monkeypatch.setattr(group_mod, "_coset_units", lambda sys_, coset: set())
+    elif mutant == "right-step-for-left":
+        monkeypatch.setattr(group_mod, "_left_mul_gen", _right_step_instead)
+    else:
+        monkeypatch.setattr(group_mod, "_rules", _rules_without_row_sign(group_mod._rules))
+    for name in systems:
+        try:
+            got = verify.verify_finite(corpus.load(name)).text_lines()
+        except InvariantViolation:
+            continue
+        assert got != expected[name], name
+
+
+def test_join_counts_larger_centralizers_of_non_coxeter_elements():
+    # negative control: s1 and c^2 have centralizers larger than the
+    # cyclic groups they generate, and the join must find all of them
+    h3 = corpus.load("h3")
+    c = group_mod.coxeter_element(h3)
+    for b, expected in ((group_mod.generator(h3, 1), 8), (group_mod.multiply(c, c), 10)):
+        walked = {g.key for g in group_mod.walk(h3) if verify.commutes(g, b)}
+        assert len(walked) == expected
+        for j in _subsets(h3):
+            size, found = verify._join(h3, b, j)
+            assert size == 120
+            assert {g.key for g in found} == walked, j
+            assert all(group_mod.multiply(g, b).key == group_mod.multiply(b, g).key for g in found)
+
+
+def test_h4_join_forms_few_products_and_steps():
+    # the walk tested all 14,400 elements; the join walks 120 + 120 and
+    # multiplies only there and at the 30 matches
+    counts = _traced_counts(PRELUDE + """
+report = verify.verify_finite(corpus.load("h4"))
+counts = tracer.snapshot()["counts"]
+counts["group_size"] = report.group_size
+print(json.dumps(counts))
+""")
+    assert counts["group_size"] == 14400
+    assert counts.get("group.multiply.calls", 0) < 14400 // 10
+    assert counts.get("group.step.calls", 0) < 14400 // 10
+    assert counts.get("verify.commutes.calls", 0) == 30
+
+
+def test_cap_bounds_each_walk_of_the_join(monkeypatch):
+    # H4 joins 120 elements of H3 with 120 coset representatives: a cap
+    # of 120 holds both walks, one less stops the first, with its count
+    h4 = corpus.load("h4")
+    monkeypatch.setattr(group_mod, "DEFAULT_BALL_CAP", 120)
+    assert verify.verify_finite(h4).group_size == 14400
+    monkeypatch.setattr(group_mod, "DEFAULT_BALL_CAP", 119)
+    with pytest.raises(ResourceLimitError, match="cap of 119 elements .* after 119 elements"):
+        verify.verify_finite(h4)
