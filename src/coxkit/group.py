@@ -22,11 +22,15 @@ entry the d' coefficients of that entry over Z[theta'], n*n*d' ints in
 all. Generator steps are integer operations precomputed per system
 (_steps, _rules): w*s a column operation, s*w a row operation that
 reads the same entries -2B(e_s, e_j), as B is symmetric; both apply
-strided (k, l, c) terms (_terms) to the flat key. A product turns each
-entry of its right factor into one such operation (_entry_ops); a
-commutation test with a fixed right operand, c in a sweep, caches
-those, the theta'-multiples of its columns and its commutator weights
-on it (_operators). None of them creates a FieldElement.
+strided (k, l, c) terms (_terms) to the flat key. One matrix-vector
+kernel serves everything else: _image(w, v) sums the ints of v times
+the flat columns theta'^k w(e_i) of w's theta'-table (_thetas), so
+column j of a product a*b is _image(a, column j of b), and the
+commutation test compares _image(a, b e_j) with _image(b, a e_j). Two
+caches live on an element, each built on first use: its
+theta'-table, on every element that acts, and its commutator weights
+(_weights), only on the fixed operand of a commutation test, c in a
+sweep. None of them creates a FieldElement.
 
 The ring (_ring) is built once per system, on first use. A root is a
 column: column j of a key is the root w(e_{j+1}), so the root,
@@ -142,15 +146,15 @@ class GroupElement:
     """An exact matrix, stored as its integer key, plus a witness word
     that evaluates to it."""
 
-    __slots__ = ("system", "key", "word", "_cols", "_entries", "_ops")
+    __slots__ = ("system", "key", "word", "_cols", "_thetas", "_weights")
 
     def __init__(self, system: CoxeterSystem, key: Key, word: tuple[int, ...]) -> None:
         self.system = system
         self.key = key
         self.word = word
         self._cols: tuple[Vector, ...] | None = None
-        self._entries: list | None = None
-        self._ops: tuple | None = None
+        self._thetas: list | None = None
+        self._weights: tuple[int, ...] | None = None
 
     @property
     def cols(self) -> tuple[Vector, ...]:
@@ -225,13 +229,14 @@ class _Ring:
     entry of every group element lies in Z[theta'], a subring of Z[theta]
     of degree d' = field.degree. basis holds the rows of the d x d'
     integer embedding E, whose column k is theta'^k over the power basis
-    of sys_.field; _inv / _den is an exact left inverse of E. Signs of
-    mixed blocks are decided in integers against
+    of sys_.field; _inv / _den is an exact left inverse of E. theta is
+    multiplication by theta' as built by _op (None when d' = 1). Signs
+    of mixed blocks are decided in integers against
     _lo[k] / 2^_BITS <= theta'^k <= _hi[k] / 2^_BITS, built on the first
     such block; _lo stays None while every block met has one sign.
     """
 
-    __slots__ = ("field", "degree", "basis", "_inv", "_den", "_lo", "_hi")
+    __slots__ = ("field", "degree", "basis", "theta", "_inv", "_den", "_lo", "_hi")
 
     def __init__(self, sys_: CoxeterSystem) -> None:
         n_ring = 1
@@ -263,6 +268,7 @@ class _Ring:
         inv = [row[d_ring:] for row in rows[:d_ring]]
         self._den = lcm(*(x.denominator for row in inv for x in row))
         self._inv = tuple(tuple(int(x * self._den) for x in row) for row in inv)
+        self.theta = _op(self, (0, 1) + (0,) * (d_ring - 2)) if d_ring > 1 else None
         self._lo = self._hi = None
 
     def embed(self, block: Sequence[int]) -> tuple[int, ...]:
@@ -363,10 +369,10 @@ def _flatten(sys_: CoxeterSystem, cols: Sequence[Vector]) -> Key:
     return tuple(out)
 
 
-def _op(sys_: CoxeterSystem, x: Sequence[int]):
+def _op(ring: _Ring, x: Sequence[int]):
     """Multiplication by the element of Z[theta'] with coefficients x: a
     plain int when x is rational, else the rows of its d' x d' matrix."""
-    return x[0] if not any(x[1:]) else _ring(sys_).field.mul_matrix(x)
+    return x[0] if not any(x[1:]) else ring.field.mul_matrix(x)
 
 
 def _scaled(op, vec: Sequence[int], d: int) -> list[int]:
@@ -408,10 +414,13 @@ def _steps(sys_: CoxeterSystem) -> tuple[int, list[list[tuple[int, object]]]]:
     """The ring degree d' and, for each generator s, the pairs (j, op)
     with op multiplication by -2B(e_s, e_j) = D_{N/m}(theta), for j != s
     with m(s, j) != 2: all a generator step reads, in one lookup."""
-    return sys_.memo("steps", lambda: (_ring(sys_).degree, [
-        [(j, _op(sys_, _flatten(sys_, [[b * -2]]))) for j, b in enumerate(row) if j != s and not b.is_zero()]
-        for s, row in enumerate(sys_.gram)
-    ]))
+    def build():
+        ring = _ring(sys_)
+        return ring.degree, [
+            [(j, _op(ring, _flatten(sys_, [[b * -2]]))) for j, b in enumerate(row) if j != s and not b.is_zero()]
+            for s, row in enumerate(sys_.gram)
+        ]
+    return sys_.memo("steps", build)
 
 
 def _rules(sys_: CoxeterSystem) -> tuple[int, list[tuple], list[tuple]]:
@@ -491,108 +500,83 @@ def from_word(sys_: CoxeterSystem, word: Iterable[int]) -> GroupElement:
     return w
 
 
-def _entry_ops(w: GroupElement) -> list[list[tuple[int, object]]]:
-    """Per column j of w, the pairs (i, op) over its nonzero entries w_ij;
-    built on first use and cached on w, so an element that is the right
-    factor of many products, a memoized reflection say, builds them once."""
-    if w._entries is None:
-        n, d = w.system.rank, _ring(w.system).degree
-        key = w.key
-        w._entries = [
-            [(i, _op(w.system, key[a:a + d])) for i, a in enumerate(range(j * n * d, (j + 1) * n * d, d))
-             if any(key[a:a + d])]
-            for j in range(n)
-        ]
-    return w._entries
-
-
-def _operators(w: GroupElement) -> tuple:
-    """The operators of w as the fixed factor of many products, built on
-    first use and cached on w: its _entry_ops, per flat index i*d + k
-    the flat column theta^k w(e_i), the commutator weights of w, and
-    the ring degree d.
-
-    g -> key(gw - wg) is linear over Z in key(g), say M key(g); the
-    weights are M^T r for a fixed integer vector r, so the dot product
-    of the weights with key(g) is r . key(gw - wg), 0 whenever g
-    commutes with w.
-    """
-    if w._ops is None:
-        sys_ = w.system
-        d = _ring(sys_).degree
-        nd = sys_.rank * d
-        key = w.key
-        theta = _op(sys_, (0, 1) + (0,) * (d - 2)) if d > 1 else None
-        thetas: list = []
-        for j in range(sys_.rank):
-            col = key[j * nd:(j + 1) * nd]
-            thetas.append(col)
-            for _ in range(d - 1):
-                col = _scaled(theta, col, d)
-                thetas.append(col)
-        entries = _entry_ops(w)
-        # r from a fixed-seed LCG; any r is exact, a generic one rarely
-        # lies orthogonal to a nonzero key(gw - wg)
-        r, x = [], 1
-        for _ in range(len(key)):
-            x = (x * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            r.append((x >> 32) - (1 << 31))
-        # g = the unit key at column j, row i, power k: key(gw) has
-        # w_jq theta^k in row i of each column q, key(wg) has the flat
-        # column theta^k w(e_i) as its column j
-        weights = []
-        for j in range(sys_.rank):
-            r_j = r[j * nd:(j + 1) * nd]
-            ops = [(q, op) for q, col in enumerate(entries) for p, op in col if p == j]
-            for i in range(sys_.rank):
-                for k in range(d):
-                    unit = [0] * d
-                    unit[k] = 1
-                    v = -sum(map(mul, r_j, thetas[i * d + k]))
-                    for q, op in ops:
-                        a = q * nd + i * d
-                        v += sum(map(mul, r[a:a + d], _scaled(op, unit, d)))
-                    weights.append(v)
-        w._ops = (entries, thetas, tuple(weights), d)
-    return w._ops
-
-
-def _product_column(a: GroupElement, entries: list[tuple[int, object]]) -> list[int]:
-    """a applied to a column given by its entry operators: the sum of
-    each entry times the matching column of a."""
-    d = _ring(a.system).degree
-    nd = a.system.rank * d
-    key = a.key
-    acc: list[int] = []
-    for i, op in entries:
-        term = _scaled(op, key[i * nd:(i + 1) * nd], d)
-        acc = list(map(add, acc, term)) if acc else term
-    return acc
-
-
 def _column(w: GroupElement, s: int) -> Key:
     """Column s (1-based) of the key of w: the root w(e_s)."""
     nd = len(w.key) // w.system.rank
     return w.key[(s - 1) * nd:s * nd]
 
 
+def _thetas(w: GroupElement) -> list:
+    """The theta'-table of w: per flat index i*d + k, the flat column
+    theta'^k w(e_i). Built on first use and cached on w, so an element
+    that acts on many vectors, a memoized reflection say, builds it once."""
+    if w._thetas is None:
+        ring = _ring(w.system)
+        d = ring.degree
+        key = w.key
+        nd = len(key) // w.system.rank
+        table = []
+        for a in range(0, len(key), nd):
+            col = key[a:a + nd]
+            table.append(col)
+            for _ in range(d - 1):
+                col = _scaled(ring.theta, col, d)
+                table.append(col)
+        w._thetas = table
+    return w._thetas
+
+
 def _image(w: GroupElement, vec: Sequence[int]) -> list[int]:
     """w applied to a flat integer vector: the sum over its coefficients
-    x at flat index i*d + k of x times theta^k w(e_i)."""
+    x at flat index i*d + k of x times theta'^k w(e_i)."""
     acc: list[int] = []
-    for x, col in zip(vec, _operators(w)[1]):
+    for x, col in zip(vec, _thetas(w)):
         if x:
             acc = [p + x * y for p, y in zip(acc, col)] if acc else [x * y for y in col]
     return acc
+
+
+def _probe(size: int) -> list[int]:
+    """The integer vector r of the commutator weights, from a fixed-seed
+    LCG: any r is exact, a generic one rarely orthogonal to key(gw - wg)."""
+    r, x = [], 1
+    for _ in range(size):
+        x = (x * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+        r.append((x >> 32) - (1 << 31))
+    return r
+
+
+def _weights(w: GroupElement) -> tuple[int, ...]:
+    """The commutator weights of w, read off its theta'-table on first use
+    and cached on w. g -> key(gw - wg) is linear over Z, say M key(g);
+    the weights are M^T r for r = _probe, so their dot product with
+    key(g) is r . key(gw - wg), 0 whenever g commutes with w."""
+    if w._weights is None:
+        n = w.system.rank
+        d = _ring(w.system).degree
+        nd = n * d
+        thetas = _thetas(w)
+        r = _probe(len(w.key))
+        # g = theta'^k at row i of column j: key(gw) holds block j of the
+        # flat column theta'^k w(e_q) in row i of each column q, key(wg)
+        # holds theta'^k w(e_i) as its column j
+        w._weights = tuple(
+            sum(sum(map(mul, r[q * nd + i * d:q * nd + i * d + d], thetas[q * d + k][j * d:j * d + d]))
+                for q in range(n))
+            - sum(map(mul, r[j * nd:(j + 1) * nd], thetas[i * d + k]))
+            for j in range(n) for i in range(n) for k in range(d)
+        )
+    return w._weights
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """The product a*b: column j is a applied to column j of b."""
     if a.system is not b.system and a.system != b.system:
         raise ValueError("elements of different systems cannot be multiplied")
+    nd = len(b.key) // b.system.rank
     key: list[int] = []
-    for entries in _entry_ops(b):
-        key += _product_column(a, entries)
+    for j in range(0, len(b.key), nd):
+        key += _image(a, b.key[j:j + nd])
     return GroupElement(a.system, tuple(key), a.word + b.word)
 
 
@@ -709,14 +693,16 @@ def closure(
     parent maps each key to (parent key, label), None at a seed;
     complete is True when the last expanded layer added nothing, so the
     members are closed under step. radius None expands until then.
-    Inserting past cap members raises ResourceLimitError with overflow
-    formatted by cap.
+    Inserting more than cap members, seeds included, raises
+    ResourceLimitError with overflow formatted by cap.
     """
     members: dict = {}
     parent: dict = {}
     for x in seeds:
         k = key(x)
         if k not in members:
+            if len(members) >= cap:
+                raise ResourceLimitError(overflow.format(cap=cap))
             members[k] = x
             parent[k] = None
     frontier = list(members.values())

@@ -131,12 +131,13 @@ def _reduce(sys_: CoxeterSystem, basis: list, v) -> list[int]:
     vector) echelon basis cleared, without division: each step replaces
     v by p*v - c*b, p != 0 and c the blocks of b and v at the pivot. Z[theta']
     has no zero divisors, so v lies in the span exactly when this is zero."""
-    d = group_mod._ring(sys_).degree
+    ring = group_mod._ring(sys_)
+    d = ring.degree
     vec = list(v)
     for pivot, b in basis:
         c = vec[pivot:pivot + d]
         if any(c):
-            p, c = group_mod._op(sys_, b[pivot:pivot + d]), group_mod._op(sys_, c)
+            p, c = group_mod._op(ring, b[pivot:pivot + d]), group_mod._op(ring, c)
             vec = list(map(sub, group_mod._scaled(p, vec, d), group_mod._scaled(c, b, d)))
     return vec
 

@@ -218,7 +218,8 @@ def _reflection_matrix(sys_: CoxeterSystem, root: Root) -> GroupElement:
     for a, row in zip(blocks, steps):
         for j, op in row:
             two_b[j] = list(map(sub, two_b[j], group_mod._scaled(op, a, d)))
-    ops = [group_mod._op(sys_, c) for c in two_b]
+    ring = group_mod._ring(sys_)
+    ops = [group_mod._op(ring, c) for c in two_b]
     norm2 = [sum(x) for x in zip(*(group_mod._scaled(op, a, d) for a, op in zip(blocks, ops)))]
     if norm2 != [2] + [0] * (d - 1):
         norm = group_mod._view(sys_, norm2)[0] * Fraction(1, 2)

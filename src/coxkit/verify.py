@@ -32,8 +32,10 @@ key(g) with a weight vector of b, n^2 d' integer products. It is 0 for
 every g that commutes with b, so a nonzero value rejects g exactly; a
 zero leaves the column test to decide. In the corpus sweeps every
 element that passes the filter commutes. Both tests are integer
-operations on the keys, through operators of b that are built once and
-cached on it; a sweep passes c as b.
+operations on the keys: the columns run through group._image, the one
+matrix-vector kernel, which reads the theta'-table of the element that
+acts, and the weights are built once and cached on b; a sweep passes
+c as b.
 
 Report text is deterministic: timings live on the report records but
 are never printed. Machine lines use the format
@@ -96,19 +98,19 @@ def commutes(a: GroupElement, b: GroupElement) -> bool:
     first: the dot product of key(a) with the commutator weights of b
     is r . key(ab - ba) for a fixed integer vector r, so a nonzero one
     returns False, and a zero one leaves the columns to decide. Both
-    tests use operators of b cached on b, so a caller testing many
-    elements against one passes that one as b.
+    sides of a column run through group._image; the weights and b's
+    theta'-table are cached on b, so a caller testing many elements
+    against one passes that one as b.
     """
     if a.system is not b.system and a.system != b.system:
         raise ValueError("elements of different systems cannot be compared")
-    columns, _, weights, d = group_mod._operators(b)
     key = a.key
-    if sum(map(mul, weights, key)):
+    if sum(map(mul, group_mod._weights(b), key)):
         return False
-    nd = a.system.rank * d
+    nd = len(key) // a.system.rank
     return all(
-        group_mod._product_column(a, entries) == group_mod._image(b, key[j * nd:(j + 1) * nd])
-        for j, entries in enumerate(columns)
+        group_mod._image(a, b.key[j:j + nd]) == group_mod._image(b, key[j:j + nd])
+        for j in range(0, len(key), nd)
     )
 
 
@@ -227,8 +229,8 @@ def _join(sys_: CoxeterSystem, c: GroupElement, j: tuple[int, ...]) -> tuple[int
     from its parent u' = u s, one key per depth, and looks each
     conjugate up. Each walk is capped on its own.
     """
-    # the stacks hold keys, and each product gets a new right factor
-    # with its witness word: multiply caches operators on that factor
+    # the stacks hold keys; d c d^-1 is formed as d (c d^-1), as multiply
+    # reads the theta'-table of its left factor and c's stays cached
     cosets: dict = {}
     coset_count = 0
     inverses = [group_mod.identity(sys_).key]
@@ -239,7 +241,7 @@ def _join(sys_: CoxeterSystem, c: GroupElement, j: tuple[int, ...]) -> tuple[int
             parent = GroupElement(sys_, inverses[depth - 1], d.word[-2::-1])
             inverses[depth:] = [group_mod._left_mul_gen(parent, d.word[-1]).key]
         dinv = GroupElement(sys_, inverses[depth], d.word[::-1])
-        conj = group_mod.multiply(group_mod.multiply(d, c), dinv).key
+        conj = group_mod.multiply(d, group_mod.multiply(c, dinv)).key
         cosets.setdefault(conj, []).append((d.key, d.word, dinv.key))
     found = []
     parabolic_count = 0

@@ -12,6 +12,7 @@ import pytest
 from coxkit import cli, corpus, diagram, refl, roots, verify
 from coxkit.errors import InvariantViolation, ResourceLimitError
 from coxkit.group import (
+    ball,
     from_word,
     generator,
     identity,
@@ -19,6 +20,7 @@ from coxkit.group import (
     length_and_reduced,
     multiply,
     enumerate_group,
+    walk,
 )
 from coxkit.refl import (
     ReflectionFactorization,
@@ -393,6 +395,22 @@ def test_generated_group():
     a1t = corpus.load("a1t")
     with pytest.raises(ResourceLimitError):
         generated_group([generator(a1t, 1), generator(a1t, 2)], cap=50)
+
+
+def test_closures_check_the_cap_before_their_seeds():
+    # cap=0 leaves room for nothing: a closure that admits its seeds
+    # unchecked would return them, as the walk does not
+    h3 = corpus.load("h3")
+    f = reduced_factorizations(h3, from_word(h3, (1, 2, 3)))[0]
+    for run in (
+        lambda: ball(h3, 0, cap=0),
+        lambda: hurwitz_orbit(f, cap=0),
+        lambda: generated_group([], sys_=h3, cap=0),
+        lambda: list(walk(h3, cap=0)),
+    ):
+        with pytest.raises(ResourceLimitError):
+            run()
+    assert len(ball(h3, 0, cap=1)) == len(generated_group([], sys_=h3, cap=1)) == 1
 
 
 def test_generated_group_constant_across_hurwitz_orbit():
