@@ -5,8 +5,11 @@ finite labels m all divide N lives in this field, as do all root
 coordinates and matrix entries downstream. Elements are stored as
 canonical residue polynomials in theta, so two elements are equal exactly
 when their coefficient vectors are equal. Signs of nonzero elements are
-decided by interval evaluation over a shrinking rational enclosure of
-theta. No floating point enters any computation.
+decided in integers (Field.sign): theta lies in a dyadic enclosure
+[lo, hi] / 2^k, and integer bounds on the powers theta^e at that
+precision bound the value of a coefficient vector, the enclosure being
+halved until those bounds exclude 0. No floating point and no rational
+arithmetic enters a sign decision.
 
 The minimal polynomial of theta comes from the cyclotomic polynomial
 Phi_2N, the minimal polynomial of z = exp(i*pi/N), in integers only
@@ -84,13 +87,6 @@ def _poly_divmod(a: _FrPoly, b: _FrPoly) -> tuple[_FrPoly, _FrPoly]:
             a[len(a) - 1 - db + i] -= c * b[i]
         a.pop()
     return q, _trim(a)
-
-
-def _poly_eval(a: Sequence, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 # -------------------------------------------------- integer polynomial helpers
@@ -199,13 +195,18 @@ class Field:
     """The real field Q(theta), theta = 2*cos(pi/N), in a canonical basis.
 
     Instances are cheap views over N: the minimal polynomial, the integer
-    reduction table for high powers of theta, a mutable rational
-    enclosure of theta used for sign decisions, and the signs decided so
-    far. Obtain shared instances through create(), which caches per N so
-    enclosure refinements and decided signs accumulate.
+    reduction table for high powers of theta, the enclosure
+    _lo / 2^_k <= theta <= _hi / 2^_k in integers, refined in place, with
+    the bounds on the powers of theta built from it (_powers), and the
+    signs of FieldElements decided so far. Obtain shared instances
+    through create(), which caches per N so enclosure refinements and
+    decided signs accumulate.
     """
 
-    __slots__ = ("N", "minpoly", "degree", "_reduction", "_enc", "_signs", "_zero", "_one", "_theta")
+    __slots__ = (
+        "N", "minpoly", "degree", "_reduction", "_lo", "_hi", "_k", "_powers",
+        "_signs", "_zero", "_one", "_theta",
+    )
 
     def __init__(self, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -226,11 +227,13 @@ class Field:
             rows.append(tuple(s + top * b for s, b in zip(shifted, base)))
         self._reduction = tuple(rows)
         if d == 1:
-            r = Fraction(-self.minpoly[0])
-            self._enc = [r, r]
+            self._lo = self._hi = -self.minpoly[0]
+            self._k = 0
         else:
-            self._enc = self._isolate_largest_root()
-        # decided signs by numerator; a denominator is positive, so it never matters
+            self._lo, self._hi, self._k = self._isolate_largest_root()
+        self._powers: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        # decided signs of FieldElements by numerator (a denominator is
+        # positive, so it never matters); Field.sign itself keeps none
         self._signs: dict[tuple[int, ...], int] = {}
         self._zero = FieldElement(self, (0,) * d, 1)
         self._one = FieldElement(self, (1,) + (0,) * (d - 1), 1)
@@ -302,53 +305,82 @@ class Field:
             raise ValueError(f"2*cos(pi/{m!r}) does not lie in Q(2*cos(pi/{self.N}))")
         return self.from_int_coeffs(_dickson(self.N // m))
 
-    # -- enclosure ---------------------------------------------------------
+    # -- enclosure and signs -------------------------------------------------
 
     def enclosure(self) -> tuple[Fraction, Fraction]:
-        return self._enc[0], self._enc[1]
+        return Fraction(self._lo, 1 << self._k), Fraction(self._hi, 1 << self._k)
 
     def refine_enclosure(self, width: Fraction | None = None) -> tuple[Fraction, Fraction]:
         """Shrink the enclosure of theta, below the given width if requested."""
+        if width is not None and width <= 0:
+            raise ValueError(f"enclosure width must be positive, got {width}")
         if self.degree == 1:
             return self.enclosure()
         if width is None:
             self._bisect_once()
         else:
-            while self._enc[1] - self._enc[0] >= width:
+            while self._hi - self._lo >= width * (1 << self._k):
                 self._bisect_once()
         return self.enclosure()
 
-    def dyadic_enclosure(self, k: int) -> tuple[int, int]:
-        """Integers lo, hi with lo / 2^k <= theta <= hi / 2^k and hi - lo <= 2,
-        bisected in integers from the current enclosure."""
-        lo, hi = self._enc
-        # the enclosure is dyadic: exact at the finer of 2^k and its own scale
-        big = max(k, lo.denominator.bit_length() - 1, hi.denominator.bit_length() - 1)
-        num_lo = lo.numerator << big >> (lo.denominator.bit_length() - 1)
-        num_hi = hi.numerator << big >> (hi.denominator.bit_length() - 1)
-        if self.degree > 1:
-            # the minimal polynomial is < 0 at num_lo and > 0 at num_hi
-            while num_hi - num_lo > 1:
-                mid = (num_lo + num_hi) // 2
-                if _scaled_value(self.minpoly, mid, big) > 0:
-                    num_hi = mid
+    def sign(self, coeffs: Sequence[int]) -> int:
+        """The exact sign of sum_e coeffs[e] * theta^e, for integer
+        coefficients over the power basis.
+
+        theta > 0 when the degree is above 1, so every power theta^e is
+        positive, and coefficients all >= 0 (or all <= 0) have their
+        sign. Mixed ones are bounded between two integers from the
+        bounds on the powers theta^e; while 0 lies between them, the
+        enclosure is refined to max(2k, 64) bits and the bounds rebuilt.
+        """
+        if min(coeffs) >= 0:
+            return 1 if any(coeffs) else 0
+        if max(coeffs) <= 0:
+            return -1
+        while True:
+            lows, highs = self._powers or self._bound_powers()
+            lo = hi = 0
+            for x, a, b in zip(coeffs, lows, highs):
+                if x > 0:
+                    lo += x * a
+                    hi += x * b
                 else:
-                    num_lo = mid
-        shift = big - k
-        return num_lo >> shift, -(-num_hi >> shift)
+                    lo += x * b
+                    hi += x * a
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            target = max(2 * self._k, 64)
+            while self._k < target:
+                self._bisect_once()
+
+    def _bound_powers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Integers lows[e] <= 2^k theta^e <= highs[e], e < degree."""
+        # the isolation leaves lo >= 0 (theta > 0 is the largest root), so
+        # lo^e <= (2^k theta)^e <= hi^e; each bound is rounded outward
+        lo, hi, k = self._lo, self._hi, self._k
+        self._powers = (
+            tuple(lo ** e << k >> k * e for e in range(self.degree)),
+            tuple(-(-(hi ** e) << k >> k * e) for e in range(self.degree)),
+        )
+        return self._powers
 
     def _bisect_once(self) -> None:
-        lo, hi = self._enc
-        mid = (lo + hi) / 2
-        v = _poly_eval(self.minpoly, mid)
+        """Halve the enclosure: one more bit of theta."""
+        lo, hi, k = 2 * self._lo, 2 * self._hi, self._k + 1
+        mid = self._lo + self._hi
+        v = _scaled_value(self.minpoly, mid, k)
         if v == 0:
             raise InvariantViolation("rational root of an irreducible minimal polynomial")
         if v > 0:
-            self._enc[1] = mid
+            hi = mid
         else:
-            self._enc[0] = mid
+            lo = mid
+        self._lo, self._hi, self._k = lo, hi, k
+        self._powers = None
 
-    def _isolate_largest_root(self) -> list[Fraction]:
+    def _isolate_largest_root(self) -> tuple[int, int, int]:
         # bisection of [-2, 2] with both ends kept as lo / 2^k, hi / 2^k
         chain = _sturm_chain(self.minpoly)
         lo, hi, k = -2, 2, 0
@@ -365,7 +397,7 @@ class Field:
         # exactly one root above lo, so the minimal polynomial changes sign here
         if not _scaled_value(self.minpoly, lo, k) < 0 < _scaled_value(self.minpoly, hi, k):
             raise InvariantViolation("largest-root isolation lost its sign bracket")
-        return [Fraction(lo, 1 << k), Fraction(hi, 1 << k)]
+        return lo, hi, k
 
     # -- misc ---------------------------------------------------------------
 
@@ -556,19 +588,8 @@ class FieldElement:
         return self._sign
 
     def _compute_sign(self) -> int:
-        if self.is_zero():
-            return 0
-        if self.is_rational():
-            return 1 if self.num[0] > 0 else -1
-        field = self.field
-        while True:
-            lo, hi = field._enc
-            vlo, vhi = _interval_eval(self.num, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            field._bisect_once()
+        # the denominator is positive, so the numerator has the sign
+        return self.field.sign(self.num)
 
     # -- formatting -----------------------------------------------------------
 
@@ -599,12 +620,3 @@ def _poly_sub_fr(a: _FrPoly, b: _FrPoly) -> _FrPoly:
         a[i] -= y
     return _trim(a)
 
-
-def _interval_eval(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Range of the integer polynomial over [lo, hi] by interval Horner."""
-    alo = ahi = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        p1, p2, p3, p4 = alo * lo, alo * hi, ahi * lo, ahi * hi
-        alo = min(p1, p2, p3, p4) + c
-        ahi = max(p1, p2, p3, p4) + c
-    return alo, ahi

@@ -45,12 +45,12 @@ and the public FieldElement interfaces; _flatten projects field columns
 back to a key, rejecting an entry outside Z[theta']. Signs of entries
 stay in the ring. theta' > 0, so every power theta'^k is positive: a
 block whose ints are all >= 0 (or all <= 0) has that sign, and so has a
-column whose ints all are, which _Ring.sign and _Ring.root_sign read off
-min and max. Only a mixed block goes on: _Ring.sign bounds
-sum_k b_k theta'^k between two integers, from a 64-bit fixed-point
-enclosure of the powers theta'^k built on the first mixed block, and
-asks the exact FieldElement.sign of Q(theta') only when that interval
-contains 0. _descent and the walk decide every sign this way.
+column whose ints all are, which _Ring.root_sign reads off min and max.
+Any other column goes block by block to _Ring.sign, which is Field.sign
+of Q(theta'): the same rule for a block, and a mixed block bounded
+between two integers from dyadic bounds on the powers theta'^k, the
+field's enclosure of theta' refined until 0 is excluded. _descent and
+the walk decide every sign this way.
 
 Lengths come from the greedy descent walk: s is a right descent of w
 exactly when w maps e_s to a negative root, and stripping descents
@@ -134,9 +134,6 @@ __all__ = [
 ]
 
 DEFAULT_BALL_CAP = 5_000_000
-
-# fixed-point precision of _Ring.sign
-_BITS = 64
 
 Key = tuple
 Vector = tuple[FieldElement, ...]
@@ -230,13 +227,12 @@ class _Ring:
     of degree d' = field.degree. basis holds the rows of the d x d'
     integer embedding E, whose column k is theta'^k over the power basis
     of sys_.field; _inv / _den is an exact left inverse of E. theta is
-    multiplication by theta' as built by _op (None when d' = 1). Signs
-    of mixed blocks are decided in integers against
-    _lo[k] / 2^_BITS <= theta'^k <= _hi[k] / 2^_BITS, built on the first
-    such block; _lo stays None while every block met has one sign.
+    multiplication by theta' as built by _op (None when d' = 1). sign
+    is field.sign, the exact sign of the element of Z[theta'] with
+    the given coefficients, decided in integers by the field.
     """
 
-    __slots__ = ("field", "degree", "basis", "theta", "_inv", "_den", "_lo", "_hi")
+    __slots__ = ("field", "degree", "basis", "theta", "sign", "_inv", "_den")
 
     def __init__(self, sys_: CoxeterSystem) -> None:
         n_ring = 1
@@ -269,7 +265,7 @@ class _Ring:
         self._den = lcm(*(x.denominator for row in inv for x in row))
         self._inv = tuple(tuple(int(x * self._den) for x in row) for row in inv)
         self.theta = _op(self, (0, 1) + (0,) * (d_ring - 2)) if d_ring > 1 else None
-        self._lo = self._hi = None
+        self.sign = self.field.sign
 
     def embed(self, block: Sequence[int]) -> tuple[int, ...]:
         """The coefficients over sys_.field of an element of Z[theta']."""
@@ -283,35 +279,6 @@ class _Ring:
             return None
         x = [v // self._den for v in x]
         return x if self.embed(x) == tuple(num) else None
-
-    def sign(self, block: Sequence[int]) -> int:
-        """The exact sign of the element of Z[theta'] with coefficients block.
-
-        theta' > 0, so every power theta'^k is positive, and a block whose
-        ints are all >= 0 or all <= 0 has their sign. A mixed block is
-        bounded by two integers from the fixed-point enclosure of the
-        powers theta'^k; only when their interval contains 0 does
-        FieldElement.sign decide.
-        """
-        if min(block) >= 0:
-            return 1 if any(block) else 0
-        if max(block) <= 0:
-            return -1
-        if self._lo is None:
-            self._enclose()
-        lo = hi = 0
-        for x, a, b in zip(block, self._lo, self._hi):
-            if x > 0:
-                lo += x * a
-                hi += x * b
-            elif x:
-                lo += x * b
-                hi += x * a
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        return FieldElement(self.field, tuple(block), 1).sign()
 
     def root_sign(self, col: Sequence[int]) -> int:
         """The sign of a root given as a flat column: that of its first
@@ -327,15 +294,6 @@ class _Ring:
             return -1
         d = self.degree
         return next(self.sign(col[a:a + d]) for a in range(0, len(col), d) if any(col[a:a + d]))
-
-    def _enclose(self) -> None:
-        # theta' >= 2cos(pi/4) > 0 when d' > 1, so the powers of the ends
-        # of an enclosure of theta' enclose its powers; 16 guard bits
-        # absorb the growth of the enclosure's width with k
-        k = _BITS + 16
-        lo, hi = self.field.dyadic_enclosure(k)
-        self._lo = tuple(lo ** e << _BITS >> k * e for e in range(self.degree))
-        self._hi = tuple(-(-(hi ** e) << _BITS >> k * e) for e in range(self.degree))
 
 
 def _ring(sys_: CoxeterSystem) -> _Ring:

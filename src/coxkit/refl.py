@@ -128,34 +128,38 @@ def _element_in_scope(sys_: CoxeterSystem, w: GroupElement, gens_t: tuple[int, .
 
 def _reduce(sys_: CoxeterSystem, basis: list, v) -> list[int]:
     """The flat vector v with its blocks at the pivots of the (pivot,
-    vector) echelon basis cleared, without division: each step replaces
-    v by p*v - c*b, p != 0 and c the blocks of b and v at the pivot. Z[theta']
-    has no zero divisors, so v lies in the span exactly when this is zero."""
+    vector, operator) echelon basis cleared, without division: each step
+    replaces v by p*v - c*b, p != 0 and c the blocks of b and v at the
+    pivot, p applied by its operator. Z[theta'] has no zero divisors, so
+    v lies in the span exactly when this is zero."""
     ring = group_mod._ring(sys_)
     d = ring.degree
     vec = list(v)
-    for pivot, b in basis:
+    for pivot, b, p in basis:
         c = vec[pivot:pivot + d]
         if any(c):
-            p, c = group_mod._op(ring, b[pivot:pivot + d]), group_mod._op(ring, c)
+            c = group_mod._op(ring, c)
             vec = list(map(sub, group_mod._scaled(p, vec, d), group_mod._scaled(c, b, d)))
     return vec
 
 
 def _moved_basis(elements: Iterable[GroupElement]) -> list:
     """An echelon basis of the joint moved space, the sum of the column
-    spans of w - 1 over the elements: flat vectors over Z[theta'], each
-    paired with the offset of its first nonzero block, its pivot."""
+    spans of w - 1 over the elements, as (pivot, vector, operator): a flat
+    vector over Z[theta'], the offset of its first nonzero block, and
+    multiplication by that block (group._op), built once for every
+    _reduce against the basis."""
     basis: list = []
     for w in elements:
-        d = group_mod._ring(w.system).degree
+        ring = group_mod._ring(w.system)
+        d = ring.degree
         for j in range(1, w.system.rank + 1):
             col = list(group_mod._column(w, j))
             col[(j - 1) * d] -= 1
             rest = _reduce(w.system, basis, col)
             pivot = next((a for a in range(0, len(rest), d) if any(rest[a:a + d])), None)
             if pivot is not None:
-                basis.append((pivot, rest))
+                basis.append((pivot, rest, group_mod._op(ring, rest[pivot:pivot + d])))
     return basis
 
 

@@ -71,6 +71,20 @@ def test_tracer_hooks_are_called():
         assert counts.get(key, 0) > 0, key
 
 
+def test_sign_hooks_count_a_refining_classify():
+    # the Gram pivots of h4 are mixed in Q(theta), and a fresh process
+    # decides them from the coarse isolation of theta, so it must refine:
+    # both field counters see work, through FieldElement._compute_sign
+    # and Field._bisect_once
+    counts = _traced_counts(PRELUDE + """
+from coxkit import diagram
+diagram.classify(corpus.load("h4"))
+print(json.dumps(tracer.snapshot()["counts"]))
+""")
+    assert counts.get("field.sign.computed", 0) > 0
+    assert counts.get("field.bisect.calls", 0) > 0
+
+
 def test_ball_sweep_forms_no_product_per_element():
     # one commutation test per ball element, each comparing columns
     # instead of multiplying: the only products left are the power window's

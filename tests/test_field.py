@@ -207,6 +207,124 @@ def test_min_poly_and_enclosure_match_rational_reference():
         assert Field(n).enclosure() == ref_enclosure(ref_min_poly(n)), n
 
 
+# -------------------------------------------------- reference: the sign
+# The field's sign engine before it moved to dyadic integers: interval
+# Horner over a Fraction enclosure of theta, started from ref_enclosure
+# and bisected in Fractions until the interval excludes 0. Each N keeps
+# its enclosure across calls, as the field did.
+
+def ref_interval_eval(coeffs, lo, hi):
+    """Range of the integer polynomial over [lo, hi] by interval Horner."""
+    alo = ahi = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        p1, p2, p3, p4 = alo * lo, alo * hi, ahi * lo, ahi * hi
+        alo = min(p1, p2, p3, p4) + c
+        ahi = max(p1, p2, p3, p4) + c
+    return alo, ahi
+
+
+_ref_enclosures: dict = {}
+
+
+def _ref_enclosure_of(n):
+    if n not in _ref_enclosures:
+        _ref_enclosures[n] = list(ref_enclosure(ref_min_poly(n)))
+    return _ref_enclosures[n]
+
+
+def _ref_bisect(n):
+    enc = _ref_enclosure_of(n)
+    mid = (enc[0] + enc[1]) / 2
+    if oracle_eval(ref_min_poly(n), mid) > 0:
+        enc[1] = mid
+    else:
+        enc[0] = mid
+
+
+def ref_sign(n, coeffs):
+    """The sign of sum_e coeffs[e] * theta^e, theta = 2*cos(pi/n)."""
+    if not any(coeffs):
+        return 0
+    while True:
+        vlo, vhi = ref_interval_eval(coeffs, *_ref_enclosure_of(n))
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        _ref_bisect(n)
+
+
+def ref_floor(n, bits):
+    """floor(2^bits * theta) for irrational theta."""
+    while True:
+        lo, hi = (math.floor(x * 2**bits) for x in _ref_enclosure_of(n))
+        if lo == hi:
+            return lo
+        _ref_bisect(n)
+
+
+def _fibonacci_blocks(count):
+    """phi^-n over (1, phi), phi = 2*cos(pi/5): phi^-1 = phi - 1, and
+    (a + b phi)(phi - 1) = (b - a) + a phi. Positive, tending to 0."""
+    a, b = 1, 0
+    for _ in range(count):
+        a, b = b - a, a
+        yield [a, b]
+
+
+def _pell_blocks(count):
+    """(sqrt2 - 1)^n over (1, sqrt2), sqrt2 = 2*cos(pi/4):
+    (a + b sqrt2)(sqrt2 - 1) = (2b - a) + (a - b) sqrt2. Positive, tending to 0."""
+    a, b = 1, 0
+    for _ in range(count):
+        a, b = 2 * b - a, a - b
+        yield [a, b]
+
+
+def _near_zero(n, d, bits):
+    """Mixed vectors within 2^-bits * |coefficients| of 0: 2^bits theta
+    minus its floor (positive) and minus its ceiling (negative)."""
+    f = ref_floor(n, bits)
+    pad = [0] * (d - 2)
+    return [[-f, 1 << bits] + pad, [-f - 1, 1 << bits] + pad]
+
+
+def test_sign_matches_reference_on_fresh_fields():
+    # a fresh field per vector, so every decision starts from the coarse
+    # isolation; the near-zero vectors need the enclosure refined to 120 bits
+    rng = random.Random(20261019)
+    for n in range(1, 61):
+        d = Field(n).degree
+        cases = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(8)]
+        if d > 1:
+            for bits in (3, 20, 64, 120):
+                cases += _near_zero(n, d, bits)
+        for coeffs in cases:
+            assert Field(n).sign(coeffs) == ref_sign(n, coeffs), (n, coeffs)
+            assert FieldElement(Field(n), tuple(coeffs), 1).sign() == ref_sign(n, coeffs), (n, coeffs)
+
+
+def test_sign_matches_reference_on_large_coefficients():
+    rng = random.Random(30)
+    for n in range(1, 61):
+        f = Field(n)
+        for _ in range(10):
+            coeffs = [rng.randint(-10**30, 10**30) for _ in range(f.degree)]
+            assert f.sign(coeffs) == ref_sign(n, coeffs), (n, coeffs)
+        assert f.sign([0] * f.degree) == 0
+
+
+@pytest.mark.parametrize("n,blocks", [(5, _fibonacci_blocks), (4, _pell_blocks)])
+def test_sign_matches_reference_near_zero(n, blocks):
+    # the values shrink like 1.6^-k or 2.4^-k while the coefficients grow
+    f = Field(n)
+    cases = [b for blk in blocks(120) for b in (blk, [-x for x in blk])]
+    got = [f.sign(b) for b in cases]
+    assert got == [ref_sign(n, b) for b in cases]
+    assert got == [1, -1] * 120
+    assert f._k >= 128
+
+
 # ----------------------------------------------------------------- enclosure
 
 def test_enclosure_refines_below_any_width():
@@ -215,6 +333,14 @@ def test_enclosure_refines_below_any_width():
     lo, hi = f.enclosure()
     assert hi - lo < Fraction(1, 10**9)
     assert oracle_eval(f.minpoly, lo) < 0 < oracle_eval(f.minpoly, hi)
+
+
+@pytest.mark.parametrize("width", [Fraction(0), 0, Fraction(-1, 3)])
+def test_refine_enclosure_rejects_a_width_that_is_not_positive(width):
+    # no enclosure is that narrow; bisecting towards one would never stop
+    for n in (1, 5):
+        with pytest.raises(ValueError):
+            Field(n).refine_enclosure(width)
 
 
 def test_enclosure_pins_largest_root():

@@ -2,8 +2,9 @@
 
 Oracles: the growth series of perfbench/oracle.py (Steinberg's formula
 over the classical degrees, read from the diagram files by its own
-parser), the descent walk of length_and_reduced for the words, and the
-exact FieldElement.sign of the system's field for the signs.
+parser), the descent walk of length_and_reduced for the words, and for
+the signs the retired Fraction interval-Horner engine (ref_sign of
+test_field), alongside the FieldElement.sign of the system's field.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from coxkit import group as group_mod
 from coxkit.errors import ResourceLimitError
 from coxkit.field import FieldElement
 
+from test_field import _fibonacci_blocks, _pell_blocks, ref_sign
 from test_group import _load_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,7 +45,7 @@ def test_ring_sign_matches_field_sign_on_random_blocks(name):
     for size in (3, 10**6, 10**30):
         for _ in range(60):
             block = [rng.randint(-size, size) for _ in range(ring.degree)]
-            assert ring.sign(block) == _field_sign(sys_, block), block
+            assert ring.sign(block) == _field_sign(sys_, block) == ref_sign(ring.field.N, block), block
     assert ring.sign([0] * ring.degree) == 0
 
 
@@ -71,32 +73,28 @@ def test_root_sign_matches_the_first_nonzero_block_on_mixed_columns(name):
 SWEEPS = [("h4", None), ("f4", None), ("b4", None), ("h3", None), ("d4t", 10), ("tri334", 16)]
 
 
+def _fresh_fields(monkeypatch):
+    """Make every field asked for from here on a new instance, from the
+    coarse isolation and with no bounds on its powers: a ring's field is
+    then its own even where its N is the system's (i2_7)."""
+    monkeypatch.setattr(field, "create", field.Field)
+
+
 @pytest.mark.parametrize("name,radius", SWEEPS + [("i2_7", None)])
-def test_sweeps_decide_their_signs_without_the_enclosure(name, radius):
+def test_sweeps_decide_their_signs_without_the_enclosure(name, radius, monkeypatch):
     # every block these sweeps meet has ints of one sign; i2_7 (d' = 3)
-    # meets mixed ones, so its enclosure is built
+    # meets mixed ones, so bounds on the powers of theta' are built
+    _fresh_fields(monkeypatch)
     sys_ = diagram.parse_system(corpus.read_text(name))
+    ring_field = group_mod._ring(sys_).field
+    built = []
+    bound = field.Field._bound_powers
+    monkeypatch.setattr(field.Field, "_bound_powers", lambda self: built.append(self) or bound(self))
     if radius is None:
         assert verify.verify_finite(sys_).theorem_consistent
     else:
         assert verify.verify_ball(sys_, radius=radius).theorem_consistent
-    assert (group_mod._ring(sys_)._lo is None) == (name != "i2_7")
-
-
-def _fibonacci_blocks(count):
-    # phi^-n over (1, phi): phi^-1 = phi - 1, and (a + b phi)(phi - 1) = (b - a) + a phi
-    a, b = 1, 0
-    for _ in range(count):
-        a, b = b - a, a
-        yield [a, b]
-
-
-def _pell_blocks(count):
-    # (sqrt2 - 1)^n over (1, sqrt2): (a + b sqrt2)(sqrt2 - 1) = (2b - a) + (a - b) sqrt2
-    a, b = 1, 0
-    for _ in range(count):
-        a, b = 2 * b - a, a - b
-        yield [a, b]
+    assert any(f is ring_field for f in built) == (name == "i2_7")
 
 
 @pytest.mark.parametrize(
@@ -104,44 +102,47 @@ def _pell_blocks(count):
     [("h4", _fibonacci_blocks), ("b4", _pell_blocks), ("f4", _pell_blocks)],
 )
 def test_ring_sign_falls_back_to_the_exact_sign_near_zero(name, blocks, monkeypatch):
-    sys_ = corpus.load(name)
-    ring = group_mod._ring(sys_)
+    _fresh_fields(monkeypatch)
+    ring = group_mod._ring(diagram.parse_system(corpus.read_text(name)))
     assert ring.degree == 2
-    exact = FieldElement.sign
-    fallbacks = []
-
-    def counted(self):
-        fallbacks.append(self)
-        return exact(self)
-
+    bisect = field.Field._bisect_once
+    bisections = []
+    monkeypatch.setattr(field.Field, "_bisect_once", lambda self: bisections.append(self) or bisect(self))
     cases = [b for blk in blocks(120) for b in (blk, [-x for x in blk])]
-    monkeypatch.setattr(FieldElement, "sign", counted)
-    got = [ring.sign(b) for b in cases]
-    monkeypatch.setattr(FieldElement, "sign", exact)
+    got, refined = [], 0
+    for b in cases:
+        before = len(bisections)
+        got.append(ring.sign(b))
+        refined += len(bisections) > before
     # the values shrink like 1.6^-n or 2.4^-n while the coefficients grow,
-    # so the 64-bit enclosure decides the first few and not the rest
-    assert 0 < len(fallbacks) < len(cases)
-    assert got == [_field_sign(sys_, b) for b in cases]
+    # so the enclosure decides most at the precision it has and is
+    # refined for a few
+    assert 0 < refined < len(cases)
+    assert got == [ref_sign(ring.field.N, b) for b in cases]
     assert got[:2] == [1, -1]
 
 
 def test_dyadic_enclosure_brackets_theta():
+    # lo / 2^k <= theta <= hi / 2^k isolates theta, the largest root of
+    # the minimal polynomial, from the Sturm isolation on, bit by bit
     for n in range(1, 61):
-        f = field.create(n)
+        f = field.Field(n)
+        if f.degree == 1:
+            assert f._lo == f._hi == -f.minpoly[0] and f._k == 0
+            continue
         theta = 2 * math.cos(math.pi / n)
-        for k in (0, 3):
-            lo, hi = f.dyadic_enclosure(k)
-            assert hi - lo <= 2
-            if f.degree > 1:
+        chain = field._sturm_chain(f.minpoly)
+        for _ in range(100):
+            lo, hi, k = f._lo, f._hi, f._k
+            assert field._scaled_value(f.minpoly, lo, k) < 0 < field._scaled_value(f.minpoly, hi, k)
+            # one root in (lo, hi], none in (hi, 2]
+            top = field._sign_changes(chain, hi, k)
+            assert field._sign_changes(chain, lo, k) - top == 1
+            assert top == field._sign_changes(chain, 2 << k, k)
+            if k <= 20:
                 assert lo / 2**k <= theta <= hi / 2**k
-        for k in (40, 80):
-            # fine enough to isolate theta, the largest root
-            lo, hi = f.dyadic_enclosure(k)
-            assert hi - lo <= 2
-            if f.degree > 1:
-                assert field._scaled_value(f.minpoly, lo, k) < 0 < field._scaled_value(f.minpoly, hi, k)
-            else:
-                assert lo == hi == -f.minpoly[0] << k
+            f._bisect_once()
+        assert f._k >= 100
 
 
 # --------------------------------------------------------------------- the walk
