@@ -31,7 +31,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+_WORD_COMMANDS = ("length", "inversions", "betas", "redt", "closure", "straight")
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The argument parser. When command names a subcommand, only its
+    parser is built: its help, usage and errors are those of the full
+    build, and anything else (no command, an unknown one, a top-level
+    flag) builds every subcommand, for the choices and the help that
+    list them."""
     common = _Parser(add_help=False)
     common.add_argument("--diagram", metavar="PATH", help="coxeter matrix file")
     common.add_argument(
@@ -43,39 +51,32 @@ def _build_parser() -> _Parser:
     )
     p = _Parser(prog="coxkit", description="exact computation in coxeter groups")
     sub = p.add_subparsers(dest="command", metavar="command")
-
-    sub.add_parser("classify", parents=[common])
-
-    for name in ("length", "inversions", "betas", "redt", "closure", "straight"):
-        sp = sub.add_parser(name, parents=[common])
-        sp.add_argument("word", nargs="+", help="1-based generator indices")
-        if name == "straight":
-            sp.add_argument("--max", type=int, default=10, metavar="M")
-
-    cv = sub.add_parser("coxeter-verify", parents=[common])
-    cv.add_argument("--radius", type=int, metavar="R")
-    cv.add_argument("--powers", type=int, metavar="P")
-    cv.add_argument("--perm", nargs="+", type=int, metavar="S")
-
-    ow = sub.add_parser("outward", parents=[common])
-    ow.add_argument("--max", type=int, default=10, metavar="M")
-    ow.add_argument("--orbits", type=int, default=10, metavar="K")
-
-    hz = sub.add_parser("hurwitz", parents=[common])
-    hz.add_argument("factorization", nargs="+", help="reflection words joined by ';'")
-    hz.add_argument("--cap", type=int, default=refl.DEFAULT_ORBIT_CAP, metavar="C")
-
-    cg = sub.add_parser("conj-graph", parents=[common])
-
-    cj = sub.add_parser("conj", parents=[common])
-    cj.add_argument("source", help="subset like {1,2}")
-    cj.add_argument("target", help="subset like {2,3}")
-
-    nm = sub.add_parser("normalizer", parents=[common])
-    nm.add_argument("subset", help="nonempty subset like {1,3}")
-
-    sub.add_parser("example-d4tilde", parents=[common])
+    # _DISPATCH lists the subcommands in the order of the full help
+    for name in (command,) if command in _DISPATCH else _DISPATCH:
+        _add_arguments(sub.add_parser(name, parents=[common]), name)
     return p
+
+
+def _add_arguments(sp: _Parser, name: str) -> None:
+    """The arguments of one subcommand beyond --diagram and --threads."""
+    if name in _WORD_COMMANDS:
+        sp.add_argument("word", nargs="+", help="1-based generator indices")
+    if name in ("straight", "outward"):
+        sp.add_argument("--max", type=int, default=10, metavar="M")
+    if name == "coxeter-verify":
+        sp.add_argument("--radius", type=int, metavar="R")
+        sp.add_argument("--powers", type=int, metavar="P")
+        sp.add_argument("--perm", nargs="+", type=int, metavar="S")
+    elif name == "outward":
+        sp.add_argument("--orbits", type=int, default=10, metavar="K")
+    elif name == "hurwitz":
+        sp.add_argument("factorization", nargs="+", help="reflection words joined by ';'")
+        sp.add_argument("--cap", type=int, default=refl.DEFAULT_ORBIT_CAP, metavar="C")
+    elif name == "conj":
+        sp.add_argument("source", help="subset like {1,2}")
+        sp.add_argument("target", help="subset like {2,3}")
+    elif name == "normalizer":
+        sp.add_argument("subset", help="nonempty subset like {1,3}")
 
 
 def _load_system(args) -> diagram.CoxeterSystem:
@@ -272,21 +273,23 @@ _DISPATCH = {
     "length": _cmd_length,
     "inversions": _cmd_inversions,
     "betas": _cmd_betas,
-    "coxeter-verify": _cmd_coxeter_verify,
+    "redt": _cmd_redt,
+    "closure": _cmd_closure,
     "straight": _cmd_straight,
+    "coxeter-verify": _cmd_coxeter_verify,
     "outward": _cmd_outward,
     "hurwitz": _cmd_hurwitz,
-    "redt": _cmd_redt,
     "conj-graph": _cmd_conj_graph,
     "conj": _cmd_conj,
     "normalizer": _cmd_normalizer,
-    "closure": _cmd_closure,
     "example-d4tilde": _cmd_example,
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -100,11 +100,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import add, attrgetter, mul, neg
 
 from . import field as field_mod
-from .diagram import INFINITY, CoxeterSystem
+from .diagram import INFINITY, CoxeterSystem, is_spherical
 from .errors import InvariantViolation, ResourceLimitError
 from .field import FieldElement
 from .record import Record
@@ -120,6 +121,7 @@ __all__ = [
     "enumerate_group",
     "from_word",
     "generator",
+    "growth_series",
     "identity",
     "inverse",
     "is_straight_upto",
@@ -894,6 +896,55 @@ def walk(
             else:
                 out[col_s] = map(neg, key[col_s])
                 stack.append((tuple(out), mask, word + (s0 + 1,)))
+
+
+def _series_inverse(a: Sequence[int], degree: int) -> list[int]:
+    """1/a up to t^degree, for an integer power series a with a[0] = 1."""
+    out = [1] + [0] * degree
+    for k in range(1, degree + 1):
+        out[k] = -sum(a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1))
+    return out
+
+
+def growth_series(sys_: CoxeterSystem, radius: int) -> list[int]:
+    """The number of elements of each length 0..radius of an infinite
+    group, without visiting the ball, by Steinberg's formula
+
+        1 / W(t) = sum over I with W_I finite of (-1)^|I| t^N_I / W_I(t)
+
+    (Humphreys, Reflection Groups and Coxeter Groups, 5.12), N_I the
+    number of reflections of W_I, the length of its longest element.
+    Only the I with N_I <= radius add below t^(radius + 1), and a
+    superset of any other I is infinite or has more reflections, so the
+    subsets grow one generator at a time from those that add. Each
+    W_I(t), the length distribution of W_I, is read off walk(gens=I),
+    and W_I lies in the ball: N_I <= radius.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if is_spherical(sys_, range(1, sys_.rank + 1)):
+        raise ValueError("the growth series counts the ball of an infinite group")
+    inverse_series = [0] * (radius + 1)
+    layer: list[tuple[int, ...]] = [()]
+    while layer:
+        adds = set()
+        for gens in layer:
+            if gens and not is_spherical(sys_, gens):
+                continue
+            top = len(_ascend(sys_, gens).word)
+            if top > radius:
+                continue
+            adds.add(gens)
+            lengths = [0] * (top + 1)
+            for u in walk(sys_, gens=gens):
+                lengths[len(u.word)] += 1
+            sign = -1 if len(gens) % 2 else 1
+            for k, x in enumerate(_series_inverse(lengths, radius - top)):
+                inverse_series[top + k] += sign * x
+        size = len(layer[0]) + 1
+        layer = [grown for grown in combinations(range(1, sys_.rank + 1), size)
+                 if all(sub in adds for sub in combinations(grown, size - 1))]
+    return _series_inverse(inverse_series, radius)
 
 
 # ------------------------------------------------------------- power probes

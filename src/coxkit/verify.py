@@ -10,17 +10,37 @@ inconclusive beyond their radius by design and the reports say so.
 The finite certificate is a join. Take J = S minus the generator whose
 parabolic W_J has the most reflections. Every g is u d for exactly one u
 in W_J and one minimal coset representative d in JW (no left descent in
-J), and u d commutes with c exactly when u^-1 c u = d c d^-1. So
-group.walk, pruned by Deodhar's test, walks JW and hashes key(d c d^-1);
-a second walk, restricted to J, carries u^-1 c u one generator at a time
-and looks it up. That is |W_J| + |JW| elements (120 + 120 for H4) instead
-of |W| (14,400), and the group's order is |W_J| |JW|. Each match is
-confirmed by commutes. The ball sweep streams group.walk, which holds
-O(n R) keys at depth R instead of the ball, and tests each element once
-through the module's commutes. Both sweeps sort the few commuting
-elements into the ball's order, by length and then by lexicographically
-least reduced word, the canonical word of g^-1 reversed, and g^-1 is
-among them; they print canonical reduced words.
+J), with l(g) = l(u) + l(d), and u d commutes with c exactly when
+u^-1 c u = d c d^-1. So one walk, restricted to J, carries u^-1 c u one
+generator at a time and hashes it by its first column; a second,
+group.walk pruned by Deodhar's test, walks JW and looks up the first
+column of d c d^-1, two matrix-vector products. That is |W_J| + |JW|
+elements (120 + 120 for H4) instead of |W| (14,400), and the group's
+order is |W_J| |JW|. Each match of the whole conjugate is confirmed by
+commutes.
+
+An affine group runs the same join inside the ball of radius R: every
+proper parabolic of an irreducible affine group is finite, the table
+holds the u in W_J with l(u) <= R, the stream walks JW within the
+ball, and a match counts when l(u) + l(d) <= R. The ball has
+sum over d of #{u : l(u) <= R - l(d)} elements, read off the two walks.
+
+Any other infinite group meets in the middle. Split a reduced word of
+g in C(c), l(g) <= R, in half: g = x z^-1 with l(x) = floor(l(g)/2) and
+l(z) = ceil(l(g)/2), so both lie in the ball B_h, h = ceil(R/2), and
+x^-1 c x = z^-1 c z. One walk of B_h carries z^-1 c z and buckets by
+it; the pairs of a bucket with l(z) - l(x) in {0, 1} and
+l(x) + l(z) <= R give every g in C(c) within the ball but the identity,
+each confirmed by commutes. The ball's size comes from Steinberg's
+growth series (group.growth_series). The join holds W_J within the
+ball, the meet B_h and its pairs, never the ball; the cap,
+group.DEFAULT_BALL_CAP elements, bounds each walk and the pairs, and
+running out raises ResourceLimitError naming the stage, the depth and
+the count. The report records the method and the number of elements
+held, and prints neither. All three certificates sort the
+few commuting elements into the ball's order, by length and then by
+lexicographically least reduced word, the canonical word of g^-1
+reversed, and g^-1 is among them; they print canonical reduced words.
 
 Commutation is tested one column at a time: column j of ab is a(b e_j)
 and column j of ba is b(a e_j), both one matrix-vector product on a
@@ -50,7 +70,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from math import ceil
 from operator import mul
 
@@ -61,7 +81,7 @@ from . import parabolic as parabolic_mod
 from . import refl as refl_mod
 from . import roots as roots_mod
 from .diagram import CoxeterSystem
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ResourceLimitError
 from .group import GroupElement
 from .record import Record
 
@@ -127,6 +147,9 @@ class CentralizerEntry(Record, frozen=True):
 
 
 class CentralizerReport(Record):
+    """A centralizer certificate. method is "join" or "meet" and held the
+    peak number of elements it held; like elapsed, neither is printed."""
+
     mode: str
     coxeter_word: str
     entries: tuple[CentralizerEntry, ...]
@@ -137,6 +160,8 @@ class CentralizerReport(Record):
     power_bound: int | None = None
     ball_size: int | None = None
     elapsed: float = 0.0
+    method: str | None = None
+    held: int | None = None
 
     def counterexamples(self) -> list[CentralizerEntry]:
         return [e for e in self.entries if e.status != "ok"]
@@ -187,7 +212,8 @@ def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> Cen
     t0 = time.perf_counter()
     _require(sys_, True, "exhaustive verification needs a finite system")
     c = group_mod.coxeter_element(sys_, perm)
-    size, found = _join(sys_, c, _join_parabolic(sys_))
+    result = _join(sys_, c, _join_parabolic(sys_))
+    size, found = result
     powers = group_mod.power_window(c, size, signed=False)
     order = len(powers)
     if order > size:
@@ -204,71 +230,9 @@ def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> Cen
         group_size=size,
         coxeter_order=order,
         elapsed=time.perf_counter() - t0,
+        method="join",
+        held=result.held,
     )
-
-
-def _join_parabolic(sys_: CoxeterSystem) -> tuple[int, ...]:
-    """The J of the finite join: S minus one generator, the one whose
-    parabolic W_J has the most reflections (the first on a tie)."""
-    gens = range(1, sys_.rank + 1)
-    return max(
-        (tuple(t for t in gens if t != s) for s in gens),
-        key=lambda j: len(group_mod._ascend(sys_, j).word),
-    )
-
-
-def _join(sys_: CoxeterSystem, c: GroupElement, j: tuple[int, ...]) -> tuple[int, list[GroupElement]]:
-    """The centralizer of c in the finite group by the join over
-    W = W_J . JW (Humphreys, Reflection Groups and Coxeter Groups,
-    1.10): the order of the group, |W_J| |JW|, and the commuting
-    elements, in the ball's order.
-
-    The walk of JW hashes key(d c d^-1) to d and d^-1, carrying
-    d^-1 = t d'^-1 from its parent d' = d t by a row operation. The
-    walk of W_J carries u^-1 c u = s (u'^-1 c u') s and u^-1 = s u'^-1
-    from its parent u' = u s, one key per depth, and looks each
-    conjugate up. Each walk is capped on its own.
-    """
-    # the stacks hold keys; d c d^-1 is formed as d (c d^-1), as multiply
-    # reads the theta'-table of its left factor and c's stays cached
-    cosets: dict = {}
-    coset_count = 0
-    inverses = [group_mod.identity(sys_).key]
-    for d in group_mod.walk(sys_, coset=j):
-        coset_count += 1
-        depth = len(d.word)
-        if depth:
-            parent = GroupElement(sys_, inverses[depth - 1], d.word[-2::-1])
-            inverses[depth:] = [group_mod._left_mul_gen(parent, d.word[-1]).key]
-        dinv = GroupElement(sys_, inverses[depth], d.word[::-1])
-        conj = group_mod.multiply(d, group_mod.multiply(c, dinv)).key
-        cosets.setdefault(conj, []).append((d.key, d.word, dinv.key))
-    found = []
-    parabolic_count = 0
-    conjugates, inverses = [c.key], [group_mod.identity(sys_).key]
-    for u in group_mod.walk(sys_, gens=j):
-        parabolic_count += 1
-        depth = len(u.word)
-        if depth:
-            s, prev = u.word[-1], u.word[:-1]
-            half = group_mod._right_mul_gen(
-                GroupElement(sys_, conjugates[depth - 1], prev[::-1] + c.word + prev), s
-            )
-            conjugates[depth:] = [group_mod._left_mul_gen(half, s).key]
-            parent = GroupElement(sys_, inverses[depth - 1], prev[::-1])
-            inverses[depth:] = [group_mod._left_mul_gen(parent, s).key]
-        for dkey, dword, dinv in cosets.get(conjugates[depth], ()):
-            g = group_mod.multiply(u, GroupElement(sys_, dkey, dword))
-            if not commutes(g, c):
-                raise InvariantViolation(
-                    f"joined element {group_mod.word_str(g.word)} does not commute with c"
-                )
-            ginv = group_mod.multiply(
-                GroupElement(sys_, dinv, dword[::-1]),
-                GroupElement(sys_, inverses[depth], u.word[::-1]),
-            )
-            found.append((group_mod.canonical(g), ginv.key))
-    return parabolic_count * coset_count, _ball_sorted(found)
 
 
 # ---------------------------------------------------------------- ball sweep
@@ -283,7 +247,8 @@ def verify_ball(
 
     Every element of the radius-R ball commuting with c must be a power
     c^k with |k| <= P; P is auto-raised to ceil(R / l(c)) + 1 so that a
-    straight c can never produce a spurious out-of-window power.
+    straight c can never produce a spurious out-of-window power. An
+    affine group runs the join of _join, every other the meet of _meet.
     """
     t0 = time.perf_counter()
     _require(sys_, False, "ball verification targets infinite systems")
@@ -299,7 +264,11 @@ def verify_ball(
     if power_bound is not None:
         bound = max(power_bound, bound)
     powers = group_mod.power_window(c, bound)
-    size, found = _sweep(sys_, c, radius)
+    if diagram_mod.classify(sys_) == "affine":
+        method, result = "join", _join(sys_, c, _join_parabolic(sys_), radius)
+    else:
+        method, result = "meet", _meet(sys_, c, radius)
+    size, found = result
     entries = _centralizer_entries(found, powers)
     consistent = all(e.status == "ok" for e in entries)
     return CentralizerReport(
@@ -311,20 +280,180 @@ def verify_ball(
         power_bound=bound,
         ball_size=size,
         elapsed=time.perf_counter() - t0,
+        method=method,
+        held=result.held,
     )
 
 
-def _sweep(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[GroupElement]]:
-    """Walk the ball of the radius, testing each element against c once;
-    the number of elements visited and the commuting ones, in the
-    ball's order."""
+# ------------------------------------------------------- the join, the meet
+
+def _join_parabolic(sys_: CoxeterSystem) -> tuple[int, ...]:
+    """The J of the join: S minus one generator, the one whose parabolic
+    W_J has the most reflections (the first on a tie). Every such W_J
+    is finite in a finite or an affine irreducible group."""
+    gens = range(1, sys_.rank + 1)
+    return max(
+        (tuple(t for t in gens if t != s) for s in gens),
+        key=lambda j: len(group_mod._ascend(sys_, j).word),
+    )
+
+
+class _Found(tuple):
+    """What a join or a meet returns: the pair (size, found), the number
+    of elements of the group or the ball and the commuting elements in
+    the ball's order, carrying held, the peak number of elements held.
+    Like os.stat_result, it unpacks to the pair alone."""
+
+    held: int
+
+    def __new__(cls, size: int, found: list[GroupElement], held: int) -> _Found:
+        out = super().__new__(cls, (size, found))
+        out.held = held
+        return out
+
+
+def _staged(elements: Iterator[GroupElement], stage: str) -> Iterator[GroupElement]:
+    """The elements of a walk; the cap it may run into names the stage."""
+    try:
+        yield from elements
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{exc} in {stage}") from None
+
+
+def _conjugated(sys_: CoxeterSystem, c: GroupElement, elements: Iterator[GroupElement]):
+    """Each element u of a walk, with the keys of u^-1 c u and u^-1.
+
+    Both are carried from the parent u' = u s, one key per depth:
+    u^-1 c u = s (u'^-1 c u') s and u^-1 = s u'^-1, a column operation
+    and two row operations."""
+    conjugates, inverses = [c.key], [group_mod.identity(sys_).key]
+    for u in elements:
+        depth = len(u.word)
+        if depth:
+            s, prev = u.word[-1], u.word[:-1]
+            half = group_mod._right_mul_gen(
+                GroupElement(sys_, conjugates[depth - 1], prev[::-1] + c.word + prev), s
+            )
+            conjugates[depth:] = [group_mod._left_mul_gen(half, s).key]
+            parent = GroupElement(sys_, inverses[depth - 1], prev[::-1])
+            inverses[depth:] = [group_mod._left_mul_gen(parent, s).key]
+        yield u, conjugates[depth], inverses[depth]
+
+
+def _join(
+    sys_: CoxeterSystem, c: GroupElement, j: tuple[int, ...], radius: int | None = None
+) -> _Found:
+    """The centralizer of c by the join over W = W_J . JW (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.10): in the whole of a
+    finite group when radius is None, else in the ball of the radius
+    of a group whose W_J is finite, an affine one. The size is
+    |W_J| |JW|, or in the ball the sum over d in JW of the number of u
+    in W_J with l(u) <= radius - l(d), as l(u d) = l(u) + l(d).
+
+    The table side walks W_J, within the ball, carrying u^-1 c u and
+    u^-1 (_conjugated), and hashes each u by the first column of
+    u^-1 c u. The streamed side walks JW, within the ball, carrying
+    d^-1 = t d'^-1 from its parent d' = d t, and looks up the first
+    column of d c d^-1, d (c (d^-1 e_1)): two matrix-vector products.
+    Only a hit forms the whole conjugate, and only a match with
+    l(u) + l(d) <= radius forms g = u d and calls commutes. The table
+    is what is held; each walk is capped on its own.
+    """
+    nd = len(c.key) // sys_.rank
+    table: dict = {}
+    lengths: list[int] = []
+    walked = group_mod.walk(sys_, radius, gens=j)
+    for u, conj, uinv in _conjugated(sys_, c, _staged(walked, "the walk of W_J")):
+        depth = len(u.word)
+        if depth == len(lengths):
+            lengths.append(0)
+        lengths[depth] += 1
+        table.setdefault(conj[:nd], []).append((conj, u, uinv))
+    # within[k]: the number of u with l(u) <= k
+    within = list(itertools.accumulate(lengths))
     size = 0
     found = []
-    for g in group_mod.walk(sys_, radius):
-        size += 1
-        if commutes(g, c):
-            found.append((g, group_mod.inverse(g).key))
-    return size, _ball_sorted(found)
+    inverses = [group_mod.identity(sys_).key]
+    walked = group_mod.walk(sys_, radius, coset=j)
+    for d in _staged(walked, "the walk of the minimal coset representatives"):
+        depth = len(d.word)
+        size += within[-1] if radius is None else within[min(radius - depth, len(within) - 1)]
+        if depth:
+            parent = GroupElement(sys_, inverses[depth - 1], d.word[-2::-1])
+            inverses[depth:] = [group_mod._left_mul_gen(parent, d.word[-1]).key]
+        dinv = GroupElement(sys_, inverses[depth], d.word[::-1])
+        hits = table.get(tuple(group_mod._image(d, group_mod._image(c, dinv.key[:nd]))))
+        if hits is None:
+            continue
+        conj = group_mod.multiply(d, group_mod.multiply(c, dinv)).key
+        for uconj, u, uinv in hits:
+            if uconj != conj or radius is not None and len(u.word) + depth > radius:
+                continue
+            g = group_mod.multiply(u, d)
+            if not commutes(g, c):
+                raise InvariantViolation(
+                    f"joined element {group_mod.word_str(g.word)} does not commute with c"
+                )
+            ginv = group_mod.multiply(dinv, GroupElement(sys_, uinv, u.word[::-1]))
+            found.append((group_mod.canonical(g), ginv.key))
+    return _Found(size, _ball_sorted(found), within[-1])
+
+
+def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> _Found:
+    """The centralizer of c in the ball of the radius, meeting in the
+    middle: g = x z^-1 commutes with c exactly when x^-1 c x = z^-1 c z.
+
+    Split a reduced word of g in C(c), of length L <= radius, after its
+    first floor(L/2) letters: g = x z^-1 with l(x) = floor(L/2) and
+    l(z) = ceil(L/2) <= h = ceil(radius/2). So the walk of the ball B_h,
+    carrying z^-1 c z and z^-1 (_conjugated) and bucketing by
+    z^-1 c z, finds every g but the identity among the pairs (x, z) of
+    a bucket with x != z, l(z) - l(x) in {0, 1} and
+    l(x) + l(z) <= radius, and l(g) <= l(x) + l(z). The split is reduced,
+    so x and z have no right descent in common: the pairs whose
+    canonical words end in the same letter are skipped. Each product is
+    kept once, by key, and confirmed by commutes. The size is the sum of
+    group.growth_series. What is held, B_h and the pairs, is capped
+    together.
+    """
+    half = -(-radius // 2)
+    buckets: dict = {}
+    walked = group_mod.walk(sys_, half)
+    for z, conj, zinv in _conjugated(sys_, c, _staged(walked, "the walk of the half ball")):
+        buckets.setdefault(conj, []).append((z, zinv))
+    cap = group_mod.DEFAULT_BALL_CAP
+    held = sum(map(len, buckets.values()))
+    # the identity, the one element no pair gives, as the pair (e, e)
+    e = group_mod.identity(sys_)
+    products = {e.key: (e, e, e.key, e)}
+    for bucket in buckets.values():
+        for x, xinv in bucket if len(bucket) > 1 else ():
+            for z, zinv in bucket:
+                lx, lz = len(x.word), len(z.word)
+                if z is x or not 0 <= lz - lx <= 1 or lx + lz > radius:
+                    continue
+                if x.word[-1:] == z.word[-1:]:
+                    continue
+                if held >= cap:
+                    raise ResourceLimitError(
+                        f"the meet exceeded the cap of {cap} elements"
+                        f" (reached depth {half} after {held} elements)"
+                        " in the pairs of the half ball"
+                    )
+                held += 1
+                g = group_mod.multiply(x, GroupElement(sys_, zinv, z.word[::-1]))
+                products.setdefault(g.key, (g, x, xinv, z))
+    found = []
+    for g, x, xinv, z in products.values():
+        g = group_mod.canonical(g)
+        if len(g.word) > radius or not commutes(g, c):
+            raise InvariantViolation(
+                f"met element {group_mod.word_str(g.word)} is not in the centralizer"
+                " within the ball"
+            )
+        ginv = group_mod.multiply(z, GroupElement(sys_, xinv, x.word[::-1]))
+        found.append((g, ginv.key))
+    return _Found(sum(group_mod.growth_series(sys_, radius)), _ball_sorted(found), held)
 
 
 def _ball_sorted(found: list[tuple[GroupElement, tuple]]) -> list[GroupElement]:

@@ -40,6 +40,7 @@ SWEEP_SCRIPT = PRELUDE + """
 report = verify.verify_ball(corpus.load("{name}"), radius={radius})
 counts = tracer.snapshot()["counts"]
 counts["ball_size"] = report.ball_size
+counts["entries"] = len(report.entries)
 print(json.dumps(counts))
 """
 
@@ -86,21 +87,25 @@ print(json.dumps(tracer.snapshot()["counts"]))
 
 
 def test_ball_sweep_forms_no_product_per_element():
-    # one commutation test per ball element, each comparing columns
-    # instead of multiplying: the only products left are the power window's
-    counts = _traced_counts(SWEEP_SCRIPT.format(name="a2t", radius=4))
-    size = counts["ball_size"]
-    assert counts["verify.commutes.calls"] == size
-    assert counts.get("group.multiply.calls", 0) < size
+    # the join (d4t) and the meet (tri334) walk a parabolic, coset
+    # representatives or a half ball, not the ball: fewer generator steps
+    # and products than the ball has elements, and one commutation test
+    # per centralizing element found
+    for name, radius in (("d4t", 10), ("tri334", 16), ("a2t", 4)):
+        counts = _traced_counts(SWEEP_SCRIPT.format(name=name, radius=radius))
+        size = counts["ball_size"]
+        assert counts["verify.commutes.calls"] == counts["entries"], name
+        assert counts.get("group.step.calls", 0) < size, name
+        assert counts.get("group.multiply.calls", 0) < size, name
 
 
 @pytest.mark.parametrize("name,radius", [("a2t", 4), ("tri334", 6)])
 def test_ball_sweep_does_no_field_arithmetic_per_element(name, radius):
     # generator steps and commutation tests run on integer keys; the
     # field multiplications left are set-up (the Gram matrix, the
-    # definiteness test), far fewer than the ball's elements
+    # definiteness tests), far fewer than the ball's elements
     counts = _traced_counts(SWEEP_SCRIPT.format(name=name, radius=radius))
-    assert counts["verify.commutes.calls"] == counts["ball_size"]
+    assert counts["verify.commutes.calls"] == counts["entries"]
     assert counts.get("field.mul.calls", 0) < counts["ball_size"]
 
 

@@ -378,3 +378,33 @@ def test_demo_runs(demo):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of main(argv), --help's exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_built_for_one_command_answers_as_the_full_build(capsys, monkeypatch):
+    # main builds only the parser of the command argv names; its help,
+    # usage and errors must be those of the parser with every command
+    commands = list(cli._DISPATCH)
+    cases = [[], ["--help"], ["-h"], ["nosuch"], ["nosuch", "--help"], ["--threads", "2"]]
+    for name in commands:
+        cases += [
+            [name, "--help"], [name], [name, "--bogus"], [name, "--diagram"],
+            [name, "--threads", "x"], [name, "1", "2", "--diagram", dpath("a2"), "--max", "y"],
+        ]
+    lazy = [_outcome(capsys, argv) for argv in cases]
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    assert [_outcome(capsys, argv) for argv in cases] == lazy
+    # the full build lists every command, the built-for-one only its own
+    assert set(full()._subparsers._group_actions[0].choices) == set(commands)
+    assert list(full("conj")._subparsers._group_actions[0].choices) == ["conj"]
+    assert any("usage: coxkit" in out for _, out, _ in lazy)

@@ -1,15 +1,19 @@
-"""The finite centralizer as a join over W = W_J . JW.
+"""The centralizer as a join over W = W_J . JW: over the whole of a
+finite group, and inside the ball of an affine one.
 
-Oracles: the BFS sweep of test_verify (the whole group enumerated, each
-element tested by the column test, words from the descent walk), the
-closed-form group orders of perfbench/oracle.py, the BFS enumeration
-with left descents read off products, and the product definition of
-left multiplication.
+Oracles: the BFS sweep of test_verify (the whole group or ball
+enumerated, each element tested by the column test, words from the
+descent walk), the closed-form group orders of perfbench/oracle.py, the
+BFS enumeration with left descents read off products, the product
+definition of left multiplication, and a walk of the ball testing every
+element.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
+import textwrap
 
 import pytest
 
@@ -170,3 +174,81 @@ def test_cap_bounds_each_walk_of_the_join(monkeypatch):
     monkeypatch.setattr(group_mod, "DEFAULT_BALL_CAP", 119)
     with pytest.raises(ResourceLimitError, match="cap of 119 elements .* after 119 elements"):
         verify.verify_finite(h4)
+
+
+# ------------------------------------------------------- the join in a ball
+
+def _mutant(func, old, new):
+    """func compiled again from its source with old, which must occur
+    exactly once, replaced by new, over a copy of its module's globals."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, old
+    namespace = dict(func.__globals__)
+    code = compile("from __future__ import annotations\n" + source.replace(old, new),
+                   inspect.getsourcefile(func), "exec")
+    exec(code, namespace)
+    return namespace[func.__name__]
+
+
+def _brute(sys_, b, radius):
+    """The ball's size and the keys of its elements commuting with b, by
+    a walk of the whole ball."""
+    size, keys = 0, set()
+    for g in group_mod.walk(sys_, radius):
+        size += 1
+        if verify.commutes(g, b):
+            keys.add(g.key)
+    return size, keys
+
+
+@pytest.mark.parametrize("name", corpus.AFFINE)
+def test_affine_join_matches_the_bfs_sweep_for_every_parabolic(name, monkeypatch):
+    sys_ = corpus.load(name)
+    radii = (5, 6) if sys_.rank == 5 else (7, 8)
+    for perm in _perms(sys_):
+        for radius in radii:
+            expected = _bfs_report(sys_, perm, radius).text_lines()
+            for j in _subsets(sys_)[:-1]:
+                monkeypatch.setattr(verify, "_join_parabolic", lambda _, j=j: j)
+                report = verify.verify_ball(sys_, radius=radius, perm=perm)
+                assert report.text_lines() == expected, (j, radius)
+                assert report.method == "join"
+                assert report.held == sum(1 for _ in group_mod.walk(sys_, radius, gens=j))
+
+
+@pytest.mark.parametrize("old,new", [
+    ("len(u.word) + depth > radius", "len(u.word) + depth > radius + 1"),
+    ("len(u.word) + depth > radius", "len(u.word) + depth >= radius"),
+])
+def test_join_length_bound_mutants_are_caught(old, new, monkeypatch):
+    # c has length 5 in d4t, so c^2 sits at length 10: R = 9 and R = 10
+    # see an off-by-one in l(u) + l(d) <= R from either side
+    d4t = corpus.load("d4t")
+    expected = {r: _bfs_report(d4t, None, r).text_lines() for r in (9, 10)}
+    monkeypatch.setattr(verify, "_join", _mutant(verify._join, old, new))
+    caught = False
+    for radius, lines in expected.items():
+        try:
+            caught |= verify.verify_ball(d4t, radius=radius).text_lines() != lines
+        except InvariantViolation:
+            caught = True
+    assert caught
+
+
+@pytest.mark.parametrize("name,radius", [("d4t", 8), ("tri334", 11)])
+def test_join_finds_the_larger_centralizers_of_non_coxeter_elements(name, radius):
+    # negative control in a ball: s1 and c^2 commute with more of the ball
+    # than the cyclic groups they generate, and the join, for every J
+    # (all finite in these two), finds exactly what testing every element
+    # of the ball finds
+    sys_ = corpus.load(name)
+    c = group_mod.coxeter_element(sys_)
+    for b in (group_mod.generator(sys_, 1), group_mod.multiply(c, c)):
+        size, walked = _brute(sys_, b, radius)
+        cyclic = {w.key for _, w in group_mod.power_window(b, radius).values()
+                  if group_mod.length_and_reduced(w)[0] <= radius}
+        assert walked > cyclic
+        for j in _subsets(sys_)[:-1]:
+            result = verify._join(sys_, b, j, radius)
+            assert result[0] == size, j
+            assert {g.key for g in result[1]} == walked, j

@@ -219,7 +219,9 @@ def test_streamed_sweep_matches_the_bfs_sweep(name):
             assert got.text_lines() == _bfs_report(sys_, perm, None).text_lines()
             continue
         base = verify.default_radius(sys_.rank)
-        for radius in (base, base + (2 if sys_.rank == 5 else 4)):
+        # odd radii too: the meet splits at ceil(R/2), the join bounds l(u) + l(d)
+        step = 2 if sys_.rank == 5 else 4
+        for radius in (base, base + 1, base + step, base + step + 1):
             got = verify.verify_ball(sys_, radius=radius, perm=perm)
             assert got.text_lines() == _bfs_report(sys_, perm, radius).text_lines()
 
