@@ -73,27 +73,17 @@ once per system, and each walk builds, per descent mask it meets, the
 generators that pass the part of the child test the mask alone decides.
 The walk of JW prunes the steps that leave it by Deodhar's test (walk).
 
-Every breadth-first search in the package runs through closure(): balls
-and whole-group enumerations here, kept for the callers that need a
-ball as a set (essentiality probes, ball-truncated reflection lists,
-parabolic matching), and Hurwitz orbits, subgroup closures, root orbits
-and the conjugacy-graph spanning tree elsewhere. It dedups by key,
+Every enumeration of group elements runs on walk(). ball() and
+enumerate_group() view it as a set in breadth-first (shortlex) order:
+_bfs carries each x^-1 along the walk (_inverses) with the word of x
+reversed, its lexicographically least reduced word, and sorts by length,
+then that word. Hurwitz orbits, subgroup closures, root orbits and the
+conjugacy-graph spanning tree run through closure(): it dedups by key,
 checks the cap before each insert and records one parent link per
-member, so callers derive distances and tree paths from the links
-instead of running their own loop. Balls step only ascents. A step
-x*s = y from layer L lands in layer L+1, so s is a right descent of y;
-the ball's step function records that bit when it takes the step and
-skips the recorded descents when it expands y. The identity has none,
-and every descent s of y is recorded while layer L is expanded, because
-y*s lies there with s as an ascent; so each skipped step would only
-have reached an existing member, and the members, their order and
-their parent links are those of stepping every generator, from half the
-steps in a finite group (w -> w*w0 swaps ascents and descents). Each
-record is dropped when its element is expanded, so the records span at
-most two layers. The BFS order is shortlex: by length, then by the
-lexicographically least reduced word. Reflection length needs no
-search: it is the rank of w - 1 (Carter), which refl reads off the
-matrix. Derived values are cached per system through CoxeterSystem.memo.
+member, so callers derive distances and tree paths from the links.
+Reflection length needs no search: it is the rank of w - 1 (Carter),
+which refl reads off the matrix. Derived values are cached per system
+through CoxeterSystem.memo.
 """
 
 from __future__ import annotations
@@ -641,20 +631,17 @@ def closure(
     seeds: Iterable,
     step: Callable[[object], Iterable[tuple[object, object]]],
     cap: int,
-    radius: int | None = None,
     key: Callable[[object], Hashable] = attrgetter("key"),
     overflow: str = "closure exceeded the cap of {cap}",
-) -> tuple[dict, dict, bool]:
+) -> tuple[dict, dict]:
     """Breadth-first closure of seeds under step, layer by layer.
 
     step(x) yields (label, y) pairs; y joins unless its key(y) is already
-    a member. Returns (members, parent, complete): members maps each key
-    to its item in insertion order (seeds first, then BFS layers);
-    parent maps each key to (parent key, label), None at a seed;
-    complete is True when the last expanded layer added nothing, so the
-    members are closed under step. radius None expands until then.
-    Inserting more than cap members, seeds included, raises
-    ResourceLimitError with overflow formatted by cap.
+    a member. Returns (members, parent): members maps each key to its
+    item in insertion order (seeds first, then BFS layers); parent maps
+    each key to (parent key, label), None at a seed. Inserting more than
+    cap members, seeds included, raises ResourceLimitError with overflow
+    formatted by cap.
     """
     members: dict = {}
     parent: dict = {}
@@ -666,9 +653,7 @@ def closure(
             members[k] = x
             parent[k] = None
     frontier = list(members.values())
-    depth = 0
-    while frontier and (radius is None or depth < radius):
-        depth += 1
+    while frontier:
         nxt = []
         for x in frontier:
             xk = key(x)
@@ -682,7 +667,7 @@ def closure(
                 parent[k] = (xk, label)
                 nxt.append(y)
         frontier = nxt
-    return members, parent, not frontier
+    return members, parent
 
 
 # ------------------------------------------------------------------- the ball
@@ -692,8 +677,8 @@ class Ball(Record):
 
     members maps the matrix key to the element; parent maps each key to
     (parent key, letter) along the BFS tree, None at the identity. When
-    complete is True the BFS closed before exhausting the radius, so the
-    members are the whole group generated by gens.
+    complete is True no element has length radius, so the members are
+    the whole group generated by gens.
     """
 
     system: CoxeterSystem
@@ -726,26 +711,18 @@ def _bfs(
     radius: int | None,
     cap: int,
 ) -> Ball:
-    # known[k]: bit s set once some x*s = k has been stepped, so s is a
-    # right descent of k and k*s an existing member; entries are popped
-    # on expansion, so only the layer being expanded and the next remain
-    known: dict = {}
-
-    def ascents(w: GroupElement):
-        descents = known.pop(w.key, 0)
-        for s in gens:
-            if not descents >> s & 1:
-                y = _right_mul_gen(w, s)
-                known[y.key] = known.get(y.key, 0) | 1 << s
-                yield s, y
-
-    members, parent, complete = closure(
-        [identity(sys_)],
-        ascents,
-        cap,
-        radius=radius,
-        overflow="ball enumeration exceeded the cap of {cap} elements",
+    """The ball as a view of the walk: the inverse of each element of
+    walk(gens), carrying the walked word reversed, its lexicographically
+    least reduced word, sorted by length, then that word. The parent of
+    an element is its word without the last letter."""
+    found = sorted(
+        (inv for _, inv in _inverses(sys_, walk(sys_, radius, cap, gens))),
+        key=lambda w: (len(w.word), w.word),
     )
+    members = {w.key: w for w in found}
+    keys = {w.word: w.key for w in found}
+    parent = {w.key: (keys[w.word[:-1]], w.word[-1]) if w.word else None for w in found}
+    complete = radius is None or len(found[-1].word) < radius
     return Ball(sys_, radius, gens, members, parent, complete)
 
 
@@ -760,8 +737,8 @@ def _norm_gens(sys_: CoxeterSystem, gens: Iterable[int] | None) -> tuple[int, ..
 
 
 def _cached_ball(sys_: CoxeterSystem, gens: Iterable[int] | None, radius: int | None, cap: int) -> Ball:
-    """The memoized BFS ball; radius None is the whole group, keyed as "enum"."""
-    gens_t = _norm_gens(sys_, gens)
+    """The memoized ball; radius None is the whole group, keyed as "enum"."""
+    gens_t = tuple(sorted(_norm_gens(sys_, gens)))
     key = ("enum", gens_t, cap) if radius is None else ("ball", gens_t, radius, cap)
     return sys_.memo(key, lambda: _bfs(sys_, gens_t, radius, cap))
 
@@ -785,8 +762,8 @@ def enumerate_group(
 ) -> Ball:
     """Complete enumeration of the (finite) group generated by gens.
 
-    Runs the ball BFS with no radius bound; an infinite group hits the
-    cap and raises ResourceLimitError.
+    The ball with no radius bound; an infinite group hits the cap of
+    the walk and raises ResourceLimitError.
     """
     return _cached_ball(sys_, gens, None, cap)
 
@@ -896,6 +873,24 @@ def walk(
             else:
                 out[col_s] = map(neg, key[col_s])
                 stack.append((tuple(out), mask, word + (s0 + 1,)))
+
+
+def _carry(elements: Iterable[GroupElement], start, step: Callable) -> Iterator[tuple]:
+    """Each element x of a walk with a value carried from its parent:
+    start at the identity, step(value at x', s) at x = x' s. The walk is
+    depth-first, so the value kept at depth l(x) - 1 is the parent's."""
+    values = [start]
+    for x in elements:
+        depth = len(x.word)
+        if depth:
+            values[depth:] = [step(values[depth - 1], x.word[-1])]
+        yield x, values[depth]
+
+
+def _inverses(sys_: CoxeterSystem, elements: Iterable[GroupElement]) -> Iterator[tuple]:
+    """Each element x of a walk, paired with x^-1 carrying the word of x
+    reversed: x^-1 = s x'^-1 for x = x' s, one row operation each."""
+    return _carry(elements, identity(sys_), _left_mul_gen)
 
 
 def _series_inverse(a: Sequence[int], degree: int) -> list[int]:

@@ -219,7 +219,7 @@ def _tree_and_witnesses(graph: ConjGraph, start: frozenset[int]):
         adjacency.setdefault(e.target, []).append((e.letter, _subset_sort_key(e.source), "bwd", e))
     for v in adjacency:
         adjacency[v].sort(key=lambda item: (item[0], item[1], item[2]))
-    _, parent, _ = group_mod.closure(
+    _, parent = group_mod.closure(
         [start],
         lambda v: (
             ((direction, e), e.target if direction == "fwd" else e.source)
@@ -349,8 +349,9 @@ def parabolic_closure_finite(
     inputs. That space is the orthogonal complement of the common fixed
     space, and the reflections fixing the common fixed space pointwise
     are exactly the smallest parabolic containing the inputs. The
-    result is certified to contain the inputs and matched to a
-    conjugate g W_J g^{-1} of a standard parabolic of the scope.
+    result is matched to a conjugate g W_J g^{-1} of a standard
+    parabolic of the scope, whose members are listed in the order of
+    walk(gens=J), and certified to contain the inputs.
     """
     gens_t = group_mod._norm_gens(sys_, gens)
     if not is_spherical(sys_, gens_t):
@@ -363,20 +364,21 @@ def parabolic_closure_finite(
         for t in refl_mod.reflections_of(sys_, gens_t)
         if not any(refl_mod._reduce(sys_, basis, t.root.key))
     ]
-    members = (
-        refl_mod.generated_group([t.element for t in chosen], sys_=sys_)
-        if chosen
-        else {group_mod.identity(sys_).key: group_mod.identity(sys_)}
-    )
+    conjugator, standard = _match_standard(sys_, gens_t, chosen)
+    # g u^-1 g^-1 over the walk of W_J, carrying u^-1 g^-1 = s u'^-1 g^-1
+    members = {}
+    walked = group_mod.walk(sys_, gens=standard)
+    for _, x in group_mod._carry(walked, group_mod.inverse(conjugator), group_mod._left_mul_gen):
+        y = group_mod.multiply(conjugator, x)
+        members[y.key] = y
     for w in elements:
         if w.key not in members:
             raise InvariantViolation("closure does not contain an input element")
-    conjugator, standard = _match_standard(sys_, gens_t, chosen)
     return ParabolicClosure(members, conjugator, standard)
 
 
 def _match_standard(sys_, gens_t, chosen) -> tuple[GroupElement, frozenset[int]]:
-    """The first scope element g, in enumeration order, and the first
+    """The first scope element g, in breadth-first order, and the first
     subset J, by size then lexicographically, with g W_J g^{-1} equal to
     the closure W' generated by the chosen reflections.
 
@@ -388,6 +390,10 @@ def _match_standard(sys_, gens_t, chosen) -> tuple[GroupElement, frozenset[int]]
     of W_J into the chosen ones; when W_J has as many positive roots as
     there are chosen reflections, the two reflection sets are equal, and
     so are the groups they generate. Only such J are candidates.
+
+    The g that qualify for J are unions of cosets g W_J, so the first is
+    d^{-1} for a d with no left descent in J, visited by the walk with
+    coset=J; its least word is the word of d reversed (group._bfs).
     """
     roots = set()
     for t in chosen:
@@ -400,11 +406,15 @@ def _match_standard(sys_, gens_t, chosen) -> tuple[GroupElement, frozenset[int]]
     candidates = [
         sub for sub in subsets if len(roots_mod.positive_roots(sys_, sub)) == len(chosen)
     ]
-    scope_elements = group_mod.enumerate_group(sys_, gens=gens_t).elements()
     for sub in candidates:
-        for g in scope_elements:
-            if all(group_mod._column(g, j) in roots for j in sub):
-                return group_mod.canonical(g), frozenset(sub)
+        walked = group_mod.walk(sys_, gens=gens_t, coset=sub)
+        hits = [
+            g for _, g in group_mod._inverses(sys_, walked)
+            if all(group_mod._column(g, j) in roots for j in sub)
+        ]
+        if hits:
+            g = min(hits, key=lambda g: (len(g.word), g.word))
+            return group_mod.canonical(g), frozenset(sub)
     raise InvariantViolation("closure is not conjugate to any standard parabolic")
 
 
@@ -429,12 +439,16 @@ def essentiality_refute(
     w: GroupElement,
     radius: int = 4,
 ) -> EssentialityProbe:
+    """The first x of the ball, in breadth-first order (group._bfs),
+    whose conjugate x^{-1} w x misses a generator."""
     full = frozenset(range(1, sys_.rank + 1))
-    for x in group_mod.ball(sys_, radius).elements():
-        conj = group_mod.multiply(
-            group_mod.multiply(group_mod.inverse(x), w), x
-        )
+    hits = []
+    for z, x in group_mod._inverses(sys_, group_mod.walk(sys_, radius)):
+        conj = group_mod.multiply(group_mod.multiply(z, w), x)
         support = frozenset(group_mod.length_and_reduced(conj)[1])
         if support != full:
-            return EssentialityProbe(True, radius, x, support)
-    return EssentialityProbe(False, radius)
+            hits.append((len(x.word), x.word, x, support))
+    if not hits:
+        return EssentialityProbe(False, radius)
+    _, _, x, support = min(hits, key=lambda hit: hit[:2])
+    return EssentialityProbe(True, radius, x, support)

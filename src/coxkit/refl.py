@@ -100,10 +100,12 @@ def reflections_of(
             for alpha in roots_mod.positive_roots(sys_, gens_t)
         )))
     found: list[Reflection] = []
-    for w in group_mod.ball(sys_, depth, gens=gens_t).elements():
+    for w in group_mod.walk(sys_, depth, gens=gens_t):
         root = _flipped_root(w)
         if root is not None:
-            found.append(Reflection(w, root))
+            # an involution: its walked word reversed is its ball word (_bfs)
+            found.append(Reflection(GroupElement(sys_, w.key, w.word[::-1]), root))
+    found.sort(key=lambda t: (len(t.element.word), t.element.word))
     return found
 
 
@@ -173,7 +175,7 @@ def _length_table(sys_: CoxeterSystem, gens_t: tuple[int, ...]) -> dict:
 
 def _distances(sys_: CoxeterSystem, gens_t: tuple[int, ...]) -> dict:
     refs = [t.element for t in reflections_of(sys_, gens_t)]
-    _, parent, _ = group_mod.closure(
+    _, parent = group_mod.closure(
         [group_mod.identity(sys_)],
         lambda w: ((None, group_mod.multiply(w, t)) for t in refs),
         group_mod.DEFAULT_BALL_CAP,
@@ -347,7 +349,7 @@ def hurwitz_orbit(
     cap: int = DEFAULT_ORBIT_CAP,
 ) -> list[ReflectionFactorization]:
     """The full orbit of the factorization under Hurwitz moves, BFS order."""
-    members, _, _ = group_mod.closure(
+    members, _ = group_mod.closure(
         [fact],
         lambda cur: (
             ((slot, direction), hurwitz_move(cur, slot, direction))
@@ -380,7 +382,7 @@ def generated_group(
             if not gens:
                 raise ValueError("empty generator list needs an explicit system")
             sys_ = gens[0].system
-    members, _, _ = group_mod.closure(
+    members, _ = group_mod.closure(
         [group_mod.identity(sys_)],
         lambda cur: ((i, group_mod.multiply(cur, g)) for i, g in enumerate(gens)),
         cap,
@@ -411,9 +413,8 @@ def parabolic_coxeter_check(
     if reflection_length(sys_, w, gens_t) != group_mod.length_and_reduced(w)[0]:
         return False
     coxset = _standard_coxeter_keys(sys_, gens_t)
-    for g in group_mod.enumerate_group(sys_, gens=gens_t).elements():
-        conj = group_mod.multiply(group_mod.multiply(g, w), group_mod.inverse(g))
-        if conj.key in coxset:
+    for g, ginv in group_mod._inverses(sys_, group_mod.walk(sys_, gens=gens_t)):
+        if group_mod.multiply(group_mod.multiply(g, w), ginv).key in coxset:
             return True
     return False
 

@@ -139,7 +139,7 @@ def positive_roots(
 
 def _root_orbit(sys_: CoxeterSystem, gens_t: tuple[int, ...], cap: int) -> tuple[Root, ...]:
     gens = [(s, group_mod.generator(sys_, s)) for s in gens_t]
-    members, _, _ = group_mod.closure(
+    members, _ = group_mod.closure(
         [simple_root(sys_, s) for s in gens_t],
         lambda r: ((s, make_root(sys_, group_mod._image(g, r.key))) for s, g in gens),
         cap,

@@ -321,23 +321,17 @@ def _staged(elements: Iterator[GroupElement], stage: str) -> Iterator[GroupEleme
 
 
 def _conjugated(sys_: CoxeterSystem, c: GroupElement, elements: Iterator[GroupElement]):
-    """Each element u of a walk, with the keys of u^-1 c u and u^-1.
+    """Each element u of a walk, with the key of u^-1 c u and u^-1 itself.
 
-    Both are carried from the parent u' = u s, one key per depth:
+    Both are carried from the parent u' = u s (group._carry):
     u^-1 c u = s (u'^-1 c u') s and u^-1 = s u'^-1, a column operation
     and two row operations."""
-    conjugates, inverses = [c.key], [group_mod.identity(sys_).key]
-    for u in elements:
-        depth = len(u.word)
-        if depth:
-            s, prev = u.word[-1], u.word[:-1]
-            half = group_mod._right_mul_gen(
-                GroupElement(sys_, conjugates[depth - 1], prev[::-1] + c.word + prev), s
-            )
-            conjugates[depth:] = [group_mod._left_mul_gen(half, s).key]
-            parent = GroupElement(sys_, inverses[depth - 1], prev[::-1])
-            inverses[depth:] = [group_mod._left_mul_gen(parent, s).key]
-        yield u, conjugates[depth], inverses[depth]
+    def step(pair, s):
+        left = group_mod._left_mul_gen
+        return left(group_mod._right_mul_gen(pair[0], s), s), left(pair[1], s)
+
+    for u, (conj, uinv) in group_mod._carry(elements, (c, group_mod.identity(sys_)), step):
+        yield u, conj.key, uinv
 
 
 def _join(
@@ -353,11 +347,11 @@ def _join(
     The table side walks W_J, within the ball, carrying u^-1 c u and
     u^-1 (_conjugated), and hashes each u by the first column of
     u^-1 c u. The streamed side walks JW, within the ball, carrying
-    d^-1 = t d'^-1 from its parent d' = d t, and looks up the first
-    column of d c d^-1, d (c (d^-1 e_1)): two matrix-vector products.
-    Only a hit forms the whole conjugate, and only a match with
-    l(u) + l(d) <= radius forms g = u d and calls commutes. The table
-    is what is held; each walk is capped on its own.
+    d^-1 (group._inverses), and looks up the first column of d c d^-1,
+    d (c (d^-1 e_1)): two matrix-vector products. Only a hit forms the
+    whole conjugate, and only a match with l(u) + l(d) <= radius forms
+    g = u d and calls commutes. The table is what is held; each walk is
+    capped on its own.
     """
     nd = len(c.key) // sys_.rank
     table: dict = {}
@@ -373,15 +367,11 @@ def _join(
     within = list(itertools.accumulate(lengths))
     size = 0
     found = []
-    inverses = [group_mod.identity(sys_).key]
     walked = group_mod.walk(sys_, radius, coset=j)
-    for d in _staged(walked, "the walk of the minimal coset representatives"):
+    streamed = _staged(walked, "the walk of the minimal coset representatives")
+    for d, dinv in group_mod._inverses(sys_, streamed):
         depth = len(d.word)
         size += within[-1] if radius is None else within[min(radius - depth, len(within) - 1)]
-        if depth:
-            parent = GroupElement(sys_, inverses[depth - 1], d.word[-2::-1])
-            inverses[depth:] = [group_mod._left_mul_gen(parent, d.word[-1]).key]
-        dinv = GroupElement(sys_, inverses[depth], d.word[::-1])
         hits = table.get(tuple(group_mod._image(d, group_mod._image(c, dinv.key[:nd]))))
         if hits is None:
             continue
@@ -394,7 +384,7 @@ def _join(
                 raise InvariantViolation(
                     f"joined element {group_mod.word_str(g.word)} does not commute with c"
                 )
-            ginv = group_mod.multiply(dinv, GroupElement(sys_, uinv, u.word[::-1]))
+            ginv = group_mod.multiply(dinv, uinv)
             found.append((group_mod.canonical(g), ginv.key))
     return _Found(size, _ball_sorted(found), within[-1])
 
@@ -425,7 +415,7 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> _Found:
     held = sum(map(len, buckets.values()))
     # the identity, the one element no pair gives, as the pair (e, e)
     e = group_mod.identity(sys_)
-    products = {e.key: (e, e, e.key, e)}
+    products = {e.key: (e, e, e, e)}
     for bucket in buckets.values():
         for x, xinv in bucket if len(bucket) > 1 else ():
             for z, zinv in bucket:
@@ -441,7 +431,7 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> _Found:
                         " in the pairs of the half ball"
                     )
                 held += 1
-                g = group_mod.multiply(x, GroupElement(sys_, zinv, z.word[::-1]))
+                g = group_mod.multiply(x, zinv)
                 products.setdefault(g.key, (g, x, xinv, z))
     found = []
     for g, x, xinv, z in products.values():
@@ -451,7 +441,7 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> _Found:
                 f"met element {group_mod.word_str(g.word)} is not in the centralizer"
                 " within the ball"
             )
-        ginv = group_mod.multiply(z, GroupElement(sys_, xinv, x.word[::-1]))
+        ginv = group_mod.multiply(z, xinv)
         found.append((g, ginv.key))
     return _Found(sum(group_mod.growth_series(sys_, radius)), _ball_sorted(found), held)
 
@@ -610,7 +600,7 @@ def verify_example_d4tilde() -> ExampleReport:
     wp = (2, 3, 4, 5)
     clauses: list[ExampleClause] = []
 
-    sub = group_mod.enumerate_group(sys_, gens=wp)
+    sub = list(group_mod._inverses(sys_, group_mod.walk(sys_, gens=wp)))
     order_wp = len(sub)
     _push_clause(clauses, "a", order_wp == 192, f"|W'|={order_wp}")
 
@@ -624,9 +614,8 @@ def verify_example_d4tilde() -> ExampleReport:
         group_mod.from_word(sys_, p).key for p in itertools.permutations(wp)
     }
     is_cox = any(
-        group_mod.multiply(group_mod.multiply(x, v), group_mod.inverse(x)).key
-        in cox_keys
-        for x in sub.elements()
+        group_mod.multiply(group_mod.multiply(x, v), xinv).key in cox_keys
+        for x, xinv in sub
     )
     _push_clause(
         clauses,

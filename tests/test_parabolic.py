@@ -6,7 +6,10 @@ diagram-automorphism compositions, and closures against element
 counts of independently enumerated parabolics.
 """
 
+import random
+
 import pytest
+from test_group import _full_bfs
 
 from coxkit import corpus, diagram, group, parabolic, roots
 from coxkit.errors import InvariantViolation, ResourceLimitError
@@ -437,8 +440,8 @@ def test_closure_match_forms_no_inverse_and_no_product(monkeypatch):
 
 
 def test_closure_match_enumerates_only_the_scope(monkeypatch):
-    # candidate subsets are picked by their positive-root count, so the
-    # match enumerates no standard parabolic but the scope itself
+    # the match walks the minimal coset representatives of each candidate
+    # subset inside the scope, so it enumerates no group as a ball
     b4 = diagram.parse_system(corpus.read_text("b4"))
     inside, enumerated = [], []
     match = parabolic._match_standard
@@ -461,7 +464,80 @@ def test_closure_match_enumerates_only_the_scope(monkeypatch):
     for scope, word in (((1, 2, 3, 4), (1, 2)), ((1, 2, 3), (2, 3, 2))):
         cl = parabolic.parabolic_closure_finite(b4, [group.from_word(b4, word)], gens=scope)
         assert len(cl) == len(group.enumerate_group(b4, gens=cl.standard))
-    assert enumerated == [(1, 2, 3, 4), (1, 2, 3)]
+    assert enumerated == []
+
+
+def _check_closure_against_products(sys_, word, scope=None):
+    """The closure's members against generated_group of its chosen
+    reflections, and its match against the scan of products."""
+    from coxkit import refl
+
+    gens = scope or tuple(range(1, sys_.rank + 1))
+    w = group.from_word(sys_, word)
+    cl = parabolic.parabolic_closure_finite(sys_, [w], gens=scope)
+    basis = refl._moved_basis([w])
+    chosen = [t for t in refl.reflections_of(sys_, gens) if not any(refl._reduce(sys_, basis, t.root.key))]
+    if len(chosen) == len(refl.reflections_of(sys_, gens)):
+        # the whole scope: generated_group would form |W| products per
+        # reflection, 864,000 on h4
+        expected = set(group.enumerate_group(sys_, gens=gens).members)
+    else:
+        expected = set(refl.generated_group(chosen, sys_=sys_)) if chosen else {group.identity(sys_).key}
+    assert set(cl.members) == expected, word
+    assert (cl.conjugator.word, cl.standard) == _first_conjugator_by_products(sys_, gens, expected), word
+
+
+@pytest.mark.parametrize("name", [n for n in corpus.FINITE if n != "h4"])
+def test_closure_matches_generated_group_and_product_scan(name):
+    sys_ = corpus.load(name)
+    n = sys_.rank
+    rng = random.Random(name)
+    words = [tuple(range(1, n + 1))]
+    words += [tuple(rng.randint(1, n) for _ in range(rng.randint(1, 3 * n))) for _ in range(10)]
+    for word in words:
+        _check_closure_against_products(sys_, word)
+
+
+@pytest.mark.parametrize("word", [(1, 2, 3, 4), (1, 2), (1, 2, 3)])
+def test_closure_in_h4_matches_generated_group_and_product_scan(word):
+    _check_closure_against_products(corpus.load("h4"), word)
+
+
+def test_closure_in_d4tilde_scope_matches_generated_group_and_product_scan():
+    d4t = corpus.load("d4t")
+    scope = (2, 3, 4, 5)
+    rng = random.Random(5)
+    words = [scope] + [tuple(rng.choice(scope) for _ in range(rng.randint(1, 10))) for _ in range(8)]
+    for word in words:
+        _check_closure_against_products(d4t, word, scope)
+
+
+def test_no_ball_and_no_subgroup_closure_is_built(monkeypatch):
+    # every enumeration runs on the walk: with the ball and the subgroup
+    # closure gone, the closure, the essentiality probe, the truncated
+    # reflections, the parabolic Coxeter check and the d4tilde example
+    # still run; clause (b) of the example alone generates a subgroup, to
+    # test a factorization for quasi-Coxeter
+    from coxkit import refl, verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated through the ball or the subgroup closure")
+
+    for name in ("_bfs", "ball", "enumerate_group"):
+        monkeypatch.setattr(group, name, refuse)
+    with monkeypatch.context() as patched:
+        patched.setattr(refl, "generated_group", refuse)
+        for name in ("a3", "h3", "f4"):
+            sys_ = diagram.parse_system(corpus.read_text(name))
+            c = group.coxeter_element(sys_)
+            assert len(parabolic.parabolic_closure_finite(sys_, [c]).members) > 1
+            assert len(parabolic.parabolic_closure_finite(sys_, [group.generator(sys_, 2)])) == 2
+            assert refl.parabolic_coxeter_check(sys_, c)
+        d4t = diagram.parse_system(corpus.read_text("d4t"))
+        assert parabolic.essentiality_refute(d4t, group.generator(d4t, 1)).refuted
+        assert not parabolic.essentiality_refute(d4t, group.coxeter_element(d4t), radius=2).refuted
+        assert len(refl.reflections_of(d4t, depth=5)) > d4t.rank
+    assert verify.verify_example_d4tilde().passed
 
 
 def test_normalizer_in_rank_two_free_product():
@@ -476,6 +552,42 @@ def test_normalizer_in_rank_two_free_product():
 
 
 # --------------------------------------------------------------- essentiality
+
+def _refute_by_bfs(sys_, w, radius):
+    """The essentiality probe over the reference BFS ball: the first x in
+    shortlex order whose x^-1 w x misses a generator."""
+    full = frozenset(range(1, sys_.rank + 1))
+    members, _, _ = _full_bfs(sys_, tuple(range(1, sys_.rank + 1)), radius, 10**6)
+    for x in members.values():
+        conj = group.multiply(group.multiply(group.inverse(x), w), x)
+        support = frozenset(group.length_and_reduced(conj)[1])
+        if support != full:
+            return x, support
+    return None
+
+
+@pytest.mark.parametrize("name", corpus.AFFINE + corpus.INDEFINITE)
+def test_essentiality_matches_the_bfs_probe(name):
+    sys_ = corpus.load(name)
+    n = sys_.rank
+    rng = random.Random(name)
+    words = [tuple(range(1, n + 1)), tuple(range(n, 0, -1)), (1,), (n, 1, n)]
+    words += [tuple(rng.randint(1, n) for _ in range(rng.randint(2, 8))) for _ in range(4)]
+    outcomes = set()
+    for word in words:
+        w = group.from_word(sys_, word)
+        for radius in (0, 2, 4):
+            probe = parabolic.essentiality_refute(sys_, w, radius=radius)
+            expected = _refute_by_bfs(sys_, w, radius)
+            outcomes.add(probe.refuted)
+            assert probe.refuted == (expected is not None), (word, radius)
+            if expected is not None:
+                x, support = expected
+                assert (probe.conjugator.key, probe.conjugator.word, probe.support) == (
+                    x.key, x.word, support
+                ), (word, radius)
+    assert outcomes == {True, False}
+
 
 def test_essentiality_refuted_for_generator():
     a2 = corpus.load("a2")

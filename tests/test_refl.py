@@ -8,6 +8,7 @@ import random
 from importlib import resources
 
 import pytest
+from test_group import _full_bfs
 
 from coxkit import cli, corpus, diagram, refl, roots, verify
 from coxkit.errors import InvariantViolation, ResourceLimitError
@@ -65,6 +66,23 @@ def test_ball_truncated_reflections_exclude_odd_involutions():
     keys = {t.element.key for t in reflections_of(h3, depth=15)}
     assert w0.key not in keys
     assert len(keys) == 15
+
+
+@pytest.mark.parametrize("name", corpus.AFFINE + corpus.INDEFINITE + ("h3", "b4"))
+@pytest.mark.parametrize("depth", [3, 5, 7])
+def test_ball_truncated_reflections_match_the_bfs_ball(name, depth):
+    # the reference: the reflections among the members of a BFS ball,
+    # in its order, with its words
+    sys_ = diagram.parse_system(corpus.read_text(name))
+    members, _, _ = _full_bfs(sys_, tuple(range(1, sys_.rank + 1)), depth, 10**6)
+    expected = []
+    for w in members.values():
+        if len(w.word) % 2 and multiply(w, w).is_identity():
+            found = [r for r in roots.inversion_set(w) if roots._reflection_matrix(sys_, r) == w]
+            if found:
+                expected.append((w.key, w.word, found[0].key))
+    got = [(t.element.key, t.element.word, t.root.key) for t in reflections_of(sys_, depth=depth)]
+    assert got == expected
 
 
 def test_reflection_length_small_cases():
