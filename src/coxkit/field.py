@@ -197,15 +197,14 @@ class Field:
     Instances are cheap views over N: the minimal polynomial, the integer
     reduction table for high powers of theta, the enclosure
     _lo / 2^_k <= theta <= _hi / 2^_k in integers, refined in place, with
-    the bounds on the powers of theta built from it (_powers), and the
-    signs of FieldElements decided so far. Obtain shared instances
-    through create(), which caches per N so enclosure refinements and
-    decided signs accumulate.
+    the bounds on the powers of theta built from it (_powers). Obtain
+    shared instances through create(), which caches per N so enclosure
+    refinements accumulate; a FieldElement keeps its own decided sign.
     """
 
     __slots__ = (
         "N", "minpoly", "degree", "_reduction", "_lo", "_hi", "_k", "_powers",
-        "_signs", "_zero", "_one", "_theta",
+        "_zero", "_one", "_theta",
     )
 
     def __init__(self, n: int) -> None:
@@ -232,9 +231,6 @@ class Field:
         else:
             self._lo, self._hi, self._k = self._isolate_largest_root()
         self._powers: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        # decided signs of FieldElements by numerator (a denominator is
-        # positive, so it never matters); Field.sign itself keeps none
-        self._signs: dict[tuple[int, ...], int] = {}
         self._zero = FieldElement(self, (0,) * d, 1)
         self._one = FieldElement(self, (1,) + (0,) * (d - 1), 1)
         self._theta = (
@@ -580,11 +576,7 @@ class FieldElement:
     def sign(self) -> int:
         """Exact sign: -1, 0, or 1."""
         if self._sign is None:
-            signs = self.field._signs
-            s = signs.get(self.num)
-            if s is None:
-                s = signs[self.num] = self._compute_sign()
-            self._sign = s
+            self._sign = self._compute_sign()
         return self._sign
 
     def _compute_sign(self) -> int:

@@ -38,19 +38,20 @@ reflection and parabolic layers read roots off keys, store each as such
 a column of n*d' ints, and apply elements to them with _image. A root's
 coordinates are all >= 0 or all <= 0, so its sign is the sign of its
 first nonzero coordinate (_Ring.root_sign; Humphreys, Reflection Groups
-and Coxeter Groups, 5.4). Keys and field columns meet in two places
+and Coxeter Groups, 5.4). Keys and field columns meet in one place
 only: _view embeds a flat vector into Q(theta), for the cols of an
 element and the coords of a root, views built on first use for printing
-and the public FieldElement interfaces; _flatten projects field columns
-back to a key, rejecting an entry outside Z[theta']. Signs of entries
-stay in the ring. theta' > 0, so every power theta'^k is positive: a
-block whose ints are all >= 0 (or all <= 0) has that sign, and so has a
-column whose ints all are, which _Ring.root_sign reads off min and max.
-Any other column goes block by block to _Ring.sign, which is Field.sign
-of Q(theta'): the same rule for a block, and a mixed block bounded
-between two integers from dyadic bounds on the powers theta'^k, the
-field's enclosure of theta' refined until 0 is excluded. _descent and
-the walk decide every sign this way.
+and the public FieldElement interfaces. Nothing converts back: the step
+operators are read off the labels, not off the Gram matrix, and a root
+is built from a key column. Signs of entries stay in the ring.
+theta' > 0, so every power theta'^k is positive: a block whose ints are
+all >= 0 (or all <= 0) has that sign, and so has a column whose ints
+all are, which _Ring.root_sign reads off min and max. Any other column
+goes block by block to _Ring.sign, which is Field.sign of Q(theta'):
+the same rule for a block, and a mixed block bounded between two
+integers from dyadic bounds on the powers theta'^k, the field's
+enclosure of theta' refined until 0 is excluded. _descent and the walk
+decide every sign this way.
 
 Lengths come from the greedy descent walk: s is a right descent of w
 exactly when w maps e_s to a negative root, and stripping descents
@@ -89,7 +90,6 @@ through CoxeterSystem.memo.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import add, attrgetter, mul, neg
@@ -218,13 +218,13 @@ class _Ring:
     entry of every group element lies in Z[theta'], a subring of Z[theta]
     of degree d' = field.degree. basis holds the rows of the d x d'
     integer embedding E, whose column k is theta'^k over the power basis
-    of sys_.field; _inv / _den is an exact left inverse of E. theta is
-    multiplication by theta' as built by _op (None when d' = 1). sign
-    is field.sign, the exact sign of the element of Z[theta'] with
-    the given coefficients, decided in integers by the field.
+    of sys_.field; it serves _view only. theta is multiplication by
+    theta' as built by _op (None when d' = 1). sign is field.sign, the
+    exact sign of the element of Z[theta'] with the given coefficients,
+    decided in integers by the field.
     """
 
-    __slots__ = ("field", "degree", "basis", "theta", "sign", "_inv", "_den")
+    __slots__ = ("field", "degree", "basis", "theta", "sign")
 
     def __init__(self, sys_: CoxeterSystem) -> None:
         n_ring = 1
@@ -240,37 +240,12 @@ class _Ring:
         for _ in range(self.degree - 1):
             powers.append(powers[-1] * theta)
         self.basis = tuple(zip(*(p.num for p in powers)))
-        # Gauss-Jordan on [E | I]: once E is reduced to [I; 0], the first
-        # d' rows of the right half are a left inverse of E
-        d, d_ring = big.degree, self.degree
-        rows = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(d)]
-                for i, row in enumerate(self.basis)]
-        for c in range(d_ring):
-            # the smallest pivot: a unit one, where there is, keeps _den at 1
-            p = min((r for r in range(c, d) if rows[r][c]), key=lambda r: abs(rows[r][c]))
-            rows[c], rows[p] = rows[p], rows[c]
-            rows[c] = [x / rows[c][c] for x in rows[c]]
-            for r in range(d):
-                if r != c and rows[r][c]:
-                    rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
-        inv = [row[d_ring:] for row in rows[:d_ring]]
-        self._den = lcm(*(x.denominator for row in inv for x in row))
-        self._inv = tuple(tuple(int(x * self._den) for x in row) for row in inv)
-        self.theta = _op(self, (0, 1) + (0,) * (d_ring - 2)) if d_ring > 1 else None
+        self.theta = _op(self, (0, 1) + (0,) * (self.degree - 2)) if self.degree > 1 else None
         self.sign = self.field.sign
 
     def embed(self, block: Sequence[int]) -> tuple[int, ...]:
         """The coefficients over sys_.field of an element of Z[theta']."""
         return tuple(sum(map(mul, row, block)) for row in self.basis)
-
-    def project(self, num: Sequence[int]) -> list[int] | None:
-        """The coefficients over Z[theta'] of an element of Z[theta], or
-        None when it does not lie in Z[theta']."""
-        x = [sum(map(mul, row, num)) for row in self._inv]
-        if any(v % self._den for v in x):
-            return None
-        x = [v // self._den for v in x]
-        return x if self.embed(x) == tuple(num) else None
 
     def root_sign(self, col: Sequence[int]) -> int:
         """The sign of a root given as a flat column: that of its first
@@ -298,25 +273,6 @@ def _view(sys_: CoxeterSystem, vec: Sequence[int]) -> Vector:
     ring = _ring(sys_)
     d = ring.degree
     return tuple(FieldElement(f, ring.embed(vec[a:a + d]), 1) for a in range(0, len(vec), d))
-
-
-def _flatten(sys_: CoxeterSystem, cols: Sequence[Vector]) -> Key:
-    """The key of a matrix given by FieldElement columns.
-
-    Raises ValueError when an entry is not in Z[theta']: no group
-    element has such an entry.
-    """
-    ring = _ring(sys_)
-    out: list[int] = []
-    for col in cols:
-        for e in col:
-            x = ring.project(e.num) if e.den == 1 else None
-            if x is None:
-                raise ValueError(
-                    f"entry {e} does not lie in Z[theta] for theta = 2cos(pi/{ring.field.N})"
-                )
-            out += x
-    return tuple(out)
 
 
 def _op(ring: _Ring, x: Sequence[int]):
@@ -362,13 +318,17 @@ def _add_terms(out: list[int], key: Key, terms: list[tuple[slice, slice, int]]) 
 
 def _steps(sys_: CoxeterSystem) -> tuple[int, list[list[tuple[int, object]]]]:
     """The ring degree d' and, for each generator s, the pairs (j, op)
-    with op multiplication by -2B(e_s, e_j) = D_{N/m}(theta), for j != s
-    with m(s, j) != 2: all a generator step reads, in one lookup."""
+    with op multiplication by -2B(e_s, e_j) = 2cos(pi/m), m = m(s, j),
+    for j != s with m != 2: all a generator step reads, in one lookup.
+    op is read off the label: 1 for m = 3, 2 for m = inf, and any other
+    m divides N', so 2cos(pi/m) lies in Z[theta']."""
     def build():
         ring = _ring(sys_)
+        fixed = {3: 1, INFINITY: 2}
         return ring.degree, [
-            [(j, _op(ring, _flatten(sys_, [[b * -2]]))) for j, b in enumerate(row) if j != s and not b.is_zero()]
-            for s, row in enumerate(sys_.gram)
+            [(j, fixed[m] if m in fixed else _op(ring, ring.field.two_cos(m).num))
+             for j, m in enumerate(row) if j != s and m != 2]
+            for s, row in enumerate(sys_.matrix)
         ]
     return sys_.memo("steps", build)
 

@@ -3,17 +3,17 @@
 A root is a column: the image w(e_s) of a simple root is column s of
 w's key, so simple roots, beta sequences and inversion sets are read
 off the group layer's keys (_prefix_roots), and a root is stored as
-that column, n*d' ints over Z[theta']. act and the root orbit apply
-elements with group._image and reflection matrices come from the
-generator steps' operators, with no FieldElement arithmetic; coords, a
-Q(theta) view built on first use, serves printing and the coordinate
-order of positive_roots. A root's coordinates are all >= 0 or all
-<= 0; make_root checks every one and refuses mixed vectors, which only
-a logic fault can produce. The all-ones functional is positive on
-every positive root, and its sign gives the outwardness certificates:
-alpha is outward for w when, for all large powers, w^{-m} alpha pairs
-negative and w^{m} alpha pairs positive, each checked over a finite
-window here.
+that column, n*d' ints over Z[theta'], its one storage. act and the
+root orbit apply elements with group._image and reflection matrices
+come from the generator steps' operators, with no FieldElement
+arithmetic; coords, a Q(theta) view of the key built on first use,
+serves printing and the coordinate order of positive_roots. A root's
+coordinates are all >= 0 or all <= 0; make_root checks every one and
+refuses mixed vectors, which only a logic fault can produce. The
+all-ones functional is positive on every positive root, and its sign
+gives the outwardness certificates: alpha is outward for w when, for
+all large powers, w^{-m} alpha pairs negative and w^{m} alpha pairs
+positive, each checked over a finite window here.
 """
 
 from __future__ import annotations
@@ -45,30 +45,20 @@ __all__ = [
 
 class Root:
     """A root with its decided sign, stored as its key column over
-    Z[theta'] or as coordinates in Q(theta); each is built from the
-    other on first use. Coordinates off Z[theta'] are no root of the
-    system: reading their key, as act and reflection_of_root do, raises
-    ValueError."""
+    Z[theta']; coords is a Q(theta) view of it, built on first use."""
 
-    __slots__ = ("system", "positive", "_key", "_coords")
+    __slots__ = ("system", "positive", "key", "_coords")
 
-    def __init__(self, system: CoxeterSystem, key: tuple[int, ...] | None, positive: bool,
-                 coords: tuple[FieldElement, ...] | None = None) -> None:
+    def __init__(self, system: CoxeterSystem, key: tuple[int, ...], positive: bool) -> None:
         self.system = system
         self.positive = positive
-        self._key = key
-        self._coords = coords
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        if self._key is None:
-            self._key = group_mod._flatten(self.system, [self._coords])
-        return self._key
+        self.key = key
+        self._coords: tuple[FieldElement, ...] | None = None
 
     @property
     def coords(self) -> tuple[FieldElement, ...]:
         if self._coords is None:
-            self._coords = group_mod._view(self.system, self._key)
+            self._coords = group_mod._view(self.system, self.key)
         return self._coords
 
     def __eq__(self, other) -> bool:
@@ -86,25 +76,20 @@ class Root:
         return f"<root {root_str(self)}>"
 
 
-def make_root(sys_: CoxeterSystem, coords: Sequence) -> Root:
-    """Build a root from its key column (ints) or from FieldElement
-    coordinates in Q(theta), deciding its sign exactly.
+def make_root(sys_: CoxeterSystem, column: Sequence[int]) -> Root:
+    """Build a root from its key column, n*d' ints over Z[theta'],
+    deciding its sign exactly.
 
     Vectors with mixed signs, or the zero vector, are not roots; they
     signal a logic fault in whatever produced them.
     """
-    vec = tuple(coords)
-    if vec and isinstance(vec[0], FieldElement):
-        key, view = None, vec
-        signs = {c.sign() for c in vec} - {0}
-    else:
-        ring = group_mod._ring(sys_)
-        d = ring.degree
-        key, view = vec, None
-        signs = {ring.sign(vec[a:a + d]) for a in range(0, len(vec), d) if any(vec[a:a + d])}
+    vec = tuple(column)
+    ring = group_mod._ring(sys_)
+    d = ring.degree
+    signs = {ring.sign(vec[a:a + d]) for a in range(0, len(vec), d) if any(vec[a:a + d])}
     if signs == {1} or signs == {-1}:
-        return Root(sys_, key, signs == {1}, view)
-    shown = view or group_mod._view(sys_, vec)
+        return Root(sys_, vec, signs == {1})
+    shown = group_mod._view(sys_, vec)
     raise InvariantViolation(f"vector {tuple(str(c) for c in shown)} is not a root")
 
 
@@ -196,9 +181,9 @@ def beta_sequence(w: GroupElement) -> list[Root]:
 def reflection_of_root(sys_: CoxeterSystem, root: Root) -> GroupElement:
     """The reflection v -> v - 2 B(alpha, v) alpha through a unit root.
 
-    Rejects vectors with B(alpha, alpha) != 1, and vectors off the
-    working ring Z[theta']: neither is in the root orbit of the simple
-    basis, and reflecting through them would leave the group.
+    Rejects vectors with B(alpha, alpha) != 1: they are not in the root
+    orbit of the simple basis, and reflecting through them would leave
+    the group.
     """
     return group_mod.canonical(_reflection_matrix(sys_, root))
 

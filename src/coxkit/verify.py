@@ -212,8 +212,7 @@ def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> Cen
     t0 = time.perf_counter()
     _require(sys_, True, "exhaustive verification needs a finite system")
     c = group_mod.coxeter_element(sys_, perm)
-    result = _join(sys_, c, _join_parabolic(sys_))
-    size, found = result
+    size, found, held = _join(sys_, c, _join_parabolic(sys_))
     powers = group_mod.power_window(c, size, signed=False)
     order = len(powers)
     if order > size:
@@ -231,7 +230,7 @@ def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> Cen
         coxeter_order=order,
         elapsed=time.perf_counter() - t0,
         method="join",
-        held=result.held,
+        held=held,
     )
 
 
@@ -268,7 +267,7 @@ def verify_ball(
         method, result = "join", _join(sys_, c, _join_parabolic(sys_), radius)
     else:
         method, result = "meet", _meet(sys_, c, radius)
-    size, found = result
+    size, found, held = result
     entries = _centralizer_entries(found, powers)
     consistent = all(e.status == "ok" for e in entries)
     return CentralizerReport(
@@ -281,7 +280,7 @@ def verify_ball(
         ball_size=size,
         elapsed=time.perf_counter() - t0,
         method=method,
-        held=result.held,
+        held=held,
     )
 
 
@@ -296,20 +295,6 @@ def _join_parabolic(sys_: CoxeterSystem) -> tuple[int, ...]:
         (tuple(t for t in gens if t != s) for s in gens),
         key=lambda j: len(group_mod._ascend(sys_, j).word),
     )
-
-
-class _Found(tuple):
-    """What a join or a meet returns: the pair (size, found), the number
-    of elements of the group or the ball and the commuting elements in
-    the ball's order, carrying held, the peak number of elements held.
-    Like os.stat_result, it unpacks to the pair alone."""
-
-    held: int
-
-    def __new__(cls, size: int, found: list[GroupElement], held: int) -> _Found:
-        out = super().__new__(cls, (size, found))
-        out.held = held
-        return out
 
 
 def _staged(elements: Iterator[GroupElement], stage: str) -> Iterator[GroupElement]:
@@ -336,13 +321,16 @@ def _conjugated(sys_: CoxeterSystem, c: GroupElement, elements: Iterator[GroupEl
 
 def _join(
     sys_: CoxeterSystem, c: GroupElement, j: tuple[int, ...], radius: int | None = None
-) -> _Found:
+) -> tuple[int, list[GroupElement], int]:
     """The centralizer of c by the join over W = W_J . JW (Humphreys,
     Reflection Groups and Coxeter Groups, 1.10): in the whole of a
     finite group when radius is None, else in the ball of the radius
     of a group whose W_J is finite, an affine one. The size is
     |W_J| |JW|, or in the ball the sum over d in JW of the number of u
     in W_J with l(u) <= radius - l(d), as l(u d) = l(u) + l(d).
+    Returns (size, found, held): the size, the commuting elements in the
+    order of the ball (_ball_sorted) and the peak number of elements
+    held; _meet returns the same triple.
 
     The table side walks W_J, within the ball, carrying u^-1 c u and
     u^-1 (_conjugated), and hashes each u by the first column of
@@ -386,10 +374,10 @@ def _join(
                 )
             ginv = group_mod.multiply(dinv, uinv)
             found.append((group_mod.canonical(g), ginv.key))
-    return _Found(size, _ball_sorted(found), within[-1])
+    return size, _ball_sorted(found), within[-1]
 
 
-def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> _Found:
+def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[GroupElement], int]:
     """The centralizer of c in the ball of the radius, meeting in the
     middle: g = x z^-1 commutes with c exactly when x^-1 c x = z^-1 c z.
 
@@ -443,7 +431,7 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> _Found:
             )
         ginv = group_mod.multiply(z, xinv)
         found.append((g, ginv.key))
-    return _Found(sum(group_mod.growth_series(sys_, radius)), _ball_sorted(found), held)
+    return sum(group_mod.growth_series(sys_, radius)), _ball_sorted(found), held
 
 
 def _ball_sorted(found: list[tuple[GroupElement, tuple]]) -> list[GroupElement]:

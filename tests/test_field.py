@@ -411,14 +411,15 @@ def test_sign_exact_cases():
 
 
 def test_sign_cache_answers_repeats(monkeypatch):
-    f = Field(5)  # a private instance: the shared create(5) keeps its own cache
+    f = Field(5)
     computed = []
     compute = FieldElement._compute_sign
     monkeypatch.setattr(FieldElement, "_compute_sign", lambda self: computed.append(self.num) or compute(self))
     x = f.theta - f.from_rational(Fraction(8, 5))
     assert x.sign() == 1
-    # a fresh element with the same numerator, over another positive denominator
-    assert FieldElement(f, x.num, 7).sign() == 1
+    # the element keeps its decided sign: a second call computes nothing
+    assert x.sign() == 1
+    assert computed == [x.num]
     assert (-x).sign() == -1
     assert computed == [x.num, (-x).num]
 

@@ -20,9 +20,10 @@ from coxkit import corpus, diagram
 from coxkit.errors import ResourceLimitError
 from coxkit.group import (
     _descent,
-    _flatten,
     _right_mul_gen,
     _ring,
+    _scaled,
+    _steps,
     apply,
     ball,
     canonical,
@@ -514,29 +515,52 @@ def test_keys_live_in_the_working_ring(name, data):
     sys_ = corpus.load(name)
     d = _ring(sys_).degree
     assert d == RING_DEGREE[name]
-    w = from_word(sys_, data.draw(st.lists(st.integers(min_value=1, max_value=sys_.rank), max_size=10)))
+    word = data.draw(st.lists(st.integers(min_value=1, max_value=sys_.rank), max_size=10))
+    w = from_word(sys_, word)
     assert len(w.key) == sys_.rank ** 2 * d
-    assert _flatten(sys_, w.cols) == w.key
-
-
-def test_flatten_rejects_entries_outside_the_working_ring():
-    # theta = 2cos(pi/30) lies in Z[theta] but not in Z[2cos(pi/5)]
-    h4 = corpus.load("h4")
-    with pytest.raises(ValueError, match="Z\\[theta\\]"):
-        _flatten(h4, [[h4.field.theta]])
+    assert w.cols == _ref_cols(sys_, word)
 
 
 def test_working_ring_with_a_fractional_left_inverse():
-    # labels 10 and 3: N' = 10 inside N = 30, where the elimination's left
-    # inverse of the embedding has a denominator 2
+    # labels 10 and 3: N' = 10 inside N = 30, a working ring of degree 4
+    # inside the field's degree 8
     sys_ = diagram.parse_system("rank 3\nm 1 2 10\nm 2 3 3\n")
     assert _ring(sys_).field.N == 10
     rng = random.Random(5)
     for _ in range(20):
-        w = from_word(sys_, [rng.randint(1, 3) for _ in range(rng.randint(0, 12))])
-        assert _flatten(sys_, w.cols) == w.key
-    with pytest.raises(ValueError, match="Z\\[theta\\]"):
-        _flatten(sys_, [[sys_.field.theta]])
+        word = [rng.randint(1, 3) for _ in range(rng.randint(0, 12))]
+        assert from_word(sys_, word).cols == _ref_cols(sys_, word)
+
+
+# every rank-3 system with labels in LABELS: N' up to lcm(5, 8, 12) = 120
+LABELS = (2, 3, 4, 5, 6, 8, 10, 12, diagram.INFINITY)
+
+
+def _rank3(labels):
+    return diagram.parse_system("rank 3\n" + "".join(
+        f"m {i} {j} {'inf' if m == diagram.INFINITY else m}\n"
+        for (i, j), m in zip(((1, 2), (1, 3), (2, 3)), labels)
+    ))
+
+
+@pytest.mark.parametrize("systems", [
+    pytest.param(lambda: [corpus.load(name) for name in corpus.names()], id="corpus"),
+    pytest.param(lambda: [_rank3(ls) for ls in itertools.product(LABELS, repeat=3)], id="rank3"),
+])
+def test_step_operators_match_the_gram_matrix(systems):
+    # the steps read -2B(e_s, e_j) = 2cos(pi/m) off the label; the Gram
+    # matrix over Q(theta) is the reference, embedded from Z[theta']
+    for sys_ in systems():
+        ring = _ring(sys_)
+        d, steps = _steps(sys_)
+        unit = (1,) + (0,) * (d - 1)
+        for s, row in enumerate(steps):
+            expected = {j for j in range(sys_.rank) if j != s and sys_.matrix[s][j] != 2}
+            assert {j for j, _ in row} == expected, sys_.matrix
+            for j, op in row:
+                ref = sys_.gram[s][j] * -2
+                assert ref.den == 1
+                assert ring.embed(_scaled(op, unit, d)) == ref.num, (sys_.matrix, s, j)
 
 
 def test_working_ring_is_built_on_first_kernel_use():

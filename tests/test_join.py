@@ -144,7 +144,7 @@ def test_join_counts_larger_centralizers_of_non_coxeter_elements():
         walked = {g.key for g in group_mod.walk(h3) if verify.commutes(g, b)}
         assert len(walked) == expected
         for j in _subsets(h3):
-            size, found = verify._join(h3, b, j)
+            size, found, _ = verify._join(h3, b, j)
             assert size == 120
             assert {g.key for g in found} == walked, j
             assert all(group_mod.multiply(g, b).key == group_mod.multiply(b, g).key for g in found)

@@ -99,7 +99,7 @@ def test_meet_finds_the_walked_centralizer_in_every_infinite_group(name):
             e.element.key for e in _bfs_report(sys_, None, radius).entries
         ]
         assert {g.key for g in result[1]} == walked
-        assert result.held >= sum(1 for _ in group.walk(sys_, -(-radius // 2)))
+        assert result[2] >= sum(1 for _ in group.walk(sys_, -(-radius // 2)))
 
 
 @pytest.mark.parametrize("name,radius", [("tri334", 11), ("d4t", 7)])
