@@ -24,8 +24,9 @@ all. Generator steps are integer operations precomputed per system
 reads the same entries -2B(e_s, e_j), as B is symmetric; both apply
 strided (k, l, c) terms (_terms) to the flat key. One matrix-vector
 kernel serves everything else: _image(w, v) sums the ints of v times
-the flat columns theta'^k w(e_i) of w's theta'-table (_thetas), so
-column j of a product a*b is _image(a, column j of b), and the
+the flat columns theta'^k w(e_i) of w's theta'-table (_thetas; each
+is theta' times the one before, strided terms over the whole column),
+so column j of a product a*b is _image(a, column j of b), and the
 commutation test compares _image(a, b e_j) with _image(b, a e_j). Two
 caches live on an element, each built on first use: its
 theta'-table, on every element that acts, and its commutator weights
@@ -50,13 +51,18 @@ all are, which _Ring.root_sign reads off min and max. Any other column
 goes block by block to _Ring.sign, which is Field.sign of Q(theta'):
 the same rule for a block, and a mixed block bounded between two
 integers from dyadic bounds on the powers theta'^k, the field's
-enclosure of theta' refined until 0 is excluded. _descent and the walk
-decide every sign this way.
+enclosure of theta' refined until 0 is excluded. _descent, the descent
+walk and the walk decide every sign this way.
 
 Lengths come from the greedy descent walk: s is a right descent of w
 exactly when w maps e_s to a negative root, and stripping descents
 lowers the length by one each time, so the walk both measures the
-length and emits a canonical reduced word (least descent first).
+length and emits a canonical reduced word (least descent first). It
+runs on the row y = rho^T w, rho the sum of the dual basis, n blocks of
+d' ints: block s is the coordinate sum of the root w(e_s) and has its
+sign, and a step w -> w*s changes only block s and the blocks adjacent
+to it (length_and_reduced, _row_rules). It ends when no block is
+negative, and then y = rho^T holds exactly when w is the identity.
 
 The centralizer sweeps hold no ball: walk() visits each element of a
 ball, of the whole group, of a standard parabolic W_J or of the minimal
@@ -219,7 +225,8 @@ class _Ring:
     of degree d' = field.degree. basis holds the rows of the d x d'
     integer embedding E, whose column k is theta'^k over the power basis
     of sys_.field; it serves _view only. theta is multiplication by
-    theta' as built by _op (None when d' = 1). sign is field.sign, the
+    theta' on a flat column, as the terms (_terms) of its operator on
+    every block at once (None when d' = 1). sign is field.sign, the
     exact sign of the element of Z[theta'] with the given coefficients,
     decided in integers by the field.
     """
@@ -240,7 +247,9 @@ class _Ring:
         for _ in range(self.degree - 1):
             powers.append(powers[-1] * theta)
         self.basis = tuple(zip(*(p.num for p in powers)))
-        self.theta = _op(self, (0, 1) + (0,) * (self.degree - 2)) if self.degree > 1 else None
+        d = self.degree
+        self.theta = (_terms(_op(self, (0, 1) + (0,) * (d - 2)), d, 0, 0, sys_.rank * d, d)
+                      if d > 1 else None)
         self.sign = self.field.sign
 
     def embed(self, block: Sequence[int]) -> tuple[int, ...]:
@@ -430,7 +439,9 @@ def _thetas(w: GroupElement) -> list:
             col = key[a:a + nd]
             table.append(col)
             for _ in range(d - 1):
-                col = _scaled(ring.theta, col, d)
+                nxt = [0] * nd
+                _add_terms(nxt, col, ring.theta)
+                col = nxt
                 table.append(col)
         w._thetas = table
     return w._thetas
@@ -502,7 +513,7 @@ def power(w: GroupElement, k: int) -> GroupElement:
     base = w if k >= 0 else inverse(w)
     out = identity(w.system)
     for _ in range(abs(k)):
-        out = multiply(out, base)
+        out = multiply(base, out)
     return out
 
 
@@ -541,24 +552,81 @@ def _descent(w: GroupElement) -> int | None:
     return None
 
 
+def _row_rules(sys_: CoxeterSystem) -> tuple[tuple[int, ...], list[tuple]]:
+    """The step w -> w*s read on the row y = rho^T w, built once per
+    system on first use: the row rho^T of the identity, (1, 0, ..., 0) in
+    every block, and per generator s (0-based) the slice of block s and,
+    per j adjacent to s, (the bit of j, the slice of block j, the terms
+    (a, b, c) of "block j gains -2B(e_s, e_j) times block s": y[a]
+    gains c y[b]). Column j of w*s gains that multiple of column s, so
+    its coordinate sum, block j of y, gains it of block s; block s
+    changes sign."""
+    def build():
+        d, steps = _steps(sys_)
+        rules = []
+        for s0, row in enumerate(steps):
+            ops = []
+            for j, op in row:
+                terms = ([(j * d + k, s0 * d + k, op) for k in range(d)] if op.__class__ is int
+                         else [(j * d + k, s0 * d + l, c)
+                               for k, r in enumerate(op) for l, c in enumerate(r) if c])
+                ops.append((1 << j, slice(j * d, j * d + d), terms))
+            rules.append((slice(s0 * d, s0 * d + d), ops))
+        return tuple(([1] + [0] * (d - 1)) * sys_.rank), rules
+    return sys_.memo("row rules", build)
+
+
 def length_and_reduced(w: GroupElement) -> tuple[int, tuple[int, ...]]:
     """Length of w and its canonical reduced word (greedy least descent).
 
     Works from the matrix alone, so any witness word, reduced or not,
-    gives the same answer.
+    gives the same answer. _descent gives the first descent; the walk
+    then reads descents off the row y = rho^T w, rho the sum of the
+    dual basis (Humphreys, Reflection Groups and Coxeter Groups, 5.4,
+    5.13): block s of y, the sum of the blocks of column s, is the
+    coordinate sum of the root w(e_s), so it has that root's sign, and
+    s is a right descent exactly when it is negative. Stripping s adds
+    -2B(e_s, e_j) y_s to each block j adjacent to s and negates y_s
+    (_row_rules), n d' ints a step and no element. y_s < 0, so a
+    negative block stays negative and only the positive adjacent blocks
+    have their signs decided again. When no block is negative, y must
+    be rho^T: rho lies inside the fundamental chamber of the dual
+    action, so rho^T w = rho^T only for w = e.
     """
-    letters: list[int] = []
-    cur = w
-    idkey = identity(w.system).key
-    max_iter = len(w.word) if w.word else 100_000
-    while cur.key != idkey:
-        s = _descent(cur)
-        if s is None:
+    s = _descent(w)
+    sys_ = w.system
+    if s is None:
+        if w.key != identity(sys_).key:
             raise InvariantViolation("non-identity element with no descent")
-        letters.append(s)
-        cur = _right_mul_gen(cur, s)
+        return 0, ()
+    ring = _ring(sys_)
+    d = ring.degree
+    rho, rules = _row_rules(sys_)
+    key = w.key
+    nd = len(key) // sys_.rank
+    y = [sum(key[a + k:a + nd:d]) for a in range(0, len(key), nd) for k in range(d)]
+    # the descent mask; no block below s is negative, as no column is
+    descents = 1 << s - 1
+    for j in range(s, sys_.rank):
+        if ring.sign(y[j * d:j * d + d]) < 0:
+            descents |= 1 << j
+    letters: list[int] = []
+    max_iter = len(w.word) if w.word else 100_000
+    while descents:
+        s0 = (descents & -descents).bit_length() - 1
+        letters.append(s0 + 1)
         if len(letters) > max_iter:
             raise InvariantViolation("descent walk did not terminate within its bound")
+        block_s, ops = rules[s0]
+        for bit, block_j, terms in ops:
+            for a, b, c in terms:
+                y[a] += c * y[b]
+            if not descents & bit and ring.sign(y[block_j]) < 0:
+                descents |= bit
+        y[block_s] = map(neg, y[block_s])
+        descents ^= 1 << s0
+    if tuple(y) != rho:
+        raise InvariantViolation("non-identity element with no descent")
     return len(letters), tuple(reversed(letters))
 
 
@@ -912,7 +980,7 @@ def is_straight_upto(w: GroupElement, max_power: int) -> bool:
     p = w
     for m in range(1, max_power + 1):
         if m > 1:
-            p = multiply(p, w)
+            p = multiply(w, p)
         if length_and_reduced(p)[0] != m * l1:
             return False
     return True
@@ -926,19 +994,20 @@ def power_window(w: GroupElement, bound: int, signed: bool = True) -> dict:
     reaches it, and the dict keeps that order. The window stops early
     when w^k is the identity: every later power repeats an earlier one,
     so the table is the same, and it holds one key per element of the
-    cyclic group <w>.
+    cyclic group <w>. Each power is w (or w^-1) times the last, so every
+    product reads the theta'-table cached on that fixed factor.
     """
     fwd = bwd = identity(w.system)
     idkey = fwd.key
     table = {idkey: (0, fwd)}
     winv = inverse(w) if signed else None
     for k in range(1, bound + 1):
-        fwd = multiply(fwd, w)
+        fwd = multiply(w, fwd)
         if fwd.key == idkey:
             break
         table.setdefault(fwd.key, (k, fwd))
         if signed:
-            bwd = multiply(bwd, winv)
+            bwd = multiply(winv, bwd)
             table.setdefault(bwd.key, (-k, bwd))
     return table
 
@@ -949,5 +1018,5 @@ def order_upto(w: GroupElement, max_power: int) -> int | None:
     for k in range(1, max_power + 1):
         if p.is_identity():
             return k
-        p = multiply(p, w)
+        p = multiply(w, p)
     return None

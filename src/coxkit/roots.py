@@ -81,9 +81,12 @@ def make_root(sys_: CoxeterSystem, column: Sequence[int]) -> Root:
     deciding its sign exactly.
 
     Vectors with mixed signs, or the zero vector, are not roots; they
-    signal a logic fault in whatever produced them.
+    signal a logic fault in whatever produced them. Entries that are not
+    ints, FieldElement coordinates say, raise TypeError.
     """
     vec = tuple(column)
+    if not all(x.__class__ is int for x in vec):
+        raise TypeError("make_root expects a key column of ints over Z[theta']")
     ring = group_mod._ring(sys_)
     d = ring.degree
     signs = {ring.sign(vec[a:a + d]) for a in range(0, len(vec), d) if any(vec[a:a + d])}

@@ -16,8 +16,9 @@ generator at a time and hashes it by its first column; a second,
 group.walk pruned by Deodhar's test, walks JW and looks up the first
 column of d c d^-1, two matrix-vector products. That is |W_J| + |JW|
 elements (120 + 120 for H4) instead of |W| (14,400), and the group's
-order is |W_J| |JW|. Each match of the whole conjugate is confirmed by
-commutes.
+order is |W_J| |JW|. A hit is compared with the rest of d c d^-1 one
+column at a time, each column computed once, on demand; each full match
+is confirmed by commutes.
 
 An affine group runs the same join inside the ball of radius R: every
 proper parabolic of an irreducible affine group is finite, the table
@@ -336,10 +337,11 @@ def _join(
     u^-1 (_conjugated), and hashes each u by the first column of
     u^-1 c u. The streamed side walks JW, within the ball, carrying
     d^-1 (group._inverses), and looks up the first column of d c d^-1,
-    d (c (d^-1 e_1)): two matrix-vector products. Only a hit forms the
-    whole conjugate, and only a match with l(u) + l(d) <= radius forms
-    g = u d and calls commutes. The table is what is held; each walk is
-    capped on its own.
+    d (c (d^-1 e_1)): two matrix-vector products. A hit is compared
+    with the rest of d c d^-1 one column at a time (_is_conjugate),
+    stopping at the first that differs, and only a full match with
+    l(u) + l(d) <= radius forms g = u d and g^-1 and calls commutes.
+    The table is what is held; each walk is capped on its own.
     """
     nd = len(c.key) // sys_.rank
     table: dict = {}
@@ -360,12 +362,15 @@ def _join(
     for d, dinv in group_mod._inverses(sys_, streamed):
         depth = len(d.word)
         size += within[-1] if radius is None else within[min(radius - depth, len(within) - 1)]
-        hits = table.get(tuple(group_mod._image(d, group_mod._image(c, dinv.key[:nd]))))
+        first = tuple(group_mod._image(d, group_mod._image(c, dinv.key[:nd])))
+        hits = table.get(first)
         if hits is None:
             continue
-        conj = group_mod.multiply(d, group_mod.multiply(c, dinv)).key
+        cols = [first]
         for uconj, u, uinv in hits:
-            if uconj != conj or radius is not None and len(u.word) + depth > radius:
+            if radius is not None and len(u.word) + depth > radius:
+                continue
+            if not _is_conjugate(uconj, cols, c, d, dinv):
                 continue
             g = group_mod.multiply(u, d)
             if not commutes(g, c):
@@ -375,6 +380,23 @@ def _join(
             ginv = group_mod.multiply(dinv, uinv)
             found.append((group_mod.canonical(g), ginv.key))
     return size, _ball_sorted(found), within[-1]
+
+
+def _is_conjugate(
+    key: tuple, cols: list, c: GroupElement, d: GroupElement, dinv: GroupElement
+) -> bool:
+    """Whether key is that of d c d^-1, compared one column at a time
+    and stopping at the first that differs. Column j of d c d^-1 is
+    d (c (d^-1 e_j)), two matrix-vector products; cols holds the columns
+    computed so far, the first at least, and gains each one computed, so
+    each is computed at most once per d."""
+    nd = len(cols[0])
+    for j, a in enumerate(range(0, len(key), nd)):
+        if j == len(cols):
+            cols.append(tuple(group_mod._image(d, group_mod._image(c, dinv.key[a:a + nd]))))
+        if key[a:a + nd] != cols[j]:
+            return False
+    return True
 
 
 def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[GroupElement], int]:
@@ -663,7 +685,7 @@ def verify_speyer(
     n = group_mod.length_and_reduced(c)[0]
     p = group_mod.identity(sys_)
     for m in range(1, max_power + 1):
-        p = group_mod.multiply(p, c)
+        p = group_mod.multiply(c, p)
         if group_mod.length_and_reduced(p)[0] != m * n:
             return False
         if len(roots_mod.inversion_set(p)) != m * n:

@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit import corpus, diagram
-from coxkit.errors import ResourceLimitError
+from coxkit.errors import InvariantViolation, ResourceLimitError
 from coxkit.group import (
+    GroupElement,
     _descent,
     _right_mul_gen,
     _ring,
@@ -39,6 +40,7 @@ from coxkit.group import (
     order_upto,
     parse_word,
     power,
+    walk,
     word_str,
 )
 from coxkit.verify import commutes
@@ -496,6 +498,64 @@ def test_integer_kernel_matches_field_reference(name, data):
     # the reduced word reaches the same matrix, so both keys must agree
     assert from_word(sys_, red).key == a.key
     assert _ref_key(_ref_cols(sys_, red)) == _ref_key(ra)
+
+
+# -------------------------------------------- the row walk against the full key
+
+def _ref_strip(w):
+    """The descent walk on the whole key, kept as the reference: strip
+    the least right descent, a negative column found by _descent, by a
+    full generator step until the identity."""
+    letters = []
+    cur = w
+    idkey = identity(w.system).key
+    while cur.key != idkey:
+        s = _descent(cur)
+        assert s is not None
+        letters.append(s)
+        cur = _right_mul_gen(cur, s)
+    return len(letters), tuple(reversed(letters))
+
+
+@pytest.mark.parametrize("name", corpus.FINITE)
+def test_row_walk_matches_the_full_key_strip_on_powers(name):
+    # every power of c under both orderings; on h4 they reach w0 = c^15
+    sys_ = corpus.load(name)
+    idkey = identity(sys_).key
+    longest = 0
+    for perm in (None, tuple(range(sys_.rank, 0, -1))):
+        c = coxeter_element(sys_, perm)
+        p = c
+        while p.key != idkey:
+            got = length_and_reduced(p)
+            assert got == _ref_strip(p), (perm, p.word)
+            longest = max(longest, got[0])
+            p = multiply(p, c)
+    if name == "h4":
+        assert longest == 60
+
+
+@pytest.mark.parametrize("name", ["d4t", "tri334", "a1t", "i2_7"])
+def test_row_walk_matches_the_full_key_strip_on_a_ball(name):
+    sys_ = corpus.load(name)
+    for w in walk(sys_, 8):
+        assert length_and_reduced(w) == _ref_strip(w) == (len(w.word), w.word)
+
+
+def test_descent_walk_rejects_forged_keys():
+    h4 = corpus.load("h4")
+    w0 = power(coxeter_element(h4), 15)
+    # a one-letter witness bounds the walk of a length-60 key
+    with pytest.raises(InvariantViolation, match="did not terminate within its bound"):
+        length_and_reduced(GroupElement(h4, w0.key, (1,)))
+    # 2 I has no negative column and is not the identity
+    twice = tuple(2 * x for x in identity(h4).key)
+    with pytest.raises(InvariantViolation, match="non-identity element with no descent"):
+        length_and_reduced(GroupElement(h4, twice, ()))
+    # 2 w0 strips 60 descents like w0 and ends at 2 I, not at the identity
+    twice = tuple(2 * x for x in w0.key)
+    with pytest.raises(InvariantViolation, match="non-identity element with no descent"):
+        length_and_reduced(GroupElement(h4, twice, w0.word))
 
 
 # ------------------------------------------------------- the working ring

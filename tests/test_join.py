@@ -165,6 +165,32 @@ print(json.dumps(counts))
     assert counts.get("verify.commutes.calls", 0) == 30
 
 
+def test_h4_join_multiplies_only_at_the_matches(monkeypatch):
+    # a first-column hit is compared one column at a time, so only the
+    # 30 matches form products: g = u d and g^-1, two each
+    h4 = corpus.load("h4")
+    c = group_mod.coxeter_element(h4)
+    j = verify._join_parabolic(h4)
+    calls = []
+    real = group_mod.multiply
+    monkeypatch.setattr(group_mod, "multiply", lambda a, b: calls.append(1) or real(a, b))
+    _, found, _ = verify._join(h4, c, j)
+    monkeypatch.undo()
+    assert len(found) == 30
+    assert len(calls) == 2 * len(found)
+    # the first column alone hits more often than the whole conjugate
+    # matches, so the hits the join compared were not all matches
+    nd = len(c.key) // h4.rank
+    table = {conj for _, conj, _ in verify._conjugated(h4, c, group_mod.walk(h4, gens=j))}
+    firsts = {conj[:nd] for conj in table}
+    hits = matches = 0
+    for d in group_mod.walk(h4, coset=j):
+        conj = group_mod.multiply(group_mod.multiply(d, c), group_mod.inverse(d)).key
+        hits += conj[:nd] in firsts
+        matches += conj in table
+    assert (hits, matches) == (80, 30)
+
+
 def test_cap_bounds_each_walk_of_the_join(monkeypatch):
     # H4 joins 120 elements of H3 with 120 coset representatives: a cap
     # of 120 holds both walks, one less stops the first, with its count

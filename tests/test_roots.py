@@ -54,8 +54,12 @@ def test_make_root_signs():
     with pytest.raises(InvariantViolation):
         make_root(a2, (0, 0))
     # a root is built from its key column only, not from Q(theta) coordinates
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"key column of ints over Z\[theta'\]"):
         make_root(a2, (a2.field.one, a2.field.zero))
+    # the same on b2, d' = 2, where the bare error came from another comparison
+    b2 = corpus.load("b2")
+    with pytest.raises(TypeError, match=r"key column of ints over Z\[theta'\]"):
+        make_root(b2, (b2.field.one, b2.field.zero))
 
 
 def test_positive_roots_counts():
