@@ -22,16 +22,17 @@ entry the d' coefficients of that entry over Z[theta'], n*n*d' ints in
 all. Generator steps are integer operations precomputed per system
 (_steps, _rules): w*s a column operation, s*w a row operation that
 reads the same entries -2B(e_s, e_j), as B is symmetric; both apply
-strided (k, l, c) terms (_terms) to the flat key. One matrix-vector
-kernel serves everything else: _image(w, v) sums the ints of v times
-the flat columns theta'^k w(e_i) of w's theta'-table (_thetas; each
-is theta' times the one before, strided terms over the whole column),
-so column j of a product a*b is _image(a, column j of b), and the
-commutation test compares _image(a, b e_j) with _image(b, a e_j). Two
-caches live on an element, each built on first use: its
-theta'-table, on every element that acts, and its commutator weights
-(_weights), only on the fixed operand of a commutation test, c in a
-sweep. None of them creates a FieldElement.
+strided (k, l, c) terms (_terms) to the flat key. The two step
+kernels, _right_key and _left_key, take a key to a key;
+_right_mul_gen and _left_mul_gen wrap them with the witness word, and
+the values carried along a walk (_carry) are bare keys. One
+matrix-vector kernel serves everything else: _image(w, v) sums the
+ints of v times the flat columns theta'^k w(e_i) of w's theta'-table
+(_thetas; each is theta' times the one before, strided terms over the
+whole column), so column j of a product a*b is _image(a, column j of
+b), and the commutation test compares _image(a, b e_j) with
+_image(b, a e_j). The theta'-table is the one cache of an element
+that acts, built on first use; it creates no FieldElement.
 
 The ring (_ring) is built once per system, on first use. A root is a
 column: column j of a key is the root w(e_{j+1}), so the root,
@@ -82,9 +83,9 @@ The walk of JW prunes the steps that leave it by Deodhar's test (walk).
 
 Every enumeration of group elements runs on walk(). ball() and
 enumerate_group() view it as a set in breadth-first (shortlex) order:
-_bfs carries each x^-1 along the walk (_inverses) with the word of x
-reversed, its lexicographically least reduced word, and sorts by length,
-then that word. Hurwitz orbits, subgroup closures, root orbits and the
+_bfs carries the key of each x^-1 along the walk (_inverses), gives it
+the word of x reversed, its lexicographically least reduced word, and
+sorts by length, then that word. Hurwitz orbits, subgroup closures, root orbits and the
 conjugacy-graph spanning tree run through closure(): it dedups by key,
 checks the cap before each insert and records one parent link per
 member, so callers derive distances and tree paths from the links.
@@ -141,7 +142,7 @@ class GroupElement:
     """An exact matrix, stored as its integer key, plus a witness word
     that evaluates to it."""
 
-    __slots__ = ("system", "key", "word", "_cols", "_thetas", "_weights")
+    __slots__ = ("system", "key", "word", "_cols", "_thetas")
 
     def __init__(self, system: CoxeterSystem, key: Key, word: tuple[int, ...]) -> None:
         self.system = system
@@ -149,7 +150,6 @@ class GroupElement:
         self.word = word
         self._cols: tuple[Vector, ...] | None = None
         self._thetas: list | None = None
-        self._weights: tuple[int, ...] | None = None
 
     @property
     def cols(self) -> tuple[Vector, ...]:
@@ -384,30 +384,37 @@ def generator(sys_: CoxeterSystem, s: int) -> GroupElement:
     return gens[s - 1]
 
 
-def _right_mul_gen(w: GroupElement, s: int) -> GroupElement:
-    """w * sigma_s: column j gains -2B(e_s, e_j) times column s, then
-    column s changes sign; integer column operations only."""
-    sys_ = w.system
+def _right_key(sys_: CoxeterSystem, key: Key, s: int) -> Key:
+    """The key of w * sigma_s from the key of w: column j gains
+    -2B(e_s, e_j) times column s, then column s changes sign; integer
+    column operations only."""
     _, _, _, col_s, ops = _rules(sys_)[1][s - 1]
-    key = w.key
     out = list(key)
     for _, _, terms in ops:
         _add_terms(out, key, terms)
     out[col_s] = map(neg, key[col_s])
-    return GroupElement(sys_, tuple(out), w.word + (s,))
+    return tuple(out)
 
 
-def _left_mul_gen(w: GroupElement, s: int) -> GroupElement:
-    """sigma_s * w: row s changes sign and gains -2B(e_s, e_j) times
-    row j; integer row operations only."""
-    sys_ = w.system
+def _left_key(sys_: CoxeterSystem, key: Key, s: int) -> Key:
+    """The key of sigma_s * w from the key of w: row s changes sign and
+    gains -2B(e_s, e_j) times row j; integer row operations only."""
     row_s, terms = _rules(sys_)[2][s - 1]
-    key = w.key
     out = list(key)
     for part in row_s:
         out[part] = map(neg, key[part])
     _add_terms(out, key, terms)
-    return GroupElement(sys_, tuple(out), (s,) + w.word)
+    return tuple(out)
+
+
+def _right_mul_gen(w: GroupElement, s: int) -> GroupElement:
+    """w * sigma_s, carrying the witness word w.word + (s,)."""
+    return GroupElement(w.system, _right_key(w.system, w.key, s), w.word + (s,))
+
+
+def _left_mul_gen(w: GroupElement, s: int) -> GroupElement:
+    """sigma_s * w, carrying the witness word (s,) + w.word."""
+    return GroupElement(w.system, _left_key(w.system, w.key, s), (s,) + w.word)
 
 
 def from_word(sys_: CoxeterSystem, word: Iterable[int]) -> GroupElement:
@@ -455,39 +462,6 @@ def _image(w: GroupElement, vec: Sequence[int]) -> list[int]:
         if x:
             acc = [p + x * y for p, y in zip(acc, col)] if acc else [x * y for y in col]
     return acc
-
-
-def _probe(size: int) -> list[int]:
-    """The integer vector r of the commutator weights, from a fixed-seed
-    LCG: any r is exact, a generic one rarely orthogonal to key(gw - wg)."""
-    r, x = [], 1
-    for _ in range(size):
-        x = (x * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        r.append((x >> 32) - (1 << 31))
-    return r
-
-
-def _weights(w: GroupElement) -> tuple[int, ...]:
-    """The commutator weights of w, read off its theta'-table on first use
-    and cached on w. g -> key(gw - wg) is linear over Z, say M key(g);
-    the weights are M^T r for r = _probe, so their dot product with
-    key(g) is r . key(gw - wg), 0 whenever g commutes with w."""
-    if w._weights is None:
-        n = w.system.rank
-        d = _ring(w.system).degree
-        nd = n * d
-        thetas = _thetas(w)
-        r = _probe(len(w.key))
-        # g = theta'^k at row i of column j: key(gw) holds block j of the
-        # flat column theta'^k w(e_q) in row i of each column q, key(wg)
-        # holds theta'^k w(e_i) as its column j
-        w._weights = tuple(
-            sum(sum(map(mul, r[q * nd + i * d:q * nd + i * d + d], thetas[q * d + k][j * d:j * d + d]))
-                for q in range(n))
-            - sum(map(mul, r[j * nd:(j + 1) * nd], thetas[i * d + k]))
-            for j in range(n) for i in range(n) for k in range(d)
-        )
-    return w._weights
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -915,10 +889,20 @@ def _carry(elements: Iterable[GroupElement], start, step: Callable) -> Iterator[
         yield x, values[depth]
 
 
+def _left_keys(
+    sys_: CoxeterSystem, elements: Iterable[GroupElement], start: Key
+) -> Iterator[tuple]:
+    """Each element x of a walk, paired with the key of x^-1 a, for a the
+    element whose key is start: x^-1 a = s x'^-1 a for x = x' s, one row
+    operation (_left_key) each."""
+    return _carry(elements, start, lambda key, s: _left_key(sys_, key, s))
+
+
 def _inverses(sys_: CoxeterSystem, elements: Iterable[GroupElement]) -> Iterator[tuple]:
     """Each element x of a walk, paired with x^-1 carrying the word of x
-    reversed: x^-1 = s x'^-1 for x = x' s, one row operation each."""
-    return _carry(elements, identity(sys_), _left_mul_gen)
+    reversed, built from the key _left_keys carries."""
+    for x, key in _left_keys(sys_, elements, identity(sys_).key):
+        yield x, GroupElement(sys_, key, x.word[::-1])
 
 
 def _series_inverse(a: Sequence[int], degree: int) -> list[int]:

@@ -367,8 +367,10 @@ def parabolic_closure_finite(
     conjugator, standard = _match_standard(sys_, gens_t, chosen)
     # g u^-1 g^-1 over the walk of W_J, carrying u^-1 g^-1 = s u'^-1 g^-1
     members = {}
+    ginv = group_mod.inverse(conjugator)
     walked = group_mod.walk(sys_, gens=standard)
-    for _, x in group_mod._carry(walked, group_mod.inverse(conjugator), group_mod._left_mul_gen):
+    for u, key in group_mod._left_keys(sys_, walked, ginv.key):
+        x = GroupElement(sys_, key, u.word[::-1] + ginv.word)
         y = group_mod.multiply(conjugator, x)
         members[y.key] = y
     for w in elements:

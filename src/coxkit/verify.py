@@ -11,14 +11,15 @@ The finite certificate is a join. Take J = S minus the generator whose
 parabolic W_J has the most reflections. Every g is u d for exactly one u
 in W_J and one minimal coset representative d in JW (no left descent in
 J), with l(g) = l(u) + l(d), and u d commutes with c exactly when
-u^-1 c u = d c d^-1. So one walk, restricted to J, carries u^-1 c u one
-generator at a time and hashes it by its first column; a second,
-group.walk pruned by Deodhar's test, walks JW and looks up the first
-column of d c d^-1, two matrix-vector products. That is |W_J| + |JW|
-elements (120 + 120 for H4) instead of |W| (14,400), and the group's
-order is |W_J| |JW|. A hit is compared with the rest of d c d^-1 one
-column at a time, each column computed once, on demand; each full match
-is confirmed by commutes.
+u^-1 c u = d c d^-1. So one walk, restricted to J, carries the key of
+u^-1 c u one generator at a time and hashes it by its first column; a
+second, group.walk pruned by Deodhar's test, walks JW carrying the key
+of d^-1 and looks up the first column of d c d^-1, two matrix-vector
+products. That is |W_J| + |JW| elements (120 + 120 for H4) instead of
+|W| (14,400), and the group's order is |W_J| |JW|. A hit is compared
+with the rest of d c d^-1 one column at a time, each column computed
+once, on demand; each full match forms g = u d, the one product per
+match, and is confirmed by commutes.
 
 An affine group runs the same join inside the ball of radius R: every
 proper parabolic of an irreducible affine group is finite, the table
@@ -29,34 +30,32 @@ sum over d of #{u : l(u) <= R - l(d)} elements, read off the two walks.
 Any other infinite group meets in the middle. Split a reduced word of
 g in C(c), l(g) <= R, in half: g = x z^-1 with l(x) = floor(l(g)/2) and
 l(z) = ceil(l(g)/2), so both lie in the ball B_h, h = ceil(R/2), and
-x^-1 c x = z^-1 c z. One walk of B_h carries z^-1 c z and buckets by
-it; the pairs of a bucket with l(z) - l(x) in {0, 1} and
-l(x) + l(z) <= R give every g in C(c) within the ball but the identity,
-each confirmed by commutes. The ball's size comes from Steinberg's
-growth series (group.growth_series). The join holds W_J within the
-ball, the meet B_h and its pairs, never the ball; the cap,
+x^-1 c x = z^-1 c z. One walk of B_h carries the keys of z^-1 c z and
+z^-1 and buckets by the first; the pairs of a bucket with l(z) - l(x)
+in {0, 1} and l(x) + l(z) <= R give every g in C(c) within the ball but
+the identity, each confirmed by commutes. The ball's size comes from
+Steinberg's growth series (group.growth_series). The join holds W_J
+within the ball, the meet B_h and its pairs, never the ball; the cap,
 group.DEFAULT_BALL_CAP elements, bounds each walk and the pairs, and
 running out raises ResourceLimitError naming the stage, the depth and
 the count. The report records the method and the number of elements
-held, and prints neither. All three certificates sort the
-few commuting elements into the ball's order, by length and then by
-lexicographically least reduced word, the canonical word of g^-1
-reversed, and g^-1 is among them; they print canonical reduced words.
+held, and prints neither.
+
+The certificates only find: each returns the commuting elements,
+carrying their canonical reduced words, in no order. The entry points
+order the report once (_ball_sorted), into the ball's order, by length
+and then by lexicographically least reduced word, the canonical word
+of g^-1 reversed; g^-1 is among the elements found. Its key is read
+off the power window the entry point built for the k of each line;
+only an element that is no power in the window, which only a
+counterexample is, has its inverse computed.
 
 Commutation is tested one column at a time: column j of ab is a(b e_j)
 and column j of ba is b(a e_j), both one matrix-vector product on a
 column that already exists, and the test stops at the first column
-that differs. It forms no product and no key. Before the columns, a
-linear filter: g -> key(gb - bg) is linear over Z, so for a fixed
-integer vector r the map g -> r . key(gb - bg) is one dot product of
-key(g) with a weight vector of b, n^2 d' integer products. It is 0 for
-every g that commutes with b, so a nonzero value rejects g exactly; a
-zero leaves the column test to decide. In the corpus sweeps every
-element that passes the filter commutes. Both tests are integer
-operations on the keys: the columns run through group._image, the one
-matrix-vector kernel, which reads the theta'-table of the element that
-acts, and the weights are built once and cached on b; a sweep passes
-c as b.
+that differs. It forms no product and no key. Both sides are integer
+operations on the keys through group._image, the one matrix-vector
+kernel, which reads the theta'-table cached on the element that acts.
 
 Report text is deterministic: timings live on the report records but
 are never printed. Machine lines use the format
@@ -73,7 +72,6 @@ import itertools
 import time
 from collections.abc import Iterator, Sequence
 from math import ceil
-from operator import mul
 
 from . import corpus as corpus_mod
 from . import diagram as diagram_mod
@@ -115,19 +113,13 @@ def commutes(a: GroupElement, b: GroupElement) -> bool:
 
     Column j of ab is a(b e_j) and column j of ba is b(a e_j), so the two
     products are equal exactly when every pair of columns is; the test
-    returns False at the first pair that differs. A linear filter comes
-    first: the dot product of key(a) with the commutator weights of b
-    is r . key(ab - ba) for a fixed integer vector r, so a nonzero one
-    returns False, and a zero one leaves the columns to decide. Both
-    sides of a column run through group._image; the weights and b's
-    theta'-table are cached on b, so a caller testing many elements
-    against one passes that one as b.
+    returns False at the first pair that differs. Both sides of a column
+    run through group._image, which reads the theta'-table cached on the
+    element that acts.
     """
     if a.system is not b.system and a.system != b.system:
         raise ValueError("elements of different systems cannot be compared")
     key = a.key
-    if sum(map(mul, group_mod._weights(b), key)):
-        return False
     nd = len(key) // a.system.rank
     return all(
         group_mod._image(a, b.key[j:j + nd]) == group_mod._image(b, key[j:j + nd])
@@ -218,7 +210,7 @@ def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> Cen
     order = len(powers)
     if order > size:
         raise InvariantViolation("coxeter element order exceeds the group size")
-    entries = _centralizer_entries(found, powers)
+    entries = _centralizer_entries(_ball_sorted(found, powers), powers)
     consistent = (
         all(e.status == "ok" for e in entries) and len(entries) == order
     )
@@ -269,7 +261,7 @@ def verify_ball(
     else:
         method, result = "meet", _meet(sys_, c, radius)
     size, found, held = result
-    entries = _centralizer_entries(found, powers)
+    entries = _centralizer_entries(_ball_sorted(found, powers), powers)
     consistent = all(e.status == "ok" for e in entries)
     return CentralizerReport(
         mode="ball",
@@ -306,18 +298,16 @@ def _staged(elements: Iterator[GroupElement], stage: str) -> Iterator[GroupEleme
         raise ResourceLimitError(f"{exc} in {stage}") from None
 
 
+def _conjugate_step(sys_: CoxeterSystem, key: tuple, s: int) -> tuple:
+    """The key of s x s from the key of x: a column operation and a row
+    operation."""
+    return group_mod._left_key(sys_, group_mod._right_key(sys_, key, s), s)
+
+
 def _conjugated(sys_: CoxeterSystem, c: GroupElement, elements: Iterator[GroupElement]):
-    """Each element u of a walk, with the key of u^-1 c u and u^-1 itself.
-
-    Both are carried from the parent u' = u s (group._carry):
-    u^-1 c u = s (u'^-1 c u') s and u^-1 = s u'^-1, a column operation
-    and two row operations."""
-    def step(pair, s):
-        left = group_mod._left_mul_gen
-        return left(group_mod._right_mul_gen(pair[0], s), s), left(pair[1], s)
-
-    for u, (conj, uinv) in group_mod._carry(elements, (c, group_mod.identity(sys_)), step):
-        yield u, conj.key, uinv
+    """Each element u of a walk, with the key of u^-1 c u, carried from
+    the parent u' = u s (group._carry): u^-1 c u = s (u'^-1 c u') s."""
+    return group_mod._carry(elements, c.key, lambda key, s: _conjugate_step(sys_, key, s))
 
 
 def _join(
@@ -329,45 +319,45 @@ def _join(
     of a group whose W_J is finite, an affine one. The size is
     |W_J| |JW|, or in the ball the sum over d in JW of the number of u
     in W_J with l(u) <= radius - l(d), as l(u d) = l(u) + l(d).
-    Returns (size, found, held): the size, the commuting elements in the
-    order of the ball (_ball_sorted) and the peak number of elements
-    held; _meet returns the same triple.
+    Returns (size, found, held): the size, the commuting elements,
+    carrying their canonical words, in no particular order, and the
+    peak number of elements held; _meet returns the same triple.
 
-    The table side walks W_J, within the ball, carrying u^-1 c u and
-    u^-1 (_conjugated), and hashes each u by the first column of
-    u^-1 c u. The streamed side walks JW, within the ball, carrying
-    d^-1 (group._inverses), and looks up the first column of d c d^-1,
+    The table side walks W_J, within the ball, carrying the key of
+    u^-1 c u (_conjugated), and hashes each u by its first column. The
+    streamed side walks JW, within the ball, carrying the key of d^-1
+    (group._left_keys), and looks up the first column of d c d^-1,
     d (c (d^-1 e_1)): two matrix-vector products. A hit is compared
     with the rest of d c d^-1 one column at a time (_is_conjugate),
     stopping at the first that differs, and only a full match with
-    l(u) + l(d) <= radius forms g = u d and g^-1 and calls commutes.
-    The table is what is held; each walk is capped on its own.
+    l(u) + l(d) <= radius forms g = u d and calls commutes. The table
+    is what is held; each walk is capped on its own.
     """
     nd = len(c.key) // sys_.rank
     table: dict = {}
     lengths: list[int] = []
     walked = group_mod.walk(sys_, radius, gens=j)
-    for u, conj, uinv in _conjugated(sys_, c, _staged(walked, "the walk of W_J")):
+    for u, conj in _conjugated(sys_, c, _staged(walked, "the walk of W_J")):
         depth = len(u.word)
         if depth == len(lengths):
             lengths.append(0)
         lengths[depth] += 1
-        table.setdefault(conj[:nd], []).append((conj, u, uinv))
+        table.setdefault(conj[:nd], []).append((conj, u))
     # within[k]: the number of u with l(u) <= k
     within = list(itertools.accumulate(lengths))
     size = 0
     found = []
     walked = group_mod.walk(sys_, radius, coset=j)
     streamed = _staged(walked, "the walk of the minimal coset representatives")
-    for d, dinv in group_mod._inverses(sys_, streamed):
+    for d, dinv in group_mod._left_keys(sys_, streamed, group_mod.identity(sys_).key):
         depth = len(d.word)
         size += within[-1] if radius is None else within[min(radius - depth, len(within) - 1)]
-        first = tuple(group_mod._image(d, group_mod._image(c, dinv.key[:nd])))
+        first = tuple(group_mod._image(d, group_mod._image(c, dinv[:nd])))
         hits = table.get(first)
         if hits is None:
             continue
         cols = [first]
-        for uconj, u, uinv in hits:
+        for uconj, u in hits:
             if radius is not None and len(u.word) + depth > radius:
                 continue
             if not _is_conjugate(uconj, cols, c, d, dinv):
@@ -377,23 +367,20 @@ def _join(
                 raise InvariantViolation(
                     f"joined element {group_mod.word_str(g.word)} does not commute with c"
                 )
-            ginv = group_mod.multiply(dinv, uinv)
-            found.append((group_mod.canonical(g), ginv.key))
-    return size, _ball_sorted(found), within[-1]
+            found.append(group_mod.canonical(g))
+    return size, found, within[-1]
 
 
-def _is_conjugate(
-    key: tuple, cols: list, c: GroupElement, d: GroupElement, dinv: GroupElement
-) -> bool:
+def _is_conjugate(key: tuple, cols: list, c: GroupElement, d: GroupElement, dinv: tuple) -> bool:
     """Whether key is that of d c d^-1, compared one column at a time
     and stopping at the first that differs. Column j of d c d^-1 is
-    d (c (d^-1 e_j)), two matrix-vector products; cols holds the columns
-    computed so far, the first at least, and gains each one computed, so
-    each is computed at most once per d."""
+    d (c (d^-1 e_j)), two matrix-vector products, with dinv the key of
+    d^-1; cols holds the columns computed so far, the first at least,
+    and gains each one computed, so each is computed at most once per d."""
     nd = len(cols[0])
     for j, a in enumerate(range(0, len(key), nd)):
         if j == len(cols):
-            cols.append(tuple(group_mod._image(d, group_mod._image(c, dinv.key[a:a + nd]))))
+            cols.append(tuple(group_mod._image(d, group_mod._image(c, dinv[a:a + nd]))))
         if key[a:a + nd] != cols[j]:
             return False
     return True
@@ -406,28 +393,34 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[
     Split a reduced word of g in C(c), of length L <= radius, after its
     first floor(L/2) letters: g = x z^-1 with l(x) = floor(L/2) and
     l(z) = ceil(L/2) <= h = ceil(radius/2). So the walk of the ball B_h,
-    carrying z^-1 c z and z^-1 (_conjugated) and bucketing by
-    z^-1 c z, finds every g but the identity among the pairs (x, z) of
-    a bucket with x != z, l(z) - l(x) in {0, 1} and
+    carrying the keys of z^-1 c z and z^-1 (group._carry) and bucketing
+    by z^-1 c z, finds every g but the identity among the pairs (x, z)
+    of a bucket with x != z, l(z) - l(x) in {0, 1} and
     l(x) + l(z) <= radius, and l(g) <= l(x) + l(z). The split is reduced,
     so x and z have no right descent in common: the pairs whose
     canonical words end in the same letter are skipped. Each product is
-    kept once, by key, and confirmed by commutes. The size is the sum of
+    kept once, by key, and confirmed by commutes; the commuting elements
+    come back as _join returns them. The size is the sum of
     group.growth_series. What is held, B_h and the pairs, is capped
     together.
     """
     half = -(-radius // 2)
     buckets: dict = {}
-    walked = group_mod.walk(sys_, half)
-    for z, conj, zinv in _conjugated(sys_, c, _staged(walked, "the walk of the half ball")):
+
+    def step(pair, s):
+        conj, zinv = pair
+        return _conjugate_step(sys_, conj, s), group_mod._left_key(sys_, zinv, s)
+
+    walked = _staged(group_mod.walk(sys_, half), "the walk of the half ball")
+    e = group_mod.identity(sys_)
+    for z, (conj, zinv) in group_mod._carry(walked, (c.key, e.key), step):
         buckets.setdefault(conj, []).append((z, zinv))
     cap = group_mod.DEFAULT_BALL_CAP
     held = sum(map(len, buckets.values()))
-    # the identity, the one element no pair gives, as the pair (e, e)
-    e = group_mod.identity(sys_)
-    products = {e.key: (e, e, e, e)}
+    # the identity, the one element no pair gives
+    products = {e.key: e}
     for bucket in buckets.values():
-        for x, xinv in bucket if len(bucket) > 1 else ():
+        for x, _ in bucket if len(bucket) > 1 else ():
             for z, zinv in bucket:
                 lx, lz = len(x.word), len(z.word)
                 if z is x or not 0 <= lz - lx <= 1 or lx + lz > radius:
@@ -441,37 +434,46 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[
                         " in the pairs of the half ball"
                     )
                 held += 1
-                g = group_mod.multiply(x, zinv)
-                products.setdefault(g.key, (g, x, xinv, z))
+                g = group_mod.multiply(x, GroupElement(sys_, zinv, z.word[::-1]))
+                products.setdefault(g.key, g)
     found = []
-    for g, x, xinv, z in products.values():
+    for g in products.values():
         g = group_mod.canonical(g)
         if len(g.word) > radius or not commutes(g, c):
             raise InvariantViolation(
                 f"met element {group_mod.word_str(g.word)} is not in the centralizer"
                 " within the ball"
             )
-        ginv = group_mod.multiply(z, xinv)
-        found.append((g, ginv.key))
-    return sum(group_mod.growth_series(sys_, radius)), _ball_sorted(found), held
+        found.append(g)
+    return sum(group_mod.growth_series(sys_, radius)), found, held
 
 
-def _ball_sorted(found: list[tuple[GroupElement, tuple]]) -> list[GroupElement]:
-    """Elements carrying their canonical words, each paired with the key
-    of its inverse, sorted into the order of the BFS ball: by length,
-    then by lexicographically least reduced word. That word strips the
-    least left descent first: it is the canonical word of g^-1,
-    reversed, and g^-1 is among the elements found, as the centralizer
-    and the ball are both closed under inverses."""
-    words = {g.key: g.word for g, _ in found}
+def _ball_sorted(found: list[GroupElement], powers: dict) -> list[GroupElement]:
+    """Elements carrying their canonical words, sorted into the order of
+    the BFS ball: by length, then by lexicographically least reduced
+    word. That word strips the least left descent first: it is the
+    canonical word of g^-1, reversed, and g^-1 is among the elements
+    found, as the centralizer and the ball are both closed under
+    inverses.
 
-    def order(pair):
-        word = words.get(pair[1])
+    powers is the window the entry point built (group.power_window),
+    signed, or unsigned and closed at the identity, so that it holds
+    all of <c>: the inverse of c^k is c^-k, or c^(h-k) with h the number
+    of powers in the window. Only an element that is no power in the
+    window, or whose inverse is not, has its inverse computed
+    (group.inverse)."""
+    words = {g.key: g.word for g in found}
+    exponents = {hit[0]: key for key, hit in powers.items()}
+
+    def order(g):
+        hit = powers.get(g.key)
+        inv = None if hit is None else exponents.get(-hit[0], exponents.get(len(powers) - hit[0]))
+        word = words.get(group_mod.inverse(g).key if inv is None else inv)
         if word is None:
             raise InvariantViolation("the centralizing elements are not closed under inverses")
         return len(word), word[::-1]
 
-    return [g for g, _ in sorted(found, key=order)]
+    return sorted(found, key=order)
 
 
 def _centralizer_entries(found: list[GroupElement], powers: dict) -> list[CentralizerEntry]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import inspect
 import random
 import textwrap
+from math import ceil
 
 import pytest
 
@@ -94,20 +95,26 @@ def test_pruned_walk_yields_the_minimal_coset_representatives(name):
 
 @pytest.mark.parametrize("name", corpus.names())
 def test_left_step_is_the_product_with_a_generator(name):
+    # the key kernels too: i2_7 and i2_8 have d' = 3 and 4, so the terms
+    # of both steps are read with every d' from 1 to 4
     sys_ = corpus.load(name)
     rng = random.Random(name)
     for _ in range(25):
         word = tuple(rng.randint(1, sys_.rank) for _ in range(rng.randint(0, 12)))
         x = group_mod.from_word(sys_, word)
         for s in range(1, sys_.rank + 1):
+            gen = group_mod.generator(sys_, s)
+            left = group_mod.multiply(gen, x).key
             y = group_mod._left_mul_gen(x, s)
-            assert y.key == group_mod.multiply(group_mod.generator(sys_, s), x).key
+            assert y.key == left
             assert y.word == (s,) + word
+            assert group_mod._left_key(sys_, x.key, s) == left
+            assert group_mod._right_key(sys_, x.key, s) == group_mod.multiply(x, gen).key
 
 
-def _right_step_instead(w, s):
+def _right_step_instead(sys_, key, s):
     # the column operation where the row operation belongs
-    return group_mod.GroupElement(w.system, group_mod._right_mul_gen(w, s).key, (s,) + w.word)
+    return group_mod._right_key(sys_, key, s)
 
 
 def _rules_without_row_sign(real):
@@ -124,7 +131,7 @@ def test_join_mutants_are_caught(mutant, monkeypatch):
     if mutant == "drop-deodhar-prune":
         monkeypatch.setattr(group_mod, "_coset_units", lambda sys_, coset: set())
     elif mutant == "right-step-for-left":
-        monkeypatch.setattr(group_mod, "_left_mul_gen", _right_step_instead)
+        monkeypatch.setattr(group_mod, "_left_key", _right_step_instead)
     else:
         monkeypatch.setattr(group_mod, "_rules", _rules_without_row_sign(group_mod._rules))
     for name in systems:
@@ -135,19 +142,22 @@ def test_join_mutants_are_caught(mutant, monkeypatch):
         assert got != expected[name], name
 
 
-def test_join_counts_larger_centralizers_of_non_coxeter_elements():
+def test_join_counts_larger_centralizers_of_non_coxeter_elements(monkeypatch):
     # negative control: s1 and c^2 have centralizers larger than the
-    # cyclic groups they generate, and the join must find all of them
+    # cyclic groups they generate, and the join must find all of them;
+    # the elements that are no powers of b are sorted by their inverses
     h3 = corpus.load("h3")
     c = group_mod.coxeter_element(h3)
     for b, expected in ((group_mod.generator(h3, 1), 8), (group_mod.multiply(c, c), 10)):
         walked = {g.key for g in group_mod.walk(h3) if verify.commutes(g, b)}
         assert len(walked) == expected
+        window = group_mod.power_window(b, 120, signed=False)
         for j in _subsets(h3):
             size, found, _ = verify._join(h3, b, j)
             assert size == 120
             assert {g.key for g in found} == walked, j
             assert all(group_mod.multiply(g, b).key == group_mod.multiply(b, g).key for g in found)
+            _assert_sorted_with_fallbacks(found, window, monkeypatch)
 
 
 def test_h4_join_forms_few_products_and_steps():
@@ -167,7 +177,7 @@ print(json.dumps(counts))
 
 def test_h4_join_multiplies_only_at_the_matches(monkeypatch):
     # a first-column hit is compared one column at a time, so only the
-    # 30 matches form products: g = u d and g^-1, two each
+    # 30 matches form products, g = u d, one each
     h4 = corpus.load("h4")
     c = group_mod.coxeter_element(h4)
     j = verify._join_parabolic(h4)
@@ -177,11 +187,11 @@ def test_h4_join_multiplies_only_at_the_matches(monkeypatch):
     _, found, _ = verify._join(h4, c, j)
     monkeypatch.undo()
     assert len(found) == 30
-    assert len(calls) == 2 * len(found)
+    assert len(calls) == len(found)
     # the first column alone hits more often than the whole conjugate
     # matches, so the hits the join compared were not all matches
     nd = len(c.key) // h4.rank
-    table = {conj for _, conj, _ in verify._conjugated(h4, c, group_mod.walk(h4, gens=j))}
+    table = {conj for _, conj in verify._conjugated(h4, c, group_mod.walk(h4, gens=j))}
     firsts = {conj[:nd] for conj in table}
     hits = matches = 0
     for d in group_mod.walk(h4, coset=j):
@@ -262,11 +272,12 @@ def test_join_length_bound_mutants_are_caught(old, new, monkeypatch):
 
 
 @pytest.mark.parametrize("name,radius", [("d4t", 8), ("tri334", 11)])
-def test_join_finds_the_larger_centralizers_of_non_coxeter_elements(name, radius):
+def test_join_finds_the_larger_centralizers_of_non_coxeter_elements(name, radius, monkeypatch):
     # negative control in a ball: s1 and c^2 commute with more of the ball
     # than the cyclic groups they generate, and the join, for every J
     # (all finite in these two), finds exactly what testing every element
-    # of the ball finds
+    # of the ball finds; the elements that are no powers of b are sorted
+    # by their inverses
     sys_ = corpus.load(name)
     c = group_mod.coxeter_element(sys_)
     for b in (group_mod.generator(sys_, 1), group_mod.multiply(c, c)):
@@ -278,3 +289,69 @@ def test_join_finds_the_larger_centralizers_of_non_coxeter_elements(name, radius
             result = verify._join(sys_, b, j, radius)
             assert result[0] == size, j
             assert {g.key for g in result[1]} == walked, j
+            _assert_sorted_with_fallbacks(result[1], group_mod.power_window(b, radius), monkeypatch)
+
+
+# ------------------------------------------------------- the report order
+
+def _inverse_sorted(found):
+    """The ball's order with every g^-1 taken from group.inverse(g): by
+    length, then by the canonical word of g^-1 reversed."""
+    words = {g.key: g.word for g in found}
+    return sorted(found, key=lambda g: (len(g.word), words[group_mod.inverse(g).key][::-1]))
+
+
+def _sorted_counting_inverses(found, window, monkeypatch):
+    """_ball_sorted(found, window), and the number of inverses it computed."""
+    calls = []
+    real = group_mod.inverse
+    with monkeypatch.context() as patch:
+        patch.setattr(group_mod, "inverse", lambda g: calls.append(g) or real(g))
+        ordered = verify._ball_sorted(found, window)
+    return ordered, len(calls)
+
+
+def _assert_sorted_with_fallbacks(found, window, monkeypatch):
+    """found in the reference order, with some inverses computed: those
+    of the elements that are no powers in the window."""
+    ordered, computed = _sorted_counting_inverses(found, window, monkeypatch)
+    assert [g.key for g in ordered] == [g.key for g in _inverse_sorted(found)]
+    assert 0 < computed < len(found)
+    assert computed == sum(g.key not in window for g in found)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_report_order_reads_inverses_off_the_power_window(name, monkeypatch):
+    # the entry points sort what the certificates find with the window
+    # they built; every element is a power of c, so no inverse is computed
+    sys_ = corpus.load(name)
+    sorts = []
+    real = verify._ball_sorted
+    monkeypatch.setattr(verify, "_ball_sorted", lambda found, window: sorts.append((found, window))
+                        or real(found, window))
+    for perm in _perms(sys_):
+        if name in corpus.FINITE:
+            verify.verify_finite(sys_, perm=perm)
+        else:
+            for radius in (4, 7, 11) if sys_.rank < 5 else (4, 6):
+                verify.verify_ball(sys_, radius=radius, perm=perm)
+    monkeypatch.undo()
+    for found, window in sorts:
+        ordered, computed = _sorted_counting_inverses(found, window, monkeypatch)
+        assert [g.key for g in ordered] == [g.key for g in _inverse_sorted(found)]
+        assert computed == 0
+
+
+@pytest.mark.parametrize("name,radius", [("d4t", 10), ("tri334", 16)])
+def test_a_forged_window_breaks_the_inverses(name, radius):
+    # labels shifted by one send the inverse of the last power found to a
+    # power beyond the ball, which the certificate did not find
+    sys_ = corpus.load(name)
+    c = group_mod.coxeter_element(sys_)
+    window = group_mod.power_window(c, ceil(radius / group_mod.length_and_reduced(c)[0]) + 1)
+    report = verify.verify_ball(sys_, radius=radius)
+    found = [e.element for e in report.entries]
+    assert [g.key for g in verify._ball_sorted(found, window)] == [g.key for g in found]
+    forged = {key: (k + 1, w) for key, (k, w) in window.items()}
+    with pytest.raises(InvariantViolation, match="not closed under inverses"):
+        verify._ball_sorted(found, forged)

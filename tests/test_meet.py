@@ -9,6 +9,7 @@ series comes from the classical degrees with its own parser.
 from __future__ import annotations
 
 import random
+from math import ceil
 
 import pytest
 
@@ -16,7 +17,7 @@ from coxkit import corpus, diagram, group, verify
 from coxkit.errors import InvariantViolation, ResourceLimitError
 
 from test_group import _load_oracle
-from test_join import _brute, _mutant
+from test_join import _assert_sorted_with_fallbacks, _brute, _mutant
 from test_verify import _bfs_report
 
 INFINITE = corpus.AFFINE + corpus.INDEFINITE
@@ -95,7 +96,8 @@ def test_meet_finds_the_walked_centralizer_in_every_infinite_group(name):
         size, walked = _brute(sys_, c, radius)
         result = verify._meet(sys_, c, radius)
         assert result[0] == size
-        assert [g.key for g in result[1]] == [
+        window = group.power_window(c, ceil(radius / group.length_and_reduced(c)[0]) + 1)
+        assert [g.key for g in verify._ball_sorted(result[1], window)] == [
             e.element.key for e in _bfs_report(sys_, None, radius).entries
         ]
         assert {g.key for g in result[1]} == walked
@@ -103,9 +105,10 @@ def test_meet_finds_the_walked_centralizer_in_every_infinite_group(name):
 
 
 @pytest.mark.parametrize("name,radius", [("tri334", 11), ("d4t", 7)])
-def test_meet_finds_the_larger_centralizers_of_non_coxeter_elements(name, radius):
+def test_meet_finds_the_larger_centralizers_of_non_coxeter_elements(name, radius, monkeypatch):
     # negative control: s1 and c^2 commute with more of the ball than the
-    # cyclic groups they generate, and the meet finds exactly that set
+    # cyclic groups they generate, and the meet finds exactly that set;
+    # the elements that are no powers of b are sorted by their inverses
     sys_ = corpus.load(name)
     c = group.coxeter_element(sys_)
     for b in (group.generator(sys_, 1), group.multiply(c, c)):
@@ -116,6 +119,7 @@ def test_meet_finds_the_larger_centralizers_of_non_coxeter_elements(name, radius
         result = verify._meet(sys_, b, radius)
         assert result[0] == size
         assert {g.key for g in result[1]} == walked
+        _assert_sorted_with_fallbacks(result[1], group.power_window(b, radius), monkeypatch)
 
 
 def test_verify_ball_meets_on_indefinite_and_joins_on_affine_systems():
@@ -137,8 +141,7 @@ MEET_MUTANTS = {
     "h-off-by-one": ("half = -(-radius // 2)", "half = radius // 2"),
     "pair-length-gap": ("not 0 <= lz - lx <= 1", "not 0 <= lz - lx <= 0"),
     "pair-length-sum": ("lx + lz > radius", "lx + lz >= radius"),
-    "no-dedupe": ("products.setdefault(g.key, (g, x, xinv, z))",
-                  "products[len(products)] = (g, x, xinv, z)"),
+    "no-dedupe": ("products.setdefault(g.key, g)", "products[len(products)] = g"),
 }
 
 

@@ -6,7 +6,6 @@ expected coxeter orders 3/4/6/10 and the infinite-dihedral centralizer
 """
 
 from math import ceil
-from operator import mul
 
 import pytest
 
@@ -111,47 +110,21 @@ def test_commutes_matches_product_definition(name):
     assert corner_ties > 0
 
 
-@pytest.mark.parametrize("name", ["f4", "d4t", "tri334"])
-def test_column_test_decides_when_the_filter_passes(name, monkeypatch):
-    # no sweep element passes the linear filter without commuting, so the
-    # column test behind it is checked here with every weight zeroed
-    weights = group._weights
-    monkeypatch.setattr(group, "_weights", lambda w: (0,) * len(weights(w)))
-    for a, b in _commute_pairs(name):
-        assert verify.commutes(a, b) == (group.multiply(a, b).key == group.multiply(b, a).key)
-
-
-# i2_7 and i2_8 have d' = 3 and 4, the only weights that read theta'^2
+# i2_7 and i2_8 have d' = 3 and 4, the only theta'-tables with theta'^2
 # and theta'^3 columns; d4t and tri334 sweep balls of infinite groups
 @pytest.mark.parametrize("name", ["h3", "b4", "f4", "i2_7", "i2_8", "d4t", "tri334"])
-def test_linear_filter_never_rejects_a_commuting_element(name):
+def test_commutes_matches_the_product_over_a_sweep(name):
     sys_ = corpus.load(name)
     radius = {"d4t": 6, "tri334": 10}.get(name)
     for b in (group.coxeter_element(sys_), group.generator(sys_, 1)):
-        weights = group._weights(b)
-        commuting = rejected = 0
+        commuting = walked = 0
         for g in group.walk(sys_, radius):
             exact = group.multiply(g, b).key == group.multiply(b, g).key
-            passes = not sum(map(mul, weights, g.key))
-            assert passes or not exact, g
             assert verify.commutes(g, b) == exact
             commuting += exact
-            rejected += not passes
-        # not vacuous: the filter does reject, and something commutes
-        assert commuting > 1 and rejected > 0
-
-
-@pytest.mark.parametrize("name", ["d4t", "h4"])
-def test_one_weight_vector_per_sweep(name, monkeypatch):
-    # the weights serve the fixed operand only: a sweep builds them once,
-    # for c, and never for the elements it walks or multiplies
-    built = []
-    probe = group._probe
-    monkeypatch.setattr(group, "_probe", lambda size: built.append(size) or probe(size))
-    sys_ = corpus.load(name)
-    report = verify.verify_finite(sys_) if name == "h4" else verify.verify_ball(sys_, 10)
-    assert report.theorem_consistent
-    assert built == [len(group.coxeter_element(sys_).key)]
+            walked += 1
+        # not vacuous: something commutes, and something does not
+        assert 1 < commuting < walked
 
 
 def test_centralizer_count_exceeds_the_cyclic_group_for_non_coxeter_elements():
@@ -167,7 +140,8 @@ def test_centralizer_count_exceeds_the_cyclic_group_for_non_coxeter_elements():
 
 
 def _columns_commute(a, b):
-    """The column test of commutes alone, with no filter in front."""
+    """The column test of commutes, written out so that the reference
+    does not call the code it checks."""
     nd = len(a.key) // a.system.rank
     return all(
         group._image(a, b.key[j:j + nd]) == group._image(b, a.key[j:j + nd])
