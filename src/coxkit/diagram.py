@@ -274,7 +274,7 @@ def _classes(items: Iterable, pairs: Iterable[tuple]) -> list[list]:
 def components(sys_: CoxeterSystem, gens: Iterable[int] | None = None) -> list[tuple[int, ...]]:
     """Connected components of the diagram, or of its restriction to gens,
     as sorted 1-based index tuples in order of their least member."""
-    idx = range(1, sys_.rank + 1) if gens is None else _norm_subset(sys_, gens)
+    idx = _norm_subset(sys_, gens)
     edges = ((i, j) for i in idx for j in idx if i < j and sys_.label(i, j) != 2)
     return [tuple(c) for c in _classes(idx, edges)]
 
@@ -283,7 +283,11 @@ def is_irreducible(sys_: CoxeterSystem) -> bool:
     return len(components(sys_)) == 1
 
 
-def _norm_subset(sys_: CoxeterSystem, gens: Iterable[int]) -> tuple[int, ...]:
+def _norm_subset(sys_: CoxeterSystem, gens: Iterable[int] | None) -> tuple[int, ...]:
+    """gens sorted without repeats, each checked in range; None is every
+    generator."""
+    if gens is None:
+        return tuple(range(1, sys_.rank + 1))
     out = tuple(sorted(set(gens)))
     for s in out:
         if not (1 <= s <= sys_.rank):

@@ -24,8 +24,8 @@ all. Generator steps are integer operations precomputed per system
 reads the same entries -2B(e_s, e_j), as B is symmetric; both apply
 strided (k, l, c) terms (_terms) to the flat key. The two step
 kernels, _right_key and _left_key, take a key to a key;
-_right_mul_gen and _left_mul_gen wrap them with the witness word, and
-the values carried along a walk (_carry) are bare keys. One
+_right_mul_gen wraps the first with the witness word, and the values
+carried along a walk (_carry) are bare keys. One
 matrix-vector kernel serves everything else: _image(w, v) sums the
 ints of v times the flat columns theta'^k w(e_i) of w's theta'-table
 (_thetas; each is theta' times the one before, strided terms over the
@@ -85,10 +85,14 @@ Every enumeration of group elements runs on walk(). ball() and
 enumerate_group() view it as a set in breadth-first (shortlex) order:
 _bfs carries the key of each x^-1 along the walk (_inverses), gives it
 the word of x reversed, its lexicographically least reduced word, and
-sorts by length, then that word. Hurwitz orbits, subgroup closures, root orbits and the
-conjugacy-graph spanning tree run through closure(): it dedups by key,
-checks the cap before each insert and records one parent link per
-member, so callers derive distances and tree paths from the links.
+sorts by length, then that word. Hurwitz orbits, subgroup closures
+and the conjugacy-graph spanning tree run through closure(): it dedups
+by key, checks the cap before each insert and records one parent link
+per member, so callers derive distances and tree paths from the links.
+The longest element w_J of a finite standard parabolic comes from one
+memoized greedy ascent (_longest), the mirror of the descent walk: its
+length is N_J, the number of reflections of W_J, and the prefix roots
+of its word are the positive roots of W_J (roots.positive_roots).
 Reflection length needs no search: it is the rank of w - 1 (Carter),
 which refl reads off the matrix. Derived values are cached per system
 through CoxeterSystem.memo.
@@ -412,11 +416,6 @@ def _right_mul_gen(w: GroupElement, s: int) -> GroupElement:
     return GroupElement(w.system, _right_key(w.system, w.key, s), w.word + (s,))
 
 
-def _left_mul_gen(w: GroupElement, s: int) -> GroupElement:
-    """sigma_s * w, carrying the witness word (s,) + w.word."""
-    return GroupElement(w.system, _left_key(w.system, w.key, s), (s,) + w.word)
-
-
 def from_word(sys_: CoxeterSystem, word: Iterable[int]) -> GroupElement:
     w = identity(sys_)
     for s in word:
@@ -604,21 +603,26 @@ def length_and_reduced(w: GroupElement) -> tuple[int, tuple[int, ...]]:
     return len(letters), tuple(reversed(letters))
 
 
-def _ascend(sys_: CoxeterSystem, gens: Sequence[int], bound: int | None = None) -> GroupElement:
-    """The longest element of the finite standard parabolic on gens, by
-    greedy ascent: step the least generator of gens still sent to a
+def _longest(sys_: CoxeterSystem, gens: Iterable[int]) -> GroupElement:
+    """The longest element w_J of the finite standard parabolic W_J on
+    gens, by greedy ascent: step the least generator of J still sent to a
     positive root until there is none. Each step adds one to the length,
-    so there are as many steps as the parabolic has reflections. More
-    than bound steps raise InvariantViolation."""
-    ring = _ring(sys_)
-    w = identity(sys_)
-    while True:
-        ascent = next((s for s in gens if ring.root_sign(_column(w, s)) > 0), None)
-        if ascent is None:
-            return w
-        if bound is not None and len(w.word) >= bound:
-            raise InvariantViolation("longest-element ascent exceeded the root count")
-        w = _right_mul_gen(w, ascent)
+    so the word has N_J letters, one per reflection of W_J, and its prefix
+    roots are the positive roots of W_J (Humphreys 1.8, 5.6). Memoized per
+    subset; the caller knows W_J is finite: on an infinite one the ascent
+    never stops."""
+    idx = tuple(sorted(set(gens)))
+
+    def build() -> GroupElement:
+        ring = _ring(sys_)
+        w = identity(sys_)
+        while True:
+            ascent = next((s for s in idx if ring.root_sign(_column(w, s)) > 0), None)
+            if ascent is None:
+                return w
+            w = _right_mul_gen(w, ascent)
+
+    return sys_.memo(("w0", idx), build)
 
 
 def canonical(w: GroupElement) -> GroupElement:
@@ -920,7 +924,8 @@ def growth_series(sys_: CoxeterSystem, radius: int) -> list[int]:
         1 / W(t) = sum over I with W_I finite of (-1)^|I| t^N_I / W_I(t)
 
     (Humphreys, Reflection Groups and Coxeter Groups, 5.12), N_I the
-    number of reflections of W_I, the length of its longest element.
+    number of reflections of W_I, the length of its longest element
+    (_longest).
     Only the I with N_I <= radius add below t^(radius + 1), and a
     superset of any other I is infinite or has more reflections, so the
     subsets grow one generator at a time from those that add. Each
@@ -938,7 +943,7 @@ def growth_series(sys_: CoxeterSystem, radius: int) -> list[int]:
         for gens in layer:
             if gens and not is_spherical(sys_, gens):
                 continue
-            top = len(_ascend(sys_, gens).word)
+            top = len(_longest(sys_, gens).word)
             if top > radius:
                 continue
             adds.add(gens)

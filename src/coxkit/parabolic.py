@@ -23,7 +23,6 @@ from collections.abc import Iterable, Sequence
 from . import diagram as diagram_mod
 from . import group as group_mod
 from . import refl as refl_mod
-from . import roots as roots_mod
 from .diagram import CoxeterSystem, _norm_subset, is_spherical
 from .errors import InvariantViolation, ResourceLimitError
 from .group import GroupElement
@@ -77,24 +76,13 @@ def parse_subset(text: str, rank: int) -> frozenset[int]:
 # ------------------------------------------------------------ longest element
 
 def longest_element(sys_: CoxeterSystem, gens: Iterable[int]) -> GroupElement:
-    """The longest element of a spherical standard parabolic.
-
-    Greedy ascent: repeatedly multiply by the least generator still sent
-    to a positive root. The walk must stop after exactly as many steps
-    as the parabolic has positive roots; anything else is a logic fault.
-    """
+    """The longest element of a spherical standard parabolic, by the
+    greedy ascent of group._longest: its word has one letter per
+    reflection of the parabolic."""
     idx = _norm_subset(sys_, gens)
-    return sys_.memo(("w0", idx), lambda: _ascend(sys_, idx))
-
-
-def _ascend(sys_: CoxeterSystem, idx: tuple[int, ...]) -> GroupElement:
     if not is_spherical(sys_, idx):
         raise ValueError(f"parabolic {subset_str(idx)} is not spherical")
-    bound = len(roots_mod.positive_roots(sys_, idx)) if idx else 0
-    w = group_mod._ascend(sys_, idx, bound)
-    if len(w.word) != bound:
-        raise InvariantViolation("longest-element ascent stopped early")
-    return w
+    return group_mod._longest(sys_, idx)
 
 
 # ----------------------------------------------------------------- nu and the graph
@@ -389,9 +377,10 @@ def _match_standard(sys_, gens_t, chosen) -> tuple[GroupElement, frozenset[int]]
     pointwise, are exactly the chosen ones, whose roots lie in its moved
     space. So g s_j g^{-1} lies in W' exactly when +-(column j of g) is
     a chosen root. Once that holds for all j in J, g maps the reflections
-    of W_J into the chosen ones; when W_J has as many positive roots as
-    there are chosen reflections, the two reflection sets are equal, and
-    so are the groups they generate. Only such J are candidates.
+    of W_J into the chosen ones; when W_J has as many reflections as
+    there are chosen ones, N_J, the length of its longest element
+    (group._longest), the two reflection sets are equal, and so are the
+    groups they generate. Only such J are candidates.
 
     The g that qualify for J are unions of cosets g W_J, so the first is
     d^{-1} for a d with no left descent in J, visited by the walk with
@@ -406,7 +395,7 @@ def _match_standard(sys_, gens_t, chosen) -> tuple[GroupElement, frozenset[int]]
         subsets += [sub + (s,) for sub in subsets]
     subsets.sort(key=lambda t: (len(t), t))
     candidates = [
-        sub for sub in subsets if len(roots_mod.positive_roots(sys_, sub)) == len(chosen)
+        sub for sub in subsets if len(group_mod._longest(sys_, sub).word) == len(chosen)
     ]
     for sub in candidates:
         walked = group_mod.walk(sys_, gens=gens_t, coset=sub)

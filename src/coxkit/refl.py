@@ -88,7 +88,7 @@ def reflections_of(
     depth, the list is truncated to reflections of length <= depth found
     in the ball, which is the only honest option for infinite scopes.
     """
-    gens_t = group_mod._norm_gens(sys_, gens)
+    gens_t = diagram_mod._norm_subset(sys_, gens)
     if depth is None:
         if not diagram_mod.is_spherical(sys_, gens_t):
             raise ValueError(

@@ -2,18 +2,20 @@
 
 A root is a column: the image w(e_s) of a simple root is column s of
 w's key, so simple roots, beta sequences and inversion sets are read
-off the group layer's keys (_prefix_roots), and a root is stored as
-that column, n*d' ints over Z[theta'], its one storage. act and the
-root orbit apply elements with group._image and reflection matrices
-come from the generator steps' operators, with no FieldElement
-arithmetic; coords, a Q(theta) view of the key built on first use,
-serves printing and the coordinate order of positive_roots. A root's
-coordinates are all >= 0 or all <= 0; make_root checks every one and
-refuses mixed vectors, which only a logic fault can produce. The
-all-ones functional is positive on every positive root, and its sign
-gives the outwardness certificates: alpha is outward for w when, for
-all large powers, w^{-m} alpha pairs negative and w^{m} alpha pairs
-positive, each checked over a finite window here.
+off the group layer's keys (_prefix_roots), as are the positive roots
+of a finite parabolic, the prefix roots of the word of its longest
+element (group._longest). A root is stored as that column, n*d' ints
+over Z[theta'], its one storage. act applies elements with
+group._image, and reflection matrices come from the generator steps'
+operators, with no FieldElement arithmetic; coords, a Q(theta) view of
+the key built on first use, serves printing and the coordinate order of
+positive_roots. A root's coordinates are all >= 0 or all <= 0;
+make_root checks every one and refuses mixed vectors, which only a
+logic fault can produce. The all-ones functional is positive on every
+positive root, and its sign gives the outwardness certificates: alpha
+is outward for w when, for all large powers, w^{-m} alpha pairs
+negative and w^{m} alpha pairs positive, each checked over a finite
+window here.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from operator import sub
 
 from . import group as group_mod
-from .diagram import CoxeterSystem
+from .diagram import CoxeterSystem, _norm_subset, is_spherical
 from .errors import InvariantViolation
 from .field import FieldElement
 from .group import GroupElement
@@ -110,33 +112,22 @@ def act(w: GroupElement, root: Root) -> Root:
     return make_root(w.system, group_mod._image(w, root.key))
 
 
-def positive_roots(
-    sys_: CoxeterSystem,
-    gens: Iterable[int] | None = None,
-    cap: int = 1_000_000,
-) -> list[Root]:
-    """All positive roots of the standard parabolic on gens (finite scope),
-    in the order of their Q(theta) coordinates.
+def positive_roots(sys_: CoxeterSystem, gens: Iterable[int] | None = None) -> list[Root]:
+    """All positive roots of the finite standard parabolic on gens, in
+    the order of their Q(theta) coordinates.
 
-    Enumerates the orbit of the simple roots under the parabolic's
-    generators; infinite scopes hit the cap and raise.
+    They are the prefix roots of a reduced word of its longest element,
+    one per letter (Humphreys, Reflection Groups and Coxeter Groups,
+    1.8 and 5.6), read off the word of group._longest. An infinite scope
+    raises ValueError.
     """
-    gens_t = group_mod._norm_gens(sys_, gens)
-    return list(sys_.memo(("posroots", gens_t), lambda: _root_orbit(sys_, gens_t, cap)))
-
-
-def _root_orbit(sys_: CoxeterSystem, gens_t: tuple[int, ...], cap: int) -> tuple[Root, ...]:
-    gens = [(s, group_mod.generator(sys_, s)) for s in gens_t]
-    members, _ = group_mod.closure(
-        [simple_root(sys_, s) for s in gens_t],
-        lambda r: ((s, make_root(sys_, group_mod._image(g, r.key))) for s, g in gens),
-        cap,
-        overflow="root orbit exceeded the cap of {cap}",
-    )
-    return tuple(sorted(
-        (r for r in members.values() if r.positive),
+    idx = _norm_subset(sys_, gens)
+    if not is_spherical(sys_, idx):
+        raise ValueError("positive roots require a finite scope")
+    return list(sys_.memo(("posroots", idx), lambda: tuple(sorted(
+        _prefix_roots(sys_, group_mod._longest(sys_, idx).word),
         key=lambda r: tuple((e.num, e.den) for e in r.coords),
-    ))
+    ))))
 
 
 # ---------------------------------------------- prefix roots and reflections

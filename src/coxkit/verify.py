@@ -286,7 +286,7 @@ def _join_parabolic(sys_: CoxeterSystem) -> tuple[int, ...]:
     gens = range(1, sys_.rank + 1)
     return max(
         (tuple(t for t in gens if t != s) for s in gens),
-        key=lambda j: len(group_mod._ascend(sys_, j).word),
+        key=lambda j: len(group_mod._longest(sys_, j).word),
     )
 
 

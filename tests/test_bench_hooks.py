@@ -66,6 +66,7 @@ def test_tracer_hooks_are_called():
         "group.step.calls",
         "roots.make_root.calls",
         "parabolic.nu.calls",
+        "parabolic.longest.calls",
         "diagram.classify.calls",
         "verify.commutes.calls",
     ):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxkit import corpus, diagram, group
+from coxkit import corpus, diagram, group, parabolic, refl
 from coxkit import roots as roots_mod
-from coxkit.errors import InvariantViolation, ResourceLimitError
+from coxkit.errors import InvariantViolation
 from coxkit.group import (
     coxeter_element,
     enumerate_group,
@@ -78,9 +79,10 @@ def test_positive_roots_a2_exact():
     assert got == {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))}
 
 
-def test_positive_roots_infinite_scope_capped():
-    with pytest.raises(ResourceLimitError):
-        positive_roots(corpus.load("a1t"), cap=50)
+@pytest.mark.parametrize("name", ["a1t", "d4t", "tri334"])
+def test_positive_roots_infinite_scope_raises(name):
+    with pytest.raises(ValueError, match="finite"):
+        positive_roots(corpus.load(name))
 
 
 # The root layer computes on key columns over Z[theta']. The references
@@ -95,27 +97,60 @@ def _ref_reflect(sys_, s, v):
     return tuple(out)
 
 
-def _ref_positive_roots(sys_):
+def _first_sign(v):
+    return next(c for c in v if not c.is_zero()).sign()
+
+
+def _ref_positive_roots(sys_, gens):
+    """The positive roots of the finite parabolic on gens: the orbit of
+    its simple roots under its generators, on FieldElement coordinates."""
     f, n = sys_.field, sys_.rank
-    seen = {tuple(f.one if i == s else f.zero for i in range(n)) for s in range(n)}
+    seen = {tuple(f.one if i == s - 1 else f.zero for i in range(n)) for s in gens}
     frontier = list(seen)
     while frontier:
         nxt = []
         for v in frontier:
-            for s in range(1, n + 1):
+            for s in gens:
                 u = _ref_reflect(sys_, s, v)
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
         frontier = nxt
-    positive = [v for v in seen if next(c for c in v if not c.is_zero()).sign() > 0]
+    positive = [v for v in seen if _first_sign(v) > 0]
     return sorted(positive, key=lambda v: tuple((e.num, e.den) for e in v))
 
 
-@pytest.mark.parametrize("name", corpus.FINITE)
+def _finite_parabolics(sys_):
+    gens = range(1, sys_.rank + 1)
+    return [
+        j for k in range(sys_.rank + 1) for j in itertools.combinations(gens, k)
+        if diagram.is_spherical(sys_, j)
+    ]
+
+
+@pytest.mark.parametrize("name", corpus.names())
 def test_positive_roots_match_field_orbit(name):
+    # every finite standard parabolic, the empty one and those of the
+    # infinite systems included: the roots read off the word of w_J are
+    # the field orbit, one per letter, and w_J sends each one negative
     sys_ = diagram.parse_system(corpus.read_text(name))
-    assert [r.coords for r in positive_roots(sys_)] == _ref_positive_roots(sys_)
+    for j in _finite_parabolics(sys_):
+        ref = _ref_positive_roots(sys_, j)
+        assert [r.coords for r in positive_roots(sys_, j)] == ref, j
+        w0 = parabolic.longest_element(sys_, j)
+        assert len(w0.word) == len(ref), j
+        assert all(_first_sign(group.apply(w0, v)) < 0 for v in ref), j
+
+
+def test_one_memo_entry_per_subset():
+    sys_ = diagram.parse_system(corpus.read_text("b3"))
+    first = positive_roots(sys_, (1, 2))
+    reflections = refl.reflections_of(sys_, (1, 2))
+    entries = len(sys_._cache)
+    for gens in ((2, 1), (2, 1, 2)):
+        assert positive_roots(sys_, gens) == first
+        assert refl.reflections_of(sys_, gens) == reflections
+    assert len(sys_._cache) == entries
 
 
 @pytest.mark.parametrize("name", ["b4", "f4", "h4", "d4t", "tri334"])
