@@ -30,12 +30,11 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .errors import FieldMismatchError, InvariantViolation
 
 __all__ = ["Field", "FieldElement", "create"]
-
-_FrPoly = list[Fraction]
 
 
 # ------------------------------------------------------------------ integers
@@ -65,31 +64,13 @@ def _dickson(n: int) -> list[int]:
     return cur
 
 
-# ------------------------------------------------- rational polynomial helpers
+# -------------------------------------------------- integer polynomial helpers
 
 def _trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
 
-
-def _poly_divmod(a: _FrPoly, b: _FrPoly) -> tuple[_FrPoly, _FrPoly]:
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    q: _FrPoly = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and any(a):
-        _trim(a)
-        if len(a) - 1 < db:
-            break
-        c = a[-1] / lead
-        q[len(a) - 1 - db] = c
-        for i in range(db + 1):
-            a[len(a) - 1 - db + i] -= c * b[i]
-        a.pop()
-    return q, _trim(a)
-
-
-# -------------------------------------------------- integer polynomial helpers
 
 def _poly_deriv(a: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
@@ -306,19 +287,6 @@ class Field:
     def enclosure(self) -> tuple[Fraction, Fraction]:
         return Fraction(self._lo, 1 << self._k), Fraction(self._hi, 1 << self._k)
 
-    def refine_enclosure(self, width: Fraction | None = None) -> tuple[Fraction, Fraction]:
-        """Shrink the enclosure of theta, below the given width if requested."""
-        if width is not None and width <= 0:
-            raise ValueError(f"enclosure width must be positive, got {width}")
-        if self.degree == 1:
-            return self.enclosure()
-        if width is None:
-            self._bisect_once()
-        else:
-            while self._hi - self._lo >= width * (1 << self._k):
-                self._bisect_once()
-        return self.enclosure()
-
     def sign(self, coeffs: Sequence[int]) -> int:
         """The exact sign of sum_e coeffs[e] * theta^e, for integer
         coefficients over the power basis.
@@ -520,40 +488,26 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
+        """1/x by the Faddeev-LeVerrier recursion on the integer matrix M
+        of multiplication by the numerator of x: with B_1 = I,
+        c_k = -tr(M B_k) / k, exact in integers, and
+        B_(k+1) = M B_k + c_k I, Cayley-Hamilton gives M B_d = -c_d I. So
+        the numerator's inverse is column 0 of B_d over -c_d, and c_d is
+        nonzero because M is invertible in a field."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(theta)")
-        field = self.field
-        if self.is_rational():
-            q = 1 / self.as_rational()
-            return field.from_rational(q)
-        # extended Euclid against the minimal polynomial
-        r0 = [Fraction(c) for c in field.minpoly]
-        r1 = list(self.coeffs)
-        t0: _FrPoly = []
-        t1: _FrPoly = [Fraction(1)]
-        while _trim(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            prod = _poly_mul_fr(q, t1)
-            t0, t1 = t1, _poly_sub_fr(t0, prod)
-        if len(r0) != 1:
+        field, d = self.field, self.field.degree
+        m = field.mul_matrix(self.num)
+        b = [[int(i == j) for j in range(d)] for i in range(d)]
+        for k in range(1, d + 1):
+            cols = tuple(zip(*b))
+            mb = [[sum(map(mul, row, col)) for col in cols] for row in m]
+            c = -sum(mb[i][i] for i in range(d)) // k
+            if k < d:
+                b = [[x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(mb)]
+        if not c:
             raise InvariantViolation("minimal polynomial is not irreducible")
-        c = r0[0]
-        inv = [t / c for t in t0]
-        inv += [Fraction(0)] * (field.degree - len(inv))
-        return field.element(inv[: field.degree])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return FieldElement._make(field, [-self.den * r[0] for r in b], c)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -592,23 +546,4 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"<{self} in Q(2cos(pi/{self.field.N}))>"
-
-
-def _poly_mul_fr(a: _FrPoly, b: _FrPoly) -> _FrPoly:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub_fr(a: _FrPoly, b: _FrPoly) -> _FrPoly:
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, y in enumerate(b):
-        a[i] -= y
-    return _trim(a)
 

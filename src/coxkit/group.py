@@ -106,7 +106,7 @@ from math import lcm
 from operator import add, attrgetter, mul, neg
 
 from . import field as field_mod
-from .diagram import INFINITY, CoxeterSystem, is_spherical
+from .diagram import INFINITY, CoxeterSystem, _norm_subset, is_spherical
 from .errors import InvariantViolation, ResourceLimitError
 from .field import FieldElement
 from .record import Record
@@ -437,12 +437,11 @@ def _thetas(w: GroupElement) -> list:
     that acts on many vectors, a memoized reflection say, builds it once."""
     if w._thetas is None:
         ring = _ring(w.system)
-        d = ring.degree
-        key = w.key
-        nd = len(key) // w.system.rank
+        n, d = w.system.rank, ring.degree
+        nd = n * d
         table = []
-        for a in range(0, len(key), nd):
-            col = key[a:a + nd]
+        for j in range(n):
+            col = w.key[j * nd:(j + 1) * nd]
             table.append(col)
             for _ in range(d - 1):
                 nxt = [0] * nd
@@ -467,19 +466,17 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """The product a*b: column j is a applied to column j of b."""
     if a.system is not b.system and a.system != b.system:
         raise ValueError("elements of different systems cannot be multiplied")
-    nd = len(b.key) // b.system.rank
+    n = b.system.rank
+    nd = n * _ring(b.system).degree
     key: list[int] = []
-    for j in range(0, len(b.key), nd):
-        key += _image(a, b.key[j:j + nd])
+    for j in range(n):
+        key += _image(a, b.key[j * nd:(j + 1) * nd])
     return GroupElement(a.system, tuple(key), a.word + b.word)
 
 
 def inverse(w: GroupElement) -> GroupElement:
     """The inverse, built from the reversed witness word."""
-    out = identity(w.system)
-    for s in reversed(w.word):
-        out = _right_mul_gen(out, s)
-    return out
+    return from_word(w.system, reversed(w.word))
 
 
 def power(w: GroupElement, k: int) -> GroupElement:
@@ -611,7 +608,7 @@ def _longest(sys_: CoxeterSystem, gens: Iterable[int]) -> GroupElement:
     roots are the positive roots of W_J (Humphreys 1.8, 5.6). Memoized per
     subset; the caller knows W_J is finite: on an infinite one the ascent
     never stops."""
-    idx = tuple(sorted(set(gens)))
+    idx = _norm_subset(sys_, gens)
 
     def build() -> GroupElement:
         ring = _ring(sys_)
@@ -732,19 +729,9 @@ def _bfs(
     return Ball(sys_, radius, gens, members, parent, complete)
 
 
-def _norm_gens(sys_: CoxeterSystem, gens: Iterable[int] | None) -> tuple[int, ...]:
-    if gens is None:
-        return tuple(range(1, sys_.rank + 1))
-    out = tuple(gens)
-    for s in out:
-        if not (1 <= s <= sys_.rank):
-            raise ValueError(f"generator index {s} out of range 1..{sys_.rank}")
-    return out
-
-
 def _cached_ball(sys_: CoxeterSystem, gens: Iterable[int] | None, radius: int | None, cap: int) -> Ball:
     """The memoized ball; radius None is the whole group, keyed as "enum"."""
-    gens_t = tuple(sorted(_norm_gens(sys_, gens)))
+    gens_t = _norm_subset(sys_, gens)
     key = ("enum", gens_t, cap) if radius is None else ("ball", gens_t, radius, cap)
     return sys_.memo(key, lambda: _bfs(sys_, gens_t, radius, cap))
 
@@ -813,13 +800,15 @@ def walk(
 
     gens restricts the steps to those generators, so the walk covers the
     standard parabolic W_gens: its elements have their descents in gens.
-    coset = J keeps only the minimal representatives of the cosets
-    W_J x, the x with no left descent in J. They are closed under
-    prefixes, and by Deodhar's lemma an ascent t of such an x leads out
-    of them exactly when x t x^-1 lies in J, that is when column t of x,
-    the root x(e_t), is a unit column e_s with s in J (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, 2.4); the walk prunes those steps,
-    and every element below them keeps that left descent.
+    gens and coset are read as sets (diagram._norm_subset): their order
+    and repeats do not matter. coset = J keeps only the minimal
+    representatives of the cosets W_J x, the x with no left descent in
+    J. They are closed under prefixes, and by Deodhar's lemma an ascent
+    t of such an x leads out of them exactly when x t x^-1 lies in J,
+    that is when column t of x, the root x(e_t), is a unit column e_s
+    with s in J (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4);
+    the walk prunes those steps, and every element below them keeps
+    that left descent.
 
     The step rules are built once per system (_rules), and per walk,
     per descent mask it meets, the generators s that are ascents of x
@@ -833,9 +822,9 @@ def walk(
     ring = _ring(sys_)
     nd, rules, _ = _rules(sys_)
     if gens is not None:
-        keep_gens = set(_norm_gens(sys_, gens))
+        keep_gens = _norm_subset(sys_, gens)
         rules = [rule for rule in rules if rule[0] + 1 in keep_gens]
-    units = _coset_units(sys_, _norm_gens(sys_, coset)) if coset is not None else set()
+    units = _coset_units(sys_, _norm_subset(sys_, coset)) if coset is not None else set()
     # descent mask -> the rules whose s passes the inherited part of the
     # child test, built for the masks the walk meets
     candidates: dict = {}

@@ -19,6 +19,7 @@ simple roots and the roots of closures are key columns (group, roots).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import combinations
 
 from . import diagram as diagram_mod
 from . import group as group_mod
@@ -341,7 +342,7 @@ def parabolic_closure_finite(
     parabolic of the scope, whose members are listed in the order of
     walk(gens=J), and certified to contain the inputs.
     """
-    gens_t = group_mod._norm_gens(sys_, gens)
+    gens_t = _norm_subset(sys_, gens)
     if not is_spherical(sys_, gens_t):
         raise ValueError("parabolic closure here requires a finite scope")
     if not all(refl_mod._element_in_scope(sys_, w, gens_t) for w in elements):
@@ -370,7 +371,10 @@ def parabolic_closure_finite(
 def _match_standard(sys_, gens_t, chosen) -> tuple[GroupElement, frozenset[int]]:
     """The first scope element g, in breadth-first order, and the first
     subset J, by size then lexicographically, with g W_J g^{-1} equal to
-    the closure W' generated by the chosen reflections.
+    the closure W' generated by the chosen reflections. The scope gens_t
+    is sorted (diagram._norm_subset), so its combinations, size by size,
+    come in that order, and the answer does not depend on the order in
+    which the caller named the scope.
 
     g s_j g^{-1} is the reflection in the root g(e_j), column j of g,
     and the reflections of W', which fixes its common fixed space
@@ -390,12 +394,9 @@ def _match_standard(sys_, gens_t, chosen) -> tuple[GroupElement, frozenset[int]]
     for t in chosen:
         roots.add(t.root.key)
         roots.add((-t.root).key)
-    subsets: list[tuple[int, ...]] = [()]
-    for s in gens_t:
-        subsets += [sub + (s,) for sub in subsets]
-    subsets.sort(key=lambda t: (len(t), t))
     candidates = [
-        sub for sub in subsets if len(group_mod._longest(sys_, sub).word) == len(chosen)
+        sub for size in range(len(gens_t) + 1) for sub in combinations(gens_t, size)
+        if len(group_mod._longest(sys_, sub).word) == len(chosen)
     ]
     for sub in candidates:
         walked = group_mod.walk(sys_, gens=gens_t, coset=sub)

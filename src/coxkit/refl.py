@@ -195,7 +195,7 @@ def reflection_length(
     """Least number of reflections of the (finite) scope multiplying to w:
     rank(w - 1). In a larger system this equals the rank on the scope's
     own span, where the form is nondegenerate."""
-    gens_t = group_mod._norm_gens(sys_, gens)
+    gens_t = diagram_mod._norm_subset(sys_, gens)
     if not diagram_mod.is_spherical(sys_, gens_t):
         raise ValueError("reflection length requires a finite scope")
     if not _element_in_scope(sys_, w, gens_t):
@@ -258,7 +258,7 @@ def reduced_factorizations(
     length <= 6; the search tree over the reflection alphabet grows too
     fast beyond that.
     """
-    gens_t = group_mod._norm_gens(sys_, gens)
+    gens_t = diagram_mod._norm_subset(sys_, gens)
     if not diagram_mod.is_spherical(sys_, gens_t):
         raise ValueError("reduced factorizations require a finite scope")
     k = reflection_length(sys_, w, gens_t)
@@ -407,7 +407,7 @@ def parabolic_coxeter_check(
     W_{1,2} with l = 4 and l_T = 2, gives False. The identity passes via
     the empty parabolic.
     """
-    gens_t = group_mod._norm_gens(sys_, gens)
+    gens_t = diagram_mod._norm_subset(sys_, gens)
     if not diagram_mod.is_spherical(sys_, gens_t):
         raise ValueError("the parabolic Coxeter check requires a finite scope")
     if reflection_length(sys_, w, gens_t) != group_mod.length_and_reduced(w)[0]:

@@ -224,24 +224,22 @@ def is_outward_upto(
     w: GroupElement,
     root: Root,
     max_power: int = 10,
-    min_power: int = 1,
 ) -> bool:
     """Bounded certificate that the orbit of root escapes outward.
 
-    True when m * x(w^{-m} root) < 0 for every min_power <= |m| <= max_power,
+    True when m * x(w^{-m} root) < 0 for every 1 <= |m| <= max_power,
     x the all-ones functional, which unfolds to: x(w^p root) > 0 and
     x(w^{-p} root) < 0 for p in the window. A bounded check, so True is
     a certificate only up to the window, never a proof for all m.
     """
-    if not (1 <= min_power <= max_power):
+    if max_power < 1:
+        # the window starts at power 1; the text is what outward --max 0 prints
         raise ValueError("need 1 <= min_power <= max_power")
     winv = group_mod.inverse(w)
     vplus = vminus = root.key
     for p in range(1, max_power + 1):
         vplus = group_mod._image(w, vplus)
         vminus = group_mod._image(winv, vminus)
-        if p < min_power:
-            continue
         if _pairing_sign(w.system, vplus) <= 0 or _pairing_sign(w.system, vminus) >= 0:
             return False
     return True

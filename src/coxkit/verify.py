@@ -119,11 +119,12 @@ def commutes(a: GroupElement, b: GroupElement) -> bool:
     """
     if a.system is not b.system and a.system != b.system:
         raise ValueError("elements of different systems cannot be compared")
-    key = a.key
-    nd = len(key) // a.system.rank
+    n = a.system.rank
+    nd = n * group_mod._ring(a.system).degree
     return all(
-        group_mod._image(a, b.key[j:j + nd]) == group_mod._image(b, key[j:j + nd])
-        for j in range(0, len(key), nd)
+        group_mod._image(a, b.key[j * nd:(j + 1) * nd])
+        == group_mod._image(b, a.key[j * nd:(j + 1) * nd])
+        for j in range(n)
     )
 
 

@@ -315,6 +315,35 @@ def test_exit_inconclusive_on_cap(capsys):
     assert err.startswith("inconclusive:")
 
 
+# the positional arguments each subcommand takes on the trivial group
+_RANK_ZERO_ARGS = {"conj": ["{}", "{}"], "normalizer": ["{}"], "hurwitz": ["e"]}
+
+
+@pytest.fixture
+def rank_zero(tmp_path):
+    path = tmp_path / "rank0.cox"
+    path.write_text("rank 0\n")
+    return str(path)
+
+
+def test_rank_zero_golden(capsys, rank_zero):
+    for argv, expected in (
+        (["straight", "e"], "straight up to 10: yes\n"),
+        (["closure", "e"], "order: 1\nstandard: {}\nconjugator: e\n"),
+        (["outward"], "count: 0\n"),
+    ):
+        assert run(capsys, *argv, "--diagram", rank_zero) == (0, expected, "")
+
+
+@pytest.mark.parametrize("command", list(cli._DISPATCH))
+def test_rank_zero_every_subcommand_answers(capsys, rank_zero, command):
+    # an exception would escape main and fail the test
+    args = ["e"] if command in cli._WORD_COMMANDS else _RANK_ZERO_ARGS.get(command, [])
+    code, _, err = run(capsys, command, *args, "--diagram", rank_zero)
+    assert code in (0, 1)
+    assert "Traceback" not in err
+
+
 def test_error_stream_separation(capsys):
     code, out, err = run(capsys, "classify")
     assert code == 1

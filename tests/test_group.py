@@ -40,6 +40,7 @@ from coxkit.group import (
     order_upto,
     parse_word,
     power,
+    power_window,
     walk,
     word_str,
 )
@@ -182,6 +183,15 @@ def test_ball_gen_order_invariance():
     b1 = ball(d4t, 3)
     b2_ = ball(d4t, 3, gens=(5, 4, 3, 2, 1))
     assert set(b1.members) == set(b2_.members)
+
+
+def test_ball_memo_key_ignores_order_and_repeats():
+    b3 = diagram.parse_system(corpus.read_text("b3"))
+    first = ball(b3, 3, gens=(1, 2))
+    entries = len(b3._cache)
+    assert ball(b3, 3, gens=(1, 1, 2)) is first
+    assert ball(b3, 3, gens=(2, 1)) is first
+    assert len(b3._cache) == entries
 
 
 def test_length_changes_by_one_under_right_multiplication():
@@ -390,6 +400,14 @@ def test_rank_zero_and_one():
     a1 = corpus.load("a1")
     assert len(enumerate_group(a1)) == 2
     assert length_and_reduced(from_word(a1, (1, 1, 1)))[0] == 1
+
+
+def test_rank_zero_products():
+    # keys of the trivial group are empty: no column to loop over
+    e = identity(diagram.parse_system("rank 0\n"))
+    assert multiply(e, e).key == ()
+    assert is_straight_upto(e, 10)
+    assert list(power_window(e, 5)) == [()]
 
 
 # ----------------------------------------------------------- property checks

@@ -6,6 +6,7 @@ diagram-automorphism compositions, and closures against element
 counts of independently enumerated parabolics.
 """
 
+import itertools
 import random
 
 import pytest
@@ -408,6 +409,25 @@ def test_closure_match_by_roots_picks_the_first_conjugator(name):
         cl = parabolic.parabolic_closure_finite(sys_, [w])
         expected = _first_conjugator_by_products(sys_, gens, cl.members)
         assert (cl.conjugator.word, cl.standard) == expected, w
+
+
+@pytest.mark.parametrize("name", ["a3", "a4", "b4", "h3"])
+def test_closure_does_not_depend_on_the_order_of_the_scope(name):
+    # on a4 the closure of 3 4 2 3 1 once matched {1,2,4} with conjugator
+    # 3 under the scope (1, 2, 3, 4), but {1,3,4} with 4 2 3 1 2 under
+    # (1, 3, 4, 2)
+    sys_ = corpus.load(name)
+    scope = tuple(range(1, sys_.rank + 1))
+    words = [w.word for w in group.enumerate_group(sys_).elements()[::37]]
+    if name == "a4":
+        words.append((3, 4, 2, 3, 1))
+    for word in words:
+        w = group.from_word(sys_, word)
+        cl = parabolic.parabolic_closure_finite(sys_, [w], gens=scope)
+        expected = (cl.standard, cl.conjugator.word, list(cl.members))
+        for perm in itertools.permutations(scope):
+            cl = parabolic.parabolic_closure_finite(sys_, [w], gens=perm)
+            assert (cl.standard, cl.conjugator.word, list(cl.members)) == expected, (word, perm)
 
 
 def test_closure_match_forms_no_inverse_and_no_product(monkeypatch):

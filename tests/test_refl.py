@@ -459,6 +459,15 @@ def test_parabolic_coxeter_check():
     assert parabolic_coxeter_check(a3, conj)
 
 
+def test_parabolic_coxeter_check_keys_its_memo_by_the_scope_as_a_set():
+    b3 = diagram.parse_system(corpus.read_text("b3"))
+    w = from_word(b3, (1, 2))
+    assert parabolic_coxeter_check(b3, w, gens=(1, 2))
+    entries = len(b3._cache)
+    assert parabolic_coxeter_check(b3, w, gens=(2, 1))
+    assert len(b3._cache) == entries
+
+
 # ---------------------------------------- ambient factorizations, affine D4
 
 def test_ambient_reduced_factorizations_stay_in_the_finite_parabolic():
