@@ -81,14 +81,16 @@ once per system, and each walk builds, per descent mask it meets, the
 generators that pass the part of the child test the mask alone decides.
 The walk of JW prunes the steps that leave it by Deodhar's test (walk).
 
-Every enumeration of group elements runs on walk(). ball() and
-enumerate_group() view it as a set in breadth-first (shortlex) order:
-_bfs carries the key of each x^-1 along the walk (_inverses), gives it
-the word of x reversed, its lexicographically least reduced word, and
-sorts by length, then that word. Hurwitz orbits, subgroup closures
-and the conjugacy-graph spanning tree run through closure(): it dedups
-by key, checks the cap before each insert and records one parent link
-per member, so callers derive distances and tree paths from the links.
+Every enumeration of group elements runs on walk(). Breadth-first
+(shortlex) order, which ball() and enumerate_group() view it in, is
+_ball_order: the key of each x^-1 carried along the walk (_left_keys),
+the word of x reversed, its lexicographically least reduced word, sorted
+by length, then that word. Conjugation along a walk is _conjugates: the
+key of u^-1 w u, one column and one row step per element. Hurwitz
+orbits, subgroup closures and the conjugacy-graph spanning tree run
+through closure(): it dedups by key, checks the cap before each insert
+and records one parent link per member, so callers derive distances and
+tree paths from the links.
 The longest element w_J of a finite standard parabolic comes from one
 memoized greedy ascent (_longest), the mirror of the descent walk: its
 length is N_J, the number of reflections of W_J, and the prefix roots
@@ -714,14 +716,9 @@ def _bfs(
     radius: int | None,
     cap: int,
 ) -> Ball:
-    """The ball as a view of the walk: the inverse of each element of
-    walk(gens), carrying the walked word reversed, its lexicographically
-    least reduced word, sorted by length, then that word. The parent of
-    an element is its word without the last letter."""
-    found = sorted(
-        (inv for _, inv in _inverses(sys_, walk(sys_, radius, cap, gens))),
-        key=lambda w: (len(w.word), w.word),
-    )
+    """The ball as a view of the walk, in its order (_ball_order). The
+    parent of an element is its word without the last letter."""
+    found = _ball_order(sys_, walk(sys_, radius, cap, gens))
     members = {w.key: w for w in found}
     keys = {w.word: w.key for w in found}
     parent = {w.key: (keys[w.word[:-1]], w.word[-1]) if w.word else None for w in found}
@@ -891,11 +888,30 @@ def _left_keys(
     return _carry(elements, start, lambda key, s: _left_key(sys_, key, s))
 
 
-def _inverses(sys_: CoxeterSystem, elements: Iterable[GroupElement]) -> Iterator[tuple]:
-    """Each element x of a walk, paired with x^-1 carrying the word of x
-    reversed, built from the key _left_keys carries."""
-    for x, key in _left_keys(sys_, elements, identity(sys_).key):
-        yield x, GroupElement(sys_, key, x.word[::-1])
+def _ball_order(sys_: CoxeterSystem, elements: Iterable[GroupElement]) -> list[GroupElement]:
+    """The inverses of a walk's elements in breadth-first (shortlex)
+    order: by length, then by word. Each x^-1 carries the walked word of
+    x reversed, its lexicographically least reduced word, and its key
+    from _left_keys."""
+    return sorted(
+        (GroupElement(sys_, key, x.word[::-1])
+         for x, key in _left_keys(sys_, elements, identity(sys_).key)),
+        key=lambda w: (len(w.word), w.word),
+    )
+
+
+def _conjugate_key(sys_: CoxeterSystem, key: Key, s: int) -> Key:
+    """The key of s x s from the key of x: a column operation and a row
+    operation."""
+    return _left_key(sys_, _right_key(sys_, key, s), s)
+
+
+def _conjugates(
+    sys_: CoxeterSystem, elements: Iterable[GroupElement], w: GroupElement
+) -> Iterator[tuple]:
+    """Each element u of a walk, with the key of u^-1 w u, carried from
+    the parent u' = u s (_carry): u^-1 w u = s (u'^-1 w u') s."""
+    return _carry(elements, w.key, lambda key, s: _conjugate_key(sys_, key, s))
 
 
 def _series_inverse(a: Sequence[int], degree: int) -> list[int]:

@@ -388,7 +388,8 @@ def _match_standard(sys_, gens_t, chosen) -> tuple[GroupElement, frozenset[int]]
 
     The g that qualify for J are unions of cosets g W_J, so the first is
     d^{-1} for a d with no left descent in J, visited by the walk with
-    coset=J; its least word is the word of d reversed (group._bfs).
+    coset=J, and the first in breadth-first order is the first of
+    group._ball_order.
     """
     roots = set()
     for t in chosen:
@@ -400,13 +401,9 @@ def _match_standard(sys_, gens_t, chosen) -> tuple[GroupElement, frozenset[int]]
     ]
     for sub in candidates:
         walked = group_mod.walk(sys_, gens=gens_t, coset=sub)
-        hits = [
-            g for _, g in group_mod._inverses(sys_, walked)
-            if all(group_mod._column(g, j) in roots for j in sub)
-        ]
-        if hits:
-            g = min(hits, key=lambda g: (len(g.word), g.word))
-            return group_mod.canonical(g), frozenset(sub)
+        for g in group_mod._ball_order(sys_, walked):
+            if all(group_mod._column(g, j) in roots for j in sub):
+                return group_mod.canonical(g), frozenset(sub)
     raise InvariantViolation("closure is not conjugate to any standard parabolic")
 
 
@@ -431,16 +428,12 @@ def essentiality_refute(
     w: GroupElement,
     radius: int = 4,
 ) -> EssentialityProbe:
-    """The first x of the ball, in breadth-first order (group._bfs),
-    whose conjugate x^{-1} w x misses a generator."""
+    """The first x of the ball, in breadth-first order
+    (group._ball_order), whose conjugate x^{-1} w x misses a generator."""
     full = frozenset(range(1, sys_.rank + 1))
-    hits = []
-    for z, x in group_mod._inverses(sys_, group_mod.walk(sys_, radius)):
-        conj = group_mod.multiply(group_mod.multiply(z, w), x)
+    for x in group_mod._ball_order(sys_, group_mod.walk(sys_, radius)):
+        conj = group_mod.multiply(group_mod.multiply(group_mod.inverse(x), w), x)
         support = frozenset(group_mod.length_and_reduced(conj)[1])
         if support != full:
-            hits.append((len(x.word), x.word, x, support))
-    if not hits:
-        return EssentialityProbe(False, radius)
-    _, _, x, support = min(hits, key=lambda hit: hit[:2])
-    return EssentialityProbe(True, radius, x, support)
+            return EssentialityProbe(True, radius, x, support)
+    return EssentialityProbe(False, radius)

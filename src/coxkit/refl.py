@@ -99,14 +99,8 @@ def reflections_of(
             Reflection(roots_mod.reflection_of_root(sys_, alpha), alpha)
             for alpha in roots_mod.positive_roots(sys_, gens_t)
         )))
-    found: list[Reflection] = []
-    for w in group_mod.walk(sys_, depth, gens=gens_t):
-        root = _flipped_root(w)
-        if root is not None:
-            # an involution: its walked word reversed is its ball word (_bfs)
-            found.append(Reflection(GroupElement(sys_, w.key, w.word[::-1]), root))
-    found.sort(key=lambda t: (len(t.element.word), t.element.word))
-    return found
+    ball = group_mod._ball_order(sys_, group_mod.walk(sys_, depth, gens=gens_t))
+    return [Reflection(w, root) for w in ball if (root := _flipped_root(w)) is not None]
 
 
 def _flipped_root(w: GroupElement) -> Root | None:
@@ -413,10 +407,8 @@ def parabolic_coxeter_check(
     if reflection_length(sys_, w, gens_t) != group_mod.length_and_reduced(w)[0]:
         return False
     coxset = _standard_coxeter_keys(sys_, gens_t)
-    for g, ginv in group_mod._inverses(sys_, group_mod.walk(sys_, gens=gens_t)):
-        if group_mod.multiply(group_mod.multiply(g, w), ginv).key in coxset:
-            return True
-    return False
+    walked = group_mod.walk(sys_, gens=gens_t)
+    return any(key in coxset for _, key in group_mod._conjugates(sys_, walked, w))
 
 
 def _standard_coxeter_keys(sys_: CoxeterSystem, gens_t: tuple[int, ...]) -> frozenset:

@@ -249,20 +249,17 @@ def outward_representatives(
     w: GroupElement,
     max_power: int = 10,
     orbit_bound: int = 10,
-    straight_bound: int = 10,
 ) -> list[Root]:
     """The l(w) outward-orbit representatives beta_1..beta_l for straight w.
 
-    Probes straightness up to straight_bound and rejects failures; then
+    Probes straightness up to power 10 and rejects failures; then
     certifies each beta_i outward over the power window and certifies the
     orbits w^k beta_i pairwise disjoint for |k| <= orbit_bound. Those two
     certificates failing would contradict the theory for a straight
     element, so failures raise InvariantViolation.
     """
-    if not group_mod.is_straight_upto(w, straight_bound):
-        raise ValueError(
-            f"element fails the straightness probe up to power {straight_bound}"
-        )
+    if not group_mod.is_straight_upto(w, 10):
+        raise ValueError("element fails the straightness probe up to power 10")
     betas = beta_sequence(w)
     for beta in betas:
         if not is_outward_upto(w, beta, max_power=max_power):

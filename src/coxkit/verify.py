@@ -157,9 +157,6 @@ class CentralizerReport(Record):
     method: str | None = None
     held: int | None = None
 
-    def counterexamples(self) -> list[CentralizerEntry]:
-        return [e for e in self.entries if e.status != "ok"]
-
     def summary_line(self) -> str:
         if self.mode == "finite-exhaustive":
             if self.theorem_consistent:
@@ -299,18 +296,6 @@ def _staged(elements: Iterator[GroupElement], stage: str) -> Iterator[GroupEleme
         raise ResourceLimitError(f"{exc} in {stage}") from None
 
 
-def _conjugate_step(sys_: CoxeterSystem, key: tuple, s: int) -> tuple:
-    """The key of s x s from the key of x: a column operation and a row
-    operation."""
-    return group_mod._left_key(sys_, group_mod._right_key(sys_, key, s), s)
-
-
-def _conjugated(sys_: CoxeterSystem, c: GroupElement, elements: Iterator[GroupElement]):
-    """Each element u of a walk, with the key of u^-1 c u, carried from
-    the parent u' = u s (group._carry): u^-1 c u = s (u'^-1 c u') s."""
-    return group_mod._carry(elements, c.key, lambda key, s: _conjugate_step(sys_, key, s))
-
-
 def _join(
     sys_: CoxeterSystem, c: GroupElement, j: tuple[int, ...], radius: int | None = None
 ) -> tuple[int, list[GroupElement], int]:
@@ -325,20 +310,21 @@ def _join(
     peak number of elements held; _meet returns the same triple.
 
     The table side walks W_J, within the ball, carrying the key of
-    u^-1 c u (_conjugated), and hashes each u by its first column. The
-    streamed side walks JW, within the ball, carrying the key of d^-1
-    (group._left_keys), and looks up the first column of d c d^-1,
-    d (c (d^-1 e_1)): two matrix-vector products. A hit is compared
-    with the rest of d c d^-1 one column at a time (_is_conjugate),
-    stopping at the first that differs, and only a full match with
-    l(u) + l(d) <= radius forms g = u d and calls commutes. The table
-    is what is held; each walk is capped on its own.
+    u^-1 c u (group._conjugates), and hashes each u by its first
+    column. The streamed side walks JW, within the ball, carrying the
+    key of d^-1 (group._left_keys), and looks up the first column of
+    d c d^-1, d (c (d^-1 e_1)): two matrix-vector products. A hit is
+    compared with the rest of d c d^-1 one column at a time
+    (_is_conjugate), stopping at the first that differs, and only a
+    full match with l(u) + l(d) <= radius forms g = u d and calls
+    commutes. The table is what is held; each walk is capped on its
+    own.
     """
     nd = len(c.key) // sys_.rank
     table: dict = {}
     lengths: list[int] = []
     walked = group_mod.walk(sys_, radius, gens=j)
-    for u, conj in _conjugated(sys_, c, _staged(walked, "the walk of W_J")):
+    for u, conj in group_mod._conjugates(sys_, _staged(walked, "the walk of W_J"), c):
         depth = len(u.word)
         if depth == len(lengths):
             lengths.append(0)
@@ -410,7 +396,7 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[
 
     def step(pair, s):
         conj, zinv = pair
-        return _conjugate_step(sys_, conj, s), group_mod._left_key(sys_, zinv, s)
+        return group_mod._conjugate_key(sys_, conj, s), group_mod._left_key(sys_, zinv, s)
 
     walked = _staged(group_mod.walk(sys_, half), "the walk of the half ball")
     e = group_mod.identity(sys_)
@@ -531,7 +517,7 @@ def beta_trace(
     each s_{beta_i} as c times the reversed reduced word of c with the
     i-th letter struck, an exact identity behind the trace.
     """
-    if g.system is not c.system:
+    if g.system != c.system:
         raise ValueError("elements live in different systems")
     if not commutes(g, c):
         raise ValueError("the traced element must centralize c")
@@ -613,11 +599,13 @@ def verify_example_d4tilde() -> ExampleReport:
     wp = (2, 3, 4, 5)
     clauses: list[ExampleClause] = []
 
-    sub = list(group_mod._inverses(sys_, group_mod.walk(sys_, gens=wp)))
-    order_wp = len(sub)
+    # one walk of W' gives its order and the conjugates u^-1 v u
+    v = group_mod.from_word(sys_, (4, 3, 4, 5, 3, 2))
+    walked = group_mod.walk(sys_, gens=wp)
+    conjugates = [key for _, key in group_mod._conjugates(sys_, walked, v)]
+    order_wp = len(conjugates)
     _push_clause(clauses, "a", order_wp == 192, f"|W'|={order_wp}")
 
-    v = group_mod.from_word(sys_, (4, 3, 4, 5, 3, 2))
     lt = refl_mod.reflection_length(sys_, v, gens=wp)
     facts = refl_mod.reduced_factorizations(sys_, v, gens=wp)
     quasi = any(
@@ -626,10 +614,7 @@ def verify_example_d4tilde() -> ExampleReport:
     cox_keys = {
         group_mod.from_word(sys_, p).key for p in itertools.permutations(wp)
     }
-    is_cox = any(
-        group_mod.multiply(group_mod.multiply(x, v), xinv).key in cox_keys
-        for x, xinv in sub
-    )
+    is_cox = not cox_keys.isdisjoint(conjugates)
     _push_clause(
         clauses,
         "b",

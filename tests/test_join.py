@@ -188,7 +188,7 @@ def test_h4_join_multiplies_only_at_the_matches(monkeypatch):
     # the first column alone hits more often than the whole conjugate
     # matches, so the hits the join compared were not all matches
     nd = len(c.key) // h4.rank
-    table = {conj for _, conj in verify._conjugated(h4, c, group_mod.walk(h4, gens=j))}
+    table = {conj for _, conj in group_mod._conjugates(h4, group_mod.walk(h4, gens=j), c)}
     firsts = {conj[:nd] for conj in table}
     hits = matches = 0
     for d in group_mod.walk(h4, coset=j):

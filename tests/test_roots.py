@@ -313,7 +313,7 @@ def test_outward_rejects_non_straight():
 def test_outward_representatives_affine_triangle():
     a2t = corpus.load("a2t")
     c = coxeter_element(a2t)
-    reps = outward_representatives(c, max_power=6, orbit_bound=6, straight_bound=6)
+    reps = outward_representatives(c, max_power=6, orbit_bound=6)
     assert len(reps) == 3
     for b in reps:
         assert b.positive

@@ -313,6 +313,21 @@ def test_beta_trace_requires_centralizing_element():
         verify.beta_trace(group.identity(other), c)
 
 
+def test_beta_trace_compares_systems_by_value():
+    # as commutes does: an equal system parsed again is the same system
+    sys_ = corpus.load("a2t")
+    twin = diagram.parse_system(corpus.read_text("a2t"))
+    assert twin is not sys_ and twin == sys_
+    c = group.coxeter_element(sys_)
+    g = power(None, group.coxeter_element(twin), 2)
+    assert verify.commutes(g, c)
+    expected = verify.beta_trace(power(None, c, 2), c).text_lines()
+    assert verify.beta_trace(g, c).text_lines() == expected
+    assert expected[-1] == "constant-m: 2"
+    with pytest.raises(ValueError, match="elements live in different systems"):
+        verify.beta_trace(group.identity(corpus.load("d4t")), c)
+
+
 def test_beta_trace_on_all_ball_centralizers():
     # the proof mechanism: every centralizing g traces with one constant
     # exponent m and is that power of c

@@ -267,6 +267,23 @@ def test_walk_mutants_are_caught(mutant, monkeypatch):
         assert layers != expected, name
 
 
+@pytest.mark.parametrize("name", corpus.names())
+def test_conjugates_carry_matches_products(name):
+    """The key group._conjugates carries at u is that of u^-1 w u, for w
+    the Coxeter element, a generator and a seeded random word, over the
+    whole of a finite group and the ball of radius 4 of an infinite one.
+    The reference is multiply: K = u^-1 w u exactly when u K = w u."""
+    sys_ = corpus.load(name)
+    rng = random.Random(name)
+    radius = None if name in corpus.FINITE else 4
+    word = [rng.randint(1, sys_.rank) for _ in range(6)]
+    for w in (group_mod.coxeter_element(sys_), group_mod.generator(sys_, sys_.rank),
+              group_mod.from_word(sys_, word)):
+        for u, key in group_mod._conjugates(sys_, group_mod.walk(sys_, radius), w):
+            conj = group_mod.GroupElement(sys_, key, ())
+            assert group_mod.multiply(u, conj).key == group_mod.multiply(w, u).key, u.word
+
+
 def test_walk_cap_names_depth_and_count():
     with pytest.raises(ResourceLimitError) as err:
         for _ in group_mod.walk(corpus.load("tri334"), 8, cap=10):
