@@ -100,7 +100,7 @@ def _reflection_from_word(sys_, letters) -> refl.Reflection:
         canonical = group.length_and_reduced(w)[1]
         raise UsageError(f"'{group.word_str(canonical)}' is not a reflection")
     # _flipped_root checked that w is the reflection through root
-    return refl.Reflection(group.canonical(w), root)
+    return refl._reflection(sys_, root)
 
 
 # ---------------------------------------------------------------- commands

@@ -3,13 +3,16 @@
 Every entry -cos(pi/m) of the bilinear form of a Coxeter system whose
 finite labels m all divide N lives in this field, as do all root
 coordinates and matrix entries downstream. Elements are stored as
-canonical residue polynomials in theta, so two elements are equal exactly
-when their coefficient vectors are equal. Signs of nonzero elements are
-decided in integers (Field.sign): theta lies in a dyadic enclosure
-[lo, hi] / 2^k, and integer bounds on the powers theta^e at that
-precision bound the value of a coefficient vector, the enclosure being
-halved until those bounds exclude 0. No floating point and no rational
-arithmetic enters a sign decision.
+canonical residue polynomials in theta, so two elements are equal
+exactly when their coefficient vectors are equal. One rule,
+Field._reduce, reduces every product: from the top, each nonzero
+c*theta^j with j >= d becomes c*theta^(j-d) times theta^d = -(c_0 + ...
++ c_(d-1) theta^(d-1)), integral because the minimal polynomial is
+monic. Signs of nonzero elements are decided in integers (Field.sign):
+theta lies in a dyadic enclosure [lo, hi] / 2^k, and integer bounds on
+the powers theta^e at that precision bound the value of a coefficient
+vector, the enclosure being halved until those bounds exclude 0. No
+floating point and no rational arithmetic enters a sign decision.
 
 The minimal polynomial of theta comes from the cyclotomic polynomial
 Phi_2N, the minimal polynomial of z = exp(i*pi/N), in integers only
@@ -175,8 +178,8 @@ def _theta_min_poly(n: int) -> tuple[int, ...]:
 class Field:
     """The real field Q(theta), theta = 2*cos(pi/N), in a canonical basis.
 
-    Instances are cheap views over N: the minimal polynomial, the integer
-    reduction table for high powers of theta, the enclosure
+    Instances are cheap views over N: the minimal polynomial, theta^d over
+    the power basis (_base), the enclosure
     _lo / 2^_k <= theta <= _hi / 2^_k in integers, refined in place, with
     the bounds on the powers of theta built from it (_powers). Obtain
     shared instances through create(), which caches per N so enclosure
@@ -184,7 +187,7 @@ class Field:
     """
 
     __slots__ = (
-        "N", "minpoly", "degree", "_reduction", "_lo", "_hi", "_k", "_powers",
+        "N", "minpoly", "degree", "_base", "_lo", "_hi", "_k", "_powers",
         "_zero", "_one", "_theta",
     )
 
@@ -195,17 +198,7 @@ class Field:
         self.minpoly = _theta_min_poly(n)
         self.degree = len(self.minpoly) - 1
         d = self.degree
-        # theta^(d+j) expressed over the power basis; integral because the
-        # minimal polynomial is monic with integer coefficients.
-        rows: list[tuple[int, ...]] = []
-        base = tuple(-c for c in self.minpoly[:-1])
-        rows.append(base)
-        for _ in range(d - 2):
-            prev = rows[-1]
-            shifted = (0,) + prev[:-1]
-            top = prev[-1]
-            rows.append(tuple(s + top * b for s, b in zip(shifted, base)))
-        self._reduction = tuple(rows)
+        self._base = tuple(-c for c in self.minpoly[:-1])
         if d == 1:
             self._lo = self._hi = -self.minpoly[0]
             self._k = 0
@@ -214,11 +207,7 @@ class Field:
         self._powers: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._zero = FieldElement(self, (0,) * d, 1)
         self._one = FieldElement(self, (1,) + (0,) * (d - 1), 1)
-        self._theta = (
-            self.from_rational(Fraction(-self.minpoly[0]))
-            if d == 1
-            else FieldElement(self, (0, 1) + (0,) * (d - 2), 1)
-        )
+        self._theta = self.from_int_coeffs((0, 1))
 
     # -- construction ------------------------------------------------------
 
@@ -241,9 +230,12 @@ class Field:
 
     def from_int_coeffs(self, coeffs: Iterable[int]) -> FieldElement:
         """Element given by an integer polynomial in theta of any degree."""
-        work = list(coeffs)
-        d = self.degree
-        base = self._reduction[0]
+        return FieldElement._make(self, self._reduce(list(coeffs)), 1)
+
+    def _reduce(self, work: list[int]) -> list[int]:
+        """The integer polynomial work in theta, low degree first, reduced
+        in place to its d power-basis coefficients by theta^d = _base."""
+        d, base = self.degree, self._base
         while len(work) > d:
             top = work.pop()
             if top:
@@ -251,7 +243,7 @@ class Field:
                 for i, r in enumerate(base):
                     work[off + i] += top * r
         work += [0] * (d - len(work))
-        return FieldElement._make(self, work, 1)
+        return work
 
     def element(self, coeffs: Sequence) -> FieldElement:
         """Element from rational coefficients over the power basis."""
@@ -268,12 +260,9 @@ class Field:
         """Rows of the integer matrix of multiplication by the algebraic
         integer with these power-basis coefficients: entry (k, l) is
         coefficient k of that element times theta^l."""
-        cols = [tuple(coeffs)]
-        base = self._reduction[0]
+        cols = [list(coeffs)]
         for _ in range(self.degree - 1):
-            prev = cols[-1]
-            top = prev[-1]
-            cols.append(tuple(s + top * b for s, b in zip((0,) + prev[:-1], base)))
+            cols.append(self._reduce([0] + cols[-1]))
         return tuple(zip(*cols))
 
     def two_cos(self, m: int) -> FieldElement:
@@ -476,14 +465,7 @@ class FieldElement:
                 for j, y in enumerate(b):
                     if y:
                         conv[i + j] += x * y
-        out = conv[:d]
-        for j in range(d, 2 * d - 1):
-            top = conv[j]
-            if top:
-                row = field._reduction[j - d]
-                for i, r in enumerate(row):
-                    out[i] += top * r
-        return FieldElement._make(field, out, self.den * o.den)
+        return FieldElement._make(field, field._reduce(conv), self.den * o.den)
 
     __rmul__ = __mul__
 

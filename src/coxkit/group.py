@@ -1007,10 +1007,7 @@ def power_window(w: GroupElement, bound: int, signed: bool = True) -> dict:
 
 
 def order_upto(w: GroupElement, max_power: int) -> int | None:
-    """The order of w if it is at most max_power, else None."""
-    p = w
-    for k in range(1, max_power + 1):
-        if p.is_identity():
-            return k
-        p = multiply(w, p)
-    return None
+    """The order of w if it is at most max_power, else None: the window
+    holds one key per power of w up to the order, or max_power + 1."""
+    n = len(power_window(w, max_power, signed=False))
+    return n if n <= max_power else None

@@ -95,12 +95,18 @@ def reflections_of(
                 "scope generates an infinite group; pass an explicit depth "
                 "for a ball-truncated reflection list"
             )
-        return list(sys_.memo(("reflections", gens_t), lambda: tuple(
-            Reflection(roots_mod.reflection_of_root(sys_, alpha), alpha)
-            for alpha in roots_mod.positive_roots(sys_, gens_t)
-        )))
+        return [_reflection(sys_, alpha) for alpha in roots_mod.positive_roots(sys_, gens_t)]
     ball = group_mod._ball_order(sys_, group_mod.walk(sys_, depth, gens=gens_t))
     return [Reflection(w, root) for w in ball if (root := _flipped_root(w)) is not None]
+
+
+def _reflection(sys_: CoxeterSystem, root: Root) -> Reflection:
+    """The reflection through the positive root, built once per root and
+    system."""
+    return sys_.memo(
+        ("reflection", root.key),
+        lambda: Reflection(roots_mod.reflection_of_root(sys_, root), root),
+    )
 
 
 def _flipped_root(w: GroupElement) -> Root | None:
@@ -288,15 +294,9 @@ def reduced_factorizations(
 # ------------------------------------------------------------- Hurwitz moves
 
 def _conjugate_reflection(sys_: CoxeterSystem, a: Reflection, b: Reflection) -> Reflection:
-    """The reflection a b a: the one of its positive root a(root_b), built
-    once per root and system."""
+    """The reflection a b a: the one of its positive root a(root_b)."""
     img = roots_mod.act(a.element, b.root)
-    if not img.positive:
-        img = -img
-    return sys_.memo(
-        ("reflection", img.key),
-        lambda: Reflection(roots_mod.reflection_of_root(sys_, img), img),
-    )
+    return _reflection(sys_, img if img.positive else -img)
 
 
 def _pair_product(a: Reflection, b: Reflection):

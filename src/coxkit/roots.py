@@ -258,6 +258,8 @@ def outward_representatives(
     certificates failing would contradict the theory for a straight
     element, so failures raise InvariantViolation.
     """
+    if orbit_bound < 1:
+        raise ValueError("orbit bound must be at least 1")
     if not group_mod.is_straight_upto(w, 10):
         raise ValueError("element fails the straightness probe up to power 10")
     betas = beta_sequence(w)

@@ -519,6 +519,8 @@ def beta_trace(
     """
     if g.system != c.system:
         raise ValueError("elements live in different systems")
+    if window < 0:
+        raise ValueError("window must be at least 0")
     if not commutes(g, c):
         raise ValueError("the traced element must centralize c")
     sys_ = c.system
@@ -533,21 +535,15 @@ def beta_trace(
             raise InvariantViolation(
                 f"reflection identity failed at position {i} of the coxeter word"
             )
-    powers = group_mod.power_window(c, window).values()
-    entries = []
-    for i, beta in enumerate(reps, start=1):
-        target = roots_mod.act(g, beta)
-        hit: tuple[int, int] | None = None
-        for m, wm in powers:
-            for j, rep in enumerate(reps, start=1):
-                if roots_mod.act(wm, rep).key == target.key:
-                    hit = (m, j)
-                    break
-            if hit is not None:
-                break
-        entries.append(
-            BetaTraceEntry(i, hit[0], hit[1]) if hit else BetaTraceEntry(i, None, None)
-        )
+    # the first (m, j) in the window's order for each root c^m beta_j
+    hits: dict[tuple, tuple[int, int]] = {}
+    for m, wm in group_mod.power_window(c, window).values():
+        for j, rep in enumerate(reps, start=1):
+            hits.setdefault(roots_mod.act(wm, rep).key, (m, j))
+    entries = [
+        BetaTraceEntry(i, *hits.get(roots_mod.act(g, beta).key, (None, None)))
+        for i, beta in enumerate(reps, start=1)
+    ]
     complete = all(e.m is not None for e in entries)
     ms = {e.m for e in entries}
     constant = entries[0].m if entries and complete and len(ms) == 1 else None

@@ -1,8 +1,9 @@
-"""Byte identity of the CLI over the corpus.
+"""Byte identity of the CLI over the corpus, the worked example and the demos.
 
 A fixed matrix of subcommands runs in process on all 21 corpus
-systems; each run's stdout, stderr and exit code are hashed together
-and compared with cli_digests.json. A refactor that must not change
+systems, as do `example-d4tilde` and the five demos (through runpy);
+each run's stdout, stderr and exit code are hashed together and
+compared with cli_digests.json. A refactor that must not change
 output keeps every digest. A deliberate output change regenerates the
 file with `PYTHONPATH=src python tests/test_cli_digests.py` and says
 why in its change log.
@@ -14,6 +15,8 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from coxkit import corpus
 from coxkit.cli import main
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def _matrix() -> list[tuple[str, tuple[str, ...]]]:
@@ -46,26 +50,58 @@ def _matrix() -> list[tuple[str, tuple[str, ...]]]:
     return runs
 
 
-def _digest(name: str, argv: tuple[str, ...]) -> str:
-    path = str(resources.files("coxkit.data") / f"{name}.cox")
+def _digest(run) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, "--diagram", path])
+        code = run()
     blob = f"{out.getvalue()}\0{err.getvalue()}\0{code}"
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _label(name: str, argv: tuple[str, ...]) -> str:
-    return f"{name}: {' '.join(argv)}"
+def _run_demo(path: Path) -> int:
+    try:
+        runpy.run_path(str(path), run_name="__main__")
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+def _corpus_runs() -> dict:
+    """label -> a call returning the exit code, for the matrix."""
+    runs = {}
+    for name, argv in _matrix():
+        path = str(resources.files("coxkit.data") / f"{name}.cox")
+        runs[f"{name}: {' '.join(argv)}"] = partial(main, [*argv, "--diagram", path])
+    return runs
+
+
+def _example_and_demo_runs() -> dict:
+    runs = {"example-d4tilde": partial(main, ["example-d4tilde"])}
+    for path in sorted(DEMOS.glob("*.py")):
+        runs[f"demo: {path.stem}"] = partial(_run_demo, path)
+    return runs
+
+
+def _changed(runs: dict) -> list[str]:
+    expected = json.loads(DIGESTS.read_text())
+    return [label for label, run in runs.items() if _digest(run) != expected[label]]
 
 
 def test_cli_output_is_byte_identical_over_the_corpus():
+    runs = _corpus_runs()
     expected = json.loads(DIGESTS.read_text())
-    runs = _matrix()
-    assert sorted(expected) == sorted(_label(*run) for run in runs)
-    changed = [_label(*run) for run in runs if _digest(*run) != expected[_label(*run)]]
+    assert sorted(expected) == sorted({**runs, **_example_and_demo_runs()})
+    changed = _changed(runs)
     assert not changed, f"{len(changed)} of {len(runs)} runs changed: {changed[:10]}"
 
 
+def test_example_and_demo_output_is_byte_identical():
+    runs = _example_and_demo_runs()
+    assert len(runs) == 6
+    changed = _changed(runs)
+    assert not changed, f"{len(changed)} of {len(runs)} runs changed: {changed}"
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps({_label(*run): _digest(*run) for run in _matrix()}, indent=1) + "\n")
+    runs = {**_corpus_runs(), **_example_and_demo_runs()}
+    DIGESTS.write_text(json.dumps({label: _digest(run) for label, run in runs.items()}, indent=1) + "\n")

@@ -468,6 +468,75 @@ def test_inverse_matches_extended_euclid_reference():
                 assert x.inverse() == ref_inverse(x), (n, x)
 
 
+# ------------------------------------------- reference: reduction mod minpoly
+# The field's product before every reduction went through Field._reduce: a
+# table of theta^(d+j), j < d - 1, over the power basis, one row per high
+# term of the convolution; and its from_int_coeffs, which eliminated the
+# top term against theta^d until d coefficients were left.
+
+def ref_reduction_rows(minpoly):
+    base = tuple(-c for c in minpoly[:-1])
+    rows = [base]
+    for _ in range(len(base) - 2):
+        prev = rows[-1]
+        rows.append(tuple(s + prev[-1] * b for s, b in zip((0,) + prev[:-1], base)))
+    return rows
+
+
+def ref_mul(minpoly, a, b):
+    d = len(minpoly) - 1
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    out = conv[:d]
+    rows = ref_reduction_rows(minpoly)
+    for j in range(d, 2 * d - 1):
+        if conv[j]:
+            for i, r in enumerate(rows[j - d]):
+                out[i] += conv[j] * r
+    return out
+
+
+def ref_from_int_coeffs(minpoly, coeffs):
+    work = list(coeffs)
+    d = len(minpoly) - 1
+    base = [-c for c in minpoly[:-1]]
+    while len(work) > d:
+        top = work.pop()
+        if top:
+            off = len(work) - d
+            for i, r in enumerate(base):
+                work[off + i] += top * r
+    return work + [0] * (d - len(work))
+
+
+def _sparse_ints(rng, length):
+    return [rng.choice((0, 0, rng.randint(-40, 40))) for _ in range(length)]
+
+
+def test_reduction_matches_table_and_elimination_references():
+    rng = random.Random(29)
+    for n in range(1, 31):
+        f = create(n)
+        d, minpoly = f.degree, f.minpoly
+        assert list(f.theta.num) == ref_from_int_coeffs(minpoly, [0, 1]), n
+        if d == 1:
+            assert f.theta == -minpoly[0]
+        for _ in range(20):
+            a, b = _sparse_ints(rng, d), _sparse_ints(rng, d)
+            product = FieldElement._make(f, a, 1) * FieldElement._make(f, b, 1)
+            assert list(product.num) == ref_mul(minpoly, a, b), (n, a, b)
+            poly = _sparse_ints(rng, rng.randint(0, 3 * d + 1))
+            assert list(f.from_int_coeffs(poly).num) == ref_from_int_coeffs(minpoly, poly)
+            cols = list(zip(*f.mul_matrix(a)))
+            assert len(cols) == d
+            for l, col in enumerate(cols):
+                assert list(col) == ref_from_int_coeffs(minpoly, [0] * l + a), (n, a, l)
+
+
 def test_sign_exact_cases():
     f4 = create(4)
     assert (f4.theta - f4.one).sign() == 1                      # sqrt2 > 1

@@ -133,6 +133,22 @@ def test_inverse_and_power():
     assert order_upto(generator(a2, 1), 10) == 2
 
 
+COXETER_NUMBERS = {
+    "a1": 2, "a2": 3, "a3": 4, "a4": 5, "b2": 4, "b3": 6, "b4": 8, "d4": 6,
+    "f4": 12, "h3": 10, "h4": 30, "i2_5": 5, "i2_6": 6, "i2_7": 7, "i2_8": 8,
+}
+
+
+def test_order_of_coxeter_element_is_the_coxeter_number():
+    # the textbook Coxeter numbers, independent of the power window
+    assert sorted(COXETER_NUMBERS) == sorted(corpus.FINITE)
+    for name, h in COXETER_NUMBERS.items():
+        c = coxeter_element(corpus.load(name))
+        assert order_upto(c, h) == order_upto(c, 4 * h) == h, name
+        assert order_upto(c, h - 1) is None, name
+        assert order_upto(c, 0) is None, name
+
+
 def test_apply_matrix_action():
     a2 = corpus.load("a2")
     f = a2.field

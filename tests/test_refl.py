@@ -383,6 +383,21 @@ def test_hurwitz_orbit_is_all_reduced_factorizations():
         assert {f.key for f in orbit} == {f.key for f in facts}
 
 
+def test_one_reflection_object_per_root():
+    # the finite list, the Hurwitz conjugates and the CLI's parser hand out
+    # the same object for a root, and with it one product cache
+    b3 = corpus.load("b3")
+    refs = reflections_of(b3)
+    by_root = {t.root.key: t for t in refs}
+    assert len(by_root) == len(refs) == 9
+    for a in refs:
+        for b in refs:
+            t = refl._conjugate_reflection(b3, a, b)
+            assert by_root[t.root.key] is t
+    for t in refs:
+        assert cli._reflection_from_word(b3, t.element.word) is t
+
+
 def test_hurwitz_orbit_builds_each_reflection_once(monkeypatch):
     b3 = diagram.parse_system(corpus.read_text("b3"))
     c = from_word(b3, (1, 2, 3))

@@ -319,6 +319,14 @@ def test_outward_representatives_affine_triangle():
         assert b.positive
 
 
+def test_outward_representatives_reject_empty_orbit_window():
+    # a bound below 1 would certify orbit disjointness over no powers
+    c = coxeter_element(corpus.load("a2t"))
+    for bound in (0, -1, -5):
+        with pytest.raises(ValueError, match="orbit bound must be at least 1"):
+            outward_representatives(c, orbit_bound=bound)
+
+
 def test_root_str_forms():
     a2 = corpus.load("a2")
     assert root_str(simple_root(a2, 1)) == "(1, 0)"

@@ -303,6 +303,41 @@ def test_beta_trace_window_exhaustion_is_flagged():
     assert "not-found-in-window" in trace.entries[0].line()
 
 
+def test_beta_trace_rejects_negative_window():
+    sys_ = corpus.load("a1t")
+    c = group.coxeter_element(sys_)
+    with pytest.raises(ValueError, match="window must be at least 0"):
+        verify.beta_trace(c, c, window=-3)
+    trace = verify.beta_trace(group.identity(sys_), c, window=0)
+    assert trace.window == 0 and trace.constant_m == 0
+    assert not verify.beta_trace(c, c, window=0).complete
+
+
+def _search_trace(g, c, window, reps):
+    """The hits of beta_trace by the search it replaced: for each beta_i,
+    the first (m, j) in window order with g(beta_i) = c^m(beta_j)."""
+    powers = group.power_window(c, window).values()
+    hits = []
+    for beta in reps:
+        target = roots.act(g, beta).key
+        hits.append(next(((m, j) for m, wm in powers for j, rep in enumerate(reps, start=1)
+                          if roots.act(wm, rep).key == target), (None, None)))
+    return hits
+
+
+def test_beta_trace_table_matches_search():
+    for name in ("a1t", "a2t", "d4t"):
+        sys_ = corpus.load(name)
+        c = group.coxeter_element(sys_)
+        reps = roots.outward_representatives(c)
+        for k in (0, 1, -2, 3):
+            g = power(None, c, k)
+            for window in (0, 1, 2, 4):
+                trace = verify.beta_trace(g, c, window=window, reps=reps)
+                got = [(e.m, e.j) for e in trace.entries]
+                assert got == _search_trace(g, c, window, reps), (name, k, window)
+
+
 def test_beta_trace_requires_centralizing_element():
     sys_ = corpus.load("a1t")
     c = group.coxeter_element(sys_)
