@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from . import field as field_mod
 from .errors import DiagramParseError
@@ -93,18 +92,12 @@ class CoxeterSystem:
                 if rows[i][j] != INFINITY:
                     nn = math.lcm(nn, int(rows[i][j]))
         self.field = field_mod.create(nn)
-        minus_half = Fraction(-1, 2)
-        gram = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                m = rows[i][j]
-                if m == INFINITY:
-                    row.append(self.field.from_rational(-1))
-                else:
-                    row.append(self.field.two_cos(int(m)) * minus_half)
-            gram.append(tuple(row))
-        self.gram = tuple(gram)
+        # -cos(pi/m) = -(2 cos(pi/m)) / 2, and -1 for an infinite label
+        f = self.field
+        self.gram = tuple(tuple(
+            -f.one if m == INFINITY
+            else field_mod.FieldElement._make(f, [-c for c in f.two_cos(int(m)).num], 2)
+            for m in row) for row in rows)
         self.parent = parent
         self.parent_indices = parent_indices
         self._cache: dict = {}

@@ -29,10 +29,10 @@ arithmetic.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import FieldMismatchError, InvariantViolation
@@ -73,10 +73,6 @@ def _trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_deriv(a: Sequence[int]) -> list[int]:
-    return [i * c for i, c in enumerate(a)][1:]
 
 
 def _divide_monic(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -128,7 +124,7 @@ def _sturm_chain(p: Sequence[int]) -> list[list[int]]:
     taken as a positive multiple with its content divided out, so the
     members stay integer polynomials and every sign along the chain is
     that of the rational chain."""
-    chain = [list(p), _poly_deriv(p)]
+    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
     while True:
         rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
@@ -225,7 +221,9 @@ class Field:
         return self._theta
 
     def from_rational(self, q) -> FieldElement:
-        q = Fraction(q)
+        if not isinstance(q, int):
+            from fractions import Fraction
+            q = Fraction(q)
         return FieldElement._make(self, [q.numerator] + [0] * (self.degree - 1), q.denominator)
 
     def from_int_coeffs(self, coeffs: Iterable[int]) -> FieldElement:
@@ -247,14 +245,13 @@ class Field:
 
     def element(self, coeffs: Sequence) -> FieldElement:
         """Element from rational coefficients over the power basis."""
+        from fractions import Fraction
         fr = [Fraction(c) for c in coeffs]
         if len(fr) > self.degree:
             raise ValueError("coefficient vector longer than the field degree")
-        fr += [Fraction(0)] * (self.degree - len(fr))
-        den = 1
-        for c in fr:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return FieldElement._make(self, [c.numerator * (den // c.denominator) for c in fr], den)
+        den = lcm(*(c.denominator for c in fr))
+        num = [c.numerator * (den // c.denominator) for c in fr]
+        return FieldElement._make(self, num + [0] * (self.degree - len(fr)), den)
 
     def mul_matrix(self, coeffs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Rows of the integer matrix of multiplication by the algebraic
@@ -274,6 +271,7 @@ class Field:
     # -- enclosure and signs -------------------------------------------------
 
     def enclosure(self) -> tuple[Fraction, Fraction]:
+        from fractions import Fraction
         return Fraction(self._lo, 1 << self._k), Fraction(self._hi, 1 << self._k)
 
     def sign(self, coeffs: Sequence[int]) -> int:
@@ -372,6 +370,11 @@ def create(n: int) -> Field:
 
 # ------------------------------------------------------------------- elements
 
+def _is_rational(x) -> bool:
+    """An int or a Fraction; none exists before fractions is loaded."""
+    return isinstance(x, (int, getattr(sys.modules.get("fractions"), "Fraction", int)))
+
+
 class FieldElement:
     """A canonical residue polynomial in theta.
 
@@ -402,6 +405,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self) -> bool:
@@ -413,6 +417,7 @@ class FieldElement:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
+        from fractions import Fraction
         return Fraction(self.num[0], self.den)
 
     # -- arithmetic ------------------------------------------------------------
@@ -424,7 +429,7 @@ class FieldElement:
                     f"operands live in different fields (N={self.field.N} vs N={other.field.N})"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return self.field.from_rational(other)
         return None
 
@@ -500,12 +505,13 @@ class FieldElement:
                 and self.den == other.den
                 and self.num == other.num
             )
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_rational() == other
+        if _is_rational(other):
+            return self.is_rational() and self.num[0] == other * self.den
         return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational():
+            from fractions import Fraction
             return hash(Fraction(self.num[0], self.den))
         return hash((self.num, self.den))
 
@@ -522,9 +528,12 @@ class FieldElement:
     # -- formatting -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_rational():
-            return str(Fraction(self.num[0], self.den))
-        return "[" + ",".join(str(Fraction(c, self.den)) for c in self.num) + "]"
+        # each coefficient c/den in lowest terms, as str(Fraction(c, den))
+        parts = []
+        for c in self.num:
+            g = gcd(c, self.den)
+            parts.append(str(c // g) if g == self.den else f"{c // g}/{self.den // g}")
+        return parts[0] if self.is_rational() else "[" + ",".join(parts) + "]"
 
     def __repr__(self) -> str:
         return f"<{self} in Q(2cos(pi/{self.field.N}))>"

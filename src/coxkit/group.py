@@ -25,7 +25,7 @@ reads the same entries -2B(e_s, e_j), as B is symmetric; both apply
 strided (k, l, c) terms (_terms) to the flat key. The two step
 kernels, _right_key and _left_key, take a key to a key;
 _right_mul_gen wraps the first with the witness word, and the values
-carried along a walk (_carry) are bare keys. One
+a walk carries (walk(carry=...)) are bare keys. One
 matrix-vector kernel serves everything else: _image(w, v) sums the
 ints of v times the flat columns theta'^k w(e_i) of w's theta'-table
 (_thetas; each is theta' times the one before, strided terms over the
@@ -81,16 +81,17 @@ once per system, and each walk builds, per descent mask it meets, the
 generators that pass the part of the child test the mask alone decides.
 The walk of JW prunes the steps that leave it by Deodhar's test (walk).
 
-Every enumeration of group elements runs on walk(). Breadth-first
-(shortlex) order, which ball() and enumerate_group() view it in, is
-_ball_order: the key of each x^-1 carried along the walk (_left_keys),
-the word of x reversed, its lexicographically least reduced word, sorted
-by length, then that word. Conjugation along a walk is _conjugates: the
-key of u^-1 w u, one column and one row step per element. Hurwitz
-orbits, subgroup closures and the conjugacy-graph spanning tree run
-through closure(): it dedups by key, checks the cap before each insert
-and records one parent link per member, so callers derive distances and
-tree paths from the links.
+Every enumeration of group elements runs on walk(). It carries a
+value from each element to its children when asked (carry): the key
+of x^-1 by a row step (_left_key), or of u^-1 w u by a column and a
+row step (_conjugate_key), one per element. Breadth-first (shortlex)
+order, which ball() and enumerate_group() view it in, is _ball_order:
+each x^-1 with that carried key and the word of x reversed, its
+lexicographically least reduced word, sorted by length, then that
+word, next to the walked x. Hurwitz orbits, subgroup closures and the
+conjugacy-graph spanning tree run through closure(): it dedups by key,
+checks the cap before each insert and records one parent link per
+member, so callers derive distances and tree paths from the links.
 The longest element w_J of a finite standard parabolic comes from one
 memoized greedy ascent (_longest), the mirror of the descent walk: its
 length is N_J, the number of reflections of W_J, and the prefix roots
@@ -718,7 +719,7 @@ def _bfs(
 ) -> Ball:
     """The ball as a view of the walk, in its order (_ball_order). The
     parent of an element is its word without the last letter."""
-    found = _ball_order(sys_, walk(sys_, radius, cap, gens))
+    found = [w for w, _ in _ball_order(sys_, radius, cap, gens)]
     members = {w.key: w for w in found}
     keys = {w.word: w.key for w in found}
     parent = {w.key: (keys[w.word[:-1]], w.word[-1]) if w.word else None for w in found}
@@ -784,7 +785,8 @@ def walk(
     cap: int | None = None,
     gens: Iterable[int] | None = None,
     coset: Iterable[int] | None = None,
-) -> Iterator[GroupElement]:
+    carry: tuple[object, Callable] | None = None,
+) -> Iterator:
     """Every element of length <= radius, or of the whole group when
     radius is None, once each, carrying its canonical reduced word.
 
@@ -807,6 +809,14 @@ def walk(
     the walk prunes those steps, and every element below them keeps
     that left descent.
 
+    carry = (start, step) carries a value from parent to child: start
+    at the identity, step(sys_, value at x, s) at x*s, s 1-based, computed
+    when x*s is pushed, so the walk yields (x, value) pairs, and a
+    consumer that stops early pays only the steps of the children still
+    on the stack. _left_key from the key of a carries the key of x^-1 a,
+    as x^-1 a = s (x'^-1 a) for x = x' s, and _conjugate_key from the
+    key of w that of x^-1 w x.
+
     The step rules are built once per system (_rules), and per walk,
     per descent mask it meets, the generators s that are ascents of x
     and pass the child test on the descents x*s inherits; only those
@@ -825,10 +835,11 @@ def walk(
     # descent mask -> the rules whose s passes the inherited part of the
     # child test, built for the masks the walk meets
     candidates: dict = {}
-    stack = [(identity(sys_).key, 0, ())]
+    start, step = carry if carry is not None else (None, None)
+    stack = [(identity(sys_).key, 0, (), start)]
     count = deepest = 0
     while stack:
-        key, descents, word = stack.pop()
+        key, descents, word, value = stack.pop()
         if count >= cap:
             raise ResourceLimitError(
                 f"ball enumeration exceeded the cap of {cap} elements"
@@ -838,7 +849,8 @@ def walk(
         depth = len(word)
         if depth > deepest:
             deepest = depth
-        yield GroupElement(sys_, key, word)
+        x = GroupElement(sys_, key, word)
+        yield x if step is None else (x, value)
         if depth == radius:
             continue
         todo = candidates.get(descents)
@@ -864,54 +876,31 @@ def walk(
                         break
             else:
                 out[col_s] = map(neg, key[col_s])
-                stack.append((tuple(out), mask, word + (s0 + 1,)))
+                stack.append((tuple(out), mask, word + (s0 + 1,),
+                              None if step is None else step(sys_, value, s0 + 1)))
 
 
-def _carry(elements: Iterable[GroupElement], start, step: Callable) -> Iterator[tuple]:
-    """Each element x of a walk with a value carried from its parent:
-    start at the identity, step(value at x', s) at x = x' s. The walk is
-    depth-first, so the value kept at depth l(x) - 1 is the parent's."""
-    values = [start]
-    for x in elements:
-        depth = len(x.word)
-        if depth:
-            values[depth:] = [step(values[depth - 1], x.word[-1])]
-        yield x, values[depth]
-
-
-def _left_keys(
-    sys_: CoxeterSystem, elements: Iterable[GroupElement], start: Key
-) -> Iterator[tuple]:
-    """Each element x of a walk, paired with the key of x^-1 a, for a the
-    element whose key is start: x^-1 a = s x'^-1 a for x = x' s, one row
-    operation (_left_key) each."""
-    return _carry(elements, start, lambda key, s: _left_key(sys_, key, s))
-
-
-def _ball_order(sys_: CoxeterSystem, elements: Iterable[GroupElement]) -> list[GroupElement]:
-    """The inverses of a walk's elements in breadth-first (shortlex)
-    order: by length, then by word. Each x^-1 carries the walked word of
-    x reversed, its lexicographically least reduced word, and its key
-    from _left_keys."""
-    return sorted(
-        (GroupElement(sys_, key, x.word[::-1])
-         for x, key in _left_keys(sys_, elements, identity(sys_).key)),
-        key=lambda w: (len(w.word), w.word),
-    )
+def _ball_order(
+    sys_: CoxeterSystem,
+    radius: int | None = None,
+    cap: int | None = None,
+    gens: Iterable[int] | None = None,
+    coset: Iterable[int] | None = None,
+) -> list[tuple[GroupElement, GroupElement]]:
+    """The inverses of the elements of a walk (walk's options), each
+    paired with the walked element it inverts, in breadth-first
+    (shortlex) order of the inverses: by length, then by word. Each x^-1
+    carries the walked word of x reversed, its lexicographically least
+    reduced word, and its key, carried along the walk by _left_key."""
+    walked = walk(sys_, radius, cap, gens, coset, carry=(identity(sys_).key, _left_key))
+    return sorted(((GroupElement(sys_, key, x.word[::-1]), x) for x, key in walked),
+                  key=lambda pair: (len(pair[0].word), pair[0].word))
 
 
 def _conjugate_key(sys_: CoxeterSystem, key: Key, s: int) -> Key:
     """The key of s x s from the key of x: a column operation and a row
     operation."""
     return _left_key(sys_, _right_key(sys_, key, s), s)
-
-
-def _conjugates(
-    sys_: CoxeterSystem, elements: Iterable[GroupElement], w: GroupElement
-) -> Iterator[tuple]:
-    """Each element u of a walk, with the key of u^-1 w u, carried from
-    the parent u' = u s (_carry): u^-1 w u = s (u'^-1 w u') s."""
-    return _carry(elements, w.key, lambda key, s: _conjugate_key(sys_, key, s))
 
 
 def _series_inverse(a: Sequence[int], degree: int) -> list[int]:

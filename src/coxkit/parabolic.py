@@ -252,11 +252,11 @@ def standard_conjugate(
         return False, None
     mu, _ = _tree_and_witnesses(graph, src)
     x = group_mod.canonical(mu[tgt])  # x^{-1} Delta_src = Delta_tgt
-    _check_conjugates_simples(sys_, x, tgt, src)
+    _check_maps_simples(sys_, x, tgt, src)
     return True, x
 
 
-def _check_conjugates_simples(sys_, g, src, tgt) -> None:
+def _check_maps_simples(sys_, g, src, tgt) -> None:
     images = _simple_images(sys_, g, src)
     if images is None or len(set(images)) != len(src) or not set(images) <= tgt:
         raise InvariantViolation("witness does not map simples onto simples")
@@ -357,8 +357,7 @@ def parabolic_closure_finite(
     # g u^-1 g^-1 over the walk of W_J, carrying u^-1 g^-1 = s u'^-1 g^-1
     members = {}
     ginv = group_mod.inverse(conjugator)
-    walked = group_mod.walk(sys_, gens=standard)
-    for u, key in group_mod._left_keys(sys_, walked, ginv.key):
+    for u, key in group_mod.walk(sys_, gens=standard, carry=(ginv.key, group_mod._left_key)):
         x = GroupElement(sys_, key, u.word[::-1] + ginv.word)
         y = group_mod.multiply(conjugator, x)
         members[y.key] = y
@@ -400,8 +399,7 @@ def _match_standard(sys_, gens_t, chosen) -> tuple[GroupElement, frozenset[int]]
         if len(group_mod._longest(sys_, sub).word) == len(chosen)
     ]
     for sub in candidates:
-        walked = group_mod.walk(sys_, gens=gens_t, coset=sub)
-        for g in group_mod._ball_order(sys_, walked):
+        for g, _ in group_mod._ball_order(sys_, gens=gens_t, coset=sub):
             if all(group_mod._column(g, j) in roots for j in sub):
                 return group_mod.canonical(g), frozenset(sub)
     raise InvariantViolation("closure is not conjugate to any standard parabolic")
@@ -429,10 +427,12 @@ def essentiality_refute(
     radius: int = 4,
 ) -> EssentialityProbe:
     """The first x of the ball, in breadth-first order
-    (group._ball_order), whose conjugate x^{-1} w x misses a generator."""
+    (group._ball_order), whose conjugate x^{-1} w x misses a generator.
+    x^{-1} is the walked element z that _ball_order pairs with x, so
+    the conjugate is the product z w x, with no inverse built."""
     full = frozenset(range(1, sys_.rank + 1))
-    for x in group_mod._ball_order(sys_, group_mod.walk(sys_, radius)):
-        conj = group_mod.multiply(group_mod.multiply(group_mod.inverse(x), w), x)
+    for x, z in group_mod._ball_order(sys_, radius):
+        conj = group_mod.multiply(group_mod.multiply(z, w), x)
         support = frozenset(group_mod.length_and_reduced(conj)[1])
         if support != full:
             return EssentialityProbe(True, radius, x, support)

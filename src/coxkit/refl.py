@@ -96,8 +96,8 @@ def reflections_of(
                 "for a ball-truncated reflection list"
             )
         return [_reflection(sys_, alpha) for alpha in roots_mod.positive_roots(sys_, gens_t)]
-    ball = group_mod._ball_order(sys_, group_mod.walk(sys_, depth, gens=gens_t))
-    return [Reflection(w, root) for w in ball if (root := _flipped_root(w)) is not None]
+    ball = group_mod._ball_order(sys_, depth, gens=gens_t)
+    return [Reflection(w, root) for w, _ in ball if (root := _flipped_root(w)) is not None]
 
 
 def _reflection(sys_: CoxeterSystem, root: Root) -> Reflection:
@@ -407,8 +407,8 @@ def parabolic_coxeter_check(
     if reflection_length(sys_, w, gens_t) != group_mod.length_and_reduced(w)[0]:
         return False
     coxset = _standard_coxeter_keys(sys_, gens_t)
-    walked = group_mod.walk(sys_, gens=gens_t)
-    return any(key in coxset for _, key in group_mod._conjugates(sys_, walked, w))
+    walked = group_mod.walk(sys_, gens=gens_t, carry=(w.key, group_mod._conjugate_key))
+    return any(key in coxset for _, key in walked)
 
 
 def _standard_coxeter_keys(sys_: CoxeterSystem, gens_t: tuple[int, ...]) -> frozenset:

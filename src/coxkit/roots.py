@@ -21,7 +21,6 @@ window here.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from operator import sub
 
 from . import group as group_mod
@@ -201,7 +200,7 @@ def _reflection_matrix(sys_: CoxeterSystem, root: Root) -> GroupElement:
     ops = [group_mod._op(ring, c) for c in two_b]
     norm2 = [sum(x) for x in zip(*(group_mod._scaled(op, a, d) for a, op in zip(blocks, ops)))]
     if norm2 != [2] + [0] * (d - 1):
-        norm = group_mod._view(sys_, norm2)[0] * Fraction(1, 2)
+        norm = FieldElement._make(sys_.field, ring.embed(norm2), 2)
         raise ValueError(f"B(alpha, alpha) = {norm} != 1; not a unit root")
     key: list[int] = []
     for j, op in enumerate(ops, 1):

@@ -288,8 +288,8 @@ def _join_parabolic(sys_: CoxeterSystem) -> tuple[int, ...]:
     )
 
 
-def _staged(elements: Iterator[GroupElement], stage: str) -> Iterator[GroupElement]:
-    """The elements of a walk; the cap it may run into names the stage."""
+def _staged(elements: Iterator, stage: str) -> Iterator:
+    """What a walk yields; the cap it may run into names the stage."""
     try:
         yield from elements
     except ResourceLimitError as exc:
@@ -310,11 +310,11 @@ def _join(
     peak number of elements held; _meet returns the same triple.
 
     The table side walks W_J, within the ball, carrying the key of
-    u^-1 c u (group._conjugates), and hashes each u by its first
-    column. The streamed side walks JW, within the ball, carrying the
-    key of d^-1 (group._left_keys), and looks up the first column of
-    d c d^-1, d (c (d^-1 e_1)): two matrix-vector products. A hit is
-    compared with the rest of d c d^-1 one column at a time
+    u^-1 c u (group._conjugate_key from c), and hashes each u by its
+    first column. The streamed side walks JW, within the ball, carrying
+    the key of d^-1 (group._left_key from e), and looks up the first
+    column of d c d^-1, d (c (d^-1 e_1)): two matrix-vector products.
+    A hit is compared with the rest of d c d^-1 one column at a time
     (_is_conjugate), stopping at the first that differs, and only a
     full match with l(u) + l(d) <= radius forms g = u d and calls
     commutes. The table is what is held; each walk is capped on its
@@ -323,8 +323,8 @@ def _join(
     nd = len(c.key) // sys_.rank
     table: dict = {}
     lengths: list[int] = []
-    walked = group_mod.walk(sys_, radius, gens=j)
-    for u, conj in group_mod._conjugates(sys_, _staged(walked, "the walk of W_J"), c):
+    walked = group_mod.walk(sys_, radius, gens=j, carry=(c.key, group_mod._conjugate_key))
+    for u, conj in _staged(walked, "the walk of W_J"):
         depth = len(u.word)
         if depth == len(lengths):
             lengths.append(0)
@@ -334,9 +334,9 @@ def _join(
     within = list(itertools.accumulate(lengths))
     size = 0
     found = []
-    walked = group_mod.walk(sys_, radius, coset=j)
-    streamed = _staged(walked, "the walk of the minimal coset representatives")
-    for d, dinv in group_mod._left_keys(sys_, streamed, group_mod.identity(sys_).key):
+    walked = group_mod.walk(sys_, radius, coset=j,
+                            carry=(group_mod.identity(sys_).key, group_mod._left_key))
+    for d, dinv in _staged(walked, "the walk of the minimal coset representatives"):
         depth = len(d.word)
         size += within[-1] if radius is None else within[min(radius - depth, len(within) - 1)]
         first = tuple(group_mod._image(d, group_mod._image(c, dinv[:nd])))
@@ -380,7 +380,8 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[
     Split a reduced word of g in C(c), of length L <= radius, after its
     first floor(L/2) letters: g = x z^-1 with l(x) = floor(L/2) and
     l(z) = ceil(L/2) <= h = ceil(radius/2). So the walk of the ball B_h,
-    carrying the keys of z^-1 c z and z^-1 (group._carry) and bucketing
+    carrying the pair of keys of z^-1 c z and z^-1 (one step of
+    group._conjugate_key and group._left_key per element) and bucketing
     by z^-1 c z, finds every g but the identity among the pairs (x, z)
     of a bucket with x != z, l(z) - l(x) in {0, 1} and
     l(x) + l(z) <= radius, and l(g) <= l(x) + l(z). The split is reduced,
@@ -394,13 +395,13 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[
     half = -(-radius // 2)
     buckets: dict = {}
 
-    def step(pair, s):
+    def step(sys_, pair, s):
         conj, zinv = pair
         return group_mod._conjugate_key(sys_, conj, s), group_mod._left_key(sys_, zinv, s)
 
-    walked = _staged(group_mod.walk(sys_, half), "the walk of the half ball")
     e = group_mod.identity(sys_)
-    for z, (conj, zinv) in group_mod._carry(walked, (c.key, e.key), step):
+    walked = group_mod.walk(sys_, half, carry=((c.key, e.key), step))
+    for z, (conj, zinv) in _staged(walked, "the walk of the half ball"):
         buckets.setdefault(conj, []).append((z, zinv))
     cap = group_mod.DEFAULT_BALL_CAP
     held = sum(map(len, buckets.values()))
@@ -597,8 +598,8 @@ def verify_example_d4tilde() -> ExampleReport:
 
     # one walk of W' gives its order and the conjugates u^-1 v u
     v = group_mod.from_word(sys_, (4, 3, 4, 5, 3, 2))
-    walked = group_mod.walk(sys_, gens=wp)
-    conjugates = [key for _, key in group_mod._conjugates(sys_, walked, v)]
+    walked = group_mod.walk(sys_, gens=wp, carry=(v.key, group_mod._conjugate_key))
+    conjugates = [key for _, key in walked]
     order_wp = len(conjugates)
     _push_clause(clauses, "a", order_wp == 192, f"|W'|={order_wp}")
 

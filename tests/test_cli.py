@@ -395,6 +395,32 @@ def test_cli_import_leaves_out_typing():
     assert proc.returncode == 0, proc.stderr
 
 
+_QUERIES_WITHOUT_FRACTIONS = """
+import io, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, {src!r})
+from coxkit import cli
+for argv in (["classify"], ["length", "1", "2", "3"], ["inversions", "1", "2", "3"],
+             ["conj-graph"], ["coxeter-verify"]):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--diagram", {diagram!r}]) == 0, argv
+print(*sorted({{"fractions", "decimal"}} & set(sys.modules)))
+"""
+
+
+def test_cli_queries_leave_out_fractions():
+    # the field prints and compares its rationals through integers, so no
+    # query imports fractions (with decimal and numbers behind it); -S
+    # keeps the modules a site would preload out of the picture
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = _QUERIES_WITHOUT_FRACTIONS.format(src=src, diagram=dpath("h3"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 @pytest.mark.parametrize(
     "demo", ["01_classify", "02_centralizers", "03_hurwitz", "04_parabolic", "05_affine_d4"]
 )

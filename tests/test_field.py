@@ -648,6 +648,26 @@ def test_repr_and_str_forms():
     assert "Field" in repr(f)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
+def test_print_and_compare_in_integers_as_fraction_does(n):
+    # elements print, compare and hash without building a Fraction; the
+    # reference is the Fraction of each coefficient
+    f, rng = create(n), random.Random(n)
+    for _ in range(300):
+        num = [rng.choice((0, rng.randint(-60, 60))) for _ in range(f.degree)]
+        if rng.random() < 0.4:
+            num[1:] = [0] * (f.degree - 1)
+        x = FieldElement._make(f, num, rng.randint(1, 48))
+        fr = [Fraction(c, x.den) for c in x.num]
+        assert str(x) == (str(fr[0]) if x.is_rational() else "[" + ",".join(map(str, fr)) + "]")
+        for q in (fr[0], fr[0] + Fraction(1, 7), int(fr[0]), int(fr[0]) + 1):
+            assert (x == q) == (x.is_rational() and fr[0] == q), (x, q)
+        if x.is_rational():
+            assert hash(x) == hash(fr[0]) and x + fr[0] == 2 * fr[0] == x * 2
+    coeffs = [Fraction(1, 6), Fraction(-3, 4), 2][:f.degree]
+    assert f.element(coeffs).coeffs == tuple(coeffs) + (0,) * (f.degree - len(coeffs))
+
+
 def test_invalid_field_parameters():
     with pytest.raises(ValueError):
         create(0)

@@ -188,7 +188,8 @@ def test_h4_join_multiplies_only_at_the_matches(monkeypatch):
     # the first column alone hits more often than the whole conjugate
     # matches, so the hits the join compared were not all matches
     nd = len(c.key) // h4.rank
-    table = {conj for _, conj in group_mod._conjugates(h4, group_mod.walk(h4, gens=j), c)}
+    walked = group_mod.walk(h4, gens=j, carry=(c.key, group_mod._conjugate_key))
+    table = {conj for _, conj in walked}
     firsts = {conj[:nd] for conj in table}
     hits = matches = 0
     for d in group_mod.walk(h4, coset=j):
@@ -252,7 +253,7 @@ def test_affine_join_matches_the_bfs_sweep_for_every_parabolic(name, monkeypatch
 @pytest.mark.parametrize("old,new", [
     ("len(u.word) + depth > radius", "len(u.word) + depth > radius + 1"),
     ("len(u.word) + depth > radius", "len(u.word) + depth >= radius"),
-])
+], ids=["gt-radius-plus-1", "ge-radius"])
 def test_join_length_bound_mutants_are_caught(old, new, monkeypatch):
     # c has length 5 in d4t, so c^2 sits at length 10: R = 9 and R = 10
     # see an off-by-one in l(u) + l(d) <= R from either side

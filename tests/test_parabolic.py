@@ -609,6 +609,54 @@ def test_essentiality_matches_the_bfs_probe(name):
     assert outcomes == {True, False}
 
 
+def _refute_with_inverses(sys_, w, radius):
+    """The probe as it was before the walk's pairs reached it: the ball
+    in breadth-first order, with x^-1 rebuilt by group.inverse."""
+    full = frozenset(range(1, sys_.rank + 1))
+    for x in group.ball(sys_, radius).elements():
+        conj = group.multiply(group.multiply(group.inverse(x), w), x)
+        support = frozenset(group.length_and_reduced(conj)[1])
+        if support != full:
+            return parabolic.EssentialityProbe(True, radius, x, support)
+    return parabolic.EssentialityProbe(False, radius)
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "h3", "d4t", "tri334"])
+def test_essentiality_builds_no_inverse_and_matches_the_inverse_probe(name, monkeypatch):
+    sys_ = corpus.load(name)
+    n = sys_.rank
+    rng = random.Random(name)
+    # s1 ... s(n-1) sn s(n-1) ... s1, on a3 of full support and refuted
+    # at x = s1 with support {2, 3}
+    words = [tuple(range(1, n + 1)), (1,), (n, 1, n), tuple(range(1, n)) + tuple(range(n, 0, -1))]
+    words += [tuple(rng.randint(1, n) for _ in range(rng.randint(2, 8))) for _ in range(3)]
+    # the first conjugate u s1 u^-1 of full support: refuted, but not at e
+    for u in group.ball(sys_, 4).elements():
+        word = u.word + (1,) + u.word[::-1]
+        if len(set(group.length_and_reduced(group.from_word(sys_, word))[1])) == n:
+            words.append(word)
+            break
+    calls, outcomes = [], set()
+    inverse = group.inverse
+    for word in words:
+        w = group.from_word(sys_, word)
+        for radius in range(5):
+            expected = _refute_with_inverses(sys_, w, radius)
+            monkeypatch.setattr(group, "inverse", lambda x: calls.append(x) or inverse(x))
+            probe = parabolic.essentiality_refute(sys_, w, radius=radius)
+            monkeypatch.undo()
+            assert calls == []
+            outcomes.add((probe.refuted, probe.refuted and not probe.conjugator.is_identity()))
+            assert (probe.refuted, probe.radius, probe.support) == (
+                expected.refuted, expected.radius, expected.support
+            ), (word, radius)
+            if expected.refuted:
+                assert (probe.conjugator.key, probe.conjugator.word) == (
+                    expected.conjugator.key, expected.conjugator.word
+                ), (word, radius)
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
 def test_essentiality_refuted_for_generator():
     a2 = corpus.load("a2")
     probe = parabolic.essentiality_refute(a2, group.generator(a2, 1))

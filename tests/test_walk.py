@@ -269,19 +269,80 @@ def test_walk_mutants_are_caught(mutant, monkeypatch):
 
 @pytest.mark.parametrize("name", corpus.names())
 def test_conjugates_carry_matches_products(name):
-    """The key group._conjugates carries at u is that of u^-1 w u, for w
-    the Coxeter element, a generator and a seeded random word, over the
-    whole of a finite group and the ball of radius 4 of an infinite one.
-    The reference is multiply: K = u^-1 w u exactly when u K = w u."""
+    """The key the walk carries at u by group._conjugate_key from w is
+    that of u^-1 w u, for w the Coxeter element, a generator and a
+    seeded random word, over the whole of a finite group and the ball of
+    radius 4 of an infinite one. The reference is multiply:
+    K = u^-1 w u exactly when u K = w u."""
     sys_ = corpus.load(name)
     rng = random.Random(name)
     radius = None if name in corpus.FINITE else 4
     word = [rng.randint(1, sys_.rank) for _ in range(6)]
     for w in (group_mod.coxeter_element(sys_), group_mod.generator(sys_, sys_.rank),
               group_mod.from_word(sys_, word)):
-        for u, key in group_mod._conjugates(sys_, group_mod.walk(sys_, radius), w):
+        carry = (w.key, group_mod._conjugate_key)
+        for u, key in group_mod.walk(sys_, radius, carry=carry):
             conj = group_mod.GroupElement(sys_, key, ())
             assert group_mod.multiply(u, conj).key == group_mod.multiply(w, u).key, u.word
+
+
+def _carry_by_depth(elements, start, step):
+    """The carry the walk used to hand to a separate generator: one value
+    kept per depth, the parent's being the one at depth l(x) - 1, which
+    holds only when the elements come in depth-first order."""
+    values = [start]
+    for x in elements:
+        depth = len(x.word)
+        if depth:
+            values[depth:] = [step(values[depth - 1], x.word[-1])]
+        yield x, values[depth]
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_walk_carry_keeps_the_order_and_carries_inverses(name):
+    """A carried walk yields the plain walk's elements in its order; the
+    key _left_key carries from the identity is that of x^-1, equal to
+    the depth-indexed reference's and to group.inverse's."""
+    sys_ = corpus.load(name)
+    radius = None if name in corpus.FINITE else 4
+    e = group_mod.identity(sys_)
+    plain = list(group_mod.walk(sys_, radius))
+    carried = list(group_mod.walk(sys_, radius, carry=(e.key, group_mod._left_key)))
+    assert [(x.key, x.word) for x, _ in carried] == [(x.key, x.word) for x in plain]
+    reference = _carry_by_depth(plain, e.key, lambda key, s: group_mod._left_key(sys_, key, s))
+    for (x, key), (_, expected) in zip(carried, reference, strict=True):
+        assert key == expected == group_mod.inverse(x).key, x.word
+
+
+def _meet_step(monkeypatch):
+    """The step verify._meet hands its walk, taken from that call."""
+    steps = []
+    walk = group_mod.walk
+
+    def spy(*args, carry=None, **kwargs):
+        if carry is not None:
+            steps.append(carry[1])
+        return walk(*args, carry=carry, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(group_mod, "walk", spy)
+        verify._meet(corpus.load("a1t"), group_mod.coxeter_element(corpus.load("a1t")), 2)
+    (step,) = steps
+    return step
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_meet_pair_carry_matches_products(name, monkeypatch):
+    """The pair verify._meet carries from (c, e) is, at every z, the keys
+    of z^-1 c z and of z^-1, against products and group.inverse."""
+    sys_ = corpus.load(name)
+    c = group_mod.coxeter_element(sys_)
+    radius = None if name in corpus.FINITE else 4
+    carry = ((c.key, group_mod.identity(sys_).key), _meet_step(monkeypatch))
+    for z, (conj, zinv) in group_mod.walk(sys_, radius, carry=carry):
+        inv = group_mod.inverse(z)
+        assert conj == group_mod.multiply(group_mod.multiply(inv, c), z).key, z.word
+        assert zinv == inv.key, z.word
 
 
 def test_walk_cap_names_depth_and_count():
