@@ -511,8 +511,10 @@ class FieldElement:
 
     def __hash__(self) -> int:
         if self.is_rational():
-            from fractions import Fraction
-            return hash(Fraction(self.num[0], self.den))
+            # hash(Fraction(p, q)) without fractions, as it computes it
+            p, q, m = self.num[0], self.den, sys.hash_info.modulus
+            h = hash(hash(abs(p)) * pow(q, -1, m)) if q % m else sys.hash_info.inf
+            return h if p >= 0 else -2 if h == 1 else -h
         return hash((self.num, self.den))
 
     def sign(self) -> int:

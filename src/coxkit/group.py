@@ -32,7 +32,8 @@ ints of v times the flat columns theta'^k w(e_i) of w's theta'-table
 whole column), so column j of a product a*b is _image(a, column j of
 b), and the commutation test compares _image(a, b e_j) with
 _image(b, a e_j). The theta'-table is the one cache of an element
-that acts, built on first use; it creates no FieldElement.
+that acts, built on first use; it creates no FieldElement. Its
+row-side twin, _row_mul, multiplies a row by a key.
 
 The ring (_ring) is built once per system, on first use. A root is a
 column: column j of a key is the root w(e_{j+1}), so the root,
@@ -59,11 +60,12 @@ Lengths come from the greedy descent walk: s is a right descent of w
 exactly when w maps e_s to a negative root, and stripping descents
 lowers the length by one each time, so the walk both measures the
 length and emits a canonical reduced word (least descent first). It
-runs on the row y = rho^T w, rho the sum of the dual basis, n blocks of
-d' ints: block s is the coordinate sum of the root w(e_s) and has its
-sign, and a step w -> w*s changes only block s and the blocks adjacent
-to it (length_and_reduced, _row_rules). It ends when no block is
-negative, and then y = rho^T holds exactly when w is the identity.
+runs on the row y = rho^T w (_row), rho the sum of the dual basis, n
+blocks of d' ints: block s is the coordinate sum of the root w(e_s) and
+has its sign, and a step w -> w*s changes only block s and the blocks
+adjacent to it (length_and_reduced, _row_rules). It ends when no block
+is negative, and then y = rho^T holds exactly when w is the identity:
+the row determines w, which is also why the join hashes it.
 
 The centralizer sweeps hold no ball: walk() visits each element of a
 ball, of the whole group, of a standard parabolic W_J or of the minimal
@@ -525,7 +527,7 @@ def _descent(w: GroupElement) -> int | None:
     return None
 
 
-def _row_rules(sys_: CoxeterSystem) -> tuple[tuple[int, ...], list[tuple]]:
+def _row_rules(sys_: CoxeterSystem) -> tuple[tuple[int, ...], list[tuple], list[slice]]:
     """The step w -> w*s read on the row y = rho^T w, built once per
     system on first use: the row rho^T of the identity, (1, 0, ..., 0) in
     every block, and per generator s (0-based) the slice of block s and,
@@ -533,9 +535,12 @@ def _row_rules(sys_: CoxeterSystem) -> tuple[tuple[int, ...], list[tuple]]:
     (a, b, c) of "block j gains -2B(e_s, e_j) times block s": y[a]
     gains c y[b]). Column j of w*s gains that multiple of column s, so
     its coordinate sum, block j of y, gains it of block s; block s
-    changes sign."""
+    changes sign. Last, per flat index j*d' + l of a row, the slice of a
+    key holding coefficient l of the n entries of column j."""
     def build():
         d, steps = _steps(sys_)
+        nd = sys_.rank * d
+        parts = [slice(a + l, a + nd, d) for a in range(0, sys_.rank * nd, nd) for l in range(d)]
         rules = []
         for s0, row in enumerate(steps):
             ops = []
@@ -545,8 +550,30 @@ def _row_rules(sys_: CoxeterSystem) -> tuple[tuple[int, ...], list[tuple]]:
                                for k, r in enumerate(op) for l, c in enumerate(r) if c])
                 ops.append((1 << j, slice(j * d, j * d + d), terms))
             rules.append((slice(s0 * d, s0 * d + d), ops))
-        return tuple(([1] + [0] * (d - 1)) * sys_.rank), rules
+        return tuple(([1] + [0] * (d - 1)) * sys_.rank), rules, parts
     return sys_.memo("row rules", build)
+
+
+def _row(sys_: CoxeterSystem, key: Key) -> Key:
+    """The row rho^T w of the key of w, block j the sum of the blocks of
+    column j. It determines w: rho lies in the open fundamental chamber,
+    on whose chambers W acts simply transitively (Humphreys 5.13)."""
+    return tuple([sum(key[part]) for part in _row_rules(sys_)[2]])
+
+
+def _row_mul(sys_: CoxeterSystem, row: Sequence[int], key: Key) -> Key:
+    """The row times the matrix of key, twin of _image: by Horner over the
+    row's theta' coefficients, from the top, n d' integer dot products
+    each plus theta' (_Ring.theta) times the sum so far; at d' = 1, n."""
+    ring = _ring(sys_)
+    cols = [key[part] for part in _row_rules(sys_)[2]]
+    acc = None
+    for k in range(ring.degree - 1, -1, -1):
+        out = [sum(map(mul, row[k::ring.degree], col)) for col in cols]
+        if acc is not None:
+            _add_terms(out, acc, ring.theta)
+        acc = out
+    return tuple(acc)
 
 
 def length_and_reduced(w: GroupElement) -> tuple[int, tuple[int, ...]]:
@@ -554,17 +581,15 @@ def length_and_reduced(w: GroupElement) -> tuple[int, tuple[int, ...]]:
 
     Works from the matrix alone, so any witness word, reduced or not,
     gives the same answer. _descent gives the first descent; the walk
-    then reads descents off the row y = rho^T w, rho the sum of the
-    dual basis (Humphreys, Reflection Groups and Coxeter Groups, 5.4,
-    5.13): block s of y, the sum of the blocks of column s, is the
+    then reads descents off the row y = rho^T w (_row; Humphreys,
+    Reflection Groups and Coxeter Groups, 5.4): block s of y is the
     coordinate sum of the root w(e_s), so it has that root's sign, and
     s is a right descent exactly when it is negative. Stripping s adds
     -2B(e_s, e_j) y_s to each block j adjacent to s and negates y_s
     (_row_rules), n d' ints a step and no element. y_s < 0, so a
     negative block stays negative and only the positive adjacent blocks
     have their signs decided again. When no block is negative, y must
-    be rho^T: rho lies inside the fundamental chamber of the dual
-    action, so rho^T w = rho^T only for w = e.
+    be rho^T, as the row determines w.
     """
     s = _descent(w)
     sys_ = w.system
@@ -574,10 +599,8 @@ def length_and_reduced(w: GroupElement) -> tuple[int, tuple[int, ...]]:
         return 0, ()
     ring = _ring(sys_)
     d = ring.degree
-    rho, rules = _row_rules(sys_)
-    key = w.key
-    nd = len(key) // sys_.rank
-    y = [sum(key[a + k:a + nd:d]) for a in range(0, len(key), nd) for k in range(d)]
+    rho, rules, _ = _row_rules(sys_)
+    y = list(_row(sys_, w.key))
     # the descent mask; no block below s is negative, as no column is
     descents = 1 << s - 1
     for j in range(s, sys_.rank):

@@ -12,14 +12,14 @@ parabolic W_J has the most reflections. Every g is u d for exactly one u
 in W_J and one minimal coset representative d in JW (no left descent in
 J), with l(g) = l(u) + l(d), and u d commutes with c exactly when
 u^-1 c u = d c d^-1. So one walk, restricted to J, carries the key of
-u^-1 c u one generator at a time and hashes it by its first column; a
-second, group.walk pruned by Deodhar's test, walks JW carrying the key
-of d^-1 and looks up the first column of d c d^-1, two matrix-vector
-products. That is |W_J| + |JW| elements (120 + 120 for H4) instead of
-|W| (14,400), and the group's order is |W_J| |JW|. A hit is compared
-with the rest of d c d^-1 one column at a time, each column computed
-once, on demand; each full match forms g = u d, the one product per
-match, and is confirmed by commutes.
+u^-1 c u one generator at a time and hashes it by its row
+rho^T(u^-1 c u), rho the sum of the dual basis; a second, group.walk
+pruned by Deodhar's test, walks JW carrying the key of d^-1 and looks
+up the row ((rho^T d) c) d^-1 of d c d^-1. That is |W_J| + |JW|
+elements (120 + 120 for H4) instead of |W| (14,400), and the group's
+order is |W_J| |JW|. The row determines the element (group._row), so
+every hit is a match; each forms g = u d, the one product per match,
+and is confirmed by commutes.
 
 An affine group runs the same join inside the ball of radius R: every
 proper parabolic of an irreducible affine group is finite, the table
@@ -310,17 +310,14 @@ def _join(
     peak number of elements held; _meet returns the same triple.
 
     The table side walks W_J, within the ball, carrying the key of
-    u^-1 c u (group._conjugate_key from c), and hashes each u by its
-    first column. The streamed side walks JW, within the ball, carrying
-    the key of d^-1 (group._left_key from e), and looks up the first
-    column of d c d^-1, d (c (d^-1 e_1)): two matrix-vector products.
-    A hit is compared with the rest of d c d^-1 one column at a time
-    (_is_conjugate), stopping at the first that differs, and only a
-    full match with l(u) + l(d) <= radius forms g = u d and calls
-    commutes. The table is what is held; each walk is capped on its
-    own.
+    u^-1 c u (group._conjugate_key from c), and hashes each u by the row
+    rho^T(u^-1 c u) (group._row). The streamed side walks JW, within the
+    ball, carrying the key of d^-1 (group._left_key from e), and looks
+    up the row ((rho^T d) c) d^-1 (group._row_mul). The row determines
+    the element, so every u a hit finds with l(u) + l(d) <= radius
+    forms g = u d and calls commutes. The table is what is held; each
+    walk is capped on its own.
     """
-    nd = len(c.key) // sys_.rank
     table: dict = {}
     lengths: list[int] = []
     walked = group_mod.walk(sys_, radius, gens=j, carry=(c.key, group_mod._conjugate_key))
@@ -329,25 +326,18 @@ def _join(
         if depth == len(lengths):
             lengths.append(0)
         lengths[depth] += 1
-        table.setdefault(conj[:nd], []).append((conj, u))
+        table.setdefault(group_mod._row(sys_, conj), []).append(u)
     # within[k]: the number of u with l(u) <= k
     within = list(itertools.accumulate(lengths))
-    size = 0
-    found = []
+    size, found = 0, []
     walked = group_mod.walk(sys_, radius, coset=j,
                             carry=(group_mod.identity(sys_).key, group_mod._left_key))
     for d, dinv in _staged(walked, "the walk of the minimal coset representatives"):
         depth = len(d.word)
         size += within[-1] if radius is None else within[min(radius - depth, len(within) - 1)]
-        first = tuple(group_mod._image(d, group_mod._image(c, dinv[:nd])))
-        hits = table.get(first)
-        if hits is None:
-            continue
-        cols = [first]
-        for uconj, u in hits:
+        row = group_mod._row_mul(sys_, group_mod._row(sys_, d.key), c.key)
+        for u in table.get(group_mod._row_mul(sys_, row, dinv), ()):
             if radius is not None and len(u.word) + depth > radius:
-                continue
-            if not _is_conjugate(uconj, cols, c, d, dinv):
                 continue
             g = group_mod.multiply(u, d)
             if not commutes(g, c):
@@ -356,21 +346,6 @@ def _join(
                 )
             found.append(group_mod.canonical(g))
     return size, found, within[-1]
-
-
-def _is_conjugate(key: tuple, cols: list, c: GroupElement, d: GroupElement, dinv: tuple) -> bool:
-    """Whether key is that of d c d^-1, compared one column at a time
-    and stopping at the first that differs. Column j of d c d^-1 is
-    d (c (d^-1 e_j)), two matrix-vector products, with dinv the key of
-    d^-1; cols holds the columns computed so far, the first at least,
-    and gains each one computed, so each is computed at most once per d."""
-    nd = len(cols[0])
-    for j, a in enumerate(range(0, len(key), nd)):
-        if j == len(cols):
-            cols.append(tuple(group_mod._image(d, group_mod._image(c, dinv[a:a + nd]))))
-        if key[a:a + nd] != cols[j]:
-            return False
-    return True
 
 
 def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[GroupElement], int]:

@@ -404,14 +404,17 @@ for argv in (["classify"], ["length", "1", "2", "3"], ["inversions", "1", "2", "
              ["conj-graph"], ["coxeter-verify"]):
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv + ["--diagram", {diagram!r}]) == 0, argv
+from coxkit import field
+assert hash(field.create(5).from_rational(-3)) == -3
 print(*sorted({{"fractions", "decimal"}} & set(sys.modules)))
 """
 
 
 def test_cli_queries_leave_out_fractions():
-    # the field prints and compares its rationals through integers, so no
-    # query imports fractions (with decimal and numbers behind it); -S
-    # keeps the modules a site would preload out of the picture
+    # the field prints, compares and hashes its rationals through
+    # integers, so no query imports fractions (with decimal and numbers
+    # behind it); -S keeps the modules a site would preload out of the
+    # picture
     src = str(Path(__file__).resolve().parent.parent / "src")
     script = _QUERIES_WITHOUT_FRACTIONS.format(src=src, diagram=dpath("h3"))
     proc = subprocess.run(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -637,6 +638,19 @@ def test_hash_and_equality_consistency():
     assert a == b and hash(a) == hash(b)
     assert a != f.theta
     assert len({a, b, f.theta}) == 2
+
+
+def test_rational_hash_is_that_of_the_fraction():
+    # the hash is computed without fractions, from the numerator and the
+    # inverse of the denominator modulo sys.hash_info.modulus; p = -q
+    # hashes to -2, not -1, and a denominator the modulus divides to inf
+    f = create(5)
+    modulus = sys.hash_info.modulus
+    for p in (*range(-13, 14), modulus, -modulus - 1, 2 ** 70 + 3, -(2 ** 64)):
+        for q in (*range(1, 14), modulus, 2 * modulus, modulus - 1, 2 ** 61):
+            x = FieldElement._make(f, [p, 0], q)
+            assert hash(x) == hash(Fraction(p, q)), (p, q)
+    assert hash(FieldElement._make(f, [-3, 0], 3)) == -2
 
 
 def test_repr_and_str_forms():

@@ -23,6 +23,8 @@ from coxkit.group import (
     _descent,
     _right_mul_gen,
     _ring,
+    _row,
+    _row_mul,
     _scaled,
     _steps,
     apply,
@@ -655,6 +657,28 @@ def test_step_operators_match_the_gram_matrix(systems):
                 ref = sys_.gram[s][j] * -2
                 assert ref.den == 1
                 assert ring.embed(_scaled(op, unit, d)) == ref.num, (sys_.matrix, s, j)
+
+
+@pytest.mark.parametrize("systems", [
+    pytest.param(lambda: [corpus.load(name) for name in corpus.names()], id="corpus"),
+    pytest.param(lambda: [_rank3(ls) for ls in itertools.product(LABELS, repeat=3)], id="rank3"),
+])
+def test_row_kernel_matches_the_product(systems):
+    # rho^T(ab) = (rho^T a) b: the row-side kernel against multiply, at
+    # every degree d' from 1 to 32; the row itself against the column
+    # sums of the FieldElement view
+    for sys_ in systems():
+        rng = random.Random(repr(sys_.matrix))
+        ring = _ring(sys_)
+        d = ring.degree
+        for _ in range(2):
+            a, b = (from_word(sys_, [rng.randint(1, sys_.rank) for _ in range(rng.randint(0, 6))])
+                    for _ in range(2))
+            row = _row(sys_, a.key)
+            assert _row_mul(sys_, row, b.key) == _row(sys_, multiply(a, b).key), sys_.matrix
+            for j, col in enumerate(a.cols):
+                total = sum(col[1:], col[0])
+                assert ring.embed(row[j * d:j * d + d]) == total.num and total.den == 1
 
 
 def test_working_ring_is_built_on_first_kernel_use():

@@ -18,7 +18,7 @@ from math import ceil
 
 import pytest
 
-from coxkit import corpus, verify
+from coxkit import corpus, diagram, verify
 from coxkit import group as group_mod
 from coxkit.errors import InvariantViolation, ResourceLimitError
 
@@ -173,8 +173,8 @@ print(json.dumps(counts))
 
 
 def test_h4_join_multiplies_only_at_the_matches(monkeypatch):
-    # a first-column hit is compared one column at a time, so only the
-    # 30 matches form products, g = u d, one each
+    # the table is keyed by the row rho^T(u^-1 c u), which determines
+    # u^-1 c u, so only the 30 matches form products, g = u d, one each
     h4 = corpus.load("h4")
     c = group_mod.coxeter_element(h4)
     j = verify._join_parabolic(h4)
@@ -185,18 +185,96 @@ def test_h4_join_multiplies_only_at_the_matches(monkeypatch):
     monkeypatch.undo()
     assert len(found) == 30
     assert len(calls) == len(found)
-    # the first column alone hits more often than the whole conjugate
-    # matches, so the hits the join compared were not all matches
-    nd = len(c.key) // h4.rank
+    # exactly the rows of the 30 matching conjugates hit the table
     walked = group_mod.walk(h4, gens=j, carry=(c.key, group_mod._conjugate_key))
     table = {conj for _, conj in walked}
-    firsts = {conj[:nd] for conj in table}
+    rows = {group_mod._row(h4, conj) for conj in table}
     hits = matches = 0
     for d in group_mod.walk(h4, coset=j):
         conj = group_mod.multiply(group_mod.multiply(d, c), group_mod.inverse(d)).key
-        hits += conj[:nd] in firsts
+        hits += group_mod._row(h4, conj) in rows
         matches += conj in table
-    assert (hits, matches) == (80, 30)
+    assert (hits, matches) == (30, 30)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_every_join_hit_is_a_match(name, monkeypatch):
+    # for every J, the join forms one product per element it finds: no
+    # table hit within the ball is a false candidate, and every lookup,
+    # on the table side and on the stream side, keys through group._row
+    sys_ = corpus.load(name)
+    radius = None if name in corpus.FINITE else 6
+    c = group_mod.coxeter_element(sys_)
+    for j in _subsets(sys_):
+        products, rows = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(group_mod, "multiply", _spy(group_mod.multiply, products))
+            patch.setattr(group_mod, "_row", _spy(group_mod._row, rows))
+            # the canonical words read rows of their own
+            patch.setattr(group_mod, "canonical", lambda g: g)
+            _, found, held = verify._join(sys_, c, j, radius)
+        assert len(products) == len(found) > 0, j
+        streamed = sum(1 for _ in group_mod.walk(sys_, radius, coset=j))
+        assert len(rows) == held + streamed, j
+
+
+def _spy(func, calls):
+    return lambda *args: calls.append(args) or func(*args)
+
+
+def _rows_are_distinct(sys_, radius):
+    """Whether group._row takes a distinct value on every element of the
+    ball of the radius, or of the whole group when radius is None."""
+    keys = [g.key for g in group_mod.walk(sys_, radius)]
+    return len({group_mod._row(sys_, key) for key in keys}) == len(keys)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_row_is_injective(name):
+    # rho lies in the open fundamental chamber, and W acts simply
+    # transitively on the chambers: 14,400 distinct rows on h4
+    sys_ = corpus.load(name)
+    assert _rows_are_distinct(sys_, None if name in corpus.FINITE else 6)
+
+
+@pytest.mark.parametrize("drop", ["first-block", "last-block"])
+def test_truncated_row_mutants_are_caught(drop, monkeypatch):
+    # a row without its first or last block collides on every finite
+    # group of the corpus
+    real = group_mod._row
+
+    def mutant(sys_, key):
+        row = real(sys_, key)
+        d = len(row) // sys_.rank
+        return row[d:] if drop == "first-block" else row[:-d]
+
+    monkeypatch.setattr(group_mod, "_row", mutant)
+    for name in corpus.FINITE:
+        assert not _rows_are_distinct(corpus.load(name), None), name
+
+
+def _etype(rank):
+    """E6 or E7: the path 1-3-4-5-6-7, with 2 attached to 4, cut at rank."""
+    edges = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4))
+    return diagram.parse_system(f"rank {rank}\n" + "".join(
+        f"m {a} {b} 3\n" for a, b in edges if b <= rank
+    ))
+
+
+@pytest.mark.parametrize("rank,order,h,held", [
+    (6, 51_840, 12, 1_920),
+    (7, 2_903_040, 18, 51_840),
+], ids=["e6", "e7"])
+def test_e_type_centralizers_are_cyclic(rank, order, h, held):
+    # the largest join table in the suite: W(E6) of E7 is held whole
+    report = verify.verify_finite(_etype(rank))
+    assert report.text_lines()[1] == (
+        f"mode finite-exhaustive group-order={order} coxeter-order={h}"
+    )
+    assert len(report.entries) == h
+    assert all(e.status == "ok" for e in report.entries)
+    assert report.theorem_consistent
+    assert report.held == held
 
 
 def test_cap_bounds_each_walk_of_the_join(monkeypatch):
