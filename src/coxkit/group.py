@@ -21,19 +21,36 @@ ints, its key: column-major (cols[j] is the image of e_{j+1}), each
 entry the d' coefficients of that entry over Z[theta'], n*n*d' ints in
 all. Generator steps are integer operations precomputed per system
 (_steps, _rules): w*s a column operation, s*w a row operation that
-reads the same entries -2B(e_s, e_j), as B is symmetric; both apply
-strided (k, l, c) terms (_terms) to the flat key. The two step
-kernels, _right_key and _left_key, take a key to a key;
-_right_mul_gen wraps the first with the witness word, and the values
-a walk carries (walk(carry=...)) are bare keys. One
-matrix-vector kernel serves everything else: _image(w, v) sums the
-ints of v times the flat columns theta'^k w(e_i) of w's theta'-table
-(_thetas; each is theta' times the one before, strided terms over the
-whole column), so column j of a product a*b is _image(a, column j of
-b), and the commutation test compares _image(a, b e_j) with
-_image(b, a e_j). The theta'-table is the one cache of an element
-that acts, built on first use; it creates no FieldElement. Its
-row-side twin, _row_mul, multiplies a row by a key.
+reads the same entries -2B(e_s, e_j), as B is symmetric; both are
+strided (k, l, c) terms (_terms) on the flat key. _right_key applies
+the column terms to a tuple key, and _right_mul_gen wraps it with the
+witness word. One matrix-vector kernel serves the tuple keys:
+_image(w, v) sums the ints of v times the flat columns theta'^k w(e_i)
+of w's theta'-table (_thetas; each is theta' times the one before,
+strided terms over the whole column), so column j of a product a*b is
+_image(a, column j of b), and the commutation test compares
+_image(a, b e_j) with _image(b, a e_j). The theta'-table is the one
+cache of an element that acts, built on first use; it creates no
+FieldElement.
+
+Packed keys. The sweeps run on keys packed into one int each (_Lanes,
+one per system, _packer): entry i of the flat key is lane i, a signed
+integer in bits bits, in the same column-major order. A step adds
+products of lanes cut out of the key with constants compiled from the
+same rules, so one generator step is a few big-int shifts, masks, adds
+and multiplies; the row rho^T w is one product, a row times a key one
+product per theta' coefficient, and theta' a lane shift with the top
+lane reduced through the minimal polynomial. Lanes are read through a
+bias of 2^(bits-1) per lane, so a biased lane's top bit is set exactly
+when its int is >= 0. Every packed value passes a two-operation overflow
+check against a room of 2^room per lane, which leaves every kernel
+the headroom it needs; a trip raises _LaneOverflow, and _widening
+reruns the computation that tripped with lanes twice as wide, so no
+lane wraps silently; past MAX_LANE_BITS it raises ResourceLimitError.
+The width starts at _lane_bits and is never an option. walk() steps
+packed keys and carries packed values; an element it yields unpacks
+its tuple key on first use, so the tuple layers (roots, refl,
+parabolic, printing) see the same keys.
 
 The ring (_ring) is built once per system, on first use. A root is a
 column: column j of a key is the root w(e_{j+1}), so the root,
@@ -73,24 +90,25 @@ coset representatives JW, once, depth-first over the canonical-word
 tree. The parent of y is y*s for s its least right descent, so x*s is
 a child of x when s is an ascent of x and no t < s is a right descent
 of x*s, and the path from the identity spells the canonical reduced
-word. The walk keeps a stack of at most n keys per level with their
-descent masks, O(n R) keys in all. A step x -> x*s negates column s,
-leaves every column not adjacent to s in the diagram as it was, and
-adds a positive multiple of the positive column s to the adjacent
-ones; a positive column stays positive, so only adjacent columns that
-were negative have their signs decided again. The step rules are built
+word. The walk keeps a stack of at most n packed keys per level with
+their descent masks, O(n R) keys in all. A step x -> x*s negates
+column s, leaves every column not adjacent to s in the diagram as it
+was, and adds a positive multiple of the positive column s to the
+adjacent ones; a positive column stays positive, so only adjacent
+columns that were negative have their signs decided again, from the
+bias bits of their lanes (_still_negative). The step rules are built
 once per system, and each walk builds, per descent mask it meets, the
 generators that pass the part of the child test the mask alone decides.
 The walk of JW prunes the steps that leave it by Deodhar's test (walk).
 
 Every enumeration of group elements runs on walk(). It carries a
-value from each element to its children when asked (carry): the key
-of x^-1 by a row step (_left_key), or of u^-1 w u by a column and a
-row step (_conjugate_key), one per element. Breadth-first (shortlex)
-order, which ball() and enumerate_group() view it in, is _ball_order:
-each x^-1 with that carried key and the word of x reversed, its
-lexicographically least reduced word, sorted by length, then that
-word, next to the walked x. Hurwitz orbits, subgroup closures and the
+packed value from each element to its children when asked (carry):
+the key of x^-1 by a row step (_Lanes.left_step), or of u^-1 w u by a
+column and a row step (_Lanes.conjugate_step), one per element.
+Breadth-first (shortlex) order, which ball() and enumerate_group()
+view it in, is _ball_order: each x^-1 with that carried key and the
+word of x reversed, its lexicographically least reduced word, sorted
+by length, then that word, next to the walked x. Hurwitz orbits, subgroup closures and the
 conjugacy-graph spanning tree run through closure(): it dedups by key,
 checks the cap before each insert and records one parent link per
 member, so callers derive distances and tree paths from the links.
@@ -105,10 +123,11 @@ through CoxeterSystem.memo.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from itertools import combinations
 from math import lcm
-from operator import add, attrgetter, mul, neg
+from operator import add, attrgetter, lshift, mul, neg
 
 from . import field as field_mod
 from .diagram import INFINITY, CoxeterSystem, _norm_subset, is_spherical
@@ -142,6 +161,8 @@ __all__ = [
 ]
 
 DEFAULT_BALL_CAP = 5_000_000
+# the widest lanes a packed key may grow to (_widening)
+MAX_LANE_BITS = 4096
 
 Key = tuple
 Vector = tuple[FieldElement, ...]
@@ -149,16 +170,28 @@ Vector = tuple[FieldElement, ...]
 
 class GroupElement:
     """An exact matrix, stored as its integer key, plus a witness word
-    that evaluates to it."""
+    that evaluates to it. An element a walk made holds its key packed
+    (lanes, a _Lanes of its system) and unpacks it on first use."""
 
-    __slots__ = ("system", "key", "word", "_cols", "_thetas")
+    __slots__ = ("system", "key", "word", "_cols", "_thetas", "_lanes", "_packed")
 
-    def __init__(self, system: CoxeterSystem, key: Key, word: tuple[int, ...]) -> None:
+    def __init__(self, system: CoxeterSystem, key: Key | int, word: tuple[int, ...],
+                 lanes: _Lanes | None = None) -> None:
         self.system = system
-        self.key = key
+        if lanes is None:
+            self.key = key
+        else:
+            self._lanes, self._packed = lanes, key
         self.word = word
         self._cols: tuple[Vector, ...] | None = None
         self._thetas: list | None = None
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: the key of a walked element
+        if name != "key":
+            raise AttributeError(name)
+        key = self.key = self._lanes.unpack(self._packed)
+        return key
 
     @property
     def cols(self) -> tuple[Vector, ...]:
@@ -405,17 +438,6 @@ def _right_key(sys_: CoxeterSystem, key: Key, s: int) -> Key:
     return tuple(out)
 
 
-def _left_key(sys_: CoxeterSystem, key: Key, s: int) -> Key:
-    """The key of sigma_s * w from the key of w: row s changes sign and
-    gains -2B(e_s, e_j) times row j; integer row operations only."""
-    row_s, terms = _rules(sys_)[2][s - 1]
-    out = list(key)
-    for part in row_s:
-        out[part] = map(neg, key[part])
-    _add_terms(out, key, terms)
-    return tuple(out)
-
-
 def _right_mul_gen(w: GroupElement, s: int) -> GroupElement:
     """w * sigma_s, carrying the witness word w.word + (s,)."""
     return GroupElement(w.system, _right_key(w.system, w.key, s), w.word + (s,))
@@ -559,21 +581,6 @@ def _row(sys_: CoxeterSystem, key: Key) -> Key:
     column j. It determines w: rho lies in the open fundamental chamber,
     on whose chambers W acts simply transitively (Humphreys 5.13)."""
     return tuple([sum(key[part]) for part in _row_rules(sys_)[2]])
-
-
-def _row_mul(sys_: CoxeterSystem, row: Sequence[int], key: Key) -> Key:
-    """The row times the matrix of key, twin of _image: by Horner over the
-    row's theta' coefficients, from the top, n d' integer dot products
-    each plus theta' (_Ring.theta) times the sum so far; at d' = 1, n."""
-    ring = _ring(sys_)
-    cols = [key[part] for part in _row_rules(sys_)[2]]
-    acc = None
-    for k in range(ring.degree - 1, -1, -1):
-        out = [sum(map(mul, row[k::ring.degree], col)) for col in cols]
-        if acc is not None:
-            _add_terms(out, acc, ring.theta)
-        acc = out
-    return tuple(acc)
 
 
 def length_and_reduced(w: GroupElement) -> tuple[int, tuple[int, ...]]:
@@ -782,6 +789,245 @@ def enumerate_group(
     return _cached_ball(sys_, gens, None, cap)
 
 
+# ---------------------------------------------------------------- packed keys
+
+class _LaneOverflow(ArithmeticError):
+    """A packed value left the room of its lanes (_Lanes.checked)."""
+
+    def __init__(self, lanes: _Lanes) -> None:
+        super().__init__(f"a packed value outgrew its {lanes.bits}-bit lanes")
+        self.lanes = lanes
+
+
+def _lane_bits(sys_: CoxeterSystem) -> int:
+    """The lane width, in bits, that a system's packer starts from."""
+    return 32
+
+
+def _packer(sys_: CoxeterSystem) -> _Lanes:
+    """The system's packer, built on first use; _widening replaces it."""
+    return sys_.memo("lanes", lambda: _Lanes(sys_, _lane_bits(sys_)))
+
+
+def _widening(run: Callable, *args):
+    """run(*args), run again each time a packed value trips the overflow
+    check, after the system whose lanes tripped gets lanes twice as
+    wide. A run takes every packed value from the packer it starts
+    with, so its rerun starts clean; an element it made keeps the packer
+    that can unpack it. Lanes wider than MAX_LANE_BITS end the run with
+    ResourceLimitError."""
+    while True:
+        try:
+            return run(*args)
+        except _LaneOverflow as trip:
+            sys_, bits = trip.lanes.system, 2 * trip.lanes.bits
+            if bits > MAX_LANE_BITS:
+                raise ResourceLimitError(
+                    f"a packed key outgrew lanes of {MAX_LANE_BITS} bits") from None
+            if _packer(sys_) is trip.lanes:
+                sys_._cache["lanes"] = _Lanes(sys_, bits)
+
+
+class _Lanes:
+    """The packed keys of a system (the module docstring, "Packed keys"):
+    the key as the sum of entry i times 2^(bits i).
+
+    Biased, every lane v reads v + 2^(bits-1), in [0, 2^bits) while
+    |v| < 2^(bits-1), with no carry between lanes, so shifts and masks
+    cut lanes out, and a lane's top bit is set exactly when v >= 0.
+    checked adds 2^room to every lane: the guard bits, room + 1 to
+    bits - 1, stay clear exactly when every v lies in [-2^room, 2^room).
+    room is chosen so that from checked inputs no lane of a kernel's
+    result, or of a value it reads back, reaches 2^(bits-1) (grow below:
+    the largest gain of one kernel over its inputs, and n d' times the
+    room for the products of two packed values); then the lowest lane
+    out of range always sets a guard bit, and a value that passes reads
+    back exactly.
+
+    The steps are compiled from _rules, so the packed and the tuple
+    steps read one set of rules. right: coefficient l of every block of
+    column s, cut out, times a constant that places its multiples in the
+    columns it feeds. left: row s gains the constant row (sigma_s - 1)_s
+    times w. Rows lie in the lanes of row 0 of a key. A row times a
+    key: the row reversed in n d' lanes (gather), one product with the
+    key per theta' coefficient, and the dot products of column c read
+    off lanes (c n + n - 1) d' + k (row_mul); the row of a key is the
+    same product with rho (spread)."""
+
+    __slots__ = ("system", "bits", "ring", "degree", "nd", "one", "bias", "check", "guard", "col",
+                 "col_bias", "blocks", "blocks_bias", "ones", "spread", "gather",
+                 "row_mask", "row_bias", "row_shift", "rev_shift", "key_blocks",
+                 "key_blocks_bias", "row_starts", "row_starts_bias", "cuts", "reduce", "right",
+                 "left", "_shifts", "_format")
+
+    def __init__(self, sys_: CoxeterSystem, bits: int) -> None:
+        ring = _ring(sys_)
+        n, d = sys_.rank, ring.degree
+        nd, size = n * d, n * n * d
+        _, right, left = _rules(sys_)
+        # column s negated (gains -2 times itself), row s likewise
+        lanes = [_lane_terms([t for _, _, ts in ops for t in ts] + [(col_s, col_s, -2)], d)
+                 for _, _, _, col_s, ops in right]
+        rows = [_lane_terms(terms + [(p, p, -2) for p in parts], d) for parts, terms in left]
+        # how far one kernel can take a lane beyond the largest of its inputs
+        grow = [n, 1 + max(map(abs, ring.field._base), default=0)]
+        grow += [1 + sum(abs(c) for _, _, c in terms) for terms in lanes + rows]
+        while True:
+            room = min(bits - 1 - max(grow).bit_length(), (bits - 1 - nd.bit_length()) // 2)
+            if room >= 1:
+                break
+            bits *= 2
+        self.system, self.bits = sys_, bits
+        self.ring, self.degree, self.nd = ring, d, nd
+        half, lane = 1 << bits - 1, (1 << bits) - 1
+        fill = self._fill
+        self.bias = fill(half, size)
+        self.check = fill(1 << room, size)
+        self.guard = fill(lane ^ (2 << room) - 1, size)
+        self.col, self.col_bias, self.ones = fill(lane, nd), fill(half, nd), fill(1, nd)
+        self.blocks, self.blocks_bias = fill(lane, n, d), fill(half, n, d)
+        self.key_blocks, self.key_blocks_bias = fill(lane, n * n, d), fill(half, n * n, d)
+        self.spread = fill(1, n, d)
+        self.gather = sum(1 << bits * (size - d - i * (n + 1) * d) for i in range(n))
+        self.row_mask = sum(fill(lane, d, 1, c * nd) for c in range(n))
+        self.row_bias = sum(fill(half, d, 1, c * nd) for c in range(n))
+        self.row_shift, self.rev_shift = bits * (n - 1) * d, bits * (size - nd)
+        self.row_starts, self.row_starts_bias = fill(lane, n, nd), fill(half, n, nd)
+        # per theta' power l, per i: where column i starts, where
+        # coefficient l of entry i of the first column lies
+        self.cuts = [[(bits * i * nd, bits * (i * d + l)) for i in range(n)] for l in range(d)]
+        self.reduce = sum(r << bits * k for k, r in enumerate(ring.field._base))
+        self.right = []
+        for (s0, bit, keep, _, ops), terms in zip(right, lanes):
+            feed = [0] * d
+            for dst, src, c in terms:
+                feed[src - s0 * nd] += c << bits * dst
+            adjacent = [(bits * a, jbit) for a, jbit, _ in ops]
+            self.right.append((s0, bit, keep, bits * s0 * nd,
+                               [(bits * (s0 * nd + l), f) for l, f in enumerate(feed)],
+                               sum(self.blocks_bias * f for f in feed), adjacent,
+                               sum(jbit for _, jbit in adjacent)))
+        self.left = []
+        for s0, terms in enumerate(rows):
+            row = [0] * d
+            for dst, src, c in terms:
+                j, l = divmod(src, d)
+                row[l] += c << bits * ((n - 1 - j) * d + dst - s0 * d)
+            self.left.append(([(bits * l, r) for l, r in enumerate(row)],
+                              sum(self.key_blocks_bias * r for r in row) if d > 1 else 0,
+                              bits * (n - 1 - s0) * d, self.row_mask << bits * s0 * d,
+                              self.row_bias << bits * s0 * d))
+        self._shifts = range(0, size * bits, bits)
+        self._format = {8: "b", 16: "h", 32: "i", 64: "q"}.get(bits)
+        self.one = self.pack(identity(sys_).key)
+
+    def _fill(self, value: int, count: int, step: int = 1, start: int = 0) -> int:
+        """value in count lanes, every step lanes from lane start."""
+        return sum(value << self.bits * (start + i * step) for i in range(count))
+
+    def checked(self, x: int) -> int:
+        """x, when every lane lies inside the room; else _LaneOverflow."""
+        if (x + self.check) & self.guard:
+            raise _LaneOverflow(self)
+        return x
+
+    def pack(self, key: Key) -> int:
+        """The packed key of a tuple key."""
+        return self.checked(sum(map(lshift, key, self._shifts)))
+
+    def unpack(self, x: int, count: int | None = None) -> Key:
+        """The first count lanes of x (all of a key when None) as ints."""
+        if count is None:
+            count = len(self._shifts)
+        if self._format is not None:
+            # bias, then flip each top bit: every lane in two's complement
+            raw = ((x + self.bias) ^ self.bias).to_bytes(count * self.bits // 8, sys.byteorder)
+            return tuple(memoryview(raw).cast(self._format))
+        y, lane, half = x + self.bias, (1 << self.bits) - 1, 1 << self.bits - 1
+        return tuple(((y >> k) & lane) - half for k in self._shifts[:count])
+
+    def right_step(self, x: int, s: int) -> int:
+        """The packed key of w * sigma_s from that of w."""
+        _, _, _, _, feed, fold, _, _ = self.right[s - 1]
+        y = x + self.bias
+        for shift, f in feed:
+            x += ((y >> shift) & self.blocks) * f
+        return self.checked(x - fold)
+
+    def left_step(self, x: int, s: int) -> int:
+        """The packed key of sigma_s * w from that of w: row s gains the
+        product of the constant row (sigma_s - 1)_s with w."""
+        feed, fold, shift, mask, bias = self.left[s - 1]
+        if self.degree == 1:
+            q = x * feed[0][1]
+        else:
+            y, q = x + self.bias, -fold
+            for at, f in feed:
+                q += ((y >> at) & self.key_blocks) * f
+        return self.checked(x + ((((q + self.bias) >> shift) & mask) - bias))
+
+    def conjugate_step(self, x: int, s: int) -> int:
+        """The packed key of s x s from that of x."""
+        return self.left_step(self.right_step(x, s), s)
+
+    def multiply(self, a: int, b: int) -> int:
+        """The packed key of the product of the elements with packed keys
+        a and b: column j gains coefficient l of entry (i, j) of b times
+        column i of theta'^l a, for every i and l, in one product each."""
+        y, out, fold = b + self.bias, 0, 0
+        for l, t in enumerate(self.thetas(a)):
+            t += self.bias
+            for at, cut in self.cuts[l]:
+                col = ((t >> at) & self.col) - self.col_bias
+                out += ((y >> cut) & self.row_starts) * col
+                fold += col
+        return self.checked(out - self.row_starts_bias * fold)
+
+    def theta(self, x: int) -> int:
+        """theta' times every block: a lane up, the top lane reduced."""
+        top = self.bits * (self.degree - 1)
+        t = (((x + self.bias) >> top) & self.key_blocks) - self.key_blocks_bias
+        return self.checked(((x - (t << top)) << self.bits) + t * self.reduce)
+
+    def thetas(self, x: int) -> list[int]:
+        """The packed theta'^k x for k < d', the operator row_mul reads."""
+        table = [x]
+        for _ in range(self.degree - 1):
+            table.append(self.theta(table[-1]))
+        return table
+
+    def row(self, x: int) -> int:
+        """The row rho^T w of the packed key of w: the blocks of each
+        column summed by one product (spread), in lanes c n d' + k."""
+        return self.checked((((x * self.spread + self.bias) >> self.row_shift) & self.row_mask)
+                            - self.row_bias)
+
+    def row_mul(self, y: int, table: list[int]) -> int:
+        """The packed row y times the element whose thetas are table."""
+        rev = ((y * self.gather + self.bias) >> self.rev_shift) & self.col
+        if self.degree == 1:
+            parts = [rev - self.col_bias]
+        else:
+            parts = [((rev >> self.bits * l) & self.blocks) - self.blocks_bias
+                     for l in range(self.degree)]
+        q = sum(map(mul, table, parts))
+        return self.checked((((q + self.bias) >> self.row_shift) & self.row_mask) - self.row_bias)
+
+
+def _lane_terms(terms: list, d: int) -> list[tuple[int, int, int]]:
+    """The terms (dst, src, c) of a step rule (_terms) as triples of
+    first lanes: lane dst + i gains c times lane src + i, i running over
+    the term's stride. A term over a whole run of blocks is one triple
+    per coefficient, each with the stride d'."""
+    out = []
+    for dst, src, c in terms:
+        if dst.step is None and d > 1:
+            out += [(dst.start + k, src.start + k, c) for k in range(d)]
+        else:
+            out.append((dst.start, src.start, c))
+    return out
+
+
 # ------------------------------------------------------------------- the walk
 
 def _is_child(descents: int, s0: int) -> bool:
@@ -790,16 +1036,26 @@ def _is_child(descents: int, s0: int) -> bool:
     return not descents & ((1 << s0) - 1)
 
 
-def _still_negative(ring: _Ring, col: Sequence[int]) -> bool:
+def _still_negative(lanes: _Lanes, col: int) -> bool:
     """Whether a column that was negative before a step adjacent to it
-    still is; the step changed it, so its sign is decided again."""
-    return ring.root_sign(col) < 0
+    still is; the step changed it, so its sign is decided again. col is
+    the column's lanes biased (_Lanes): a top bit is set exactly when its
+    int is >= 0, and clear after subtracting 1 exactly when it is <= 0.
+    A column with ints of both signs (only at d' > 1) is unpacked and
+    goes to _Ring.root_sign."""
+    if col & lanes.col_bias == lanes.col_bias:
+        return False
+    if not (col - lanes.ones) & lanes.col_bias:
+        return True
+    return lanes.ring.root_sign(lanes.unpack(col - lanes.col_bias, lanes.nd)) < 0
 
 
-def _coset_units(sys_: CoxeterSystem, coset: Iterable[int]) -> set[Key]:
-    """The unit columns e_s, s in coset, as flat columns: the prune of a
-    walk of minimal coset representatives."""
-    return {_column(identity(sys_), s) for s in coset}
+def _coset_units(sys_: CoxeterSystem, coset: Iterable[int]) -> set[int]:
+    """The unit columns e_s, s in coset, packed and biased as the walk
+    cuts columns out of a key: the prune of a walk of minimal coset
+    representatives."""
+    lanes = _packer(sys_)
+    return {lanes.pack(_column(identity(sys_), s)) + lanes.col_bias for s in coset}
 
 
 def walk(
@@ -832,37 +1088,42 @@ def walk(
     the walk prunes those steps, and every element below them keeps
     that left descent.
 
-    carry = (start, step) carries a value from parent to child: start
-    at the identity, step(sys_, value at x, s) at x*s, s 1-based, computed
-    when x*s is pushed, so the walk yields (x, value) pairs, and a
-    consumer that stops early pays only the steps of the children still
-    on the stack. _left_key from the key of a carries the key of x^-1 a,
-    as x^-1 a = s (x'^-1 a) for x = x' s, and _conjugate_key from the
-    key of w that of x^-1 w x.
+    The walk steps packed keys (_Lanes, the system's _packer), and each
+    element it yields holds its key packed until the key is asked for.
+    carry = (start, step) carries a packed value from parent to child:
+    start at the identity, step(value at x, s) at x*s, s 1-based,
+    computed when x*s is pushed, so the walk yields (x, value) pairs,
+    and a consumer that stops early pays only the steps of the children
+    still on the stack. _Lanes.left_step from the packed key of a
+    carries that of x^-1 a, as x^-1 a = s (x'^-1 a) for x = x' s, and
+    _Lanes.conjugate_step from that of w carries that of x^-1 w x. A
+    packed value that outgrows its lanes raises _LaneOverflow; the
+    consumer reruns under _widening.
 
-    The step rules are built once per system (_rules), and per walk,
-    per descent mask it meets, the generators s that are ascents of x
-    and pass the child test on the descents x*s inherits; only those
-    are tried on x.
+    The step rules are built once per system (_Lanes.right), and per
+    walk, per descent mask it meets, the generators s that are ascents
+    of x and pass the child test on the descents x*s inherits; only
+    those are tried on x.
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be nonnegative")
     if cap is None:
         cap = DEFAULT_BALL_CAP
-    ring = _ring(sys_)
-    nd, rules, _ = _rules(sys_)
+    lanes = _packer(sys_)
+    rules = lanes.right
     if gens is not None:
         keep_gens = _norm_subset(sys_, gens)
         rules = [rule for rule in rules if rule[0] + 1 in keep_gens]
     units = _coset_units(sys_, _norm_subset(sys_, coset)) if coset is not None else set()
+    bias, check, guard, col, blocks = lanes.bias, lanes.check, lanes.guard, lanes.col, lanes.blocks
     # descent mask -> the rules whose s passes the inherited part of the
     # child test, built for the masks the walk meets
     candidates: dict = {}
     start, step = carry if carry is not None else (None, None)
-    stack = [(identity(sys_).key, 0, (), start)]
+    stack = [(lanes.one, 0, (), start)]
     count = deepest = 0
     while stack:
-        key, descents, word, value = stack.pop()
+        x, descents, word, value = stack.pop()
         if count >= cap:
             raise ResourceLimitError(
                 f"ball enumeration exceeded the cap of {cap} elements"
@@ -872,8 +1133,8 @@ def walk(
         depth = len(word)
         if depth > deepest:
             deepest = depth
-        x = GroupElement(sys_, key, word)
-        yield x if step is None else (x, value)
+        w = GroupElement(sys_, x, word, lanes)
+        yield w if step is None else (w, value)
         if depth == radius:
             continue
         todo = candidates.get(descents)
@@ -884,23 +1145,26 @@ def walk(
                 rule for rule in rules
                 if not descents & rule[1] and _is_child(descents & rule[2], rule[0])
             ]
-        for s0, bit, keep, col_s, ops in todo:
-            if units and key[col_s] in units:
+        y = x + bias
+        for s0, bit, keep, shift, feed, fold, adjacent, touched in todo:
+            if units and (y >> shift) & col in units:
                 continue
-            out = list(key)
+            out = x - fold
+            for at, f in feed:
+                out += ((y >> at) & blocks) * f
+            if (out + check) & guard:
+                raise _LaneOverflow(lanes)
             mask = descents & keep | bit
-            for a, jbit, terms in ops:
-                _add_terms(out, key, terms)
+            for at, jbit in adjacent if descents & touched else ():
                 # a positive column plus a positive multiple of the
                 # positive column s stays positive
-                if descents & jbit and _still_negative(ring, out[a:a + nd]):
+                if descents & jbit and _still_negative(lanes, ((out + bias) >> at) & col):
                     mask |= jbit
                     if not _is_child(mask, s0):
                         break
             else:
-                out[col_s] = map(neg, key[col_s])
-                stack.append((tuple(out), mask, word + (s0 + 1,),
-                              None if step is None else step(sys_, value, s0 + 1)))
+                stack.append((out, mask, word + (s0 + 1,),
+                              None if step is None else step(value, s0 + 1)))
 
 
 def _ball_order(
@@ -914,16 +1178,14 @@ def _ball_order(
     paired with the walked element it inverts, in breadth-first
     (shortlex) order of the inverses: by length, then by word. Each x^-1
     carries the walked word of x reversed, its lexicographically least
-    reduced word, and its key, carried along the walk by _left_key."""
-    walked = walk(sys_, radius, cap, gens, coset, carry=(identity(sys_).key, _left_key))
-    return sorted(((GroupElement(sys_, key, x.word[::-1]), x) for x, key in walked),
-                  key=lambda pair: (len(pair[0].word), pair[0].word))
-
-
-def _conjugate_key(sys_: CoxeterSystem, key: Key, s: int) -> Key:
-    """The key of s x s from the key of x: a column operation and a row
-    operation."""
-    return _left_key(sys_, _right_key(sys_, key, s), s)
+    reduced word, and its key, carried packed along the walk by
+    _Lanes.left_step."""
+    def ordered():
+        lanes = _packer(sys_)
+        walked = walk(sys_, radius, cap, gens, coset, carry=(lanes.one, lanes.left_step))
+        return sorted(((GroupElement(sys_, inv, x.word[::-1], lanes), x) for x, inv in walked),
+                      key=lambda pair: (len(pair[0].word), pair[0].word))
+    return _widening(ordered)
 
 
 def _series_inverse(a: Sequence[int], degree: int) -> list[int]:
@@ -964,9 +1226,7 @@ def growth_series(sys_: CoxeterSystem, radius: int) -> list[int]:
             if top > radius:
                 continue
             adds.add(gens)
-            lengths = [0] * (top + 1)
-            for u in walk(sys_, gens=gens):
-                lengths[len(u.word)] += 1
+            lengths = _widening(_lengths, sys_, gens, top)
             sign = -1 if len(gens) % 2 else 1
             for k, x in enumerate(_series_inverse(lengths, radius - top)):
                 inverse_series[top + k] += sign * x
@@ -974,6 +1234,14 @@ def growth_series(sys_: CoxeterSystem, radius: int) -> list[int]:
         layer = [grown for grown in combinations(range(1, sys_.rank + 1), size)
                  if all(sub in adds for sub in combinations(grown, size - 1))]
     return _series_inverse(inverse_series, radius)
+
+
+def _lengths(sys_: CoxeterSystem, gens: tuple[int, ...], top: int) -> list[int]:
+    """The number of elements of each length 0..top of the finite W_gens."""
+    lengths = [0] * (top + 1)
+    for u in walk(sys_, gens=gens):
+        lengths[len(u.word)] += 1
+    return lengths
 
 
 # ------------------------------------------------------------- power probes

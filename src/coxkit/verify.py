@@ -11,15 +11,16 @@ The finite certificate is a join. Take J = S minus the generator whose
 parabolic W_J has the most reflections. Every g is u d for exactly one u
 in W_J and one minimal coset representative d in JW (no left descent in
 J), with l(g) = l(u) + l(d), and u d commutes with c exactly when
-u^-1 c u = d c d^-1. So one walk, restricted to J, carries the key of
-u^-1 c u one generator at a time and hashes it by its row
-rho^T(u^-1 c u), rho the sum of the dual basis; a second, group.walk
-pruned by Deodhar's test, walks JW carrying the key of d^-1 and looks
-up the row ((rho^T d) c) d^-1 of d c d^-1. That is |W_J| + |JW|
-elements (120 + 120 for H4) instead of |W| (14,400), and the group's
-order is |W_J| |JW|. The row determines the element (group._row), so
-every hit is a match; each forms g = u d, the one product per match,
-and is confirmed by commutes.
+u^-1 c u = d c d^-1. So one walk, restricted to J, carries the packed
+key of u^-1 c u one generator at a time and hashes it by its packed
+row rho^T(u^-1 c u), rho the sum of the dual basis; a second,
+group.walk pruned by Deodhar's test, walks JW carrying the packed key
+of d^-1 and looks up the row ((rho^T d) c) d^-1 of d c d^-1, times c
+through the row operator of c, its packed theta'-table, built once
+per sweep. That is |W_J| + |JW| elements (120 + 120 for H4) instead of
+|W| (14,400), and the group's order is |W_J| |JW|. The row determines
+the element (group._row), so every hit is a match; each forms g = u d,
+the one product per match, and is confirmed by commutes.
 
 An affine group runs the same join inside the ball of radius R: every
 proper parabolic of an irreducible affine group is finite, the table
@@ -30,16 +31,18 @@ sum over d of #{u : l(u) <= R - l(d)} elements, read off the two walks.
 Any other infinite group meets in the middle. Split a reduced word of
 g in C(c), l(g) <= R, in half: g = x z^-1 with l(x) = floor(l(g)/2) and
 l(z) = ceil(l(g)/2), so both lie in the ball B_h, h = ceil(R/2), and
-x^-1 c x = z^-1 c z. One walk of B_h carries the keys of z^-1 c z and
-z^-1 and buckets by the first; the pairs of a bucket with l(z) - l(x)
-in {0, 1} and l(x) + l(z) <= R give every g in C(c) within the ball but
-the identity, each confirmed by commutes. The ball's size comes from
+x^-1 c x = z^-1 c z. One walk of B_h carries the packed keys of
+z^-1 c z and z^-1 and buckets by the first; the pairs of a bucket with
+l(z) - l(x) in {0, 1} and l(x) + l(z) <= R give every g in C(c) within
+the ball but the identity, each a packed product, confirmed by
+commutes. The ball's size comes from
 Steinberg's growth series (group.growth_series). The join holds W_J
 within the ball, the meet B_h and its pairs, never the ball; the cap,
 group.DEFAULT_BALL_CAP elements, bounds each walk and the pairs, and
 running out raises ResourceLimitError naming the stage, the depth and
-the count. The report records the method and the number of elements
-held, and prints neither.
+the count. A packed value that outgrows its lanes reruns the
+certificate with wider ones (group._widening). The report records the
+method and the number of elements held, and prints neither.
 
 The certificates only find: each returns the commuting elements,
 carrying their canonical reduced words, in no order. The entry points
@@ -203,7 +206,7 @@ def verify_finite(sys_: CoxeterSystem, perm: Sequence[int] | None = None) -> Cen
     t0 = time.perf_counter()
     _require(sys_, True, "exhaustive verification needs a finite system")
     c = group_mod.coxeter_element(sys_, perm)
-    size, found, held = _join(sys_, c, _join_parabolic(sys_))
+    size, found, held = group_mod._widening(_join, sys_, c, _join_parabolic(sys_))
     powers = group_mod.power_window(c, size, signed=False)
     order = len(powers)
     if order > size:
@@ -255,10 +258,10 @@ def verify_ball(
         bound = max(power_bound, bound)
     powers = group_mod.power_window(c, bound)
     if diagram_mod.classify(sys_) == "affine":
-        method, result = "join", _join(sys_, c, _join_parabolic(sys_), radius)
+        method, certify, args = "join", _join, (c, _join_parabolic(sys_), radius)
     else:
-        method, result = "meet", _meet(sys_, c, radius)
-    size, found, held = result
+        method, certify, args = "meet", _meet, (c, radius)
+    size, found, held = group_mod._widening(certify, sys_, *args)
     entries = _centralizer_entries(_ball_sorted(found, powers), powers)
     consistent = all(e.status == "ok" for e in entries)
     return CentralizerReport(
@@ -309,34 +312,40 @@ def _join(
     carrying their canonical words, in no particular order, and the
     peak number of elements held; _meet returns the same triple.
 
-    The table side walks W_J, within the ball, carrying the key of
-    u^-1 c u (group._conjugate_key from c), and hashes each u by the row
-    rho^T(u^-1 c u) (group._row). The streamed side walks JW, within the
-    ball, carrying the key of d^-1 (group._left_key from e), and looks
-    up the row ((rho^T d) c) d^-1 (group._row_mul). The row determines
-    the element, so every u a hit finds with l(u) + l(d) <= radius
-    forms g = u d and calls commutes. The table is what is held; each
-    walk is capped on its own.
+    The table side walks W_J, within the ball, carrying the packed key
+    of u^-1 c u (_Lanes.conjugate_step from c), and hashes each u by
+    the packed row rho^T(u^-1 c u) (_Lanes.row). The streamed side walks
+    JW, within the ball, carrying the packed key of d^-1
+    (_Lanes.left_step from e), and looks up the row ((rho^T d) c) d^-1
+    (_Lanes.row_mul): times c through the row operator of c, its packed
+    theta'-table, built once per sweep, then times the carried d^-1.
+    The row determines the element, so every u a hit finds with
+    l(u) + l(d) <= radius forms g = u d and calls commutes. The table
+    is what is held; each walk is capped on its own. Every packed value
+    comes from one packer, so a trip of its overflow check reruns the
+    whole join (group._widening, in the entry points).
     """
+    lanes = group_mod._packer(sys_)
     table: dict = {}
     lengths: list[int] = []
-    walked = group_mod.walk(sys_, radius, gens=j, carry=(c.key, group_mod._conjugate_key))
+    walked = group_mod.walk(sys_, radius, gens=j, carry=(lanes.pack(c.key), lanes.conjugate_step))
     for u, conj in _staged(walked, "the walk of W_J"):
         depth = len(u.word)
         if depth == len(lengths):
             lengths.append(0)
         lengths[depth] += 1
-        table.setdefault(group_mod._row(sys_, conj), []).append(u)
+        table.setdefault(lanes.row(conj), []).append(u)
     # within[k]: the number of u with l(u) <= k
     within = list(itertools.accumulate(lengths))
     size, found = 0, []
-    walked = group_mod.walk(sys_, radius, coset=j,
-                            carry=(group_mod.identity(sys_).key, group_mod._left_key))
+    # the row operator of c: its theta'-table, packed
+    times_c = lanes.thetas(lanes.pack(c.key))
+    walked = group_mod.walk(sys_, radius, coset=j, carry=(lanes.one, lanes.left_step))
     for d, dinv in _staged(walked, "the walk of the minimal coset representatives"):
         depth = len(d.word)
         size += within[-1] if radius is None else within[min(radius - depth, len(within) - 1)]
-        row = group_mod._row_mul(sys_, group_mod._row(sys_, d.key), c.key)
-        for u in table.get(group_mod._row_mul(sys_, row, dinv), ()):
+        row = lanes.row_mul(lanes.row(d._packed), times_c)
+        for u in table.get(lanes.row_mul(row, lanes.thetas(dinv)), ()):
             if radius is not None and len(u.word) + depth > radius:
                 continue
             g = group_mod.multiply(u, d)
@@ -355,27 +364,30 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[
     Split a reduced word of g in C(c), of length L <= radius, after its
     first floor(L/2) letters: g = x z^-1 with l(x) = floor(L/2) and
     l(z) = ceil(L/2) <= h = ceil(radius/2). So the walk of the ball B_h,
-    carrying the pair of keys of z^-1 c z and z^-1 (one step of
-    group._conjugate_key and group._left_key per element) and bucketing
-    by z^-1 c z, finds every g but the identity among the pairs (x, z)
+    carrying the pair of packed keys of z^-1 c z and z^-1 (one
+    _Lanes.conjugate_step and one _Lanes.left_step per element) and
+    bucketing by the packed z^-1 c z, finds every g but the identity
+    among the pairs (x, z)
     of a bucket with x != z, l(z) - l(x) in {0, 1} and
     l(x) + l(z) <= radius, and l(g) <= l(x) + l(z). The split is reduced,
     so x and z have no right descent in common: the pairs whose
-    canonical words end in the same letter are skipped. Each product is
-    kept once, by key, and confirmed by commutes; the commuting elements
+    canonical words end in the same letter are skipped. Each product
+    x z^-1 is one packed product (_Lanes.multiply), kept once, by key,
+    and confirmed by commutes; the commuting elements
     come back as _join returns them. The size is the sum of
     group.growth_series. What is held, B_h and the pairs, is capped
     together.
     """
     half = -(-radius // 2)
     buckets: dict = {}
+    lanes = group_mod._packer(sys_)
 
-    def step(sys_, pair, s):
+    def step(pair, s):
         conj, zinv = pair
-        return group_mod._conjugate_key(sys_, conj, s), group_mod._left_key(sys_, zinv, s)
+        return lanes.conjugate_step(conj, s), lanes.left_step(zinv, s)
 
     e = group_mod.identity(sys_)
-    walked = group_mod.walk(sys_, half, carry=((c.key, e.key), step))
+    walked = group_mod.walk(sys_, half, carry=((lanes.pack(c.key), lanes.one), step))
     for z, (conj, zinv) in _staged(walked, "the walk of the half ball"):
         buckets.setdefault(conj, []).append((z, zinv))
     cap = group_mod.DEFAULT_BALL_CAP
@@ -397,7 +409,7 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[
                         " in the pairs of the half ball"
                     )
                 held += 1
-                g = group_mod.multiply(x, GroupElement(sys_, zinv, z.word[::-1]))
+                g = GroupElement(sys_, lanes.multiply(x._packed, zinv), x.word + z.word[::-1], lanes)
                 products.setdefault(g.key, g)
     found = []
     for g in products.values():
@@ -573,8 +585,13 @@ def verify_example_d4tilde() -> ExampleReport:
 
     # one walk of W' gives its order and the conjugates u^-1 v u
     v = group_mod.from_word(sys_, (4, 3, 4, 5, 3, 2))
-    walked = group_mod.walk(sys_, gens=wp, carry=(v.key, group_mod._conjugate_key))
-    conjugates = [key for _, key in walked]
+
+    def conjugates_of_v():
+        lanes = group_mod._packer(sys_)
+        walked = group_mod.walk(sys_, gens=wp, carry=(lanes.pack(v.key), lanes.conjugate_step))
+        return [lanes.unpack(key) for _, key in walked]
+
+    conjugates = group_mod._widening(conjugates_of_v)
     order_wp = len(conjugates)
     _push_clause(clauses, "a", order_wp == 192, f"|W'|={order_wp}")
 

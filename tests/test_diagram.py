@@ -79,6 +79,12 @@ def test_roundtrip_random(rank, labels, infs):
         ("# only a comment\n", 2, "missing 'rank'"),
         ("", 1, "missing 'rank'"),
     ],
+    ids=[
+        "m-before-rank", "rank-without-argument", "rank-not-an-integer", "negative-rank",
+        "duplicate-rank", "unknown-directive", "m-with-two-arguments", "m-indices-reversed",
+        "m-indices-equal", "m-index-out-of-range", "label-below-2", "label-not-an-integer",
+        "duplicate-entry", "only-a-comment", "empty",
+    ],
 )
 def test_parse_errors(text, lineno, fragment):
     with pytest.raises(DiagramParseError) as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import operator
 import random
 from pathlib import Path
 
@@ -20,13 +21,18 @@ from coxkit import corpus, diagram
 from coxkit.errors import InvariantViolation, ResourceLimitError
 from coxkit.group import (
     GroupElement,
+    _add_terms,
     _descent,
+    _packer,
+    _right_key,
     _right_mul_gen,
     _ring,
     _row,
-    _row_mul,
+    _row_rules,
+    _rules,
     _scaled,
     _steps,
+    _widening,
     apply,
     ball,
     canonical,
@@ -657,6 +663,81 @@ def test_step_operators_match_the_gram_matrix(systems):
                 ref = sys_.gram[s][j] * -2
                 assert ref.den == 1
                 assert ring.embed(_scaled(op, unit, d)) == ref.num, (sys_.matrix, s, j)
+
+
+# ------------------------------------------- the tuple kernels, as reference
+
+def _left_key(sys_, key, s):
+    """The key of sigma_s * w from the key of w: row s changes sign and
+    gains -2B(e_s, e_j) times row j; integer row operations on the tuple
+    key, by the left rules of group._rules."""
+    row_s, terms = _rules(sys_)[2][s - 1]
+    out = list(key)
+    for part in row_s:
+        out[part] = [-y for y in key[part]]
+    _add_terms(out, key, terms)
+    return tuple(out)
+
+
+def _conjugate_key(sys_, key, s):
+    """The key of s x s from the key of x: a column and a row operation."""
+    return _left_key(sys_, _right_key(sys_, key, s), s)
+
+
+def _row_mul(sys_, row, key):
+    """The row times the matrix of key, twin of group._image: by Horner
+    over the row's theta' coefficients, from the top, n d' integer dot
+    products each plus theta' (_Ring.theta) times the sum so far."""
+    ring = _ring(sys_)
+    cols = [key[part] for part in _row_rules(sys_)[2]]
+    acc = None
+    for k in range(ring.degree - 1, -1, -1):
+        out = [sum(map(operator.mul, row[k::ring.degree], col)) for col in cols]
+        if acc is not None:
+            _add_terms(out, acc, ring.theta)
+        acc = out
+    return tuple(acc)
+
+
+def _row_lanes(sys_, lanes, row):
+    """A packed row (entry j at lane j n d' + k) as the tuple of _row."""
+    d = _ring(sys_).degree
+    nd = sys_.rank * d
+    flat = lanes.unpack(row)
+    return tuple(x for j in range(sys_.rank) for x in flat[j * nd:j * nd + d])
+
+
+def _packed_kernels_agree(sys_):
+    """Every packed kernel of the system's packer against the tuple
+    kernels on two seeded pairs of elements."""
+    lanes = _packer(sys_)
+    rng = random.Random(repr(sys_.matrix))
+    for _ in range(2):
+        a, b = (from_word(sys_, [rng.randint(1, sys_.rank) for _ in range(rng.randint(0, 6))])
+                for _ in range(2))
+        x, y = lanes.pack(a.key), lanes.pack(b.key)
+        assert lanes.unpack(x) == a.key
+        for s in range(1, sys_.rank + 1):
+            assert lanes.unpack(lanes.right_step(x, s)) == _right_key(sys_, a.key, s)
+            assert lanes.unpack(lanes.left_step(x, s)) == _left_key(sys_, a.key, s)
+            assert lanes.unpack(lanes.conjugate_step(x, s)) == _conjugate_key(sys_, a.key, s)
+        assert lanes.unpack(lanes.multiply(x, y)) == multiply(a, b).key
+        row = lanes.row(x)
+        assert _row_lanes(sys_, lanes, row) == _row(sys_, a.key)
+        expected = _row_mul(sys_, _row(sys_, a.key), b.key)
+        assert _row_lanes(sys_, lanes, lanes.row_mul(row, lanes.thetas(y))) == expected
+
+
+@pytest.mark.parametrize("systems", [
+    pytest.param(lambda: [corpus.load(name) for name in corpus.names()], id="corpus"),
+    pytest.param(lambda: [_rank3(ls) for ls in itertools.product(LABELS, repeat=3)], id="rank3"),
+])
+def test_packed_kernels_match_the_tuple_kernels(systems):
+    # the right, left and conjugation steps, the product, the row and the
+    # row times a packed key, at every degree d' from 1 to 32; a packed
+    # value that outgrows its lanes reruns the comparison with wider ones
+    for sys_ in systems():
+        _widening(_packed_kernels_agree, sys_)
 
 
 @pytest.mark.parametrize("systems", [

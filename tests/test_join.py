@@ -23,7 +23,7 @@ from coxkit import group as group_mod
 from coxkit.errors import InvariantViolation, ResourceLimitError
 
 from test_bench_hooks import PRELUDE, _traced_counts
-from test_group import _load_oracle
+from test_group import _left_key, _load_oracle
 from test_verify import _bfs_report
 
 
@@ -95,9 +95,11 @@ def test_pruned_walk_yields_the_minimal_coset_representatives(name):
 
 @pytest.mark.parametrize("name", corpus.names())
 def test_left_step_is_the_product_with_a_generator(name):
-    # both key kernels against multiply: i2_7 and i2_8 have d' = 3 and 4,
-    # so the terms of both steps are read with every d' from 1 to 4
+    # the key kernels, tuple and packed, against multiply: i2_7 and i2_8
+    # have d' = 3 and 4, so the terms of the steps are read with every d'
+    # from 1 to 4
     sys_ = corpus.load(name)
+    lanes = group_mod._packer(sys_)
     rng = random.Random(name)
     for _ in range(25):
         word = tuple(rng.randint(1, sys_.rank) for _ in range(rng.randint(0, 12)))
@@ -105,13 +107,11 @@ def test_left_step_is_the_product_with_a_generator(name):
         for s in range(1, sys_.rank + 1):
             gen = group_mod.generator(sys_, s)
             left = group_mod.multiply(gen, x).key
-            assert group_mod._left_key(sys_, x.key, s) == left
-            assert group_mod._right_key(sys_, x.key, s) == group_mod.multiply(x, gen).key
-
-
-def _right_step_instead(sys_, key, s):
-    # the column operation where the row operation belongs
-    return group_mod._right_key(sys_, key, s)
+            right = group_mod.multiply(x, gen).key
+            assert _left_key(sys_, x.key, s) == left
+            assert lanes.unpack(lanes.left_step(lanes.pack(x.key), s)) == left
+            assert group_mod._right_key(sys_, x.key, s) == right
+            assert lanes.unpack(lanes.right_step(lanes.pack(x.key), s)) == right
 
 
 def _rules_without_row_sign(real):
@@ -128,9 +128,13 @@ def test_join_mutants_are_caught(mutant, monkeypatch):
     if mutant == "drop-deodhar-prune":
         monkeypatch.setattr(group_mod, "_coset_units", lambda sys_, coset: set())
     elif mutant == "right-step-for-left":
-        monkeypatch.setattr(group_mod, "_left_key", _right_step_instead)
+        # the column operation where the row operation belongs
+        monkeypatch.setattr(group_mod._Lanes, "left_step", group_mod._Lanes.right_step)
     else:
         monkeypatch.setattr(group_mod, "_rules", _rules_without_row_sign(group_mod._rules))
+        # the packed steps are compiled from the rules when a packer is built
+        for name in systems:
+            monkeypatch.delitem(corpus.load(name)._cache, "lanes", raising=False)
     for name in systems:
         try:
             got = verify.verify_finite(corpus.load(name)).text_lines()
@@ -186,13 +190,14 @@ def test_h4_join_multiplies_only_at_the_matches(monkeypatch):
     assert len(found) == 30
     assert len(calls) == len(found)
     # exactly the rows of the 30 matching conjugates hit the table
-    walked = group_mod.walk(h4, gens=j, carry=(c.key, group_mod._conjugate_key))
+    lanes = group_mod._packer(h4)
+    walked = group_mod.walk(h4, gens=j, carry=(lanes.pack(c.key), lanes.conjugate_step))
     table = {conj for _, conj in walked}
-    rows = {group_mod._row(h4, conj) for conj in table}
+    rows = {lanes.row(conj) for conj in table}
     hits = matches = 0
     for d in group_mod.walk(h4, coset=j):
-        conj = group_mod.multiply(group_mod.multiply(d, c), group_mod.inverse(d)).key
-        hits += group_mod._row(h4, conj) in rows
+        conj = lanes.pack(group_mod.multiply(group_mod.multiply(d, c), group_mod.inverse(d)).key)
+        hits += lanes.row(conj) in rows
         matches += conj in table
     assert (hits, matches) == (30, 30)
 
@@ -201,7 +206,8 @@ def test_h4_join_multiplies_only_at_the_matches(monkeypatch):
 def test_every_join_hit_is_a_match(name, monkeypatch):
     # for every J, the join forms one product per element it finds: no
     # table hit within the ball is a false candidate, and every lookup,
-    # on the table side and on the stream side, keys through group._row
+    # on the table side and on the stream side, keys through the packed
+    # row, group._Lanes.row
     sys_ = corpus.load(name)
     radius = None if name in corpus.FINITE else 6
     c = group_mod.coxeter_element(sys_)
@@ -209,9 +215,7 @@ def test_every_join_hit_is_a_match(name, monkeypatch):
         products, rows = [], []
         with monkeypatch.context() as patch:
             patch.setattr(group_mod, "multiply", _spy(group_mod.multiply, products))
-            patch.setattr(group_mod, "_row", _spy(group_mod._row, rows))
-            # the canonical words read rows of their own
-            patch.setattr(group_mod, "canonical", lambda g: g)
+            patch.setattr(group_mod._Lanes, "row", _spy(group_mod._Lanes.row, rows))
             _, found, held = verify._join(sys_, c, j, radius)
         assert len(products) == len(found) > 0, j
         streamed = sum(1 for _ in group_mod.walk(sys_, radius, coset=j))
@@ -223,10 +227,14 @@ def _spy(func, calls):
 
 
 def _rows_are_distinct(sys_, radius):
-    """Whether group._row takes a distinct value on every element of the
-    ball of the radius, or of the whole group when radius is None."""
-    keys = [g.key for g in group_mod.walk(sys_, radius)]
-    return len({group_mod._row(sys_, key) for key in keys}) == len(keys)
+    """Whether the packed row, the join's fingerprint, and group._row,
+    that of the descent walk, each take a distinct value on every
+    element of the ball of the radius, or of the whole group when
+    radius is None."""
+    lanes = group_mod._packer(sys_)
+    walked = list(group_mod.walk(sys_, radius))
+    packed = {lanes.row(g._packed) for g in walked}
+    return len(packed) == len({group_mod._row(sys_, g.key) for g in walked}) == len(walked)
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -239,16 +247,16 @@ def test_row_is_injective(name):
 
 @pytest.mark.parametrize("drop", ["first-block", "last-block"])
 def test_truncated_row_mutants_are_caught(drop, monkeypatch):
-    # a row without its first or last block collides on every finite
-    # group of the corpus
-    real = group_mod._row
+    # a packed row without its first or last block collides on every
+    # finite group of the corpus
+    real = group_mod._Lanes.row
 
-    def mutant(sys_, key):
-        row = real(sys_, key)
-        d = len(row) // sys_.rank
-        return row[d:] if drop == "first-block" else row[:-d]
+    def mutant(lanes, x):
+        flat = lanes.unpack(real(lanes, x))
+        blocks = [flat[a:a + lanes.degree] for a in range(0, len(flat), lanes.nd)]
+        return tuple(blocks[1:] if drop == "first-block" else blocks[:-1])
 
-    monkeypatch.setattr(group_mod, "_row", mutant)
+    monkeypatch.setattr(group_mod._Lanes, "row", mutant)
     for name in corpus.FINITE:
         assert not _rows_are_distinct(corpus.load(name), None), name
 

@@ -25,7 +25,7 @@ from coxkit.errors import ResourceLimitError
 from coxkit.field import FieldElement
 
 from test_field import _fibonacci_blocks, _pell_blocks, ref_sign
-from test_group import _load_oracle
+from test_group import _conjugate_key, _left_key, _load_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -191,15 +191,20 @@ def test_walk_visits_each_element_once_with_its_canonical_word():
     assert set(seen) == set(group_mod.enumerate_group(sys_).members)
 
 
-def _reference_walk(sys_, radius):
-    """The walk's step loop as it was before its step rules were built
-    once per walk, kept as the reference: every generator tried on every
-    element, each column operation applied block by block with
-    group._scaled, each sign that of the first nonzero block by the
-    exact FieldElement.sign of Q(theta'). Yields (key, word) pairs."""
+def _reference_walk(sys_, radius, gens=None, coset=None, carry=None):
+    """The walk's step loop on tuple keys as it was before its step rules
+    were built once per walk and before keys were packed, kept as the
+    reference: every generator (of gens) tried on every element, each
+    column operation applied block by block with group._scaled, each
+    sign that of the first nonzero block by the exact FieldElement.sign
+    of Q(theta'), the coset prune against tuple unit columns, a carry
+    (start, step) stepped as step(sys_, value, s). Yields (key, word,
+    value) triples, value None without a carry."""
     ring = group_mod._ring(sys_)
     d, steps = group_mod._steps(sys_)
     nd = sys_.rank * d
+    idkey = group_mod.identity(sys_).key
+    units = {idkey[(s - 1) * nd:s * nd] for s in coset or ()}
 
     def negative(col):
         a = next(a for a in range(0, nd, d) if any(col[a:a + d]))
@@ -210,11 +215,13 @@ def _reference_walk(sys_, radius):
         touched = 1 << s0
         for j, _ in row:
             touched |= 1 << j
-        rules.append((s0, 1 << s0, ~touched, row))
-    stack = [(group_mod.identity(sys_).key, 0, ())]
+        if gens is None or s0 + 1 in gens:
+            rules.append((s0, 1 << s0, ~touched, row))
+    start, step = carry if carry is not None else (None, None)
+    stack = [(idkey, 0, (), start)]
     while stack:
-        key, descents, word = stack.pop()
-        yield key, word
+        key, descents, word, value = stack.pop()
+        yield key, word, value
         if len(word) == radius:
             continue
         for s0, bit, keep, row in rules:
@@ -223,6 +230,8 @@ def _reference_walk(sys_, radius):
                 continue
             lo = s0 * nd
             col_s = key[lo:lo + nd]
+            if col_s in units:
+                continue
             out = list(key)
             mask = descents & keep | bit
             for j, op in row:
@@ -235,7 +244,8 @@ def _reference_walk(sys_, radius):
                         break
             else:
                 out[lo:lo + nd] = [-y for y in col_s]
-                stack.append((tuple(out), mask, word + (s0 + 1,)))
+                stack.append((tuple(out), mask, word + (s0 + 1,),
+                              None if step is None else step(sys_, value, s0 + 1)))
 
 
 # radii of the infinite systems: balls of at most about 17,500 elements
@@ -248,7 +258,7 @@ def test_walk_matches_the_reference_step_loop(name):
     radius = REFERENCE_RADII.get(name)
     if radius is None:
         assert diagram.is_spherical(sys_, tuple(range(1, sys_.rank + 1))), name
-    got = [(g.key, g.word) for g in group_mod.walk(sys_, radius)]
+    got = [(g.key, g.word, None) for g in group_mod.walk(sys_, radius)]
     assert got == list(_reference_walk(sys_, radius))
 
 
@@ -257,7 +267,7 @@ def test_walk_mutants_are_caught(mutant, monkeypatch):
     if mutant == "drop-least-descent-clause":
         monkeypatch.setattr(group_mod, "_is_child", lambda descents, s0: True)
     else:
-        monkeypatch.setattr(group_mod, "_still_negative", lambda ring, col: True)
+        monkeypatch.setattr(group_mod, "_still_negative", lambda lanes, col: True)
     for name, radius in (("a3", None), ("h3", None), ("tri334", 6), ("d4t", 4)):
         expected = _series(name, radius)
         try:
@@ -269,20 +279,21 @@ def test_walk_mutants_are_caught(mutant, monkeypatch):
 
 @pytest.mark.parametrize("name", corpus.names())
 def test_conjugates_carry_matches_products(name):
-    """The key the walk carries at u by group._conjugate_key from w is
-    that of u^-1 w u, for w the Coxeter element, a generator and a
+    """The key the walk carries at u by the packed conjugation step from
+    w is that of u^-1 w u, for w the Coxeter element, a generator and a
     seeded random word, over the whole of a finite group and the ball of
     radius 4 of an infinite one. The reference is multiply:
     K = u^-1 w u exactly when u K = w u."""
     sys_ = corpus.load(name)
+    lanes = group_mod._packer(sys_)
     rng = random.Random(name)
     radius = None if name in corpus.FINITE else 4
     word = [rng.randint(1, sys_.rank) for _ in range(6)]
     for w in (group_mod.coxeter_element(sys_), group_mod.generator(sys_, sys_.rank),
               group_mod.from_word(sys_, word)):
-        carry = (w.key, group_mod._conjugate_key)
+        carry = (lanes.pack(w.key), lanes.conjugate_step)
         for u, key in group_mod.walk(sys_, radius, carry=carry):
-            conj = group_mod.GroupElement(sys_, key, ())
+            conj = group_mod.GroupElement(sys_, key, (), lanes)
             assert group_mod.multiply(u, conj).key == group_mod.multiply(w, u).key, u.word
 
 
@@ -301,34 +312,40 @@ def _carry_by_depth(elements, start, step):
 @pytest.mark.parametrize("name", corpus.names())
 def test_walk_carry_keeps_the_order_and_carries_inverses(name):
     """A carried walk yields the plain walk's elements in its order; the
-    key _left_key carries from the identity is that of x^-1, equal to
-    the depth-indexed reference's and to group.inverse's."""
+    key the packed left step carries from the identity is that of x^-1,
+    equal to the depth-indexed reference's (the tuple _left_key) and to
+    group.inverse's."""
     sys_ = corpus.load(name)
+    lanes = group_mod._packer(sys_)
     radius = None if name in corpus.FINITE else 4
     e = group_mod.identity(sys_)
     plain = list(group_mod.walk(sys_, radius))
-    carried = list(group_mod.walk(sys_, radius, carry=(e.key, group_mod._left_key)))
+    carried = list(group_mod.walk(sys_, radius, carry=(lanes.one, lanes.left_step)))
     assert [(x.key, x.word) for x, _ in carried] == [(x.key, x.word) for x in plain]
-    reference = _carry_by_depth(plain, e.key, lambda key, s: group_mod._left_key(sys_, key, s))
+    reference = _carry_by_depth(plain, e.key, lambda key, s: _left_key(sys_, key, s))
     for (x, key), (_, expected) in zip(carried, reference, strict=True):
-        assert key == expected == group_mod.inverse(x).key, x.word
+        assert lanes.unpack(key) == expected == group_mod.inverse(x).key, x.word
 
 
-def _meet_step(monkeypatch):
-    """The step verify._meet hands its walk, taken from that call."""
-    steps = []
-    walk = group_mod.walk
+class _Taken(Exception):
+    pass
+
+
+def _meet_carry(sys_, monkeypatch):
+    """The carry verify._meet hands its walk on sys_, taken from that
+    call, which stops there."""
+    carries = []
 
     def spy(*args, carry=None, **kwargs):
-        if carry is not None:
-            steps.append(carry[1])
-        return walk(*args, carry=carry, **kwargs)
+        carries.append(carry)
+        raise _Taken
 
     with monkeypatch.context() as patched:
         patched.setattr(group_mod, "walk", spy)
-        verify._meet(corpus.load("a1t"), group_mod.coxeter_element(corpus.load("a1t")), 2)
-    (step,) = steps
-    return step
+        with pytest.raises(_Taken):
+            verify._meet(sys_, group_mod.coxeter_element(sys_), 2)
+    (carry,) = carries
+    return carry
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -336,13 +353,60 @@ def test_meet_pair_carry_matches_products(name, monkeypatch):
     """The pair verify._meet carries from (c, e) is, at every z, the keys
     of z^-1 c z and of z^-1, against products and group.inverse."""
     sys_ = corpus.load(name)
+    lanes = group_mod._packer(sys_)
     c = group_mod.coxeter_element(sys_)
     radius = None if name in corpus.FINITE else 4
-    carry = ((c.key, group_mod.identity(sys_).key), _meet_step(monkeypatch))
-    for z, (conj, zinv) in group_mod.walk(sys_, radius, carry=carry):
+    for z, (conj, zinv) in group_mod.walk(sys_, radius, carry=_meet_carry(sys_, monkeypatch)):
         inv = group_mod.inverse(z)
-        assert conj == group_mod.multiply(group_mod.multiply(inv, c), z).key, z.word
-        assert zinv == inv.key, z.word
+        assert lanes.unpack(conj) == group_mod.multiply(group_mod.multiply(inv, c), z).key, z.word
+        assert lanes.unpack(zinv) == inv.key, z.word
+
+
+def _meet_pair(sys_, pair, s):
+    conj, zinv = pair
+    return _conjugate_key(sys_, conj, s), _left_key(sys_, zinv, s)
+
+
+WALK_CASES = [(name, None if name in corpus.FINITE else 6) for name in corpus.names()] + [
+    ("d4t", 10), ("tri334", 16),
+]
+
+
+@pytest.mark.parametrize("name,radius", WALK_CASES, ids=[f"{n}-{r}" for n, r in WALK_CASES])
+def test_packed_walk_matches_the_reference_walk(name, radius, monkeypatch):
+    # (key, word, carried key) in the walk's order: no carry, each carry
+    # of the sweeps (inverses, conjugates of c, the meet's pair), and the
+    # walks of W_J and of its minimal coset representatives; the
+    # conjugates of c at tri334 R=16 outgrow 32-bit lanes, and the
+    # comparison reruns with wider ones as the sweeps do, on a system of
+    # its own
+    sys_ = diagram.parse_system(corpus.read_text(name))
+    group_mod._widening(_walks_agree, sys_, radius, monkeypatch)
+
+
+def _walks_agree(sys_, radius, monkeypatch):
+    lanes = group_mod._packer(sys_)
+    c = group_mod.coxeter_element(sys_)
+    e = group_mod.identity(sys_)
+    j = verify._join_parabolic(sys_)
+
+    def packed(carry=None, unpack=lanes.unpack, **kwargs):
+        return [(w.key, w.word, None if carry is None else unpack(value))
+                for w, value in ((x, None) if carry is None else x
+                                 for x in group_mod.walk(sys_, radius, carry=carry, **kwargs))]
+
+    def pair(values):
+        return tuple(map(lanes.unpack, values))
+
+    assert packed() == list(_reference_walk(sys_, radius))
+    assert packed((lanes.one, lanes.left_step)) == list(
+        _reference_walk(sys_, radius, carry=(e.key, _left_key)))
+    assert packed((lanes.pack(c.key), lanes.conjugate_step)) == list(
+        _reference_walk(sys_, radius, carry=(c.key, _conjugate_key)))
+    assert packed(_meet_carry(sys_, monkeypatch), pair) == list(
+        _reference_walk(sys_, radius, carry=((c.key, e.key), _meet_pair)))
+    assert packed(gens=j) == list(_reference_walk(sys_, radius, gens=j))
+    assert packed(coset=j) == list(_reference_walk(sys_, radius, coset=j))
 
 
 def test_walk_cap_names_depth_and_count():
@@ -378,3 +442,50 @@ def test_walk_cap_exits_inconclusive_through_the_cli():
     )
     assert "after 10 elements)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# ------------------------------------------------------------ lane overflow
+
+@pytest.mark.parametrize("name,radius", [("d4t", 10), ("tri334", 16)])
+def test_narrow_lanes_widen_every_packed_walk(name, radius, monkeypatch):
+    # from lanes of 8 bits, the keys the walk steps and each value it
+    # carries trip the overflow check before a lane wraps: the walks
+    # still match the tuple walk, rerun with wider lanes at each trip
+    monkeypatch.setattr(group_mod, "_lane_bits", lambda sys_: 8)
+    sys_ = diagram.parse_system(corpus.read_text(name))
+    group_mod._widening(_walks_agree, sys_, radius, monkeypatch)
+    assert group_mod._packer(sys_).bits > 8
+
+
+@pytest.mark.parametrize("name", ["tri334", "d4t"])
+def test_narrow_lanes_widen_and_keep_the_report(name, monkeypatch):
+    # lanes of 8 bits hold entries below 4: the keys, rows and conjugates
+    # of these sweeps trip the overflow check, each trip reruns the
+    # certificate with lanes twice as wide, and the report is the one the
+    # default width gives
+    expected = verify.verify_ball(diagram.parse_system(corpus.read_text(name)), radius=20)
+    monkeypatch.setattr(group_mod, "_lane_bits", lambda sys_: 8)
+    widths = []
+    build = group_mod._Lanes.__init__
+    monkeypatch.setattr(group_mod._Lanes, "__init__",
+                        lambda lanes, sys_, bits: widths.append(bits) or build(lanes, sys_, bits))
+    sys_ = diagram.parse_system(corpus.read_text(name))
+    report = verify.verify_ball(sys_, radius=20)
+    assert report.text_lines() == expected.text_lines()
+    assert widths[0] == 8 and len(widths) > 1
+    assert widths == sorted(widths) and group_mod._packer(sys_).bits == widths[-1] > 8
+    # the lanes it settled on hold the conjugates of c the half ball carries
+    lanes = group_mod._packer(sys_)
+    c = group_mod.coxeter_element(sys_)
+    for z, conj in group_mod.walk(sys_, 10, carry=(lanes.pack(c.key), lanes.conjugate_step)):
+        inv = group_mod.inverse(z)
+        assert lanes.unpack(conj) == group_mod.multiply(group_mod.multiply(inv, c), z).key, z.word
+
+
+def test_lanes_stop_widening_at_the_cap(monkeypatch):
+    # tri334 at R = 20 needs 32-bit lanes: from 8 bits under a cap of 16,
+    # the second trip ends the sweep as a resource limit, not a runaway
+    monkeypatch.setattr(group_mod, "_lane_bits", lambda sys_: 8)
+    monkeypatch.setattr(group_mod, "MAX_LANE_BITS", 16)
+    with pytest.raises(ResourceLimitError, match="^a packed key outgrew lanes of 16 bits$"):
+        verify.verify_ball(diagram.parse_system(corpus.read_text("tri334")), radius=20)
