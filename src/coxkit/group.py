@@ -44,13 +44,16 @@ lane reduced through the minimal polynomial. Lanes are read through a
 bias of 2^(bits-1) per lane, so a biased lane's top bit is set exactly
 when its int is >= 0. Every packed value passes a two-operation overflow
 check against a room of 2^room per lane, which leaves every kernel
-the headroom it needs; a trip raises _LaneOverflow, and _widening
-reruns the computation that tripped with lanes twice as wide, so no
-lane wraps silently; past MAX_LANE_BITS it raises ResourceLimitError.
-The width starts at _lane_bits and is never an option. walk() steps
-packed keys and carries packed values; an element it yields unpacks
-its tuple key on first use, so the tuple layers (roots, refl,
-parabolic, printing) see the same keys.
+the headroom it needs, so no lane wraps silently. A trip raises
+_LaneOverflow, and the system's packer becomes one with lanes twice as
+wide (_wider); past MAX_LANE_BITS that raises ResourceLimitError. The
+width starts at _lane_bits and is never an option. walk() steps packed
+keys and moves its stack to the wider packer when one of them trips,
+so a walk never fails for its lanes; a value it carries that trips
+ends the consumer's run, which _widening reruns with the wider lanes.
+An element walk() yields unpacks its tuple key on first use, so the
+tuple layers (roots, refl, parabolic, printing) see the same keys, and
+_carried_keys hands them carried keys as tuples.
 
 The ring (_ring) is built once per system, on first use. A root is a
 column: column j of a key is the root w(e_{j+1}), so the root,
@@ -809,23 +812,43 @@ def _packer(sys_: CoxeterSystem) -> _Lanes:
     return sys_.memo("lanes", lambda: _Lanes(sys_, _lane_bits(sys_)))
 
 
+def _wider(lanes: _Lanes) -> _Lanes:
+    """The system's packer after lanes tripped: twice as wide as lanes,
+    unless it already is. Lanes wider than MAX_LANE_BITS raise
+    ResourceLimitError."""
+    sys_, bits = lanes.system, 2 * lanes.bits
+    if bits > MAX_LANE_BITS:
+        raise ResourceLimitError(f"a packed key outgrew lanes of {MAX_LANE_BITS} bits")
+    if _packer(sys_).bits < bits:
+        sys_._cache["lanes"] = _Lanes(sys_, bits)
+    return _packer(sys_)
+
+
 def _widening(run: Callable, *args):
     """run(*args), run again each time a packed value trips the overflow
-    check, after the system whose lanes tripped gets lanes twice as
-    wide. A run takes every packed value from the packer it starts
+    check, after the system whose lanes tripped gets wider ones
+    (_wider). A run takes every packed value from the packer it starts
     with, so its rerun starts clean; an element it made keeps the packer
-    that can unpack it. Lanes wider than MAX_LANE_BITS end the run with
-    ResourceLimitError."""
+    that can unpack it."""
     while True:
         try:
             return run(*args)
         except _LaneOverflow as trip:
-            sys_, bits = trip.lanes.system, 2 * trip.lanes.bits
-            if bits > MAX_LANE_BITS:
-                raise ResourceLimitError(
-                    f"a packed key outgrew lanes of {MAX_LANE_BITS} bits") from None
-            if _packer(sys_) is trip.lanes:
-                sys_._cache["lanes"] = _Lanes(sys_, bits)
+            _wider(trip.lanes)
+
+
+def _carried_keys(sys_: CoxeterSystem, gens: Iterable[int], key: Key,
+                  step: str) -> list[tuple[GroupElement, Key]]:
+    """Each u of the walk of the standard parabolic W_gens, in the walk's
+    order, with the tuple key carried to it from key: of u^-1 a for
+    step "left", of u^-1 a u for step "conjugate", a the element of key
+    (_Lanes.left_step, _Lanes.conjugate_step). Runs under _widening."""
+    def carried():
+        lanes = _packer(sys_)
+        carry = (lanes.pack(key), getattr(lanes, step + "_step"))
+        return [(u, lanes.unpack(value)) for u, value in walk(sys_, gens=gens, carry=carry)]
+
+    return _widening(carried)
 
 
 class _Lanes:
@@ -857,8 +880,7 @@ class _Lanes:
     __slots__ = ("system", "bits", "ring", "degree", "nd", "one", "bias", "check", "guard", "col",
                  "col_bias", "blocks", "blocks_bias", "ones", "spread", "gather",
                  "row_mask", "row_bias", "row_shift", "rev_shift", "key_blocks",
-                 "key_blocks_bias", "row_starts", "row_starts_bias", "cuts", "reduce", "right",
-                 "left", "_shifts", "_format")
+                 "key_blocks_bias", "reduce", "right", "left", "_shifts", "_format")
 
     def __init__(self, sys_: CoxeterSystem, bits: int) -> None:
         ring = _ring(sys_)
@@ -892,10 +914,6 @@ class _Lanes:
         self.row_mask = sum(fill(lane, d, 1, c * nd) for c in range(n))
         self.row_bias = sum(fill(half, d, 1, c * nd) for c in range(n))
         self.row_shift, self.rev_shift = bits * (n - 1) * d, bits * (size - nd)
-        self.row_starts, self.row_starts_bias = fill(lane, n, nd), fill(half, n, nd)
-        # per theta' power l, per i: where column i starts, where
-        # coefficient l of entry i of the first column lies
-        self.cuts = [[(bits * i * nd, bits * (i * d + l)) for i in range(n)] for l in range(d)]
         self.reduce = sum(r << bits * k for k, r in enumerate(ring.field._base))
         self.right = []
         for (s0, bit, keep, _, ops), terms in zip(right, lanes):
@@ -918,7 +936,10 @@ class _Lanes:
                               bits * (n - 1 - s0) * d, self.row_mask << bits * s0 * d,
                               self.row_bias << bits * s0 * d))
         self._shifts = range(0, size * bits, bits)
-        self._format = {8: "b", 16: "h", 32: "i", 64: "q"}.get(bits)
+        # a machine-word lane reads back through memoryview.cast, which
+        # takes the host's byte order: little-endian hosts only
+        words = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
+        self._format = words.get(bits)
         self.one = self.pack(identity(sys_).key)
 
     def _fill(self, value: int, count: int, step: int = 1, start: int = 0) -> int:
@@ -935,13 +956,18 @@ class _Lanes:
         """The packed key of a tuple key."""
         return self.checked(sum(map(lshift, key, self._shifts)))
 
+    def of(self, g: GroupElement) -> int:
+        """The packed key of g: the int a walk on these lanes made it
+        with, else its key packed (a walk that widened its lanes)."""
+        return g._packed if getattr(g, "_lanes", None) is self else self.pack(g.key)
+
     def unpack(self, x: int, count: int | None = None) -> Key:
         """The first count lanes of x (all of a key when None) as ints."""
         if count is None:
             count = len(self._shifts)
         if self._format is not None:
             # bias, then flip each top bit: every lane in two's complement
-            raw = ((x + self.bias) ^ self.bias).to_bytes(count * self.bits // 8, sys.byteorder)
+            raw = ((x + self.bias) ^ self.bias).to_bytes(count * self.bits // 8, "little")
             return tuple(memoryview(raw).cast(self._format))
         y, lane, half = x + self.bias, (1 << self.bits) - 1, 1 << self.bits - 1
         return tuple(((y >> k) & lane) - half for k in self._shifts[:count])
@@ -969,19 +995,6 @@ class _Lanes:
     def conjugate_step(self, x: int, s: int) -> int:
         """The packed key of s x s from that of x."""
         return self.left_step(self.right_step(x, s), s)
-
-    def multiply(self, a: int, b: int) -> int:
-        """The packed key of the product of the elements with packed keys
-        a and b: column j gains coefficient l of entry (i, j) of b times
-        column i of theta'^l a, for every i and l, in one product each."""
-        y, out, fold = b + self.bias, 0, 0
-        for l, t in enumerate(self.thetas(a)):
-            t += self.bias
-            for at, cut in self.cuts[l]:
-                col = ((t >> at) & self.col) - self.col_bias
-                out += ((y >> cut) & self.row_starts) * col
-                fold += col
-        return self.checked(out - self.row_starts_bias * fold)
 
     def theta(self, x: int) -> int:
         """theta' times every block: a lane up, the top lane reduced."""
@@ -1090,15 +1103,17 @@ def walk(
 
     The walk steps packed keys (_Lanes, the system's _packer), and each
     element it yields holds its key packed until the key is asked for.
-    carry = (start, step) carries a packed value from parent to child:
-    start at the identity, step(value at x, s) at x*s, s 1-based,
+    carry = (start, step) carries a value of any kind from parent to
+    child: start at the identity, step(value at x, s) at x*s, s 1-based,
     computed when x*s is pushed, so the walk yields (x, value) pairs,
     and a consumer that stops early pays only the steps of the children
     still on the stack. _Lanes.left_step from the packed key of a
     carries that of x^-1 a, as x^-1 a = s (x'^-1 a) for x = x' s, and
-    _Lanes.conjugate_step from that of w carries that of x^-1 w x. A
-    packed value that outgrows its lanes raises _LaneOverflow; the
-    consumer reruns under _widening.
+    _Lanes.conjugate_step from that of w carries that of x^-1 w x. The
+    walk itself never overflows: when a key it steps outgrows its lanes,
+    the walk moves to lanes twice as wide (_wider) and goes on. A carried
+    value that outgrows its lanes raises _LaneOverflow from step; the
+    consumer reruns under _widening (_carried_keys).
 
     The step rules are built once per system (_Lanes.right), and per
     walk, per descent mask it meets, the generators s that are ascents
@@ -1109,16 +1124,28 @@ def walk(
         raise ValueError("radius must be nonnegative")
     if cap is None:
         cap = DEFAULT_BALL_CAP
+    keep_gens = None if gens is None else _norm_subset(sys_, gens)
+    coset = None if coset is None else _norm_subset(sys_, coset)
+
+    def bind(lanes):
+        # what the walk reads of its packer: the rules of its generators,
+        # the units of the prune, and a cache per descent mask of the
+        # rules whose s passes the inherited part of the child test
+        rules = [rule for rule in lanes.right if keep_gens is None or rule[0] + 1 in keep_gens]
+        units = set() if coset is None else _coset_units(sys_, coset)
+        return rules, units, {}, lanes.bias, lanes.col, lanes.right_step
+
+    def children(descents):
+        # x*s is a child of x when s is an ascent of x and no t < s is a
+        # descent of x*s; columns away from s keep their signs
+        todo = candidates[descents] = [
+            rule for rule in rules
+            if not descents & rule[1] and _is_child(descents & rule[2], rule[0])
+        ]
+        return todo
+
     lanes = _packer(sys_)
-    rules = lanes.right
-    if gens is not None:
-        keep_gens = _norm_subset(sys_, gens)
-        rules = [rule for rule in rules if rule[0] + 1 in keep_gens]
-    units = _coset_units(sys_, _norm_subset(sys_, coset)) if coset is not None else set()
-    bias, check, guard, col, blocks = lanes.bias, lanes.check, lanes.guard, lanes.col, lanes.blocks
-    # descent mask -> the rules whose s passes the inherited part of the
-    # child test, built for the masks the walk meets
-    candidates: dict = {}
+    rules, units, candidates, bias, col, right_step = bind(lanes)
     start, step = carry if carry is not None else (None, None)
     stack = [(lanes.one, 0, (), start)]
     count = deepest = 0
@@ -1139,32 +1166,38 @@ def walk(
             continue
         todo = candidates.get(descents)
         if todo is None:
-            # x*s is a child of x when s is an ascent of x and no t < s
-            # is a descent of x*s; columns away from s keep their signs
-            todo = candidates[descents] = [
-                rule for rule in rules
-                if not descents & rule[1] and _is_child(descents & rule[2], rule[0])
-            ]
-        y = x + bias
-        for s0, bit, keep, shift, feed, fold, adjacent, touched in todo:
-            if units and (y >> shift) & col in units:
-                continue
-            out = x - fold
-            for at, f in feed:
-                out += ((y >> at) & blocks) * f
-            if (out + check) & guard:
-                raise _LaneOverflow(lanes)
-            mask = descents & keep | bit
-            for at, jbit in adjacent if descents & touched else ():
-                # a positive column plus a positive multiple of the
-                # positive column s stays positive
-                if descents & jbit and _still_negative(lanes, ((out + bias) >> at) & col):
-                    mask |= jbit
-                    if not _is_child(mask, s0):
-                        break
+            todo = children(descents)
+        while True:
+            y, top = x + bias, len(stack)
+            for s0, bit, keep, shift, _, _, adjacent, touched in todo:
+                if units and (y >> shift) & col in units:
+                    continue
+                try:
+                    out = right_step(x, s0 + 1)
+                except _LaneOverflow:
+                    break
+                mask = descents & keep | bit
+                for at, jbit in adjacent if descents & touched else ():
+                    # a positive column plus a positive multiple of the
+                    # positive column s stays positive
+                    if descents & jbit and _still_negative(lanes, ((out + bias) >> at) & col):
+                        mask |= jbit
+                        if not _is_child(mask, s0):
+                            break
+                else:
+                    stack.append((out, mask, word + (s0 + 1,),
+                                  None if step is None else step(value, s0 + 1)))
             else:
-                stack.append((out, mask, word + (s0 + 1,),
-                              None if step is None else step(value, s0 + 1)))
+                break
+            # x*s outgrew the lanes: every key on the stack moves to the
+            # wider packer, and x is stepped again; the elements already
+            # yielded keep the lanes that unpack them
+            del stack[top:]
+            old, lanes = lanes, _wider(lanes)
+            x = lanes.pack(old.unpack(x))
+            stack = [(lanes.pack(old.unpack(key)), *rest) for key, *rest in stack]
+            rules, units, candidates, bias, col, right_step = bind(lanes)
+            todo = children(descents)
 
 
 def _ball_order(

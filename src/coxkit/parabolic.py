@@ -355,18 +355,11 @@ def parabolic_closure_finite(
     ]
     conjugator, standard = _match_standard(sys_, gens_t, chosen)
     # g u^-1 g^-1 over the walk of W_J, carrying u^-1 g^-1 = s u'^-1 g^-1
+    members = {}
     ginv = group_mod.inverse(conjugator)
-
-    def conjugates():
-        lanes = group_mod._packer(sys_)
-        members = {}
-        walked = group_mod.walk(sys_, gens=standard, carry=(lanes.pack(ginv.key), lanes.left_step))
-        for u, key in walked:
-            y = group_mod.multiply(conjugator, GroupElement(sys_, key, u.word[::-1] + ginv.word, lanes))
-            members[y.key] = y
-        return members
-
-    members = group_mod._widening(conjugates)
+    for u, key in group_mod._carried_keys(sys_, standard, ginv.key, "left"):
+        y = group_mod.multiply(conjugator, GroupElement(sys_, key, u.word[::-1] + ginv.word))
+        members[y.key] = y
     for w in elements:
         if w.key not in members:
             raise InvariantViolation("closure does not contain an input element")

@@ -407,14 +407,8 @@ def parabolic_coxeter_check(
     if reflection_length(sys_, w, gens_t) != group_mod.length_and_reduced(w)[0]:
         return False
     coxset = _standard_coxeter_keys(sys_, gens_t)
-
-    def conjugate_is_coxeter():
-        lanes = group_mod._packer(sys_)
-        packed = {lanes.pack(key) for key in coxset}
-        walked = group_mod.walk(sys_, gens=gens_t, carry=(lanes.pack(w.key), lanes.conjugate_step))
-        return any(key in packed for _, key in walked)
-
-    return group_mod._widening(conjugate_is_coxeter)
+    conjugates = group_mod._carried_keys(sys_, gens_t, w.key, "conjugate")
+    return any(key in coxset for _, key in conjugates)
 
 
 def _standard_coxeter_keys(sys_: CoxeterSystem, gens_t: tuple[int, ...]) -> frozenset:

@@ -34,15 +34,17 @@ l(z) = ceil(l(g)/2), so both lie in the ball B_h, h = ceil(R/2), and
 x^-1 c x = z^-1 c z. One walk of B_h carries the packed keys of
 z^-1 c z and z^-1 and buckets by the first; the pairs of a bucket with
 l(z) - l(x) in {0, 1} and l(x) + l(z) <= R give every g in C(c) within
-the ball but the identity, each a packed product, confirmed by
-commutes. The ball's size comes from
-Steinberg's growth series (group.growth_series). The join holds W_J
-within the ball, the meet B_h and its pairs, never the ball; the cap,
-group.DEFAULT_BALL_CAP elements, bounds each walk and the pairs, and
-running out raises ResourceLimitError naming the stage, the depth and
-the count. A packed value that outgrows its lanes reruns the
-certificate with wider ones (group._widening). The report records the
-method and the number of elements held, and prints neither.
+the ball but the identity, each x z^-1 formed by left steps from the
+carried z^-1 along the word of x, confirmed by commutes. The ball's
+size comes from Steinberg's growth series (group.growth_series). The
+join holds W_J within the ball, the meet B_h and its pairs, never the
+ball; the cap, group.DEFAULT_BALL_CAP elements, bounds each walk and
+the pairs, and running out raises ResourceLimitError naming the stage,
+the depth and the count. A walk moves to wider lanes when a key it
+steps outgrows its own; a carried or formed packed value that outgrows
+them reruns the certificate with wider ones (group._widening). The
+report records the method and the number of elements held, and prints
+neither.
 
 The certificates only find: each returns the commuting elements,
 carrying their canonical reduced words, in no order. The entry points
@@ -71,6 +73,7 @@ placeholder otherwise (the status field disambiguates the identity).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections.abc import Iterator, Sequence
@@ -322,8 +325,10 @@ def _join(
     The row determines the element, so every u a hit finds with
     l(u) + l(d) <= radius forms g = u d and calls commutes. The table
     is what is held; each walk is capped on its own. Every packed value
-    comes from one packer, so a trip of its overflow check reruns the
-    whole join (group._widening, in the entry points).
+    the join makes comes from one packer (a d from a walk that widened
+    its own lanes is packed again, _Lanes.of), so a trip of its
+    overflow check reruns the whole join (group._widening, in the entry
+    points).
     """
     lanes = group_mod._packer(sys_)
     table: dict = {}
@@ -344,7 +349,7 @@ def _join(
     for d, dinv in _staged(walked, "the walk of the minimal coset representatives"):
         depth = len(d.word)
         size += within[-1] if radius is None else within[min(radius - depth, len(within) - 1)]
-        row = lanes.row_mul(lanes.row(d._packed), times_c)
+        row = lanes.row_mul(lanes.row(lanes.of(d)), times_c)
         for u in table.get(lanes.row_mul(row, lanes.thetas(dinv)), ()):
             if radius is not None and len(u.word) + depth > radius:
                 continue
@@ -372,11 +377,11 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[
     l(x) + l(z) <= radius, and l(g) <= l(x) + l(z). The split is reduced,
     so x and z have no right descent in common: the pairs whose
     canonical words end in the same letter are skipped. Each product
-    x z^-1 is one packed product (_Lanes.multiply), kept once, by key,
-    and confirmed by commutes; the commuting elements
-    come back as _join returns them. The size is the sum of
-    group.growth_series. What is held, B_h and the pairs, is capped
-    together.
+    x z^-1 is the carried z^-1 after one _Lanes.left_step per letter of
+    x, at most h of them, kept once, by key, and confirmed by commutes;
+    the commuting elements come back as _join returns them. The size is
+    the sum of group.growth_series. What is held, B_h and the pairs, is
+    capped together.
     """
     half = -(-radius // 2)
     buckets: dict = {}
@@ -409,7 +414,9 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[
                         " in the pairs of the half ball"
                     )
                 held += 1
-                g = GroupElement(sys_, lanes.multiply(x._packed, zinv), x.word + z.word[::-1], lanes)
+                # x z^-1 = s_1 ... s_m z^-1 for x = s_1 ... s_m
+                g = GroupElement(sys_, functools.reduce(lanes.left_step, reversed(x.word), zinv),
+                                 x.word + z.word[::-1], lanes)
                 products.setdefault(g.key, g)
     found = []
     for g in products.values():
@@ -586,12 +593,7 @@ def verify_example_d4tilde() -> ExampleReport:
     # one walk of W' gives its order and the conjugates u^-1 v u
     v = group_mod.from_word(sys_, (4, 3, 4, 5, 3, 2))
 
-    def conjugates_of_v():
-        lanes = group_mod._packer(sys_)
-        walked = group_mod.walk(sys_, gens=wp, carry=(lanes.pack(v.key), lanes.conjugate_step))
-        return [lanes.unpack(key) for _, key in walked]
-
-    conjugates = group_mod._widening(conjugates_of_v)
+    conjugates = [key for _, key in group_mod._carried_keys(sys_, wp, v.key, "conjugate")]
     order_wp = len(conjugates)
     _push_clause(clauses, "a", order_wp == 192, f"|W'|={order_wp}")
 

@@ -457,6 +457,33 @@ def test_narrow_lanes_widen_every_packed_walk(name, radius, monkeypatch):
     assert group_mod._packer(sys_).bits > 8
 
 
+@pytest.mark.parametrize("name,radius", [("d4t", 10), ("tri334", 16), ("b4", None)])
+def test_plain_walk_widens_its_own_lanes(name, radius, monkeypatch):
+    # a walk with no carry never raises for its lanes: from 8 bits, each
+    # key that trips moves the walk to wider lanes (on b4 after a sibling
+    # of that key was pushed), the elements keep the keys, words and
+    # order of the 32-bit walk, and those yielded before a trip still
+    # unpack with the lanes they were made with; the system's packer,
+    # now the widest, packs each of them (_Lanes.of); the same for the
+    # walks of W_J and of its minimal coset representatives, whose
+    # prune reads the units of the wider lanes after a trip
+    j = verify._join_parabolic(corpus.load(name))
+    kinds = [{}, {"gens": j}, {"coset": j}]
+    expected = [[(x.key, x.word) for x in group_mod.walk(corpus.load(name), radius, **kw)]
+                for kw in kinds]
+    monkeypatch.setattr(group_mod, "_lane_bits", lambda sys_: 8)
+    for kw, keys in zip(kinds, expected):
+        sys_ = diagram.parse_system(corpus.read_text(name))
+        walked = list(group_mod.walk(sys_, radius, **kw))
+        assert [(x.key, x.word) for x in walked] == keys, kw
+        widths = [x._lanes.bits for x in walked]
+        assert widths[0] == 8 and widths == sorted(widths), kw
+        lanes = group_mod._packer(sys_)
+        # the whole walk trips on each system; W_J of tri334 need not
+        assert lanes.bits == widths[-1] > (0 if kw else 8), kw
+        assert [lanes.unpack(lanes.of(x)) for x in walked] == [key for key, _ in keys]
+
+
 @pytest.mark.parametrize("name", ["tri334", "d4t"])
 def test_narrow_lanes_widen_and_keep_the_report(name, monkeypatch):
     # lanes of 8 bits hold entries below 4: the keys, rows and conjugates
