@@ -45,15 +45,15 @@ bias of 2^(bits-1) per lane, so a biased lane's top bit is set exactly
 when its int is >= 0. Every packed value passes a two-operation overflow
 check against a room of 2^room per lane, which leaves every kernel
 the headroom it needs, so no lane wraps silently. A trip raises
-_LaneOverflow, and the system's packer becomes one with lanes twice as
-wide (_wider); past MAX_LANE_BITS that raises ResourceLimitError. The
-width starts at _lane_bits and is never an option. walk() steps packed
-keys and moves its stack to the wider packer when one of them trips,
-so a walk never fails for its lanes; a value it carries that trips
-ends the consumer's run, which _widening reruns with the wider lanes.
-An element walk() yields unpacks its tuple key on first use, so the
-tuple layers (roots, refl, parabolic, printing) see the same keys, and
-_carried_keys hands them carried keys as tuples.
+_LaneOverflow, whether of a key walk() steps, of a value it carries or
+of one its consumer computes, and ends the run: _widening, around every
+walk in the package, makes the system's packer one with lanes twice as
+wide and runs it again, so a run takes every packed value from one
+packer; past MAX_LANE_BITS that raises ResourceLimitError. The width
+starts at _lane_bits and is never an option. An element walk() yields
+unpacks its tuple key on first use, so the tuple layers (roots, refl,
+parabolic, printing) see the same keys, and _carried_keys hands them
+carried keys as tuples.
 
 The ring (_ring) is built once per system, on first use. A root is a
 column: column j of a key is the root w(e_{j+1}), so the root,
@@ -159,7 +159,6 @@ __all__ = [
     "parse_word",
     "power",
     "power_window",
-    "walk",
     "word_str",
 ]
 
@@ -812,29 +811,22 @@ def _packer(sys_: CoxeterSystem) -> _Lanes:
     return sys_.memo("lanes", lambda: _Lanes(sys_, _lane_bits(sys_)))
 
 
-def _wider(lanes: _Lanes) -> _Lanes:
-    """The system's packer after lanes tripped: twice as wide as lanes,
-    unless it already is. Lanes wider than MAX_LANE_BITS raise
-    ResourceLimitError."""
-    sys_, bits = lanes.system, 2 * lanes.bits
-    if bits > MAX_LANE_BITS:
-        raise ResourceLimitError(f"a packed key outgrew lanes of {MAX_LANE_BITS} bits")
-    if _packer(sys_).bits < bits:
-        sys_._cache["lanes"] = _Lanes(sys_, bits)
-    return _packer(sys_)
-
-
 def _widening(run: Callable, *args):
     """run(*args), run again each time a packed value trips the overflow
-    check, after the system whose lanes tripped gets wider ones
-    (_wider). A run takes every packed value from the packer it starts
-    with, so its rerun starts clean; an element it made keeps the packer
-    that can unpack it."""
+    check, after the system whose lanes tripped gets a packer twice as
+    wide as they are, unless it already has a wider one; lanes wider
+    than MAX_LANE_BITS raise ResourceLimitError. A run takes every packed
+    value from the packer it starts with, so its rerun starts clean; an
+    element it made keeps the packer that can unpack it."""
     while True:
         try:
             return run(*args)
         except _LaneOverflow as trip:
-            _wider(trip.lanes)
+            sys_, bits = trip.lanes.system, 2 * trip.lanes.bits
+            if bits > MAX_LANE_BITS:
+                raise ResourceLimitError(f"a packed key outgrew lanes of {MAX_LANE_BITS} bits")
+            if _packer(sys_).bits < bits:
+                sys_._cache["lanes"] = _Lanes(sys_, bits)
 
 
 def _carried_keys(sys_: CoxeterSystem, gens: Iterable[int], key: Key,
@@ -955,11 +947,6 @@ class _Lanes:
     def pack(self, key: Key) -> int:
         """The packed key of a tuple key."""
         return self.checked(sum(map(lshift, key, self._shifts)))
-
-    def of(self, g: GroupElement) -> int:
-        """The packed key of g: the int a walk on these lanes made it
-        with, else its key packed (a walk that widened its lanes)."""
-        return g._packed if getattr(g, "_lanes", None) is self else self.pack(g.key)
 
     def unpack(self, x: int, count: int | None = None) -> Key:
         """The first count lanes of x (all of a key when None) as ints."""
@@ -1109,11 +1096,11 @@ def walk(
     and a consumer that stops early pays only the steps of the children
     still on the stack. _Lanes.left_step from the packed key of a
     carries that of x^-1 a, as x^-1 a = s (x'^-1 a) for x = x' s, and
-    _Lanes.conjugate_step from that of w carries that of x^-1 w x. The
-    walk itself never overflows: when a key it steps outgrows its lanes,
-    the walk moves to lanes twice as wide (_wider) and goes on. A carried
-    value that outgrows its lanes raises _LaneOverflow from step; the
-    consumer reruns under _widening (_carried_keys).
+    _Lanes.conjugate_step from that of w carries that of x^-1 w x. A key
+    the walk steps or a value it carries that outgrows its lanes raises
+    _LaneOverflow, after the walk has yielded a prefix of its elements;
+    every consumer runs under _widening, which reruns it with wider lanes
+    (_carried_keys).
 
     The step rules are built once per system (_Lanes.right), and per
     walk, per descent mask it meets, the generators s that are ascents
@@ -1125,27 +1112,13 @@ def walk(
     if cap is None:
         cap = DEFAULT_BALL_CAP
     keep_gens = None if gens is None else _norm_subset(sys_, gens)
-    coset = None if coset is None else _norm_subset(sys_, coset)
-
-    def bind(lanes):
-        # what the walk reads of its packer: the rules of its generators,
-        # the units of the prune, and a cache per descent mask of the
-        # rules whose s passes the inherited part of the child test
-        rules = [rule for rule in lanes.right if keep_gens is None or rule[0] + 1 in keep_gens]
-        units = set() if coset is None else _coset_units(sys_, coset)
-        return rules, units, {}, lanes.bias, lanes.col, lanes.right_step
-
-    def children(descents):
-        # x*s is a child of x when s is an ascent of x and no t < s is a
-        # descent of x*s; columns away from s keep their signs
-        todo = candidates[descents] = [
-            rule for rule in rules
-            if not descents & rule[1] and _is_child(descents & rule[2], rule[0])
-        ]
-        return todo
-
     lanes = _packer(sys_)
-    rules, units, candidates, bias, col, right_step = bind(lanes)
+    rules = [rule for rule in lanes.right if keep_gens is None or rule[0] + 1 in keep_gens]
+    units = set() if coset is None else _coset_units(sys_, _norm_subset(sys_, coset))
+    # per descent mask, the rules whose s passes the inherited part of
+    # the child test
+    candidates: dict = {}
+    bias, col, right_step = lanes.bias, lanes.col, lanes.right_step
     start, step = carry if carry is not None else (None, None)
     stack = [(lanes.one, 0, (), start)]
     count = deepest = 0
@@ -1166,38 +1139,28 @@ def walk(
             continue
         todo = candidates.get(descents)
         if todo is None:
-            todo = children(descents)
-        while True:
-            y, top = x + bias, len(stack)
-            for s0, bit, keep, shift, _, _, adjacent, touched in todo:
-                if units and (y >> shift) & col in units:
-                    continue
-                try:
-                    out = right_step(x, s0 + 1)
-                except _LaneOverflow:
-                    break
-                mask = descents & keep | bit
-                for at, jbit in adjacent if descents & touched else ():
-                    # a positive column plus a positive multiple of the
-                    # positive column s stays positive
-                    if descents & jbit and _still_negative(lanes, ((out + bias) >> at) & col):
-                        mask |= jbit
-                        if not _is_child(mask, s0):
-                            break
-                else:
-                    stack.append((out, mask, word + (s0 + 1,),
-                                  None if step is None else step(value, s0 + 1)))
+            # x*s is a child of x when s is an ascent of x and no t < s is
+            # a descent of x*s; columns away from s keep their signs
+            todo = candidates[descents] = [
+                rule for rule in rules
+                if not descents & rule[1] and _is_child(descents & rule[2], rule[0])
+            ]
+        y = x + bias
+        for s0, bit, keep, shift, _, _, adjacent, touched in todo:
+            if units and (y >> shift) & col in units:
+                continue
+            out = right_step(x, s0 + 1)
+            mask = descents & keep | bit
+            for at, jbit in adjacent if descents & touched else ():
+                # a positive column plus a positive multiple of the
+                # positive column s stays positive
+                if descents & jbit and _still_negative(lanes, ((out + bias) >> at) & col):
+                    mask |= jbit
+                    if not _is_child(mask, s0):
+                        break
             else:
-                break
-            # x*s outgrew the lanes: every key on the stack moves to the
-            # wider packer, and x is stepped again; the elements already
-            # yielded keep the lanes that unpack them
-            del stack[top:]
-            old, lanes = lanes, _wider(lanes)
-            x = lanes.pack(old.unpack(x))
-            stack = [(lanes.pack(old.unpack(key)), *rest) for key, *rest in stack]
-            rules, units, candidates, bias, col, right_step = bind(lanes)
-            todo = children(descents)
+                stack.append((out, mask, word + (s0 + 1,),
+                              None if step is None else step(value, s0 + 1)))
 
 
 def _ball_order(

@@ -40,11 +40,10 @@ size comes from Steinberg's growth series (group.growth_series). The
 join holds W_J within the ball, the meet B_h and its pairs, never the
 ball; the cap, group.DEFAULT_BALL_CAP elements, bounds each walk and
 the pairs, and running out raises ResourceLimitError naming the stage,
-the depth and the count. A walk moves to wider lanes when a key it
-steps outgrows its own; a carried or formed packed value that outgrows
-them reruns the certificate with wider ones (group._widening). The
-report records the method and the number of elements held, and prints
-neither.
+the depth and the count. A packed value that outgrows its lanes, a
+key a walk steps, one it carries or one the certificate forms, reruns
+the certificate with wider ones (group._widening). The report records
+the method and the number of elements held, and prints neither.
 
 The certificates only find: each returns the commuting elements,
 carrying their canonical reduced words, in no order. The entry points
@@ -243,8 +242,12 @@ def verify_ball(
 
     Every element of the radius-R ball commuting with c must be a power
     c^k with |k| <= P; P is auto-raised to ceil(R / l(c)) + 1 so that a
-    straight c can never produce a spurious out-of-window power. An
-    affine group runs the join of _join, every other the meet of _meet.
+    straight c can never produce a spurious out-of-window power. The
+    window holds only the powers up to that exponent: c is straight
+    (Speyer, Powers of Coxeter elements in infinite groups are reduced),
+    so l(c^k) = |k| l(c) and no further power lies in the ball, and a
+    larger P changes only the bound the report prints. An affine group
+    runs the join of _join, every other the meet of _meet.
     """
     t0 = time.perf_counter()
     _require(sys_, False, "ball verification targets infinite systems")
@@ -257,9 +260,9 @@ def verify_ball(
     c = group_mod.coxeter_element(sys_, perm)
     clen = group_mod.length_and_reduced(c)[0]
     bound = ceil(radius / clen) + 1
+    powers = group_mod.power_window(c, bound)
     if power_bound is not None:
         bound = max(power_bound, bound)
-    powers = group_mod.power_window(c, bound)
     if diagram_mod.classify(sys_) == "affine":
         method, certify, args = "join", _join, (c, _join_parabolic(sys_), radius)
     else:
@@ -325,10 +328,8 @@ def _join(
     The row determines the element, so every u a hit finds with
     l(u) + l(d) <= radius forms g = u d and calls commutes. The table
     is what is held; each walk is capped on its own. Every packed value
-    the join makes comes from one packer (a d from a walk that widened
-    its own lanes is packed again, _Lanes.of), so a trip of its
-    overflow check reruns the whole join (group._widening, in the entry
-    points).
+    the join makes comes from one packer, so a trip of its overflow
+    check reruns the whole join (group._widening, in the entry points).
     """
     lanes = group_mod._packer(sys_)
     table: dict = {}
@@ -349,7 +350,7 @@ def _join(
     for d, dinv in _staged(walked, "the walk of the minimal coset representatives"):
         depth = len(d.word)
         size += within[-1] if radius is None else within[min(radius - depth, len(within) - 1)]
-        row = lanes.row_mul(lanes.row(lanes.of(d)), times_c)
+        row = lanes.row_mul(lanes.row(d._packed), times_c)
         for u in table.get(lanes.row_mul(row, lanes.thetas(dinv)), ()):
             if radius is not None and len(u.word) + depth > radius:
                 continue

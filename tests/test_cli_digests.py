@@ -21,6 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from coxkit import corpus
+from coxkit import group as group_mod
 from coxkit.cli import main
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
@@ -100,6 +101,24 @@ def test_example_and_demo_output_is_byte_identical():
     assert len(runs) == 6
     changed = _changed(runs)
     assert not changed, f"{len(changed)} of {len(runs)} runs changed: {changed}"
+
+
+def test_output_is_byte_identical_on_narrow_lanes(monkeypatch):
+    # from 8-bit lanes, packed values trip the overflow check on many
+    # paths and each run reruns with wider lanes (group._widening): no
+    # run leaks _LaneOverflow or changes a byte; the systems loaded
+    # meanwhile go with a corpus cache of this test's own, so no narrow
+    # packer outlives it
+    monkeypatch.setattr(group_mod, "_lane_bits", lambda sys_: 8)
+    monkeypatch.setattr(corpus, "_loaded", {})
+    widths = []
+    build = group_mod._Lanes.__init__
+    monkeypatch.setattr(group_mod._Lanes, "__init__",
+                        lambda lanes, sys_, bits: widths.append(bits) or build(lanes, sys_, bits))
+    runs = {**_corpus_runs(), **_example_and_demo_runs()}
+    changed = _changed(runs)
+    assert not changed, f"{len(changed)} of {len(runs)} runs changed: {changed[:10]}"
+    assert min(widths) == 8 and max(widths) > 8
 
 
 if __name__ == "__main__":

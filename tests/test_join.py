@@ -233,7 +233,7 @@ def _rows_are_distinct(sys_, radius):
     radius is None."""
     lanes = group_mod._packer(sys_)
     walked = list(group_mod.walk(sys_, radius))
-    packed = {lanes.row(lanes.of(g)) for g in walked}
+    packed = {lanes.row(g._packed) for g in walked}
     return len(packed) == len({group_mod._row(sys_, g.key) for g in walked}) == len(walked)
 
 

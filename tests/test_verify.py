@@ -243,6 +243,27 @@ def test_verify_ball_rejects_wrong_inputs():
             verify.verify_ball(corpus.load("a2t"), radius=4, power_bound=bound)
 
 
+@pytest.mark.parametrize("name", ["a1t", "tri334"])
+def test_a_large_power_bound_builds_only_the_powers_in_the_ball(name, monkeypatch):
+    # c is straight, so no power c^k with |k| > ceil(R / l(c)) + 1 lies in
+    # the ball: a power bound of 10^6 asks power_window for no more powers
+    # than that, and the report is the default one but for the bound it
+    # prints
+    sys_, radius, big = corpus.load(name), 2, 10**6
+    default = verify.verify_ball(sys_, radius=radius)
+    bound = default.power_bound
+    expected = [line.replace(f"power-bound={bound} ", f"power-bound={big} ")
+                .replace(f"powers={bound} ", f"powers={big} ") for line in default.text_lines()]
+    asked = []
+    window = group.power_window
+    monkeypatch.setattr(group, "power_window",
+                        lambda w, k, signed=True: asked.append(k) or window(w, k, signed))
+    report = verify.verify_ball(sys_, radius=radius, power_bound=big)
+    assert report.power_bound == big
+    assert report.text_lines() == expected != default.text_lines()
+    assert asked and max(asked) <= ceil(radius / sys_.rank) + 1 == bound
+
+
 def test_default_radii():
     assert verify.default_radius(2) == 10
     assert verify.default_radius(3) == 8

@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import nullcontext
 from operator import add
 from pathlib import Path
 
@@ -458,30 +459,63 @@ def test_narrow_lanes_widen_every_packed_walk(name, radius, monkeypatch):
 
 
 @pytest.mark.parametrize("name,radius", [("d4t", 10), ("tri334", 16), ("b4", None)])
-def test_plain_walk_widens_its_own_lanes(name, radius, monkeypatch):
-    # a walk with no carry never raises for its lanes: from 8 bits, each
-    # key that trips moves the walk to wider lanes (on b4 after a sibling
-    # of that key was pushed), the elements keep the keys, words and
-    # order of the 32-bit walk, and those yielded before a trip still
-    # unpack with the lanes they were made with; the system's packer,
-    # now the widest, packs each of them (_Lanes.of); the same for the
-    # walks of W_J and of its minimal coset representatives, whose
-    # prune reads the units of the wider lanes after a trip
+def test_a_lane_trip_ends_the_walk_and_widening_reruns_it(name, radius, monkeypatch):
+    # one overflow rule: from 8-bit lanes, a bare walk yields a prefix of
+    # the 32-bit walk's elements and then raises _LaneOverflow, never a
+    # wrong key; under _widening the same walk gives the whole 32-bit
+    # walk, each packer built is wider than the one before, and every
+    # element of the finished run holds the system's packer; the same for
+    # the walks of W_J and of its minimal coset representatives (W_J of
+    # tri334 keeps its entries small and runs whole on 8 bits)
     j = verify._join_parabolic(corpus.load(name))
     kinds = [{}, {"gens": j}, {"coset": j}]
     expected = [[(x.key, x.word) for x in group_mod.walk(corpus.load(name), radius, **kw)]
                 for kw in kinds]
     monkeypatch.setattr(group_mod, "_lane_bits", lambda sys_: 8)
+    widths = []
+    build = group_mod._Lanes.__init__
+
+    def build_wider(lanes, sys_, bits):
+        build(lanes, sys_, bits)
+        assert not widths or lanes.bits > widths[-1], (widths, lanes.bits)
+        widths.append(lanes.bits)
+
+    monkeypatch.setattr(group_mod._Lanes, "__init__", build_wider)
     for kw, keys in zip(kinds, expected):
         sys_ = diagram.parse_system(corpus.read_text(name))
-        walked = list(group_mod.walk(sys_, radius, **kw))
+        widths.clear()
+        bare = []
+        whole = name == "tri334" and "gens" in kw
+        with nullcontext() if whole else pytest.raises(group_mod._LaneOverflow):
+            for x in group_mod.walk(sys_, radius, **kw):
+                bare.append((x.key, x.word))
+        assert bare == (keys if whole else keys[:len(bare)]), kw
+        walked = group_mod._widening(lambda: list(group_mod.walk(sys_, radius, **kw)))
         assert [(x.key, x.word) for x in walked] == keys, kw
-        widths = [x._lanes.bits for x in walked]
-        assert widths[0] == 8 and widths == sorted(widths), kw
         lanes = group_mod._packer(sys_)
-        # the whole walk trips on each system; W_J of tri334 need not
-        assert lanes.bits == widths[-1] > (0 if kw else 8), kw
-        assert [lanes.unpack(lanes.of(x)) for x in walked] == [key for key, _ in keys]
+        assert widths[0] == 8 and lanes.bits == widths[-1], kw
+        assert all(x._lanes is lanes for x in walked), kw
+
+
+CONSUMERS = {
+    "ball": lambda sys_: [(w.key, w.word) for w in group_mod.ball(sys_, 6).elements()],
+    "growth_series": lambda sys_: group_mod.growth_series(sys_, 30),
+    "carried_keys": lambda sys_: [(u.key, key) for u, key in group_mod._carried_keys(
+        sys_, (1, 2), group_mod.coxeter_element(sys_).key, "conjugate")],
+}
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_walk_consumers_rerun_on_narrow_lanes(consumer, monkeypatch):
+    # ball (through _ball_order), growth_series (through _lengths) and
+    # _carried_keys each run their walk under _widening: from 8-bit lanes
+    # on g2t, each trips, and returns what 32-bit lanes give
+    run = CONSUMERS[consumer]
+    expected = run(diagram.parse_system(corpus.read_text("g2t")))
+    monkeypatch.setattr(group_mod, "_lane_bits", lambda sys_: 8)
+    sys_ = diagram.parse_system(corpus.read_text("g2t"))
+    assert run(sys_) == expected
+    assert group_mod._packer(sys_).bits > 8
 
 
 @pytest.mark.parametrize("name", ["tri334", "d4t"])
