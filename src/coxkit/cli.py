@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import diagram, group, parabolic, refl, roots, verify
 from .errors import InvariantViolation, ResourceLimitError
@@ -83,7 +82,8 @@ def _load_system(args) -> diagram.CoxeterSystem:
     if args.diagram is None:
         raise UsageError("--diagram is required for this command")
     try:
-        text = Path(args.diagram).read_text(encoding="utf-8")
+        with open(args.diagram, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read diagram file: {exc}")
     return diagram.parse_system(text)

@@ -17,12 +17,15 @@ label of the system, the diagonal 1s and default 2s included. Labels 1
 and 2 only contribute rationals, but folding them into N keeps the field
 choice a function of the whole matrix.
 
-Finiteness is decided in one place, _definiteness: W_I is finite exactly
-when B restricted to I is positive definite, and affine when it is
-positive semidefinite and singular with I connected. One division-free
-symmetric elimination on the system's own Gram matrix decides this, for
-the whole system (classify) and for every parabolic (is_spherical),
-without building a subsystem or a field.
+W_I is finite exactly when B restricted to I is positive definite, and
+affine when it is positive semidefinite and singular with I connected.
+classify decides this for the whole system by _definiteness, one
+division-free symmetric elimination on the system's own Gram matrix,
+without building a subsystem or a field. is_spherical, asked for the
+whole system by the packed keys and for every parabolic by the layers
+above, reads finiteness off the diagram alone: the positive definite
+diagrams are classified (_positive_type), so it needs no field
+arithmetic, and a test holds it to the elimination.
 
 Cache rule: every value derived from a system and kept for reuse, in any
 module, goes through CoxeterSystem.memo, which builds it on first use
@@ -288,11 +291,61 @@ def _norm_subset(sys_: CoxeterSystem, gens: Iterable[int] | None) -> tuple[int, 
     return out
 
 
-def is_spherical(sys_: CoxeterSystem, gens: Iterable[int]) -> bool:
-    """Whether the standard parabolic on gens is finite, read off the
-    parent's own Gram matrix restricted to gens."""
+def is_spherical(sys_: CoxeterSystem, gens: Iterable[int] | None) -> bool:
+    """Whether the standard parabolic on gens (None: every generator) is
+    finite: whether each component of its diagram is a positive definite
+    type (_positive_type)."""
     idx = _norm_subset(sys_, gens)
-    return sys_.memo(("spherical", idx), lambda: _definiteness(sys_, [s - 1 for s in idx]) > 0)
+    return sys_.memo(("spherical", idx),
+                     lambda: all(_positive_type(sys_, comp) for comp in components(sys_, idx)))
+
+
+def _positive_type(sys_: CoxeterSystem, comp: tuple[int, ...]) -> bool:
+    """Whether the connected diagram on comp is one of A_n, B_n, D_n,
+    E_6, E_7, E_8, F_4, H_3, H_4 or I_2(m), the diagrams whose form is
+    positive definite (Humphreys, Reflection Groups and Coxeter Groups,
+    2.7): a tree with no label inf and none above 5 from rank 3 on; with
+    every label 3, a path or one node of degree 3 whose arms p, q, r
+    have 1/(p+1) + 1/(q+1) + 1/(r+1) > 1; else a path with one label 4
+    at an end (B_n) or in the middle of four nodes (F_4), or one label 5
+    at an end of at most four (H_3, H_4)."""
+    labels = {(i, j): sys_.label(i, j) for i in comp for j in comp if i < j and sys_.label(i, j) != 2}
+    n = len(comp)
+    if INFINITY in labels.values():
+        return False
+    if n <= 2:
+        return True
+    if len(labels) != n - 1 or max(labels.values()) > 5:
+        return False
+    adjacent: dict[int, list[int]] = {v: [] for v in comp}
+    for i, j in labels:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    branches = [v for v in comp if len(adjacent[v]) > 2]
+    heavy = [edge for edge, m in labels.items() if m > 3]
+    if not heavy:
+        if not branches:
+            return True
+        if len(branches) > 1 or len(adjacent[branches[0]]) > 3:
+            return False
+        p, q, r = (_arm(adjacent, branches[0], v) + 1 for v in adjacent[branches[0]])
+        return q * r + p * r + p * q > p * q * r
+    if branches or len(heavy) > 1:
+        return False
+    at_end = any(len(adjacent[v]) == 1 for v in heavy[0])
+    if labels[heavy[0]] == 4:
+        return at_end or n == 4
+    return at_end and n <= 4
+
+
+def _arm(adjacent: dict[int, list[int]], start: int, v: int) -> int:
+    """The number of nodes from v to the end of the path that leaves
+    start through v."""
+    length = 1
+    while len(adjacent[v]) == 2:
+        start, v = v, next(u for u in adjacent[v] if u != start)
+        length += 1
+    return length
 
 
 def subsystem(sys_: CoxeterSystem, gens: Iterable[int]) -> CoxeterSystem:

@@ -24,36 +24,44 @@ all. Generator steps are integer operations precomputed per system
 reads the same entries -2B(e_s, e_j), as B is symmetric; both are
 strided (k, l, c) terms (_terms) on the flat key. _right_key applies
 the column terms to a tuple key, and _right_mul_gen wraps it with the
-witness word. One matrix-vector kernel serves the tuple keys:
-_image(w, v) sums the ints of v times the flat columns theta'^k w(e_i)
-of w's theta'-table (_thetas; each is theta' times the one before,
-strided terms over the whole column), so column j of a product a*b is
-_image(a, column j of b), and the commutation test compares
-_image(a, b e_j) with _image(b, a e_j). The theta'-table is the one
-cache of an element that acts, built on first use; it creates no
-FieldElement.
+witness word. One matrix-vector kernel serves the roots: _image(w, v)
+sums the ints of v times the flat columns theta'^k w(e_i) of w's
+theta'-table (_thetas; each is theta' times the one before, strided
+terms over the whole column), built on first use and cached on w; it
+creates no FieldElement. Products of elements, and the commutation
+test, run on packed keys.
 
-Packed keys. The sweeps run on keys packed into one int each (_Lanes,
-one per system, _packer): entry i of the flat key is lane i, a signed
-integer in bits bits, in the same column-major order. A step adds
-products of lanes cut out of the key with constants compiled from the
-same rules, so one generator step is a few big-int shifts, masks, adds
-and multiplies; the row rho^T w is one product, a row times a key one
+Packed keys. The sweeps and every product run on keys packed into one
+int each (_Lanes, one per system, _packer): entry i of the flat key is
+lane i, a signed integer in bits bits, in the same column-major order.
+A step adds products of lanes cut out of the key with constants
+compiled from the same rules, so one generator step is a few big-int
+shifts, masks, adds and multiplies. The one product kernel,
+_Lanes.multiply, behind multiply and the commutation test, is n d'
+big-int products: per row i of b and theta' power l, coefficient l of
+that row, cut out for every column at once, times column i of
+theta'^l a. The row rho^T w is one product, a row times a key one
 product per theta' coefficient, and theta' a lane shift with the top
 lane reduced through the minimal polynomial. Lanes are read through a
 bias of 2^(bits-1) per lane, so a biased lane's top bit is set exactly
 when its int is >= 0. Every packed value passes a two-operation overflow
 check against a room of 2^room per lane, which leaves every kernel
 the headroom it needs, so no lane wraps silently. A trip raises
-_LaneOverflow, whether of a key walk() steps, of a value it carries or
-of one its consumer computes, and ends the run: _widening, around every
-walk in the package, makes the system's packer one with lanes twice as
-wide and runs it again, so a run takes every packed value from one
-packer; past MAX_LANE_BITS that raises ResourceLimitError. The width
-starts at _lane_bits and is never an option. An element walk() yields
-unpacks its tuple key on first use, so the tuple layers (roots, refl,
-parabolic, printing) see the same keys, and _carried_keys hands them
-carried keys as tuples.
+_LaneOverflow. In a walk, whether of a key walk() steps, of a value it
+carries or of one its consumer computes, it ends the run: _widening,
+around every walk in the package, makes the system's packer one with
+lanes twice as wide and runs it again, so a run takes every packed
+value from one packer; past MAX_LANE_BITS, as a walk's entries can grow
+without end, that raises ResourceLimitError. A product is a run of its
+own on two finite keys (_paired): it reruns on lanes twice as wide
+until its values fit, past MAX_LANE_BITS if it must, and packs an
+operand from other lanes again from its tuple key. The width starts at
+_lane_bits, 16 bits for a finite W (its key entries are root
+coordinates, its rows root heights) and 32 for any other; it is never
+an option, and a trip changes the speed, never a result. An element a
+walk makes unpacks its tuple key on first use, and a product comes
+with both, so the tuple layers (roots, refl, parabolic, printing) see
+the same keys, and _carried_keys hands them carried keys as tuples.
 
 The ring (_ring) is built once per system, on first use. A root is a
 column: column j of a key is the root w(e_{j+1}), so the root,
@@ -173,7 +181,10 @@ Vector = tuple[FieldElement, ...]
 class GroupElement:
     """An exact matrix, stored as its integer key, plus a witness word
     that evaluates to it. An element a walk made holds its key packed
-    (lanes, a _Lanes of its system) and unpacks it on first use."""
+    (lanes, a _Lanes of its system) and unpacks it on first use; one
+    made from a tuple key has no lanes until a product packs it, and
+    then keeps that packed key too (_Lanes.of), as a product keeps its
+    own."""
 
     __slots__ = ("system", "key", "word", "_cols", "_thetas", "_lanes", "_packed")
 
@@ -181,7 +192,7 @@ class GroupElement:
                  lanes: _Lanes | None = None) -> None:
         self.system = system
         if lanes is None:
-            self.key = key
+            self.key, self._lanes = key, None
         else:
             self._lanes, self._packed = lanes, key
         self.word = word
@@ -189,7 +200,8 @@ class GroupElement:
         self._thetas: list | None = None
 
     def __getattr__(self, name: str):
-        # reached only for an unset slot: the key of a walked element
+        # reached only for an unset slot: the key of an element made
+        # from a packed key
         if name != "key":
             raise AttributeError(name)
         key = self.key = self._lanes.unpack(self._packed)
@@ -462,8 +474,9 @@ def _column(w: GroupElement, s: int) -> Key:
 
 def _thetas(w: GroupElement) -> list:
     """The theta'-table of w: per flat index i*d + k, the flat column
-    theta'^k w(e_i). Built on first use and cached on w, so an element
-    that acts on many vectors, a memoized reflection say, builds it once."""
+    theta'^k w(e_i), what _image reads. Built on first use and cached on
+    w, so an element that acts on many roots, a memoized reflection or
+    a power of c in an orbit, builds it once."""
     if w._thetas is None:
         ring = _ring(w.system)
         n, d = w.system.rank, ring.degree
@@ -492,15 +505,35 @@ def _image(w: GroupElement, vec: Sequence[int]) -> list[int]:
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    """The product a*b: column j is a applied to column j of b."""
+    """The product a*b, on packed keys (_Lanes.multiply, a run of its
+    own: _paired). Every caller reads its key, so it comes unpacked,
+    and keeps its packed key for the next product."""
     if a.system is not b.system and a.system != b.system:
         raise ValueError("elements of different systems cannot be multiplied")
-    n = b.system.rank
-    nd = n * _ring(b.system).degree
-    key: list[int] = []
-    for j in range(n):
-        key += _image(a, b.key[j * nd:(j + 1) * nd])
-    return GroupElement(a.system, tuple(key), a.word + b.word)
+    lanes, packed = _paired(a, b, _Lanes.multiply)
+    out = GroupElement(a.system, lanes.unpack(packed), a.word + b.word)
+    out._lanes, out._packed = lanes, packed
+    return out
+
+
+def _paired(a: GroupElement, b: GroupElement, run: Callable) -> tuple[_Lanes, object]:
+    """run(lanes, x, y) on the packed keys x and y of a and b, and the
+    lanes it ran on: the widest of the system's packer and the lanes
+    that hold a or b, each operand packed again from its tuple key where
+    other lanes hold it (_Lanes.of). A product is a run of its own, of
+    two finite keys: when a packed value trips, it reruns on lanes twice
+    as wide (_width), past MAX_LANE_BITS if it must, which caps the
+    walks alone. So a product always completes, and a chain of them,
+    the powers of an element, goes on in the lanes its last one took."""
+    lanes = _packer(a.system)
+    for held in (a._lanes, b._lanes):
+        if held is not None and held.bits > lanes.bits:
+            lanes = held
+    while True:
+        try:
+            return lanes, run(lanes, lanes.of(a), lanes.of(b))
+        except _LaneOverflow:
+            lanes = _width(a.system, 2 * lanes.bits)
 
 
 def inverse(w: GroupElement) -> GroupElement:
@@ -802,13 +835,23 @@ class _LaneOverflow(ArithmeticError):
 
 
 def _lane_bits(sys_: CoxeterSystem) -> int:
-    """The lane width, in bits, that a system's packer starts from."""
-    return 32
+    """The lane width, in bits, that a system's packer starts from: 16
+    for a finite W, whose key entries are root coordinates and whose
+    rows are root heights, all below 30 up to E8, and 32 for any other."""
+    return 16 if is_spherical(sys_, None) else 32
 
 
 def _packer(sys_: CoxeterSystem) -> _Lanes:
-    """The system's packer, built on first use; _widening replaces it."""
+    """The system's packer, the lanes its walks run on, built on first
+    use; _widening replaces it with a wider one."""
     return sys_.memo("lanes", lambda: _Lanes(sys_, _lane_bits(sys_)))
+
+
+def _width(sys_: CoxeterSystem, bits: int) -> _Lanes:
+    """The system's packer with lanes of at least bits bits, built once
+    per width for a walk that widens (_widening) and a product that
+    does (_paired) alike."""
+    return sys_.memo(("lanes", bits), lambda: _Lanes(sys_, bits))
 
 
 def _widening(run: Callable, *args):
@@ -826,7 +869,7 @@ def _widening(run: Callable, *args):
             if bits > MAX_LANE_BITS:
                 raise ResourceLimitError(f"a packed key outgrew lanes of {MAX_LANE_BITS} bits")
             if _packer(sys_).bits < bits:
-                sys_._cache["lanes"] = _Lanes(sys_, bits)
+                sys_._cache["lanes"] = _width(sys_, bits)
 
 
 def _carried_keys(sys_: CoxeterSystem, gens: Iterable[int], key: Key,
@@ -859,8 +902,14 @@ class _Lanes:
     out of range always sets a guard bit, and a value that passes reads
     back exactly.
 
+    A product (multiply): per theta' power l and row i of b, the lanes
+    (j n + i) d' + l of b, one per column j, cut out at cuts and moved to
+    the first lane of column j (row_starts), times column i of
+    theta'^l a, which lands in column j.
+
     The steps are compiled from _rules, so the packed and the tuple
-    steps read one set of rules. right: coefficient l of every block of
+    steps read one set of rules, on the first walk or step (_compile);
+    a product reads none of them. right: coefficient l of every block of
     column s, cut out, times a constant that places its multiples in the
     columns it feeds. left: row s gains the constant row (sigma_s - 1)_s
     times w. Rows lie in the lanes of row 0 of a key. A row times a
@@ -872,20 +921,21 @@ class _Lanes:
     __slots__ = ("system", "bits", "ring", "degree", "nd", "one", "bias", "check", "guard", "col",
                  "col_bias", "blocks", "blocks_bias", "ones", "spread", "gather",
                  "row_mask", "row_bias", "row_shift", "rev_shift", "key_blocks",
-                 "key_blocks_bias", "reduce", "right", "left", "_shifts", "_format")
+                 "key_blocks_bias", "row_starts", "row_starts_bias", "cuts", "reduce", "right",
+                 "left", "_shifts", "_format")
 
     def __init__(self, sys_: CoxeterSystem, bits: int) -> None:
         ring = _ring(sys_)
         n, d = sys_.rank, ring.degree
         nd, size = n * d, n * n * d
-        _, right, left = _rules(sys_)
-        # column s negated (gains -2 times itself), row s likewise
-        lanes = [_lane_terms([t for _, _, ts in ops for t in ts] + [(col_s, col_s, -2)], d)
-                 for _, _, _, col_s, ops in right]
-        rows = [_lane_terms(terms + [(p, p, -2) for p in parts], d) for parts, terms in left]
-        # how far one kernel can take a lane beyond the largest of its inputs
+        # how far one kernel can take a lane beyond the largest of its
+        # inputs; a step of s, column or row, adds 1 and the coefficients
+        # of its terms (_compile): -2 on each of the d' coefficients of
+        # column or row s, and each -2B(e_s, e_j), d' times for an int
         grow = [n, 1 + max(map(abs, ring.field._base), default=0)]
-        grow += [1 + sum(abs(c) for _, _, c in terms) for terms in lanes + rows]
+        for row in _steps(sys_)[1]:
+            grow.append(1 + 2 * d + sum(d * abs(op) if op.__class__ is int
+                                        else sum(abs(c) for r in op for c in r) for _, op in row))
         while True:
             room = min(bits - 1 - max(grow).bit_length(), (bits - 1 - nd.bit_length()) // 2)
             if room >= 1:
@@ -903,10 +953,36 @@ class _Lanes:
         self.key_blocks, self.key_blocks_bias = fill(lane, n * n, d), fill(half, n * n, d)
         self.spread = fill(1, n, d)
         self.gather = sum(1 << bits * (size - d - i * (n + 1) * d) for i in range(n))
-        self.row_mask = sum(fill(lane, d, 1, c * nd) for c in range(n))
-        self.row_bias = sum(fill(half, d, 1, c * nd) for c in range(n))
+        self.row_mask, self.row_bias = fill(fill(lane, d), n, nd), fill(fill(half, d), n, nd)
         self.row_shift, self.rev_shift = bits * (n - 1) * d, bits * (size - nd)
+        self.row_starts, self.row_starts_bias = fill(lane, n, nd), fill(half, n, nd)
+        # per theta' power l, per i: where column i starts, where
+        # coefficient l of entry i of the first column lies
+        self.cuts = [[(bits * i * nd, bits * (i * d + l)) for i in range(n)] for l in range(d)]
         self.reduce = sum(r << bits * k for k, r in enumerate(ring.field._base))
+        self._shifts = range(0, size * bits, bits)
+        # a machine-word lane reads back through memoryview.cast, which
+        # takes the host's byte order: little-endian hosts only
+        words = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
+        self._format = words.get(bits)
+        self.one = self.pack(identity(sys_).key)
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: the step tables, which a
+        # product never reads, compiled on the first walk or step
+        if name not in ("right", "left"):
+            raise AttributeError(name)
+        self._compile()
+        return getattr(self, name)
+
+    def _compile(self) -> None:
+        """The step tables right and left, compiled from _rules."""
+        bits, n, d, nd = self.bits, self.system.rank, self.degree, self.nd
+        _, right, left = _rules(self.system)
+        # column s negated (gains -2 times itself), row s likewise
+        lanes = [_lane_terms([t for _, _, ts in ops for t in ts] + [(col_s, col_s, -2)], d)
+                 for _, _, _, col_s, ops in right]
+        rows = [_lane_terms(terms + [(p, p, -2) for p in parts], d) for parts, terms in left]
         self.right = []
         for (s0, bit, keep, _, ops), terms in zip(right, lanes):
             feed = [0] * d
@@ -927,16 +1003,14 @@ class _Lanes:
                               sum(self.key_blocks_bias * r for r in row) if d > 1 else 0,
                               bits * (n - 1 - s0) * d, self.row_mask << bits * s0 * d,
                               self.row_bias << bits * s0 * d))
-        self._shifts = range(0, size * bits, bits)
-        # a machine-word lane reads back through memoryview.cast, which
-        # takes the host's byte order: little-endian hosts only
-        words = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
-        self._format = words.get(bits)
-        self.one = self.pack(identity(sys_).key)
 
     def _fill(self, value: int, count: int, step: int = 1, start: int = 0) -> int:
-        """value in count lanes, every step lanes from lane start."""
-        return sum(value << self.bits * (start + i * step) for i in range(count))
+        """value in count lanes, every step lanes from lane start: value
+        times the geometric series of 2^(bits step)."""
+        if not count:
+            return 0
+        stride = self.bits * step
+        return value * (((1 << stride * count) - 1) // ((1 << stride) - 1)) << self.bits * start
 
     def checked(self, x: int) -> int:
         """x, when every lane lies inside the room; else _LaneOverflow."""
@@ -947,6 +1021,14 @@ class _Lanes:
     def pack(self, key: Key) -> int:
         """The packed key of a tuple key."""
         return self.checked(sum(map(lshift, key, self._shifts)))
+
+    def of(self, w: GroupElement) -> int:
+        """The packed key of w in these lanes, packed from its tuple key
+        when other lanes or none hold it, and then kept on w."""
+        if w._lanes is not self:
+            packed = self.pack(w.key)
+            w._lanes, w._packed = self, packed
+        return w._packed
 
     def unpack(self, x: int, count: int | None = None) -> Key:
         """The first count lanes of x (all of a key when None) as ints."""
@@ -983,6 +1065,23 @@ class _Lanes:
         """The packed key of s x s from that of x."""
         return self.left_step(self.right_step(x, s), s)
 
+    def multiply(self, a: int, b: int) -> int:
+        """The packed key of the product of the elements with packed keys
+        a and b: column j gains coefficient l of entry (i, j) of b times
+        column i of theta'^l a, for every j at once, one product per i
+        and l. It reads no step rule, only theta."""
+        bias, col, col_bias = self.bias, self.col, self.col_bias
+        starts, starts_bias = self.row_starts, self.row_starts_bias
+        y, out = b + bias, 0
+        for t, cuts in zip(self.thetas(a), self.cuts):
+            t += bias
+            for at, cut in cuts:
+                # coefficient l of row i of b, zero in many a sparse b
+                part = ((y >> cut) & starts) - starts_bias
+                if part:
+                    out += (((t >> at) & col) - col_bias) * part
+        return self.checked(out)
+
     def theta(self, x: int) -> int:
         """theta' times every block: a lane up, the top lane reduced."""
         top = self.bits * (self.degree - 1)
@@ -990,7 +1089,8 @@ class _Lanes:
         return self.checked(((x - (t << top)) << self.bits) + t * self.reduce)
 
     def thetas(self, x: int) -> list[int]:
-        """The packed theta'^k x for k < d', the operator row_mul reads."""
+        """The packed theta'^k x for k < d', the operator row_mul and
+        multiply read."""
         table = [x]
         for _ in range(self.degree - 1):
             table.append(self.theta(table[-1]))
@@ -1264,8 +1364,9 @@ def power_window(w: GroupElement, bound: int, signed: bool = True) -> dict:
     reaches it, and the dict keeps that order. The window stops early
     when w^k is the identity: every later power repeats an earlier one,
     so the table is the same, and it holds one key per element of the
-    cyclic group <w>. Each power is w (or w^-1) times the last, so every
-    product reads the theta'-table cached on that fixed factor.
+    cyclic group <w>. Each power is w (or w^-1) times the last, one
+    packed product (multiply) on the lanes the last one took, so a chain
+    whose entries outgrow the lanes widens once per doubling.
     """
     fwd = bwd = identity(w.system)
     idkey = fwd.key

@@ -41,8 +41,9 @@ join holds W_J within the ball, the meet B_h and its pairs, never the
 ball; the cap, group.DEFAULT_BALL_CAP elements, bounds each walk and
 the pairs, and running out raises ResourceLimitError naming the stage,
 the depth and the count. A packed value that outgrows its lanes, a
-key a walk steps, one it carries or one the certificate forms, reruns
-the certificate with wider ones (group._widening). The report records
+key a walk steps, one it carries or a row the certificate forms,
+reruns the certificate with wider ones (group._widening); a product
+widens its own. The report records
 the method and the number of elements held, and prints neither.
 
 The certificates only find: each returns the commuting elements,
@@ -54,12 +55,13 @@ off the power window the entry point built for the k of each line;
 only an element that is no power in the window, which only a
 counterexample is, has its inverse computed.
 
-Commutation is tested one column at a time: column j of ab is a(b e_j)
-and column j of ba is b(a e_j), both one matrix-vector product on a
-column that already exists, and the test stops at the first column
-that differs. It forms no product and no key. Both sides are integer
-operations on the keys through group._image, the one matrix-vector
-kernel, which reads the theta'-table cached on the element that acts.
+Commutation compares the packed products ab and ba (commutes), both
+from group._Lanes.multiply, the one product kernel. That kernel reads
+neither the step rules nor the row kernels that find the elements, so
+the check does not lean on the search it confirms; it
+shares only packing, the overflow check and theta' with the join's
+stream. Like every product it is a run of its own that widens its
+lanes until its values fit, so it never ends a certificate.
 
 Report text is deterministic: timings live on the report records but
 are never printed. Machine lines use the format
@@ -114,23 +116,16 @@ def default_radius(rank: int) -> int:
 
 
 def commutes(a: GroupElement, b: GroupElement) -> bool:
-    """Whether ab = ba, compared one column at a time.
-
-    Column j of ab is a(b e_j) and column j of ba is b(a e_j), so the two
-    products are equal exactly when every pair of columns is; the test
-    returns False at the first pair that differs. Both sides of a column
-    run through group._image, which reads the theta'-table cached on the
-    element that acts.
-    """
+    """Whether ab = ba: the packed products ab and ba (group._Lanes.multiply)
+    compared as ints, in one run of their own (group._paired) that widens
+    its lanes until both fit."""
     if a.system is not b.system and a.system != b.system:
         raise ValueError("elements of different systems cannot be compared")
-    n = a.system.rank
-    nd = n * group_mod._ring(a.system).degree
-    return all(
-        group_mod._image(a, b.key[j * nd:(j + 1) * nd])
-        == group_mod._image(b, a.key[j * nd:(j + 1) * nd])
-        for j in range(n)
-    )
+    return group_mod._paired(a, b, _commute)[1]
+
+
+def _commute(lanes, x: int, y: int) -> bool:
+    return lanes.multiply(x, y) == lanes.multiply(y, x)
 
 
 # ------------------------------------------------------------------- reports
@@ -334,7 +329,7 @@ def _join(
     lanes = group_mod._packer(sys_)
     table: dict = {}
     lengths: list[int] = []
-    walked = group_mod.walk(sys_, radius, gens=j, carry=(lanes.pack(c.key), lanes.conjugate_step))
+    walked = group_mod.walk(sys_, radius, gens=j, carry=(lanes.of(c), lanes.conjugate_step))
     for u, conj in _staged(walked, "the walk of W_J"):
         depth = len(u.word)
         if depth == len(lengths):
@@ -345,7 +340,7 @@ def _join(
     within = list(itertools.accumulate(lengths))
     size, found = 0, []
     # the row operator of c: its theta'-table, packed
-    times_c = lanes.thetas(lanes.pack(c.key))
+    times_c = lanes.thetas(lanes.of(c))
     walked = group_mod.walk(sys_, radius, coset=j, carry=(lanes.one, lanes.left_step))
     for d, dinv in _staged(walked, "the walk of the minimal coset representatives"):
         depth = len(d.word)
@@ -393,7 +388,7 @@ def _meet(sys_: CoxeterSystem, c: GroupElement, radius: int) -> tuple[int, list[
         return lanes.conjugate_step(conj, s), lanes.left_step(zinv, s)
 
     e = group_mod.identity(sys_)
-    walked = group_mod.walk(sys_, half, carry=((lanes.pack(c.key), lanes.one), step))
+    walked = group_mod.walk(sys_, half, carry=((lanes.of(c), lanes.one), step))
     for z, (conj, zinv) in _staged(walked, "the walk of the half ball"):
         buckets.setdefault(conj, []).append((z, zinv))
     cap = group_mod.DEFAULT_BALL_CAP

@@ -5,6 +5,7 @@ formatting, or enumeration order is a regression, not a cosmetic
 change.
 """
 
+import errno
 import os
 import subprocess
 import sys
@@ -279,6 +280,18 @@ def test_exit_input_errors(capsys, tmp_path):
     assert run(capsys, "coxeter-verify", "--diagram", str(reducible))[0] == 1
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_an_unreadable_diagram_is_an_input_error(capsys, tmp_path, kind):
+    # the line names the path and the reason the system gives, and
+    # nothing goes to stdout
+    path, code = {"missing": (tmp_path / "absent.cox", errno.ENOENT),
+                  "directory": (tmp_path, errno.EISDIR)}[kind]
+    reason = f"[Errno {code}] {os.strerror(code)}: {str(path)!r}"
+    assert run(capsys, "classify", "--diagram", str(path)) == (
+        1, "", f"error: cannot read diagram file: {reason}\n"
+    )
+
+
 def test_exit_vacuous_windows_and_caps_rejected(capsys):
     for orbits in ("-1", "0"):
         code, out, err = run(capsys, "outward", "--orbits", orbits, "--diagram", dpath("a2t"))
@@ -406,15 +419,15 @@ for argv in (["classify"], ["length", "1", "2", "3"], ["inversions", "1", "2", "
         assert cli.main(argv + ["--diagram", {diagram!r}]) == 0, argv
 from coxkit import field
 assert hash(field.create(5).from_rational(-3)) == -3
-print(*sorted({{"fractions", "decimal"}} & set(sys.modules)))
+print(*sorted({{"fractions", "decimal", "pathlib"}} & set(sys.modules)))
 """
 
 
 def test_cli_queries_leave_out_fractions():
     # the field prints, compares and hashes its rationals through
     # integers, so no query imports fractions (with decimal and numbers
-    # behind it); -S keeps the modules a site would preload out of the
-    # picture
+    # behind it), and the CLI opens its diagram without pathlib; -S
+    # keeps the modules a site would preload out of the picture
     src = str(Path(__file__).resolve().parent.parent / "src")
     script = _QUERIES_WITHOUT_FRACTIONS.format(src=src, diagram=dpath("h3"))
     proc = subprocess.run(

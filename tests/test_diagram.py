@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from coxkit import corpus
 from coxkit.diagram import (
     INFINITY,
     CoxeterSystem,
+    _definiteness,
     classify,
     components,
     is_irreducible,
@@ -159,6 +161,38 @@ def test_is_spherical_matches_enumeration():
                 except ResourceLimitError:
                     closes = False
                 assert is_spherical(sys_, sub) == closes, (name, sub)
+
+
+def _with_labels(n, labels):
+    matrix = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for (i, j), m in labels.items():
+        matrix[i][j] = matrix[j][i] = m
+    return CoxeterSystem(matrix)
+
+
+def test_is_spherical_matches_the_elimination():
+    # the classified diagrams against the signature of the Gram matrix:
+    # every rank-4 diagram on the labels 2, 3, 4 and on 2, 3, 5, seeded
+    # diagrams of rank 5 to 9, and the E and affine E paths with 2
+    # attached to 4
+    pairs = list(itertools.combinations(range(4), 2))
+    rank4 = {labels for heavy in (4, 5) for labels in itertools.product((2, 3, heavy), repeat=6)}
+    systems = [_with_labels(4, dict(zip(pairs, labels))) for labels in sorted(rank4)]
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(5, 9)
+        tree = {(rng.randrange(j), j): rng.choice((3, 3, 3, 4, 5, 6, INFINITY)) for j in range(1, n)}
+        extra = {pair: 3 for pair in itertools.combinations(range(n), 2) if rng.random() < 0.03}
+        systems.append(_with_labels(n, {**extra, **tree}))
+    e_types = [_with_labels(rank, dict.fromkeys(
+        [(0, 2), (2, 3), (1, 3)] + [(k, k + 1) for k in range(3, rank - 1)], 3)) for rank in range(6, 10)]
+    assert [is_spherical(sys_, None) for sys_ in e_types] == [True, True, True, False]
+    finite = 0
+    for sys_ in systems + e_types:
+        expected = _definiteness(sys_, range(sys_.rank)) > 0
+        assert is_spherical(sys_, None) == expected, sys_.matrix
+        finite += expected
+    assert 0 < finite < len(systems)
 
 
 def test_joint_field_choice():

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit import corpus, diagram
+from coxkit import group as group_mod
 from coxkit.errors import InvariantViolation, ResourceLimitError
 from coxkit.group import (
     GroupElement,
@@ -25,6 +26,7 @@ from coxkit.group import (
     _Lanes,
     _add_terms,
     _descent,
+    _image,
     _packer,
     _right_key,
     _right_mul_gen,
@@ -701,6 +703,14 @@ def _row_mul(sys_, row, key):
     return tuple(acc)
 
 
+def _product(a, b):
+    """The key of a*b by the tuple column loop, the reference of the
+    packed product: column j is a applied to column j of b, through
+    group._image and the theta'-table of a."""
+    nd = len(b.key) // b.system.rank
+    return tuple(x for j in range(0, len(b.key), nd) for x in _image(a, b.key[j:j + nd]))
+
+
 def _row_lanes(sys_, lanes, row):
     """A packed row (entry j at lane j n d' + k) as the tuple of _row."""
     d = _ring(sys_).degree
@@ -723,6 +733,7 @@ def _packed_kernels_agree(sys_):
             assert lanes.unpack(lanes.right_step(x, s)) == _right_key(sys_, a.key, s)
             assert lanes.unpack(lanes.left_step(x, s)) == _left_key(sys_, a.key, s)
             assert lanes.unpack(lanes.conjugate_step(x, s)) == _conjugate_key(sys_, a.key, s)
+        assert lanes.unpack(lanes.multiply(x, y)) == _product(a, b)
         row = lanes.row(x)
         assert _row_lanes(sys_, lanes, row) == _row(sys_, a.key)
         expected = _row_mul(sys_, _row(sys_, a.key), b.key)
@@ -733,12 +744,42 @@ def _packed_kernels_agree(sys_):
     pytest.param(lambda: [corpus.load(name) for name in corpus.names()], id="corpus"),
     pytest.param(lambda: [_rank3(ls) for ls in itertools.product(LABELS, repeat=3)], id="rank3"),
 ])
-def test_packed_kernels_match_the_tuple_kernels(systems):
-    # the right, left and conjugation steps, the row and the row times a
-    # packed key, at every degree d' from 1 to 32; a packed
+def test_packed_kernels_match_the_tuple_kernels(systems, monkeypatch):
+    # the right, left and conjugation steps, the product, the row and the
+    # row times a packed key, at every degree d' from 1 to 32; a packed
     # value that outgrows its lanes reruns the comparison with wider ones
     for sys_ in systems():
         _widening(_packed_kernels_agree, sys_)
+    # multiply and commutes from 8-bit lanes, on fresh systems: products
+    # trip and widen, and still give the tuple product; the pairs commute
+    # and do not
+    monkeypatch.setattr(group_mod, "_lane_bits", lambda sys_: 8)
+    outcomes, widths = set(), set()
+    for sys_ in systems():
+        outcomes |= _products_agree(diagram.CoxeterSystem(sys_.matrix), widths)
+    assert outcomes == {True, False}
+    assert min(widths) == 8 < max(widths)
+
+
+def _products_agree(sys_, widths):
+    """multiply and commutes against the tuple product on seeded pairs,
+    each in both orders, and on an element with itself; returns what
+    commutes answered, and adds the width of each product's lanes to
+    widths."""
+    rng = random.Random(repr(sys_.matrix))
+    outcomes = set()
+    for _ in range(2):
+        a, b = (from_word(sys_, [rng.randint(1, sys_.rank) for _ in range(rng.randint(0, 6))])
+                for _ in range(2))
+        products = [(x, y, multiply(x, y)) for x, y in ((a, b), (b, a), (a, a))]
+        for x, y, xy in products:
+            widths.add(xy._lanes.bits)
+            assert xy.key == _product(x, y) and xy.word == x.word + y.word, sys_.matrix
+        commute = commutes(a, b)
+        assert commute == (products[0][2].key == products[1][2].key), sys_.matrix
+        assert commutes(a, a)
+        outcomes.add(commute)
+    return outcomes
 
 
 @pytest.mark.parametrize("bits", [8, 16, 32, 64, 128])

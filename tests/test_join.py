@@ -273,9 +273,15 @@ def _etype(rank):
     (6, 51_840, 12, 1_920),
     (7, 2_903_040, 18, 51_840),
 ], ids=["e6", "e7"])
-def test_e_type_centralizers_are_cyclic(rank, order, h, held):
-    # the largest join table in the suite: W(E6) of E7 is held whole
+def test_e_type_centralizers_are_cyclic(rank, order, h, held, monkeypatch):
+    # the largest join table in the suite: W(E6) of E7 is held whole, all
+    # of it on the one packer of 16-bit lanes a finite system starts on
+    widths = []
+    build = group_mod._Lanes.__init__
+    monkeypatch.setattr(group_mod._Lanes, "__init__",
+                        lambda lanes, sys_, bits: build(lanes, sys_, bits) or widths.append(lanes.bits))
     report = verify.verify_finite(_etype(rank))
+    assert widths == [16]
     assert report.text_lines()[1] == (
         f"mode finite-exhaustive group-order={order} coxeter-order={h}"
     )

@@ -24,9 +24,10 @@ from coxkit import corpus, diagram, field, verify
 from coxkit import group as group_mod
 from coxkit.errors import ResourceLimitError
 from coxkit.field import FieldElement
+from coxkit.group import GroupElement
 
 from test_field import _fibonacci_blocks, _pell_blocks, ref_sign
-from test_group import _conjugate_key, _left_key, _load_oracle
+from test_group import _conjugate_key, _left_key, _load_oracle, _product
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -550,3 +551,43 @@ def test_lanes_stop_widening_at_the_cap(monkeypatch):
     monkeypatch.setattr(group_mod, "MAX_LANE_BITS", 16)
     with pytest.raises(ResourceLimitError, match="^a packed key outgrew lanes of 16 bits$"):
         verify.verify_ball(diagram.parse_system(corpus.read_text("tri334")), radius=20)
+
+
+def test_a_finite_system_starts_on_16_bit_lanes_and_any_other_on_32(monkeypatch):
+    # a finite W's key entries are root coordinates and its rows root
+    # heights: the finite sweep never trips 16-bit lanes and builds one
+    # packer; every other system starts at 32 bits
+    widths = []
+    build = group_mod._Lanes.__init__
+    monkeypatch.setattr(group_mod._Lanes, "__init__",
+                        lambda lanes, sys_, bits: build(lanes, sys_, bits) or widths.append(lanes.bits))
+    for name in corpus.names():
+        sys_ = diagram.parse_system(corpus.read_text(name))
+        widths.clear()
+        if name in corpus.FINITE:
+            assert verify.verify_finite(sys_).theorem_consistent
+            assert widths == [16], name
+        else:
+            group_mod._packer(sys_)
+            assert widths == [32], name
+
+
+def test_products_widen_past_the_cap_and_walks_stop_at_it(monkeypatch):
+    # the entries of c^30 on tri334 need lanes of 128 bits: under a cap of
+    # 64, the products of the powers and the straightness probe still
+    # give what the tuple product gives, and a walk that outgrows 64 bits
+    # afterwards still ends as a resource limit
+    monkeypatch.setattr(group_mod, "MAX_LANE_BITS", 64)
+    sys_ = diagram.parse_system(corpus.read_text("tri334"))
+    c = group_mod.coxeter_element(sys_)
+    power = reference = c
+    lengths = [group_mod.length_and_reduced(c)[0]]
+    for _ in range(29):
+        power, reference = group_mod.multiply(c, power), GroupElement(sys_, _product(c, reference), ())
+        assert power.key == reference.key
+        lengths.append(group_mod.length_and_reduced(reference)[0])
+    assert power._lanes.bits > 64
+    assert lengths == [3 * m for m in range(1, 31)]
+    assert group_mod.is_straight_upto(c, 30)
+    with pytest.raises(ResourceLimitError, match="^a packed key outgrew lanes of 64 bits$"):
+        group_mod.enumerate_group(sys_, cap=400)
