@@ -517,14 +517,11 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def _paired(a: GroupElement, b: GroupElement, run: Callable) -> tuple[_Lanes, object]:
-    """run(lanes, x, y) on the packed keys x and y of a and b, and the
-    lanes it ran on: the widest of the system's packer and the lanes
-    that hold a or b, each operand packed again from its tuple key where
-    other lanes hold it (_Lanes.of). A product is a run of its own, of
-    two finite keys: when a packed value trips, it reruns on lanes twice
-    as wide (_width), past MAX_LANE_BITS if it must, which caps the
-    walks alone. So a product always completes, and a chain of them,
-    the powers of an element, goes on in the lanes its last one took."""
+    """run(lanes, x, y) on the packed keys x and y of a and b (_Lanes.of),
+    and the lanes it ran on: the widest of the system's packer and the
+    lanes of a and b, so a chain of products stays in the lanes its last
+    one took. A trip reruns it on lanes twice as wide (_width), past
+    MAX_LANE_BITS if it must: two finite keys always fit."""
     lanes = _packer(a.system)
     for held in (a._lanes, b._lanes):
         if held is not None and held.bits > lanes.bits:
@@ -908,8 +905,8 @@ class _Lanes:
     theta'^l a, which lands in column j.
 
     The steps are compiled from _rules, so the packed and the tuple
-    steps read one set of rules, on the first walk or step (_compile);
-    a product reads none of them. right: coefficient l of every block of
+    steps read one set of rules; a product reads none of them. right:
+    coefficient l of every block of
     column s, cut out, times a constant that places its multiples in the
     columns it feeds. left: row s gains the constant row (sigma_s - 1)_s
     times w. Rows lie in the lanes of row 0 of a key. A row times a
@@ -928,14 +925,14 @@ class _Lanes:
         ring = _ring(sys_)
         n, d = sys_.rank, ring.degree
         nd, size = n * d, n * n * d
-        # how far one kernel can take a lane beyond the largest of its
-        # inputs; a step of s, column or row, adds 1 and the coefficients
-        # of its terms (_compile): -2 on each of the d' coefficients of
-        # column or row s, and each -2B(e_s, e_j), d' times for an int
+        _, right, left = _rules(sys_)
+        # column s negated (gains -2 times itself), row s likewise
+        lanes = [_lane_terms([t for _, _, ts in ops for t in ts] + [(col_s, col_s, -2)], d)
+                 for _, _, _, col_s, ops in right]
+        rows = [_lane_terms(terms + [(p, p, -2) for p in parts], d) for parts, terms in left]
+        # how far one kernel can take a lane beyond the largest of its inputs
         grow = [n, 1 + max(map(abs, ring.field._base), default=0)]
-        for row in _steps(sys_)[1]:
-            grow.append(1 + 2 * d + sum(d * abs(op) if op.__class__ is int
-                                        else sum(abs(c) for r in op for c in r) for _, op in row))
+        grow += [1 + sum(abs(c) for _, _, c in terms) for terms in lanes + rows]
         while True:
             room = min(bits - 1 - max(grow).bit_length(), (bits - 1 - nd.bit_length()) // 2)
             if room >= 1:
@@ -960,29 +957,6 @@ class _Lanes:
         # coefficient l of entry i of the first column lies
         self.cuts = [[(bits * i * nd, bits * (i * d + l)) for i in range(n)] for l in range(d)]
         self.reduce = sum(r << bits * k for k, r in enumerate(ring.field._base))
-        self._shifts = range(0, size * bits, bits)
-        # a machine-word lane reads back through memoryview.cast, which
-        # takes the host's byte order: little-endian hosts only
-        words = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
-        self._format = words.get(bits)
-        self.one = self.pack(identity(sys_).key)
-
-    def __getattr__(self, name: str):
-        # reached only for an unset slot: the step tables, which a
-        # product never reads, compiled on the first walk or step
-        if name not in ("right", "left"):
-            raise AttributeError(name)
-        self._compile()
-        return getattr(self, name)
-
-    def _compile(self) -> None:
-        """The step tables right and left, compiled from _rules."""
-        bits, n, d, nd = self.bits, self.system.rank, self.degree, self.nd
-        _, right, left = _rules(self.system)
-        # column s negated (gains -2 times itself), row s likewise
-        lanes = [_lane_terms([t for _, _, ts in ops for t in ts] + [(col_s, col_s, -2)], d)
-                 for _, _, _, col_s, ops in right]
-        rows = [_lane_terms(terms + [(p, p, -2) for p in parts], d) for parts, terms in left]
         self.right = []
         for (s0, bit, keep, _, ops), terms in zip(right, lanes):
             feed = [0] * d
@@ -1003,6 +977,12 @@ class _Lanes:
                               sum(self.key_blocks_bias * r for r in row) if d > 1 else 0,
                               bits * (n - 1 - s0) * d, self.row_mask << bits * s0 * d,
                               self.row_bias << bits * s0 * d))
+        self._shifts = range(0, size * bits, bits)
+        # a machine-word lane reads back through memoryview.cast, which
+        # takes the host's byte order: little-endian hosts only
+        words = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
+        self._format = words.get(bits)
+        self.one = self.pack(identity(sys_).key)
 
     def _fill(self, value: int, count: int, step: int = 1, start: int = 0) -> int:
         """value in count lanes, every step lanes from lane start: value
