@@ -26,10 +26,10 @@ strided (k, l, c) terms (_terms) on the flat key. _right_key applies
 the column terms to a tuple key, and _right_mul_gen wraps it with the
 witness word. One matrix-vector kernel serves the roots: _image(w, v)
 sums the ints of v times the flat columns theta'^k w(e_i) of w's
-theta'-table (_thetas; each is theta' times the one before, strided
-terms over the whole column), built on first use and cached on w; it
-creates no FieldElement. Products of elements, and the commutation
-test, run on packed keys.
+theta'-table (_thetas: the packed powers theta'^k w of _Lanes.thetas,
+unpacked, or at d' = 1 the columns of the key), built on first use and
+cached on w; it creates no FieldElement. Products of elements, the
+commutation test and theta' itself run on packed keys.
 
 Packed keys. The sweeps and every product run on keys packed into one
 int each (_Lanes, one per system, _packer): entry i of the flat key is
@@ -59,9 +59,10 @@ operand from other lanes again from its tuple key. The width starts at
 _lane_bits, 16 bits for a finite W (its key entries are root
 coordinates, its rows root heights) and 32 for any other; it is never
 an option, and a trip changes the speed, never a result. An element a
-walk makes unpacks its tuple key on first use, and a product comes
-with both, so the tuple layers (roots, refl, parabolic, printing) see
-the same keys, and _carried_keys hands them carried keys as tuples.
+walk makes unpacks its tuple key on its first read of key, and a
+product comes with both, so the tuple layers (roots, refl, parabolic,
+printing) see the same keys, and _carried_keys hands them carried keys
+as tuples.
 
 The ring (_ring) is built once per system, on first use. A root is a
 column: column j of a key is the root w(e_{j+1}), so the root,
@@ -181,31 +182,30 @@ Vector = tuple[FieldElement, ...]
 class GroupElement:
     """An exact matrix, stored as its integer key, plus a witness word
     that evaluates to it. An element a walk made holds its key packed
-    (lanes, a _Lanes of its system) and unpacks it on first use; one
-    made from a tuple key has no lanes until a product packs it, and
-    then keeps that packed key too (_Lanes.of), as a product keeps its
-    own."""
+    (lanes, a _Lanes of its system) and unpacks the tuple key on its
+    first read; one made from a tuple key has no lanes until a product
+    packs it, and then keeps that packed key too (_Lanes.of), as a
+    product keeps its own."""
 
-    __slots__ = ("system", "key", "word", "_cols", "_thetas", "_lanes", "_packed")
+    __slots__ = ("system", "_key", "word", "_cols", "_thetas", "_lanes", "_packed")
 
     def __init__(self, system: CoxeterSystem, key: Key | int, word: tuple[int, ...],
                  lanes: _Lanes | None = None) -> None:
         self.system = system
         if lanes is None:
-            self.key, self._lanes = key, None
+            self._key, self._lanes = key, None
         else:
-            self._lanes, self._packed = lanes, key
+            self._key, self._lanes, self._packed = None, lanes, key
         self.word = word
         self._cols: tuple[Vector, ...] | None = None
         self._thetas: list | None = None
 
-    def __getattr__(self, name: str):
-        # reached only for an unset slot: the key of an element made
-        # from a packed key
-        if name != "key":
-            raise AttributeError(name)
-        key = self.key = self._lanes.unpack(self._packed)
-        return key
+    @property
+    def key(self) -> Key:
+        """The tuple key, unpacked from the packed key on first read."""
+        if self._key is None:
+            self._key = self._lanes.unpack(self._packed)
+        return self._key
 
     @property
     def cols(self) -> tuple[Vector, ...]:
@@ -280,14 +280,12 @@ class _Ring:
     entry of every group element lies in Z[theta'], a subring of Z[theta]
     of degree d' = field.degree. basis holds the rows of the d x d'
     integer embedding E, whose column k is theta'^k over the power basis
-    of sys_.field; it serves _view only. theta is multiplication by
-    theta' on a flat column, as the terms (_terms) of its operator on
-    every block at once (None when d' = 1). sign is field.sign, the
+    of sys_.field; it serves _view only. sign is field.sign, the
     exact sign of the element of Z[theta'] with the given coefficients,
     decided in integers by the field.
     """
 
-    __slots__ = ("field", "degree", "basis", "theta", "sign")
+    __slots__ = ("field", "degree", "basis", "sign")
 
     def __init__(self, sys_: CoxeterSystem) -> None:
         n_ring = 1
@@ -303,9 +301,6 @@ class _Ring:
         for _ in range(self.degree - 1):
             powers.append(powers[-1] * theta)
         self.basis = tuple(zip(*(p.num for p in powers)))
-        d = self.degree
-        self.theta = (_terms(_op(self, (0, 1) + (0,) * (d - 2)), d, 0, 0, sys_.rank * d, d)
-                      if d > 1 else None)
         self.sign = self.field.sign
 
     def embed(self, block: Sequence[int]) -> tuple[int, ...]:
@@ -474,23 +469,20 @@ def _column(w: GroupElement, s: int) -> Key:
 
 def _thetas(w: GroupElement) -> list:
     """The theta'-table of w: per flat index i*d + k, the flat column
-    theta'^k w(e_i), what _image reads. Built on first use and cached on
-    w, so an element that acts on many roots, a memoized reflection or
-    a power of c in an orbit, builds it once."""
+    theta'^k w(e_i), what _image reads. The powers theta'^k w are the
+    packed ones of _Lanes.thetas, a run of their own (_paired), unpacked;
+    at d' = 1 the table is the columns of the key. Built on first use
+    and cached on w, so an element that acts on many roots, a memoized
+    reflection or a power of c in an orbit, builds it once."""
     if w._thetas is None:
-        ring = _ring(w.system)
-        n, d = w.system.rank, ring.degree
+        n, d = w.system.rank, _ring(w.system).degree
+        if d == 1:
+            powers = [w.key]
+        else:
+            lanes, packed = _paired(w, w, lambda lanes, x, _: lanes.thetas(x))
+            powers = [lanes.unpack(x) for x in packed]
         nd = n * d
-        table = []
-        for j in range(n):
-            col = w.key[j * nd:(j + 1) * nd]
-            table.append(col)
-            for _ in range(d - 1):
-                nxt = [0] * nd
-                _add_terms(nxt, col, ring.theta)
-                col = nxt
-                table.append(col)
-        w._thetas = table
+        w._thetas = [power[a:a + nd] for a in range(0, n * nd, nd) for power in powers]
     return w._thetas
 
 
@@ -815,9 +807,11 @@ def enumerate_group(
 ) -> Ball:
     """Complete enumeration of the (finite) group generated by gens.
 
-    The ball with no radius bound; an infinite group hits the cap of
-    the walk and raises ResourceLimitError.
+    The ball with no radius bound. An infinite group (is_spherical)
+    would exceed any cap, so it raises ResourceLimitError before a walk.
     """
+    if not is_spherical(sys_, gens):
+        raise ResourceLimitError(f"the group is infinite: its enumeration exceeds the cap of {cap} elements")
     return _cached_ball(sys_, gens, None, cap)
 
 

@@ -19,8 +19,8 @@ of d^-1 and looks up the row ((rho^T d) c) d^-1 of d c d^-1, times c
 through the row operator of c, its packed theta'-table, built once
 per sweep. That is |W_J| + |JW| elements (120 + 120 for H4) instead of
 |W| (14,400), and the group's order is |W_J| |JW|. The row determines
-the element (group._row), so every hit is a match; each forms g = u d,
-the one product per match, and is confirmed by commutes.
+the element (group._Lanes.row), so every hit is a match; each forms
+g = u d, the one product per match, and is confirmed by commutes.
 
 An affine group runs the same join inside the ball of radius R: every
 proper parabolic of an irreducible affine group is finite, the table

@@ -64,6 +64,10 @@ def test_tracer_hooks_are_called():
     for key in (
         "group.descent.calls",
         "group.step.calls",
+        "group.length.calls",
+        "group.multiply.calls",
+        "group.element.created",
+        "roots.act.calls",
         "roots.make_root.calls",
         "parabolic.nu.calls",
         "parabolic.longest.calls",

@@ -24,7 +24,7 @@ from coxkit.diagram import (
     subsystem,
 )
 from coxkit.errors import DiagramParseError, ResourceLimitError
-from coxkit.group import enumerate_group
+from coxkit.group import ball
 
 A2 = "rank 2\nm 1 2 3\n"
 
@@ -149,14 +149,16 @@ def test_classification_matches_triangle_rule():
 
 
 def test_is_spherical_matches_enumeration():
-    """A parabolic is spherical exactly when enumerating it closes."""
+    """A parabolic is spherical exactly when walking it closes: its ball
+    of radius 400 holds at most 400 elements. enumerate_group asks
+    is_spherical first, so the walk goes through ball."""
     for name in corpus.AFFINE + corpus.INDEFINITE:
         sys_ = parse_system(corpus.read_text(name))
         gens = range(1, sys_.rank + 1)
         for k in gens:
             for sub in itertools.combinations(gens, k):
                 try:
-                    enumerate_group(sys_, gens=sub, cap=400)
+                    ball(sys_, 400, gens=sub, cap=400)
                     closes = True
                 except ResourceLimitError:
                     closes = False

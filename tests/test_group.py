@@ -7,6 +7,7 @@ against the closed form l((s1 s2)^k) = 2k.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import itertools
 import operator
@@ -688,27 +689,85 @@ def _conjugate_key(sys_, key, s):
     return _left_key(sys_, _right_key(sys_, key, s), s)
 
 
+def _theta(sys_):
+    """The function theta' times every block of d' > 1 ints of a flat
+    vector, through the multiplication matrix of theta' (Field.mul_matrix):
+    the reference of _Lanes.theta."""
+    ring = _ring(sys_)
+    d = ring.degree
+    # coefficient k of every block gains c times its coefficient l
+    terms = [(k, l, c) for k, row in enumerate(ring.field.mul_matrix((0, 1) + (0,) * (d - 2)))
+             for l, c in enumerate(row) if c]
+
+    def theta(vec):
+        out = [0] * len(vec)
+        for k, l, c in terms:
+            out[k::d] = [x + c * y for x, y in zip(out[k::d], vec[l::d])]
+        return out
+    return theta
+
+
+@functools.lru_cache(maxsize=64)
+def _theta_table(w):
+    """The theta'-table of w by the tuple recurrence, the reference of
+    group._thetas: per column i of the key, theta'^k w(e_i) for k < d'.
+    An element is keyed by its system and key, on which the table alone
+    depends."""
+    d = _ring(w.system).degree
+    theta = _theta(w.system) if d > 1 else None
+    nd = len(w.key) // w.system.rank
+    table = []
+    for a in range(0, len(w.key), nd):
+        col = list(w.key[a:a + nd])
+        table.append(col)
+        for _ in range(d - 1):
+            col = theta(col)
+            table.append(col)
+    return table
+
+
+def _image_ref(table, vec):
+    """The element of a theta'-table applied to a flat vector, the
+    reference of group._image: the sum of the ints of vec times the
+    table's columns."""
+    acc = [0] * len(table[0])
+    for x, col in zip(vec, table):
+        if x:
+            acc = [p + x * y for p, y in zip(acc, col)]
+    return acc
+
+
 def _row_mul(sys_, row, key):
     """The row times the matrix of key, twin of group._image: by Horner
     over the row's theta' coefficients, from the top, n d' integer dot
-    products each plus theta' (_Ring.theta) times the sum so far."""
+    products each plus theta' (_theta) times the sum so far."""
     ring = _ring(sys_)
     cols = [key[part] for part in _row_rules(sys_)[2]]
-    acc = None
+    acc, theta = None, _theta(sys_) if ring.degree > 1 else None
     for k in range(ring.degree - 1, -1, -1):
         out = [sum(map(operator.mul, row[k::ring.degree], col)) for col in cols]
         if acc is not None:
-            _add_terms(out, acc, ring.theta)
+            out = list(map(operator.add, out, theta(acc)))
         acc = out
     return tuple(acc)
 
 
 def _product(a, b):
     """The key of a*b by the tuple column loop, the reference of the
-    packed product: column j is a applied to column j of b, through
-    group._image and the theta'-table of a."""
+    packed product: column j is a applied to column j of b (_image_ref)."""
     nd = len(b.key) // b.system.rank
-    return tuple(x for j in range(0, len(b.key), nd) for x in _image(a, b.key[j:j + nd]))
+    table = _theta_table(a)
+    return tuple(x for j in range(0, len(b.key), nd) for x in _image_ref(table, b.key[j:j + nd]))
+
+
+def _tables_agree(a, b):
+    """group._thetas and group._image of a, applied to each column of b,
+    against their references; a is fresh, so its table is built here."""
+    nd = len(b.key) // b.system.rank
+    table = _theta_table(a)
+    return (list(map(list, group_mod._thetas(a))) == table
+            and all(_image(a, b.key[j:j + nd]) == _image_ref(table, b.key[j:j + nd])
+                    for j in range(0, len(b.key), nd)))
 
 
 def _row_lanes(sys_, lanes, row):
@@ -734,6 +793,7 @@ def _packed_kernels_agree(sys_):
             assert lanes.unpack(lanes.left_step(x, s)) == _left_key(sys_, a.key, s)
             assert lanes.unpack(lanes.conjugate_step(x, s)) == _conjugate_key(sys_, a.key, s)
         assert lanes.unpack(lanes.multiply(x, y)) == _product(a, b)
+        assert _tables_agree(a, b), sys_.matrix
         row = lanes.row(x)
         assert _row_lanes(sys_, lanes, row) == _row(sys_, a.key)
         expected = _row_mul(sys_, _row(sys_, a.key), b.key)
@@ -745,32 +805,39 @@ def _packed_kernels_agree(sys_):
     pytest.param(lambda: [_rank3(ls) for ls in itertools.product(LABELS, repeat=3)], id="rank3"),
 ])
 def test_packed_kernels_match_the_tuple_kernels(systems, monkeypatch):
-    # the right, left and conjugation steps, the product, the row and the
-    # row times a packed key, at every degree d' from 1 to 32; a packed
-    # value that outgrows its lanes reruns the comparison with wider ones
+    # the right, left and conjugation steps, the product, the theta'-table
+    # and the image of a vector, the row and the row times a packed key,
+    # at every degree d' from 1 to 32; a packed value that outgrows its
+    # lanes reruns the comparison with wider ones
     for sys_ in systems():
         _widening(_packed_kernels_agree, sys_)
-    # multiply and commutes from 8-bit lanes, on fresh systems: products
-    # trip and widen, and still give the tuple product; the pairs commute
-    # and do not
+    # multiply, commutes and the theta'-tables from 8-bit lanes, on fresh
+    # systems: products and tables trip and widen, and still give the
+    # tuple references; the pairs commute and do not
     monkeypatch.setattr(group_mod, "_lane_bits", lambda sys_: 8)
-    outcomes, widths = set(), set()
+    outcomes, widths, tables = set(), set(), set()
     for sys_ in systems():
-        outcomes |= _products_agree(diagram.CoxeterSystem(sys_.matrix), widths)
+        outcomes |= _products_agree(diagram.CoxeterSystem(sys_.matrix), widths, tables)
     assert outcomes == {True, False}
     assert min(widths) == 8 < max(widths)
+    assert min(tables) == 8 < max(tables)
 
 
-def _products_agree(sys_, widths):
-    """multiply and commutes against the tuple product on seeded pairs,
-    each in both orders, and on an element with itself; returns what
-    commutes answered, and adds the width of each product's lanes to
-    widths."""
+def _products_agree(sys_, widths, tables):
+    """multiply, commutes and the theta'-tables against the tuple
+    references on seeded pairs, each product in both orders and of an
+    element with itself; returns what commutes answered, and adds the
+    width of each product's lanes to widths and that of each packed
+    theta'-table's to tables."""
     rng = random.Random(repr(sys_.matrix))
     outcomes = set()
     for _ in range(2):
         a, b = (from_word(sys_, [rng.randint(1, sys_.rank) for _ in range(rng.randint(0, 6))])
                 for _ in range(2))
+        for x, y in ((a, b), (b, a)):
+            assert _tables_agree(x, y), sys_.matrix
+            if x._lanes is not None:
+                tables.add(x._lanes.bits)
         products = [(x, y, multiply(x, y)) for x, y in ((a, b), (b, a), (a, a))]
         for x, y, xy in products:
             widths.add(xy._lanes.bits)

@@ -12,6 +12,8 @@ import pytest
 from coxkit import corpus, diagram, group, roots, verify
 from coxkit.errors import InvariantViolation
 
+from test_group import _product
+
 
 def power(sys_, c, k):
     return group.power(c, k)
@@ -141,12 +143,8 @@ def test_centralizer_count_exceeds_the_cyclic_group_for_non_coxeter_elements():
 
 def _columns_commute(a, b):
     """The column test of commutes, written out so that the reference
-    does not call the code it checks."""
-    nd = len(a.key) // a.system.rank
-    return all(
-        group._image(a, b.key[j:j + nd]) == group._image(b, a.key[j:j + nd])
-        for j in range(0, len(a.key), nd)
-    )
+    does not call the code it checks: the tuple products ab and ba."""
+    return _product(a, b) == _product(b, a)
 
 
 def _bfs_report(sys_, perm, radius):

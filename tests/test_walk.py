@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import nullcontext
 from operator import add
 from pathlib import Path
@@ -576,7 +577,8 @@ def test_products_widen_past_the_cap_and_walks_stop_at_it(monkeypatch):
     # the entries of c^30 on tri334 need lanes of 128 bits: under a cap of
     # 64, the products of the powers and the straightness probe still
     # give what the tuple product gives, and a walk that outgrows 64 bits
-    # afterwards still ends as a resource limit
+    # afterwards, the depth-first walk of a ball whose cap trips late,
+    # still ends as a resource limit
     monkeypatch.setattr(group_mod, "MAX_LANE_BITS", 64)
     sys_ = diagram.parse_system(corpus.read_text("tri334"))
     c = group_mod.coxeter_element(sys_)
@@ -590,4 +592,43 @@ def test_products_widen_past_the_cap_and_walks_stop_at_it(monkeypatch):
     assert lengths == [3 * m for m in range(1, 31)]
     assert group_mod.is_straight_upto(c, 30)
     with pytest.raises(ResourceLimitError, match="^a packed key outgrew lanes of 64 bits$"):
-        group_mod.enumerate_group(sys_, cap=400)
+        group_mod.ball(sys_, 400, cap=400)
+
+
+def test_enumerating_an_infinite_group_raises_before_a_walk(monkeypatch):
+    # an infinite group ends on the cap at once, with no packer built; a
+    # finite scope over its cap still names the depth its walk reached
+    built = []
+    init = group_mod._Lanes.__init__
+    monkeypatch.setattr(group_mod._Lanes, "__init__",
+                        lambda lanes, sys_, bits: init(lanes, sys_, bits) or built.append(lanes.bits))
+    for name, cap in (("tri334", 20000), ("a1t", group_mod.DEFAULT_BALL_CAP)):
+        sys_ = diagram.parse_system(corpus.read_text(name))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"^the group is infinite: its enumeration"
+                                                     f" exceeds the cap of {cap} elements$"):
+            group_mod.enumerate_group(sys_, cap=cap)
+        assert time.perf_counter() - start < 1, name
+    assert built == []
+    assert len(group_mod.enumerate_group(sys_, gens=(1,))) == 2
+    h3 = diagram.parse_system(corpus.read_text("h3"))
+    with pytest.raises(ResourceLimitError, match=r"^ball enumeration exceeded the cap of 5 elements"
+                                                 r" \(reached depth "):
+        group_mod.enumerate_group(h3, cap=5)
+
+
+def test_a_walked_element_unpacks_its_key_once_on_first_read(monkeypatch):
+    # a walked element holds its key packed: reading its word or system
+    # unpacks nothing, and its first read of key unpacks it, once
+    sys_ = diagram.parse_system(corpus.read_text("h3"))
+    walked = list(group_mod.walk(sys_, 3))
+    calls = []
+    unpack = group_mod._Lanes.unpack
+    monkeypatch.setattr(group_mod._Lanes, "unpack",
+                        lambda lanes, *args: calls.append(args) or unpack(lanes, *args))
+    assert all(w.system is sys_ for w in walked) and len({w.word for w in walked}) == len(walked)
+    assert calls == []
+    for w in walked:
+        key = w.key
+        assert w.key is key == group_mod.from_word(sys_, w.word).key
+    assert len(calls) == len(walked)
