@@ -140,7 +140,7 @@ def _cmd_betas(args) -> int:
 def _cmd_coxeter_verify(args) -> int:
     sys_ = _load_system(args)
     perm = tuple(args.perm) if args.perm else None
-    if diagram.classify(sys_) == "finite":
+    if diagram.is_spherical(sys_, None):
         # verify_ball rejects these itself; the exhaustive sweep ignores them
         for value, name in ((args.radius, "radius"), (args.powers, "power bound")):
             if value is not None and value < 1:

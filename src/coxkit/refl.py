@@ -13,6 +13,13 @@ Hurwitz action rewires a factorization by
 
 (the forward move at slot i; backward is its inverse), which preserves
 both the product and the multiset of conjugacy classes.
+
+One caching rule holds here as in every module: a table for a system
+(the reflection of each positive root, the product of each ordered pair
+of reflections that Hurwitz moves check) goes through
+CoxeterSystem.memo, and a view derived from one element (its key, its
+columns, its theta'-table) lives on the GroupElement. A Reflection is a
+frozen record of its element and its positive root and caches nothing.
 """
 
 from __future__ import annotations
@@ -47,33 +54,20 @@ DEFAULT_ORBIT_CAP = 1_000_000
 MAX_REFLECTION_LENGTH_SEARCH = 6
 
 
-class Reflection:
+class Reflection(Record, frozen=True):
     """A reflection together with the positive root it inverts."""
 
-    __slots__ = ("element", "root", "_products")
+    element: GroupElement
+    root: Root
 
     def __init__(self, element: GroupElement, root: Root) -> None:
         if not root.positive:
             raise ValueError("a reflection is stored with its positive root")
-        self.element = element
-        self.root = root
-        # right factor key -> key of the product, filled by _pair_product
-        self._products: dict = {}
+        super().__init__(element, root)
 
     @property
     def key(self):
         return self.element.key
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Reflection):
-            return NotImplemented
-        return self.element == other.element
-
-    def __hash__(self) -> int:
-        return hash(self.element.key)
-
-    def __repr__(self) -> str:
-        return f"<reflection {group_mod.word_str(self.element.word)}>"
 
 
 def reflections_of(
@@ -300,12 +294,15 @@ def _conjugate_reflection(sys_: CoxeterSystem, a: Reflection, b: Reflection) -> 
 
 
 def _pair_product(a: Reflection, b: Reflection):
-    """The key of a*b, multiplied once per ordered pair and cached on a:
-    an orbit meets the same adjacent pair in many factorizations, and
-    both moves at a slot check against it."""
-    key = a._products.get(b.key)
+    """The key of a*b, multiplied once per ordered pair of the system
+    and kept in its "pair products" table, keyed by the pair of root
+    keys: an orbit meets the same adjacent pair in many factorizations,
+    and both moves at a slot check against it."""
+    products = a.element.system.memo("pair products", dict)
+    pair = (a.root.key, b.root.key)
+    key = products.get(pair)
     if key is None:
-        key = a._products[b.key] = group_mod.multiply(a.element, b.element).key
+        key = products[pair] = group_mod.multiply(a.element, b.element).key
     return key
 
 

@@ -188,8 +188,9 @@ class CentralizerReport(Record):
 
 def _require(sys_: CoxeterSystem, finite: bool, message: str) -> None:
     """Entry gate: sys_ is irreducible and finite exactly when finite is
-    True; message is the error for the wrong kind."""
-    if (diagram_mod.classify(sys_) == "finite") != finite:
+    True; message is the error for the wrong kind. Finiteness is read
+    off the diagram's types, with no elimination of the Gram matrix."""
+    if diagram_mod.is_spherical(sys_, None) != finite:
         raise ValueError(message)
     if not diagram_mod.is_irreducible(sys_):
         raise ValueError("the statement concerns irreducible systems")
@@ -253,8 +254,9 @@ def verify_ball(
     if power_bound is not None and power_bound < 1:
         raise ValueError("power bound must be at least 1")
     c = group_mod.coxeter_element(sys_, perm)
-    clen = group_mod.length_and_reduced(c)[0]
-    bound = ceil(radius / clen) + 1
+    # l(c) = len(c.word): a word with no repeated letter is reduced, as
+    # deleting s_i would put s_i in W_{S-{s_i}} (Humphreys 5.5)
+    bound = ceil(radius / len(c.word)) + 1
     powers = group_mod.power_window(c, bound)
     if power_bound is not None:
         bound = max(power_bound, bound)
@@ -657,7 +659,7 @@ def verify_speyer(
     if max_power < 1:
         raise ValueError("power bound must be at least 1")
     c = group_mod.coxeter_element(sys_, perm)
-    n = group_mod.length_and_reduced(c)[0]
+    n = len(c.word)  # reduced, as in verify_ball; m = 1 checks it again
     p = group_mod.identity(sys_)
     for m in range(1, max_power + 1):
         p = group_mod.multiply(c, p)

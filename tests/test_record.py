@@ -7,7 +7,7 @@ import pytest
 from coxkit import corpus
 from coxkit.group import ball, from_word, identity, multiply
 from coxkit.parabolic import ConjGraph, EssentialityProbe, GraphEdge, ParabolicClosure
-from coxkit.refl import ReflectionFactorization, reflections_of
+from coxkit.refl import Reflection, ReflectionFactorization, reflections_of
 from coxkit.verify import (
     BetaTrace,
     BetaTraceEntry,
@@ -35,6 +35,7 @@ def _frozen_cases():
         (lambda: BetaTraceEntry(1, 2, 3), BetaTraceEntry(1, None, None), "m"),
         (lambda: ExampleClause("a", True, "x"), ExampleClause("a", False, "x"), "ok"),
         (lambda: ReflectionFactorization((t[0], t[1]), t01), ReflectionFactorization((t[1], t[1]), e), "factors"),
+        (lambda: Reflection(t[0].element, t[0].root), t[1], "root"),
     ]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from importlib import resources
 
 import pytest
@@ -385,7 +386,7 @@ def test_hurwitz_orbit_is_all_reduced_factorizations():
 
 def test_one_reflection_object_per_root():
     # the finite list, the Hurwitz conjugates and the CLI's parser hand out
-    # the same object for a root, and with it one product cache
+    # the same object for a root
     b3 = corpus.load("b3")
     refs = reflections_of(b3)
     by_root = {t.root.key: t for t in refs}
@@ -408,6 +409,32 @@ def test_hurwitz_orbit_builds_each_reflection_once(monkeypatch):
     orbit = hurwitz_orbit(facts[0])
     assert {f.key for f in orbit} == {f.key for f in facts}
     assert len(built) == len(set(built)) <= len(reflections_of(b3))
+
+
+def test_hurwitz_orbit_multiplies_each_ordered_pair_once(monkeypatch):
+    # _pair_product keeps the products in the system's one "pair products"
+    # table: an orbit multiplies each ordered pair of adjacent factors
+    # once, the table is one more cache entry, and a second orbit
+    # multiplies no pair
+    b4 = diagram.parse_system(corpus.read_text("b4"))
+    fact = reduced_factorizations(b4, from_word(b4, (1, 2, 3, 4)))[0]
+    entries = len(b4._cache)
+    pairs = []
+
+    def spy(a, b):
+        if sys._getframe(1).f_code is refl._pair_product.__code__:
+            pairs.append((a.key, b.key))
+        return multiply(a, b)
+
+    monkeypatch.setattr("coxkit.group.multiply", spy)
+    orbit = hurwitz_orbit(fact)
+    adjacent = {(t.key, u.key) for f in orbit for t, u in zip(f.factors, f.factors[1:])}
+    assert len(orbit) == 4**4
+    assert sorted(pairs) == sorted(adjacent)
+    assert len(b4._cache) == entries + 1
+    assert len(b4.memo("pair products", dict)) == len(adjacent)
+    assert {f.key for f in hurwitz_orbit(fact)} == {f.key for f in orbit}
+    assert len(pairs) == len(adjacent)
 
 
 def test_hurwitz_orbit_cap():

@@ -5,11 +5,13 @@ expected coxeter orders 3/4/6/10 and the infinite-dihedral centralizer
 {c^k} are frozen from independent hand computation.
 """
 
+import random
+from importlib import resources
 from math import ceil
 
 import pytest
 
-from coxkit import corpus, diagram, group, roots, verify
+from coxkit import cli, corpus, diagram, group, roots, verify
 from coxkit.errors import InvariantViolation
 
 from test_group import _product
@@ -69,6 +71,27 @@ def test_verify_finite_rejects_wrong_inputs():
     reducible = diagram.CoxeterSystem([[1, 2], [2, 1]])
     with pytest.raises(ValueError):
         verify.verify_finite(reducible)
+
+
+def test_finite_gates_run_no_gram_elimination(monkeypatch, capsys):
+    # verify_finite and a finite coxeter-verify read finiteness off the
+    # diagram's types: with the Gram elimination behind classify made to
+    # raise, a fresh system of each finite type still verifies, word for
+    # word as before
+    expected = {name: verify.verify_finite(corpus.load(name)).text_lines() for name in corpus.FINITE}
+    h4 = str(resources.files("coxkit.data") / "h4.cox")
+    assert cli.main(["coxeter-verify", "--diagram", h4]) == 0
+    printed = capsys.readouterr().out
+
+    def refuse(sys_, idx):
+        raise AssertionError("the Gram matrix was eliminated")
+
+    monkeypatch.setattr(diagram, "_definiteness", refuse)
+    for name in corpus.FINITE:
+        sys_ = diagram.parse_system(corpus.read_text(name))
+        assert verify.verify_finite(sys_).text_lines() == expected[name], name
+    assert cli.main(["coxeter-verify", "--diagram", h4]) == 0
+    assert capsys.readouterr().out == printed
 
 
 # --------------------------------------------------------------- commutation
@@ -260,6 +283,20 @@ def test_a_large_power_bound_builds_only_the_powers_in_the_ball(name, monkeypatc
     assert report.power_bound == big
     assert report.text_lines() == expected != default.text_lines()
     assert asked and max(asked) <= ceil(radius / sys_.rank) + 1 == bound
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_a_coxeter_word_is_reduced(name):
+    # verify_ball and verify_speyer take l(c) = len(c.word): a word with
+    # no repeated letter is reduced, whatever the order of its letters
+    sys_ = corpus.load(name)
+    gens = list(range(1, sys_.rank + 1))
+    perms = [tuple(gens), tuple(reversed(gens))]
+    for seed in range(3):
+        random.Random(seed).shuffle(gens)
+        perms.append(tuple(gens))
+    for perm in perms:
+        assert group.length_and_reduced(group.coxeter_element(sys_, perm))[0] == sys_.rank, perm
 
 
 def test_default_radii():
